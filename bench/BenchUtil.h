@@ -45,16 +45,8 @@ struct BatchResult {
   unsigned Solved = 0;    ///< Instances decided within the fuel budget.
   unsigned Valid = 0;     ///< Instances reported valid.
   unsigned Total = 0;
-  /// Saturation subsumption counters (SLP runs only): clauses deleted
-  /// forward/backward, candidate pair tests performed, and the tests a
-  /// full clause-database scan would have needed for the same queries.
-  uint64_t SubsumedFwd = 0, SubsumedBwd = 0;
-  uint64_t SubChecks = 0, SubScanBaseline = 0;
-  /// Model-guided saturation counters (SLP runs only): candidate-model
-  /// attempts, Gen positions skipped by incremental replay,
-  /// certification checks skipped, normal-form memo reuses.
-  uint64_t ModelAttempts = 0, GenReplayedFrom = 0;
-  uint64_t CertSkipped = 0, NfCacheReuse = 0;
+  /// Saturation counters summed over the run (SLP runs only).
+  sup::SaturationStats Sat;
   /// Memoizing-cache hits over the run (0 unless SLP_BENCH_CACHE=1).
   uint64_t CacheHits = 0;
   /// Queries the static pre-solver decided without running the prover.
@@ -129,14 +121,7 @@ inline BatchResult runBackend(engine::BackendKind Backend, TermTable &Terms,
       ++R.Valid;
   }
   R.Seconds = T.seconds();
-  R.SubsumedFwd = Engine.stats().SubsumedFwd;
-  R.SubsumedBwd = Engine.stats().SubsumedBwd;
-  R.SubChecks = Engine.stats().SubChecks;
-  R.SubScanBaseline = Engine.stats().SubScanBaseline;
-  R.ModelAttempts = Engine.stats().ModelAttempts;
-  R.GenReplayedFrom = Engine.stats().GenReplayedFrom;
-  R.CertSkipped = Engine.stats().CertSkipped;
-  R.NfCacheReuse = Engine.stats().NfCacheReuse;
+  R.Sat = Engine.stats().Sat;
   R.CacheHits = Engine.stats().CacheHits;
   R.Presolved =
       Engine.stats().PresolvedValid + Engine.stats().PresolvedInvalid;

@@ -49,10 +49,7 @@ BatchResult runSlpWith(TermTable &Terms,
       ++R.Solved;
     if (PR.V == core::Verdict::Valid)
       ++R.Valid;
-    R.SubChecks += PR.Stats.SubChecks;
-    R.SubScanBaseline += PR.Stats.SubScanBaseline;
-    R.ModelAttempts += PR.Stats.ModelAttempts;
-    R.NfCacheReuse += PR.Stats.NfCacheReuse;
+    R.Sat += PR.Stats.Sat;
   }
   R.Seconds = T.seconds();
   obs::HistogramSnapshot Delta = ProveHist.snapshot().minus(Before);
@@ -98,9 +95,9 @@ int main() {
     std::printf("      p50 %.0fus p99 %.0fus; %llu model attempts, "
                 "%llu nf-cache reuses, %llu sub checks\n",
                 R.ProveP50Ns * 1e-3, R.ProveP99Ns * 1e-3,
-                static_cast<unsigned long long>(R.ModelAttempts),
-                static_cast<unsigned long long>(R.NfCacheReuse),
-                static_cast<unsigned long long>(R.SubChecks));
+                static_cast<unsigned long long>(R.Sat.ModelAttempts),
+                static_cast<unsigned long long>(R.Sat.NfCacheReuse),
+                static_cast<unsigned long long>(R.Sat.SubChecks));
     std::fflush(stdout);
   }
 

@@ -95,8 +95,7 @@ int main(int argc, char **argv) {
     std::printf(" %14s", "Portfolio");
   std::printf("\n");
 
-  uint64_t SubChecks = 0, SubScan = 0, SubFwd = 0, SubBwd = 0;
-  uint64_t ModelAttempts = 0, GenReplayed = 0, CertSkipped = 0, NfReuse = 0;
+  sup::SaturationStats SlpSat; // Summed over the rows.
   std::map<std::string, uint64_t> PortfolioWins;
   for (const Row &R : Rows) {
     SymbolTable Symbols;
@@ -131,14 +130,7 @@ int main(int argc, char **argv) {
       std::printf(" %14s", cell(Portfolio).c_str());
     std::printf("\n");
     std::fflush(stdout);
-    SubChecks += Slp.SubChecks;
-    SubScan += Slp.SubScanBaseline;
-    SubFwd += Slp.SubsumedFwd;
-    SubBwd += Slp.SubsumedBwd;
-    ModelAttempts += Slp.ModelAttempts;
-    GenReplayed += Slp.GenReplayedFrom;
-    CertSkipped += Slp.CertSkipped;
-    NfReuse += Slp.NfCacheReuse;
+    SlpSat += Slp.Sat;
 
     if (Json) {
       Json->beginRow();
@@ -165,10 +157,10 @@ int main(int argc, char **argv) {
         for (const engine::BackendTally &T : Portfolio.Backends)
           Json->field(("portfolio_" + T.Name + "_wins").c_str(), T.Wins);
       }
-      Json->field("model_attempts", Slp.ModelAttempts);
-      Json->field("gen_replayed_from", Slp.GenReplayedFrom);
-      Json->field("cert_skipped", Slp.CertSkipped);
-      Json->field("nf_cache_reuse", Slp.NfCacheReuse);
+      Json->field("model_attempts", Slp.Sat.ModelAttempts);
+      Json->field("gen_replayed_from", Slp.Sat.GenReplayedFrom);
+      Json->field("cert_skipped", Slp.Sat.CertSkipped);
+      Json->field("nf_cache_reuse", Slp.Sat.NfCacheReuse);
       Json->field("slp_cache_hits", Slp.CacheHits);
       Json->field("slp_prove_p50_ns", Slp.ProveP50Ns);
       Json->field("slp_prove_p99_ns", Slp.ProveP99Ns);
@@ -179,18 +171,21 @@ int main(int argc, char **argv) {
   std::printf("\nSLP subsumption index: %llu candidate checks vs %llu "
               "full-DB-scan equivalent (%.1fx pruning); "
               "%llu fwd / %llu bwd deletions\n",
-              static_cast<unsigned long long>(SubChecks),
-              static_cast<unsigned long long>(SubScan),
-              SubChecks ? static_cast<double>(SubScan) / SubChecks : 0.0,
-              static_cast<unsigned long long>(SubFwd),
-              static_cast<unsigned long long>(SubBwd));
+              static_cast<unsigned long long>(SlpSat.SubChecks),
+              static_cast<unsigned long long>(SlpSat.SubScanBaseline),
+              SlpSat.SubChecks
+                  ? static_cast<double>(SlpSat.SubScanBaseline) /
+                        SlpSat.SubChecks
+                  : 0.0,
+              static_cast<unsigned long long>(SlpSat.SubsumedFwd),
+              static_cast<unsigned long long>(SlpSat.SubsumedBwd));
   std::printf("SLP model-guided saturation: %llu attempts, %llu gen "
               "positions replay-skipped, %llu cert checks skipped, "
               "%llu nf-cache reuses\n",
-              static_cast<unsigned long long>(ModelAttempts),
-              static_cast<unsigned long long>(GenReplayed),
-              static_cast<unsigned long long>(CertSkipped),
-              static_cast<unsigned long long>(NfReuse));
+              static_cast<unsigned long long>(SlpSat.ModelAttempts),
+              static_cast<unsigned long long>(SlpSat.GenReplayedFrom),
+              static_cast<unsigned long long>(SlpSat.CertSkipped),
+              static_cast<unsigned long long>(SlpSat.NfCacheReuse));
   if (WithPortfolio) {
     std::printf("Portfolio wins by backend:");
     for (const auto &[Name, Wins] : PortfolioWins)

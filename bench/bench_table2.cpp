@@ -108,8 +108,8 @@ int main(int argc, char **argv) {
       Json->field("greedy_seconds", Greedy.Seconds);
       Json->field("greedy_solved", static_cast<uint64_t>(Greedy.Solved));
       Json->field("greedy_valid", static_cast<uint64_t>(Greedy.Valid));
-      Json->field("model_attempts", Slp.ModelAttempts);
-      Json->field("nf_cache_reuse", Slp.NfCacheReuse);
+      Json->field("model_attempts", Slp.Sat.ModelAttempts);
+      Json->field("nf_cache_reuse", Slp.Sat.NfCacheReuse);
       Json->endRow();
     }
   }

@@ -66,13 +66,6 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
   // Line 2: S := Pure(cnf(E)).
   for (PureInput &In : CF.PureClauses)
     addPure(std::move(In));
-  // Plus the Figure 2 well-formedness schema instances for Σ in
-  // conditional form; entailed by ∅ → Σ, they let a single saturation
-  // pass anticipate the whole W-loop and keep clauses narrow (see
-  // wellFormednessAxioms).
-  if (Opts.UpfrontWfAxioms)
-    for (PureInput &In : wellFormednessAxioms(Terms, CF.PosSigma.Sigma))
-      addPure(std::move(In));
 
   // All constants of the query (nil included) for the induced stack.
   std::vector<const Term *> Constants;
@@ -84,19 +77,7 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
     Result.Cex = std::move(Cex);
     Result.Stats.PureClauses = Sat->numClauses();
     Result.Stats.FuelUsed = F.used();
-    const sup::SaturationStats &SS = Sat->stats();
-    Result.Stats.SubsumedFwd = SS.SubsumedFwd;
-    Result.Stats.SubsumedBwd = SS.SubsumedBwd;
-    Result.Stats.SubChecks = SS.SubChecks;
-    Result.Stats.SubScanBaseline = SS.SubScanBaseline;
-    Result.Stats.ModelAttempts = SS.ModelAttempts;
-    Result.Stats.GenReplayedFrom = SS.GenReplayedFrom;
-    Result.Stats.CertSkipped = SS.CertSkipped;
-    Result.Stats.NfCacheReuse = SS.NfCacheReuse;
-    Result.Stats.PoolEquations = SS.PoolEquations;
-    Result.Stats.PoolLiterals = SS.PoolLiterals;
-    Result.Stats.OrderCacheHits = SS.OrderCacheHits;
-    Result.Stats.OrderCacheMisses = SS.OrderCacheMisses;
+    Result.Stats.Sat = Sat->stats();
     return Result;
   };
 

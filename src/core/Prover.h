@@ -53,25 +53,7 @@ struct ProveStats {
   unsigned InnerIterations = 0; ///< Saturate/normalize/W rounds.
   uint64_t PureClauses = 0;     ///< Clauses in the final database.
   uint64_t FuelUsed = 0;        ///< Elementary inference steps.
-  uint64_t SubsumedFwd = 0;     ///< Clauses dropped by forward subsumption.
-  uint64_t SubsumedBwd = 0;     ///< Clauses deleted by backward subsumption.
-  uint64_t SubChecks = 0;       ///< Subsumption pair tests performed.
-  uint64_t SubScanBaseline = 0; ///< Tests a full-DB linear scan needs.
-  /// Model-guided saturation counters (see SaturationStats): candidate
-  /// model attempts, clause positions skipped by the incremental Gen
-  /// replay, certification checks vouched for by a previous attempt,
-  /// and normal-form memo entries reused across rule additions.
-  uint64_t ModelAttempts = 0;
-  uint64_t GenReplayedFrom = 0;
-  uint64_t CertSkipped = 0;
-  uint64_t NfCacheReuse = 0;
-  /// Data-layout counters (see SaturationStats): equations and
-  /// oriented literals in the flat pools at end of query, and
-  /// clause-order memo hits/misses.
-  uint64_t PoolEquations = 0;
-  uint64_t PoolLiterals = 0;
-  uint64_t OrderCacheHits = 0;
-  uint64_t OrderCacheMisses = 0;
+  sup::SaturationStats Sat;     ///< The saturation engine's counters.
 };
 
 /// Everything prove() reports.
@@ -89,12 +71,6 @@ enum class OrderingChoice { Kbo, Lpo };
 struct ProverOptions {
   sup::SaturationOptions Sat;
   OrderingChoice Ordering = OrderingChoice::Kbo;
-  /// Assert the Figure 2 well-formedness schema instances upfront in
-  /// conditional form (see wellFormednessAxioms). Off by default: on
-  /// aliasing-heavy unsatisfiable inputs the extra conditional clauses
-  /// multiply superposition interactions; the per-iteration W loop is
-  /// cheaper there. Kept as an option for experimentation.
-  bool UpfrontWfAxioms = false;
   /// Hard cap on outer iterations; a pure safety net, the algorithm
   /// terminates on its own (Theorem 5.1).
   unsigned MaxOuterIterations = 1u << 20;

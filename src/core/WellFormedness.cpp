@@ -21,57 +21,6 @@ bool core::isWellFormed(const sl::SpatialFormula &Sigma) {
 }
 
 std::vector<PureInput>
-core::wellFormednessAxioms(TermTable &Terms,
-                           const sl::SpatialFormula &Sigma) {
-  std::vector<PureInput> Out;
-  if (Sigma.empty())
-    return Out;
-  const Term *Nil = Terms.nil();
-
-  auto Emit = [&](std::vector<sup::Equation> Neg,
-                  std::vector<sup::Equation> Pos, const char *Rule,
-                  const sl::HeapAtom &A, const sl::HeapAtom *B) {
-    PureInput In;
-    In.Neg = std::move(Neg);
-    In.Pos = std::move(Pos);
-    In.Label = std::string(Rule) + " axiom on " + str(Terms, A);
-    if (B)
-      In.Label += " / " + str(Terms, *B);
-    Out.push_back(std::move(In));
-  };
-
-  for (size_t I = 0; I != Sigma.size(); ++I) {
-    const sl::HeapAtom &A = Sigma[I];
-    // Nil-address schemas (W1/W2): an allocated address is not nil;
-    // an lseg at nil must be empty.
-    if (A.isNext())
-      Emit({sup::Equation(A.Addr, Nil)}, {}, "W1", A, nullptr);
-    else
-      Emit({sup::Equation(A.Addr, Nil)}, {sup::Equation(A.Val, Nil)}, "W2",
-           A, nullptr);
-
-    // Shared-address schemas (W3/W4/W5), conditional on the aliasing.
-    for (size_t J = I + 1; J != Sigma.size(); ++J) {
-      const sl::HeapAtom &B = Sigma[J];
-      std::vector<sup::Equation> Cond;
-      if (A.Addr != B.Addr)
-        Cond.push_back(sup::Equation(A.Addr, B.Addr));
-      if (A.isNext() && B.isNext()) {
-        Emit(std::move(Cond), {}, "W3", A, &B);
-      } else if (A.isNext() || B.isNext()) {
-        const sl::HeapAtom &L = A.isLseg() ? A : B;
-        Emit(std::move(Cond), {sup::Equation(L.Addr, L.Val)}, "W4", A, &B);
-      } else {
-        Emit(std::move(Cond),
-             {sup::Equation(A.Addr, A.Val), sup::Equation(B.Addr, B.Val)},
-             "W5", A, &B);
-      }
-    }
-  }
-  return Out;
-}
-
-std::vector<PureInput>
 core::wellFormednessConsequences(const TermTable &Terms,
                                  const PosSpatialClause &C) {
   std::vector<PureInput> Out;

@@ -25,26 +25,6 @@ namespace core {
 std::vector<PureInput> wellFormednessConsequences(const TermTable &Terms,
                                                   const PosSpatialClause &C);
 
-/// Ground instances of the Figure 2 well-formedness schemas for every
-/// atom (pair) of the *original* Σ, in conditional form:
-///
-///   next(x,y):                x ' nil → ⊥
-///   lseg(x,y):                x ' nil → y ' nil
-///   next(x,y) * next(x',z):   x ' x' → ⊥
-///   next(x,y) * lseg(x',z):   x ' x' → x' ' z
-///   lseg(x,y) * lseg(x',z):   x ' x' → x ' y, x' ' z
-///
-/// Each is entailed by the clause ∅ → Σ of cnf(E) (the atoms describe
-/// disjoint parts of one heap). Asserting them upfront lets one
-/// saturation pass subsume the whole inner W-loop of Figure 3 and —
-/// crucially — keeps the clause set *narrow*: the per-iteration
-/// PCns_W emissions copy the normalized clause's accumulated residue
-/// literals into every consequence, which snowballs on aliasing-heavy
-/// inputs, while these axioms never exceed three literals. The
-/// in-loop emission is kept as the fixpoint detector of Figure 3.
-std::vector<PureInput>
-wellFormednessAxioms(TermTable &Terms, const sl::SpatialFormula &Sigma);
-
 /// True iff Σ is well-formed: no nil address, no duplicate address.
 bool isWellFormed(const sl::SpatialFormula &Sigma);
 

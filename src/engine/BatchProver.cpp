@@ -114,6 +114,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       Span.arg("reason", std::string(analysis::reasonName(A.R)));
       return Out;
     }
+    ++W.PresolveMisses;
   }
 
   CanonicalQuery Q = [&] {
@@ -129,6 +130,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       Hit = Cache.lookup(Q);
       Span.arg("hit", static_cast<uint64_t>(Hit.has_value()));
     }
+    ++(Hit ? W.CacheHits : W.CacheMisses);
     if (Hit) {
       Out.V = *Hit;
       Out.FromCache = true;
@@ -156,18 +158,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       ProveTime = ProveTimer.seconds();
       Out.V = R.V;
       Out.FuelUsed = R.Stats.FuelUsed;
-      Out.SubsumedFwd = R.Stats.SubsumedFwd;
-      Out.SubsumedBwd = R.Stats.SubsumedBwd;
-      Out.SubChecks = R.Stats.SubChecks;
-      Out.SubScanBaseline = R.Stats.SubScanBaseline;
-      Out.ModelAttempts = R.Stats.ModelAttempts;
-      Out.GenReplayedFrom = R.Stats.GenReplayedFrom;
-      Out.CertSkipped = R.Stats.CertSkipped;
-      Out.NfCacheReuse = R.Stats.NfCacheReuse;
-      Out.PoolEquations = R.Stats.PoolEquations;
-      Out.PoolLiterals = R.Stats.PoolLiterals;
-      Out.OrderCacheHits = R.Stats.OrderCacheHits;
-      Out.OrderCacheMisses = R.Stats.OrderCacheMisses;
+      Out.Sat = R.Stats.Sat;
       if (R.V != core::Verdict::Unknown)
         Out.Backend = W.Tally.Name;
     } else {
@@ -192,28 +183,17 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       // BR.Backend unconditionally, the portfolio already clears it).
       if (BR.V != core::Verdict::Unknown)
         Out.Backend = BR.Backend;
-      Out.SubsumedFwd = BR.Stats.SubsumedFwd;
-      Out.SubsumedBwd = BR.Stats.SubsumedBwd;
-      Out.SubChecks = BR.Stats.SubChecks;
-      Out.SubScanBaseline = BR.Stats.SubScanBaseline;
-      Out.ModelAttempts = BR.Stats.ModelAttempts;
-      Out.GenReplayedFrom = BR.Stats.GenReplayedFrom;
-      Out.CertSkipped = BR.Stats.CertSkipped;
-      Out.NfCacheReuse = BR.Stats.NfCacheReuse;
-      Out.PoolEquations = BR.Stats.PoolEquations;
-      Out.PoolLiterals = BR.Stats.PoolLiterals;
-      Out.OrderCacheHits = BR.Stats.OrderCacheHits;
-      Out.OrderCacheMisses = BR.Stats.OrderCacheMisses;
+      Out.Sat = BR.Stats.Sat;
     }
     Span.arg("verdict", std::string(Out.verdictText()));
     if (!Out.Backend.empty())
       Span.arg("backend", Out.Backend);
     Span.arg("fuel", Out.FuelUsed);
-    if (Out.ModelAttempts) {
-      Span.arg("model_attempts", Out.ModelAttempts);
-      Span.arg("gen_replayed_from", Out.GenReplayedFrom);
-      Span.arg("cert_skipped", Out.CertSkipped);
-      Span.arg("nf_cache_reuse", Out.NfCacheReuse);
+    if (Out.Sat.ModelAttempts) {
+      Span.arg("model_attempts", Out.Sat.ModelAttempts);
+      Span.arg("gen_replayed_from", Out.Sat.GenReplayedFrom);
+      Span.arg("cert_skipped", Out.Sat.CertSkipped);
+      Span.arg("nf_cache_reuse", Out.Sat.NfCacheReuse);
     }
   }
 
@@ -241,17 +221,24 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   Timer T;
 
   unsigned Jobs = ThreadPool::resolveJobs(Opts.Jobs);
-  std::vector<core::SessionStats> Sessions;
+  Stats = BatchStats();
   std::vector<std::vector<BackendTally>> WorkerTallies;
-  double ParseSeconds = 0, PresolveSeconds = 0, ProveSeconds = 0,
-         CacheSeconds = 0;
+  uint64_t PresolveMisses = 0;
   auto Retire = [&](const Worker &W) {
-    Sessions.push_back(W.Session.stats());
+    const core::SessionStats &SS = W.Session.stats();
+    ++Stats.Sessions;
+    Stats.SessionResets += SS.Resets;
+    Stats.TermsReclaimed += SS.TermsReclaimed;
+    Stats.ArenaBytesReclaimed += SS.BytesReclaimed;
+    Stats.ArenaSlabsReused += SS.SlabsReused;
     WorkerTallies.push_back(W.tallies());
-    ParseSeconds += W.ParseSeconds;
-    PresolveSeconds += W.PresolveSeconds;
-    ProveSeconds += W.ProveSeconds;
-    CacheSeconds += W.CacheSeconds;
+    Stats.ParseSeconds += W.ParseSeconds;
+    Stats.PresolveSeconds += W.PresolveSeconds;
+    Stats.ProveSeconds += W.ProveSeconds;
+    Stats.CacheSeconds += W.CacheSeconds;
+    Stats.CacheHits += W.CacheHits;
+    Stats.CacheMisses += W.CacheMisses;
+    PresolveMisses += W.PresolveMisses;
   };
 
   StealStats Stealing;
@@ -284,23 +271,11 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
     Stealing = Queue.totals();
   }
 
-  Stats = BatchStats();
   Stats.Seconds = T.seconds();
   Stats.Queries = Tasks.size();
-  Stats.ParseSeconds = ParseSeconds;
-  Stats.PresolveSeconds = PresolveSeconds;
-  Stats.ProveSeconds = ProveSeconds;
-  Stats.CacheSeconds = CacheSeconds;
-  Stats.Sessions = Sessions.size();
   Stats.WorkersUsed = WorkersUsed;
   Stats.Steals = Stealing.Steals;
   Stats.StealAttempts = Stealing.StealAttempts;
-  for (const core::SessionStats &SS : Sessions) {
-    Stats.SessionResets += SS.Resets;
-    Stats.TermsReclaimed += SS.TermsReclaimed;
-    Stats.ArenaBytesReclaimed += SS.BytesReclaimed;
-    Stats.ArenaSlabsReused += SS.SlabsReused;
-  }
   // Merge per-backend tallies across workers, preserving member order.
   for (const std::vector<BackendTally> &WT : WorkerTallies)
     for (const BackendTally &BT : WT) {
@@ -327,22 +302,7 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
     if (R.Presolved)
       ++(R.V == core::Verdict::Valid ? Stats.PresolvedValid
                                      : Stats.PresolvedInvalid);
-    else if (R.FromCache)
-      ++Stats.CacheHits;
-    else if (Opts.CacheEnabled)
-      ++Stats.CacheMisses;
-    Stats.SubsumedFwd += R.SubsumedFwd;
-    Stats.SubsumedBwd += R.SubsumedBwd;
-    Stats.SubChecks += R.SubChecks;
-    Stats.SubScanBaseline += R.SubScanBaseline;
-    Stats.ModelAttempts += R.ModelAttempts;
-    Stats.GenReplayedFrom += R.GenReplayedFrom;
-    Stats.CertSkipped += R.CertSkipped;
-    Stats.NfCacheReuse += R.NfCacheReuse;
-    Stats.PoolEquations += R.PoolEquations;
-    Stats.PoolLiterals += R.PoolLiterals;
-    Stats.OrderCacheHits += R.OrderCacheHits;
-    Stats.OrderCacheMisses += R.OrderCacheMisses;
+    Stats.Sat += R.Sat;
     switch (R.V) {
     case core::Verdict::Valid:
       ++Stats.Valid;
@@ -369,27 +329,15 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   if (Opts.Presolve) {
     Reg.counter("analysis.presolved.valid").inc(Stats.PresolvedValid);
     Reg.counter("analysis.presolved.invalid").inc(Stats.PresolvedInvalid);
-    Reg.counter("analysis.presolved.miss")
-        .inc(Stats.Queries - Stats.ParseErrors - Stats.PresolvedValid -
-             Stats.PresolvedInvalid);
+    Reg.counter("analysis.presolved.miss").inc(PresolveMisses);
   }
   Reg.gauge("engine.sessions").set(static_cast<int64_t>(Stats.Sessions));
   Reg.counter("session.resets").inc(Stats.SessionResets);
   Reg.counter("session.terms_reclaimed").inc(Stats.TermsReclaimed);
   Reg.counter("session.arena_bytes_reclaimed").inc(Stats.ArenaBytesReclaimed);
   Reg.counter("session.arena_slabs_reused").inc(Stats.ArenaSlabsReused);
-  Reg.counter("sat.model_attempts").inc(Stats.ModelAttempts);
-  Reg.counter("sat.gen_replayed_from").inc(Stats.GenReplayedFrom);
-  Reg.counter("sat.cert_skipped").inc(Stats.CertSkipped);
-  Reg.counter("sat.nf_cache_reuse").inc(Stats.NfCacheReuse);
-  Reg.counter("sat.subsumed_fwd").inc(Stats.SubsumedFwd);
-  Reg.counter("sat.subsumed_bwd").inc(Stats.SubsumedBwd);
-  Reg.counter("sat.sub_checks").inc(Stats.SubChecks);
-  Reg.counter("sat.sub_scan_baseline").inc(Stats.SubScanBaseline);
-  Reg.counter("sat.pool.equations").inc(Stats.PoolEquations);
-  Reg.counter("sat.pool.literals").inc(Stats.PoolLiterals);
-  Reg.counter("sat.pool.order_memo_hits").inc(Stats.OrderCacheHits);
-  Reg.counter("sat.pool.order_memo_misses").inc(Stats.OrderCacheMisses);
+  Stats.Sat.forEach(
+      [&Reg](const char *Name, uint64_t V) { Reg.counter(Name).inc(V); });
   Reg.gauge("engine.workers").set(static_cast<int64_t>(Stats.WorkersUsed));
   Reg.counter("engine.steal.steals").inc(Stats.Steals);
   Reg.counter("engine.steal.attempts").inc(Stats.StealAttempts);

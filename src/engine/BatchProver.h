@@ -41,9 +41,9 @@
 #ifndef SLP_ENGINE_BATCHPROVER_H
 #define SLP_ENGINE_BATCHPROVER_H
 
+#include "core/ProofTask.h"
 #include "core/ProverSession.h"
 #include "engine/Portfolio.h"
-#include "engine/ProofTask.h"
 #include "engine/ResultCache.h"
 #include "support/Fuel.h"
 
@@ -53,6 +53,10 @@
 
 namespace slp {
 namespace engine {
+
+/// The engine's unit of work (defined in core/, where every backend's
+/// prove() takes it).
+using core::ProofTask;
 
 /// Engine configuration.
 struct BatchOptions {
@@ -100,18 +104,9 @@ struct QueryResult {
   /// cache) never saw this query.
   bool Presolved = false;
   uint64_t FuelUsed = 0; ///< 0 for cache hits and parse errors.
-  /// Saturation subsumption counters (0 for cache hits/parse errors).
-  uint64_t SubsumedFwd = 0, SubsumedBwd = 0;
-  uint64_t SubChecks = 0, SubScanBaseline = 0;
-  /// Model-guided saturation counters (0 for cache hits/parse errors):
-  /// candidate-model attempts, Gen positions replay-skipped,
-  /// certification checks skipped, normal-form memo reuses.
-  uint64_t ModelAttempts = 0, GenReplayedFrom = 0;
-  uint64_t CertSkipped = 0, NfCacheReuse = 0;
-  /// Saturation data-layout counters (0 for cache hits/parse errors):
-  /// flat-pool sizes at end of query and clause-order memo traffic.
-  uint64_t PoolEquations = 0, PoolLiterals = 0;
-  uint64_t OrderCacheHits = 0, OrderCacheMisses = 0;
+  /// Saturation counters of the proof (all 0 for cache hits, parse
+  /// errors, presolved queries and the baseline backends).
+  sup::SaturationStats Sat;
   /// Backend that produced the verdict ("slp", "berdine", ...; for
   /// portfolio runs, the race winner). Empty for cache hits, parse
   /// errors, and undecided portfolio races.
@@ -136,23 +131,9 @@ struct BatchStats {
   /// misses that fell through to the prover).
   size_t PresolvedValid = 0, PresolvedInvalid = 0;
   double PresolveSeconds = 0;
-  /// Aggregated saturation subsumption counters over all proved
-  /// (non-cached) queries: clauses deleted forward/backward, pair
-  /// tests performed, and the tests a full clause-database scan would
-  /// have performed (SubChecks / SubScanBaseline = index pruning).
-  uint64_t SubsumedFwd = 0, SubsumedBwd = 0;
-  uint64_t SubChecks = 0, SubScanBaseline = 0;
-  /// Aggregated model-guided saturation counters over all proved
-  /// (non-cached) queries: candidate-model attempts, Gen positions
-  /// skipped by incremental replay, certification checks vouched for
-  /// by a previous attempt, and normal-form memo reuses.
-  uint64_t ModelAttempts = 0, GenReplayedFrom = 0;
-  uint64_t CertSkipped = 0, NfCacheReuse = 0;
-  /// Aggregated saturation data-layout counters: equations/literals in
-  /// the flat clause pools (summed end-of-query sizes) and the
-  /// clause-order memo's hit/miss traffic.
-  uint64_t PoolEquations = 0, PoolLiterals = 0;
-  uint64_t OrderCacheHits = 0, OrderCacheMisses = 0;
+  /// Saturation counters summed over every proved (non-cached) query:
+  /// the sum of the per-query QueryResult::Sat.
+  sup::SaturationStats Sat;
   /// Work distribution over the run: worker threads actually used, and
   /// the steal pool's counters (all zero when Jobs <= 1 — the
   /// sequential path has nobody to steal from).
@@ -230,6 +211,9 @@ private:
     BackendTally Tally;
     double ParseSeconds = 0, PresolveSeconds = 0, ProveSeconds = 0,
            CacheSeconds = 0;
+    /// Counted at the lookup itself, so a task that a cancellation left
+    /// unclaimed is neither a cache miss nor a pre-solver miss.
+    uint64_t CacheHits = 0, CacheMisses = 0, PresolveMisses = 0;
 
     /// The tallies to merge into BatchStats at end of batch.
     std::vector<BackendTally> tallies() const;

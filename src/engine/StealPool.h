@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Distributes the indices [0, size) of a fixed corpus across workers
-/// with per-worker deques and work stealing. The single fetch-add of
-/// WorkQueue makes every pop a contended store on one cache line; with
+/// with per-worker deques and work stealing. A single shared fetch-add
+/// counter makes every pop a contended store on one cache line; with
 /// heavy-tailed per-item costs it also serializes the tail of the run
 /// behind whichever worker drew the expensive items. Here each worker
 /// starts with a contiguous block of indices and pops from its own

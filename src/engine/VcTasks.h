@@ -17,7 +17,7 @@
 #ifndef SLP_ENGINE_VCTASKS_H
 #define SLP_ENGINE_VCTASKS_H
 
-#include "engine/ProofTask.h"
+#include "core/ProofTask.h"
 
 #include <optional>
 #include <vector>
@@ -30,7 +30,7 @@ struct VcTaskSet {
   /// Program names; ProofTask::Group indexes into this vector.
   std::vector<std::string> Programs;
   /// One task per VC, in program order then VC order.
-  std::vector<ProofTask> Tasks;
+  std::vector<core::ProofTask> Tasks;
   /// Set if symbolic execution of some program got stuck.
   std::optional<std::string> Error;
 
@@ -39,7 +39,7 @@ struct VcTaskSet {
   /// Number of VCs belonging to program \p Group.
   size_t numTasksFor(uint32_t Group) const {
     size_t N = 0;
-    for (const ProofTask &T : Tasks)
+    for (const core::ProofTask &T : Tasks)
       N += (T.Group == Group);
     return N;
   }

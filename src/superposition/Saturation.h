@@ -28,6 +28,8 @@
 #include "support/Fuel.h"
 #include "term/Rewrite.h"
 
+#include <cstdint>
+#include <iterator>
 #include <optional>
 #include <queue>
 #include <span>
@@ -61,11 +63,16 @@ struct SaturationOptions {
   /// re-checks only what the previous attempt could not vouch for.
   /// Bit-identical to the from-scratch attempts (same R, same g, same
   /// verdicts and countermodels); off reverts to sort-and-rebuild per
-  /// attempt, for measurement.
+  /// attempt, the reference path IncrementalModelTest compares against
+  /// and bench_micro times.
   bool IncrementalModel = true;
 };
 
-/// Aggregate inference counters, exposed for the benchmark harnesses.
+/// Aggregate inference counters: the one definition of the saturation
+/// work counters. ProveStats, the engine's per-query and per-run
+/// results and the bench rows embed it by value; merging and the
+/// registry names go through the SaturationCounters table below, so a
+/// new counter is one field plus one table row.
 struct SaturationStats {
   uint64_t Derived = 0;      ///< Conclusions generated.
   uint64_t Kept = 0;         ///< Clauses that survived simplification
@@ -114,7 +121,58 @@ struct SaturationStats {
   /// through to a full list comparison.
   uint64_t OrderCacheHits = 0;
   uint64_t OrderCacheMisses = 0;
+
+  bool operator==(const SaturationStats &) const = default;
+  /// Field-wise sum (pool sizes sum too: totals over queries).
+  SaturationStats &operator+=(const SaturationStats &O);
+  /// Calls \p F(Name, Value) for every counter in table order, Name
+  /// being its metrics-registry name.
+  template <typename Fn> void forEach(Fn &&F) const;
 };
+
+/// One counter of SaturationStats and its metrics-registry name.
+struct SaturationCounter {
+  const char *Name;
+  uint64_t SaturationStats::*Field;
+};
+
+/// Every SaturationStats field, in declaration order. The registry
+/// names are the `sat.*` catalogue of docs/observability.md.
+inline constexpr SaturationCounter SaturationCounters[] = {
+    {"sat.derived", &SaturationStats::Derived},
+    {"sat.kept", &SaturationStats::Kept},
+    {"sat.tautologies", &SaturationStats::Tautologies},
+    {"sat.subsumed_fwd", &SaturationStats::SubsumedFwd},
+    {"sat.subsumed_bwd", &SaturationStats::SubsumedBwd},
+    {"sat.demodulated", &SaturationStats::Demodulated},
+    {"sat.sub_queries", &SaturationStats::SubQueries},
+    {"sat.sub_checks", &SaturationStats::SubChecks},
+    {"sat.stale_purged", &SaturationStats::StalePurged},
+    {"sat.compactions", &SaturationStats::Compactions},
+    {"sat.sub_scan_baseline", &SaturationStats::SubScanBaseline},
+    {"sat.model_attempts", &SaturationStats::ModelAttempts},
+    {"sat.gen_replayed_from", &SaturationStats::GenReplayedFrom},
+    {"sat.cert_skipped", &SaturationStats::CertSkipped},
+    {"sat.nf_cache_reuse", &SaturationStats::NfCacheReuse},
+    {"sat.pool.equations", &SaturationStats::PoolEquations},
+    {"sat.pool.literals", &SaturationStats::PoolLiterals},
+    {"sat.pool.order_memo_hits", &SaturationStats::OrderCacheHits},
+    {"sat.pool.order_memo_misses", &SaturationStats::OrderCacheMisses},
+};
+static_assert(std::size(SaturationCounters) * sizeof(uint64_t) ==
+                  sizeof(SaturationStats),
+              "every SaturationStats field needs a SaturationCounters row");
+
+inline SaturationStats &SaturationStats::operator+=(const SaturationStats &O) {
+  for (const SaturationCounter &C : SaturationCounters)
+    this->*C.Field += O.*C.Field;
+  return *this;
+}
+
+template <typename Fn> void SaturationStats::forEach(Fn &&F) const {
+  for (const SaturationCounter &C : SaturationCounters)
+    F(C.Name, this->*C.Field);
+}
 
 /// Incremental ground superposition engine.
 class Saturation {

@@ -49,38 +49,3 @@ TEST_P(OrderingChoiceTest, KboAndLpoAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderingChoiceTest,
                          ::testing::Values(101, 202, 303, 404));
-
-//===----------------------------------------------------------------------===//
-// The optional upfront well-formedness axioms must not change
-// verdicts either (they are entailed by cnf(E)).
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-class AxiomChoiceTest : public ::testing::TestWithParam<uint64_t> {
-protected:
-  SymbolTable Symbols;
-  TermTable Terms{Symbols};
-};
-
-} // namespace
-
-TEST_P(AxiomChoiceTest, UpfrontAxiomsPreserveVerdicts) {
-  ProverOptions Plain;
-  ProverOptions WithAxioms;
-  WithAxioms.UpfrontWfAxioms = true;
-  SlpProver A(Terms, Plain);
-  SlpProver B(Terms, WithAxioms);
-
-  SplitMix64 Rng(GetParam());
-  for (int I = 0; I != 20; ++I) {
-    sl::Entailment E = (I % 2 == 0)
-                           ? gen::distribution1(Terms, Rng, 5, 0.3, 0.3)
-                           : gen::distribution2(Terms, Rng, 7, 0.6);
-    EXPECT_EQ(A.prove(E).V, B.prove(E).V)
-        << "axiom option changed the verdict on: " << sl::str(Terms, E);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AxiomChoiceTest,
-                         ::testing::Values(7, 21, 63));

@@ -72,10 +72,7 @@ void expectIdentical(const Outcome &A, const Outcome &B,
   EXPECT_EQ(A.Stats.InnerIterations, B.Stats.InnerIterations) << Label;
   EXPECT_EQ(A.Stats.PureClauses, B.Stats.PureClauses) << Label;
   EXPECT_EQ(A.Stats.FuelUsed, B.Stats.FuelUsed) << Label;
-  EXPECT_EQ(A.Stats.SubsumedFwd, B.Stats.SubsumedFwd) << Label;
-  EXPECT_EQ(A.Stats.SubsumedBwd, B.Stats.SubsumedBwd) << Label;
-  EXPECT_EQ(A.Stats.SubChecks, B.Stats.SubChecks) << Label;
-  EXPECT_EQ(A.Stats.SubScanBaseline, B.Stats.SubScanBaseline) << Label;
+  EXPECT_EQ(A.Stats.Sat, B.Stats.Sat) << Label;
 }
 
 /// One reused session against per-query fresh provers over a corpus.

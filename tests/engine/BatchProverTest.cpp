@@ -8,14 +8,16 @@
 /// corpora must agree verdict-for-verdict with the sequential
 /// core::SlpProver, be deterministic across job counts and cache
 /// settings, keep results in input order, and answer duplicated
-/// corpora from the cache.
+/// corpora from the cache. Its counters must add up: cache lookups are
+/// counted where they happen, and the saturation counters of a run are
+/// the sum of its queries' counters for any job count.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/BatchProver.h"
 #include "engine/ThreadPool.h"
-#include "engine/WorkQueue.h"
 #include "gen/RandomEntailments.h"
+#include "obs/Metrics.h"
 #include "sl/Parser.h"
 
 #include <gtest/gtest.h>
@@ -180,21 +182,53 @@ TEST(BatchProver, SplitCorpusSkipsBlanksAndComments) {
   EXPECT_EQ(Lines[1], "lseg(a, b) |- lseg(a, b)");
 }
 
-TEST(WorkQueue, HandsOutEachIndexExactlyOnce) {
-  WorkQueue Queue(1000);
-  std::vector<std::atomic<int>> Claimed(1000);
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != 4; ++T)
-    Threads.emplace_back([&] {
-      size_t I;
-      while (Queue.pop(I))
-        Claimed[I].fetch_add(1);
+TEST(BatchProver, CancelledTasksAreNotCacheMisses) {
+  std::vector<std::string> Corpus = makeCorpus(5, /*Seed=*/5);
+  CancelToken Cancel;
+  Cancel.cancel(); // Fired before run(): no task is ever claimed.
+  for (unsigned Jobs : {1u, 4u}) {
+    BatchOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Cancel = &Cancel;
+    BatchProver Engine(Opts);
+    for (const QueryResult &R : Engine.run(Corpus))
+      EXPECT_EQ(R.V, core::Verdict::Unknown);
+    EXPECT_EQ(Engine.stats().CacheMisses, 0u) << "jobs=" << Jobs;
+    EXPECT_EQ(Engine.stats().CacheHits, 0u) << "jobs=" << Jobs;
+  }
+}
+
+// The run's saturation counters are one struct: with the cache off
+// every query is proved exactly once, so the per-run sum is
+// independent of the worker count, equals the per-query sum, and is
+// what the sat.* registry counters receive.
+TEST(BatchProver, SaturationCountersSumOverQueriesForAnyJobs) {
+  std::vector<std::string> Corpus = makeCorpus(15, /*Seed=*/19);
+  sup::SaturationStats ByJobs[2];
+  unsigned JobCounts[] = {1, 4};
+  for (int I = 0; I != 2; ++I) {
+    BatchOptions Opts;
+    Opts.Jobs = JobCounts[I];
+    Opts.CacheEnabled = false;
+    Opts.Presolve = false;
+    BatchProver Engine(Opts);
+    obs::MetricsSnapshot Before = obs::metrics().snapshot();
+    std::vector<QueryResult> Results = Engine.run(Corpus);
+    obs::MetricsSnapshot After = obs::metrics().snapshot();
+
+    sup::SaturationStats Sum;
+    for (const QueryResult &R : Results)
+      Sum += R.Sat;
+    const sup::SaturationStats &Run = Engine.stats().Sat;
+    EXPECT_EQ(Run, Sum) << "jobs=" << JobCounts[I];
+    EXPECT_GT(Run.Derived, 0u);
+    Run.forEach([&](const char *Name, uint64_t V) {
+      EXPECT_EQ(After.counterOr0(Name) - Before.counterOr0(Name), V)
+          << Name << " jobs=" << JobCounts[I];
     });
-  for (std::thread &T : Threads)
-    T.join();
-  for (int I = 0; I != 1000; ++I)
-    EXPECT_EQ(Claimed[I].load(), 1) << "index " << I;
-  EXPECT_EQ(Queue.remaining(), 0u);
+    ByJobs[I] = Run;
+  }
+  EXPECT_EQ(ByJobs[0], ByJobs[1]);
 }
 
 TEST(ThreadPool, RunsAllSubmittedTasks) {

@@ -250,11 +250,12 @@ void expectIdentical(const Outcome &A, const Outcome &B,
   EXPECT_EQ(A.Stats.InnerIterations, B.Stats.InnerIterations) << Label;
   EXPECT_EQ(A.Stats.PureClauses, B.Stats.PureClauses) << Label;
   EXPECT_EQ(A.Stats.FuelUsed, B.Stats.FuelUsed) << Label;
-  EXPECT_EQ(A.Stats.SubsumedFwd, B.Stats.SubsumedFwd) << Label;
-  EXPECT_EQ(A.Stats.SubsumedBwd, B.Stats.SubsumedBwd) << Label;
-  EXPECT_EQ(A.Stats.SubChecks, B.Stats.SubChecks) << Label;
-  EXPECT_EQ(A.Stats.SubScanBaseline, B.Stats.SubScanBaseline) << Label;
-  EXPECT_EQ(A.Stats.ModelAttempts, B.Stats.ModelAttempts) << Label;
+  EXPECT_EQ(A.Stats.Sat.SubsumedFwd, B.Stats.Sat.SubsumedFwd) << Label;
+  EXPECT_EQ(A.Stats.Sat.SubsumedBwd, B.Stats.Sat.SubsumedBwd) << Label;
+  EXPECT_EQ(A.Stats.Sat.SubChecks, B.Stats.Sat.SubChecks) << Label;
+  EXPECT_EQ(A.Stats.Sat.SubScanBaseline, B.Stats.Sat.SubScanBaseline)
+      << Label;
+  EXPECT_EQ(A.Stats.Sat.ModelAttempts, B.Stats.Sat.ModelAttempts) << Label;
 }
 
 void runIdentity(const std::vector<std::string> &Corpus) {

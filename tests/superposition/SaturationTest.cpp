@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <set>
+#include <string>
+
 using namespace slp;
 using namespace slp::sup;
 
@@ -260,10 +265,7 @@ TEST_F(SaturationTest, ClearedInstanceMatchesFreshInstance) {
     EXPECT_TRUE(Sat.clause(Id) == Fresh.clause(Id)) << "clause " << Id;
     EXPECT_EQ(Sat.deleted(Id), Fresh.deleted(Id)) << "clause " << Id;
   }
-  EXPECT_EQ(Sat.stats().Derived, Fresh.stats().Derived);
-  EXPECT_EQ(Sat.stats().Kept, Fresh.stats().Kept);
-  EXPECT_EQ(Sat.stats().SubsumedFwd, Fresh.stats().SubsumedFwd);
-  EXPECT_EQ(Sat.stats().SubsumedBwd, Fresh.stats().SubsumedBwd);
+  EXPECT_EQ(Sat.stats(), Fresh.stats());
 }
 
 TEST_F(SaturationTest, CompactionPurgesStaleIndexEntriesAndIsNeutral) {
@@ -306,4 +308,46 @@ TEST_F(SaturationTest, CompactionPurgesStaleIndexEntriesAndIsNeutral) {
     EXPECT_TRUE(Sat.clause(Id) == Eager.clause(Id)) << "clause " << Id;
     EXPECT_EQ(Sat.deleted(Id), Eager.deleted(Id)) << "clause " << Id;
   }
+}
+
+// SaturationStats is the single counter set, so its merge, comparison
+// and visitor must cover every field — including one added later. The
+// struct is viewed as the flat uint64_t array it is (the static_assert
+// beside SaturationCounters pins that layout), so this test needs no
+// edit when a counter is added.
+TEST(SaturationStatsTest, MergeAndVisitorCoverEveryField) {
+  constexpr size_t N = sizeof(SaturationStats) / sizeof(uint64_t);
+  using Words = std::array<uint64_t, N>;
+  auto Make = [](uint64_t Base) {
+    Words W;
+    for (size_t I = 0; I != N; ++I)
+      W[I] = Base + I;
+    return std::bit_cast<SaturationStats>(W);
+  };
+
+  SaturationStats A = Make(1);
+  A += Make(1000);
+  Words Sum = std::bit_cast<Words>(A);
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(Sum[I], 1001 + 2 * I) << "operator+= skips word " << I;
+
+  // forEach visits every field exactly once, under a distinct name.
+  std::set<uint64_t> Seen;
+  std::set<std::string> Names;
+  Make(1).forEach([&](const char *Name, uint64_t V) {
+    EXPECT_EQ(std::string(Name).rfind("sat.", 0), 0u) << Name;
+    EXPECT_TRUE(Names.insert(Name).second) << "duplicate name " << Name;
+    EXPECT_TRUE(Seen.insert(V).second) << "field visited twice: " << Name;
+  });
+  ASSERT_EQ(Seen.size(), N);
+  EXPECT_EQ(*Seen.rbegin(), N); // The values 1..N, each field once.
+
+  // operator== compares every field.
+  for (size_t I = 0; I != N; ++I) {
+    Words W = std::bit_cast<Words>(Make(1));
+    ++W[I];
+    EXPECT_FALSE(std::bit_cast<SaturationStats>(W) == Make(1))
+        << "operator== ignores word " << I;
+  }
+  EXPECT_EQ(Make(7), Make(7));
 }

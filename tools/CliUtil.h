@@ -132,14 +132,12 @@ inline void printBackendStats(const obs::MetricsSnapshot &S) {
 /// Prints the model-guided saturation counters (the `sat.*` metrics)
 /// to stderr — one implementation so every tool's --stats reports
 /// them identically.
-inline void printModelGuidedStats(const obs::MetricsSnapshot &S,
-                                  bool Incremental) {
+inline void printModelGuidedStats(const obs::MetricsSnapshot &S) {
   std::fprintf(
       stderr,
-      "model-guided (%s): %llu attempts, %llu gen positions "
+      "model-guided (incremental): %llu attempts, %llu gen positions "
       "replay-skipped, %llu cert checks skipped, %llu nf-cache "
       "reuses\n",
-      Incremental ? "incremental" : "from-scratch",
       static_cast<unsigned long long>(S.counterOr0("sat.model_attempts")),
       static_cast<unsigned long long>(S.counterOr0("sat.gen_replayed_from")),
       static_cast<unsigned long long>(S.counterOr0("sat.cert_skipped")),

@@ -31,13 +31,6 @@
 ///                     worker-session reuse counters (rewinds, terms
 ///                     and arena bytes reclaimed, slabs recycled), and
 ///                     the per-backend win/loss/time breakdown
-///     --no-indexed-subsumption
-///                     disable the feature-vector subsumption index
-///                     (verdicts are identical; for measurement)
-///     --no-incremental-model
-///                     rebuild every candidate model from scratch
-///                     instead of replaying from the last change
-///                     (verdicts are identical; for measurement)
 ///     --trace=FILE    record per-query phase spans (parse,
 ///                     canonicalize, cache-lookup, prove, model
 ///                     attempts, portfolio races) as Chrome
@@ -74,7 +67,6 @@ int usage() {
   std::cerr << "usage: slp-batch [--jobs=N] "
                "[--backend=slp|berdine|unfolding|portfolio] "
                "[--cache=on|off] [--fuel=N] [--stats] [--no-presolve] "
-               "[--no-indexed-subsumption] [--no-incremental-model] "
                "[--trace=FILE] [--metrics-json=FILE] [file]\n";
   return 2;
 }
@@ -110,17 +102,15 @@ int main(int argc, char **argv) {
     } else if (Arg == "--cache=off") {
       Opts.CacheEnabled = false;
     } else if (Arg.rfind("--fuel=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(7), N))
+      if (!parseUnsigned(Arg.substr(7), N)) {
+        std::cerr << "slp-batch: bad value in '" << Arg << "'\n";
         return usage();
+      }
       Opts.FuelPerQuery = N;
     } else if (Arg == "--stats") {
       Stats = true;
     } else if (Arg == "--no-presolve") {
       Opts.Presolve = false;
-    } else if (Arg == "--no-indexed-subsumption") {
-      Opts.Prover.Sat.IndexedSubsumption = false;
-    } else if (Arg == "--no-incremental-model") {
-      Opts.Prover.Sat.IncrementalModel = false;
     } else if (cli::parseTelemetryOpt("slp-batch", Arg, Telemetry)) {
       if (!Telemetry.Ok)
         return usage();
@@ -209,28 +199,28 @@ int main(int argc, char **argv) {
                    S.PresolvedValid, S.PresolvedInvalid,
                    S.PresolveSeconds);
     }
-    double Prune = S.SubChecks
-                       ? static_cast<double>(S.SubScanBaseline) / S.SubChecks
-                       : 0.0;
+    const sup::SaturationStats &Sat = S.Sat;
+    double Prune =
+        Sat.SubChecks ? static_cast<double>(Sat.SubScanBaseline) / Sat.SubChecks
+                      : 0.0;
     std::fprintf(stderr,
-                 "subsumption (%s): %llu fwd, %llu bwd, %llu checks of "
+                 "subsumption (indexed): %llu fwd, %llu bwd, %llu checks of "
                  "%llu scan-equivalent (%.1fx pruned)\n",
-                 Opts.Prover.Sat.IndexedSubsumption ? "indexed" : "linear",
-                 static_cast<unsigned long long>(S.SubsumedFwd),
-                 static_cast<unsigned long long>(S.SubsumedBwd),
-                 static_cast<unsigned long long>(S.SubChecks),
-                 static_cast<unsigned long long>(S.SubScanBaseline), Prune);
-    uint64_t MemoTotal = S.OrderCacheHits + S.OrderCacheMisses;
+                 static_cast<unsigned long long>(Sat.SubsumedFwd),
+                 static_cast<unsigned long long>(Sat.SubsumedBwd),
+                 static_cast<unsigned long long>(Sat.SubChecks),
+                 static_cast<unsigned long long>(Sat.SubScanBaseline), Prune);
+    uint64_t MemoTotal = Sat.OrderCacheHits + Sat.OrderCacheMisses;
     std::fprintf(stderr,
                  "pools: %llu equations, %llu literals; order memo "
                  "%llu hits / %llu misses (%.1f%%)\n",
-                 static_cast<unsigned long long>(S.PoolEquations),
-                 static_cast<unsigned long long>(S.PoolLiterals),
-                 static_cast<unsigned long long>(S.OrderCacheHits),
-                 static_cast<unsigned long long>(S.OrderCacheMisses),
-                 MemoTotal ? 100.0 * S.OrderCacheHits / MemoTotal : 0.0);
+                 static_cast<unsigned long long>(Sat.PoolEquations),
+                 static_cast<unsigned long long>(Sat.PoolLiterals),
+                 static_cast<unsigned long long>(Sat.OrderCacheHits),
+                 static_cast<unsigned long long>(Sat.OrderCacheMisses),
+                 MemoTotal ? 100.0 * Sat.OrderCacheHits / MemoTotal : 0.0);
     obs::MetricsSnapshot Snap = obs::metrics().snapshot();
-    cli::printModelGuidedStats(Snap, Opts.Prover.Sat.IncrementalModel);
+    cli::printModelGuidedStats(Snap);
     cli::printEngineReuseStats(Snap);
     cli::printBackendStats(Snap);
   }

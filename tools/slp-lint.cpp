@@ -63,7 +63,7 @@ analysis::LintReport lintSymexec(const analysis::LintOptions &Opts) {
     return Out;
   }
   std::vector<unsigned> NextLine(Vcs.Programs.size(), 1);
-  for (const engine::ProofTask &T : Vcs.Tasks) {
+  for (const core::ProofTask &T : Vcs.Tasks) {
     std::string Anchor = "symexec:" + Vcs.Programs[T.Group];
     unsigned Line = NextLine[T.Group]++;
     SymbolTable Syms;

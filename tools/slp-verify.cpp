@@ -27,12 +27,6 @@
 ///     --no-presolve   disable the polynomial static pre-solver that
 ///                     runs ahead of the cache lookup (verdicts are
 ///                     identical; for measurement)
-///     --no-indexed-subsumption
-///                     disable the feature-vector subsumption index
-///     --no-incremental-model
-///                     rebuild candidate models from scratch per
-///                     attempt instead of replaying from the last
-///                     change
 ///     --trace=FILE    record per-VC phase spans as Chrome
 ///                     trace-event JSON (Perfetto / chrome://tracing)
 ///     --metrics-json=FILE
@@ -61,9 +55,7 @@ int usage() {
   std::cerr << "usage: slp-verify [--jobs=N] "
                "[--backend=slp|berdine|unfolding|portfolio] "
                "[--cache=on|off] [--fuel=N] [--program=NAME] [--list] "
-               "[--vcs] [--stats] [--no-presolve] "
-               "[--no-indexed-subsumption] "
-               "[--no-incremental-model] [--trace=FILE] "
+               "[--vcs] [--stats] [--no-presolve] [--trace=FILE] "
                "[--metrics-json=FILE]\n";
   return 2;
 }
@@ -100,8 +92,10 @@ int main(int argc, char **argv) {
     } else if (Arg == "--cache=off") {
       Opts.CacheEnabled = false;
     } else if (Arg.rfind("--fuel=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(7), N))
+      if (!parseUnsigned(Arg.substr(7), N)) {
+        std::cerr << "slp-verify: bad value in '" << Arg << "'\n";
         return usage();
+      }
       Opts.FuelPerQuery = N;
     } else if (Arg.rfind("--program=", 0) == 0) {
       Program = Arg.substr(10);
@@ -113,10 +107,6 @@ int main(int argc, char **argv) {
       Stats = true;
     } else if (Arg == "--no-presolve") {
       Opts.Presolve = false;
-    } else if (Arg == "--no-indexed-subsumption") {
-      Opts.Prover.Sat.IndexedSubsumption = false;
-    } else if (Arg == "--no-incremental-model") {
-      Opts.Prover.Sat.IncrementalModel = false;
     } else if (cli::parseTelemetryOpt("slp-verify", Arg, Telemetry)) {
       if (!Telemetry.Ok)
         return usage();
@@ -203,7 +193,7 @@ int main(int argc, char **argv) {
                    S.PresolvedValid + S.PresolvedInvalid, S.PresolvedValid,
                    S.PresolvedInvalid, S.PresolveSeconds);
     obs::MetricsSnapshot Snap = obs::metrics().snapshot();
-    cli::printModelGuidedStats(Snap, Opts.Prover.Sat.IncrementalModel);
+    cli::printModelGuidedStats(Snap);
     cli::printEngineReuseStats(Snap);
     cli::printBackendStats(Snap);
   }

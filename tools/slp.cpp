@@ -16,7 +16,7 @@
 ///     --dot-model   emit the countermodel heap as a Graphviz digraph
 ///     --stats       print per-query statistics
 ///     --backend=B   slp (default) | berdine | unfolding | portfolio
-///                   (--prover=P is a legacy alias; greedy = unfolding)
+///                   (greedy is an alias for unfolding)
 ///     --fuel=N      inference step budget per query (default
 ///                   unlimited; for portfolio, per racing backend)
 ///     --jobs=N      prove queries concurrently through the batch
@@ -33,14 +33,6 @@
 ///                   sequential path also skips it automatically when
 ///                   --proof/--check-proof/--dot-proof need the real
 ///                   saturation objects
-///     --no-indexed-subsumption
-///                   answer subsumption queries by scanning the clause
-///                   database instead of the feature-vector index
-///                   (verdicts are identical; for measurement)
-///     --no-incremental-model
-///                   rebuild every candidate model from scratch
-///                   instead of replaying from the last change
-///                   (verdicts are identical; for measurement)
 ///     --trace=FILE  record phase spans (parse, prove, model
 ///                   attempts, portfolio races) as Chrome trace-event
 ///                   JSON — load in Perfetto or chrome://tracing
@@ -87,8 +79,6 @@ struct CliOptions {
   unsigned Jobs = 1;       // > 1 or 0 routes through the batch engine.
   bool JobsGiven = false;
   bool Presolve = true;
-  bool IndexedSubsumption = true;
-  bool IncrementalModel = true;
   cli::TelemetryOptions Telemetry;
   std::string File; // Empty = stdin.
 };
@@ -97,8 +87,7 @@ int usage() {
   std::cerr << "usage: slp [--proof] [--model] [--check-proof] "
                "[--dot-proof] [--dot-model] [--stats] "
                "[--backend=slp|berdine|unfolding|portfolio] [--fuel=N] "
-               "[--jobs=N] [--no-presolve] [--no-indexed-subsumption] "
-               "[--no-incremental-model] [--trace=FILE] "
+               "[--jobs=N] [--no-presolve] [--trace=FILE] "
                "[--metrics-json=FILE] [file]\n";
   return 2;
 }
@@ -128,16 +117,8 @@ int main(int argc, char **argv) {
       Opts.Stats = true;
     else if (Arg == "--no-presolve")
       Opts.Presolve = false;
-    else if (Arg == "--no-indexed-subsumption")
-      Opts.IndexedSubsumption = false;
-    else if (Arg == "--no-incremental-model")
-      Opts.IncrementalModel = false;
     else if (Arg.rfind("--backend=", 0) == 0) {
       if (!cli::parseBackendOpt("slp", Arg.substr(10), Opts.Backend))
-        return usage();
-    } else if (Arg.rfind("--prover=", 0) == 0) {
-      // Legacy spelling of --backend (accepts "greedy" = unfolding).
-      if (!cli::parseBackendOpt("slp", Arg.substr(9), Opts.Backend))
         return usage();
     } else if (Arg.rfind("--fuel=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(7), N)) {
@@ -225,8 +206,6 @@ int main(int argc, char **argv) {
     EngineOpts.FuelPerQuery = Opts.FuelSteps;
     EngineOpts.Backend = Opts.Backend;
     EngineOpts.Presolve = Opts.Presolve;
-    EngineOpts.Prover.Sat.IndexedSubsumption = Opts.IndexedSubsumption;
-    EngineOpts.Prover.Sat.IncrementalModel = Opts.IncrementalModel;
     engine::BatchProver Engine(EngineOpts);
     std::vector<unsigned> LineNos;
     std::vector<std::string> Queries =
@@ -268,18 +247,12 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  core::ProverOptions ProverOpts;
-  ProverOpts.Sat.IndexedSubsumption = Opts.IndexedSubsumption;
-  ProverOpts.Sat.IncrementalModel = Opts.IncrementalModel;
-  core::SlpProver Slp(Terms, ProverOpts);
+  core::SlpProver Slp(Terms);
   baselines::BerdineProver Berdine(Terms);
   baselines::UnfoldingProver Greedy(Terms);
   std::unique_ptr<engine::PortfolioProver> Portfolio;
-  if (IsPortfolio) {
-    engine::PortfolioOptions PO;
-    PO.Prover = ProverOpts;
-    Portfolio = std::make_unique<engine::PortfolioProver>(std::move(PO));
-  }
+  if (IsPortfolio)
+    Portfolio = std::make_unique<engine::PortfolioProver>();
 
   unsigned Index = 0;
   for (const sl::Entailment &E : Parsed.Entailments) {
@@ -362,19 +335,19 @@ int main(int argc, char **argv) {
                        " clauses=" + std::to_string(R.Stats.PureClauses) +
                        " fuel=" + std::to_string(R.Stats.FuelUsed) +
                        "\n  subsumption: fwd=" +
-                       std::to_string(R.Stats.SubsumedFwd) +
-                       " bwd=" + std::to_string(R.Stats.SubsumedBwd) +
-                       " checks=" + std::to_string(R.Stats.SubChecks) +
+                       std::to_string(R.Stats.Sat.SubsumedFwd) +
+                       " bwd=" + std::to_string(R.Stats.Sat.SubsumedBwd) +
+                       " checks=" + std::to_string(R.Stats.Sat.SubChecks) +
                        " scan-equivalent=" +
-                       std::to_string(R.Stats.SubScanBaseline) +
+                       std::to_string(R.Stats.Sat.SubScanBaseline) +
                        "\n  model-guided: attempts=" +
-                       std::to_string(R.Stats.ModelAttempts) +
+                       std::to_string(R.Stats.Sat.ModelAttempts) +
                        " replay-skipped=" +
-                       std::to_string(R.Stats.GenReplayedFrom) +
+                       std::to_string(R.Stats.Sat.GenReplayedFrom) +
                        " cert-skipped=" +
-                       std::to_string(R.Stats.CertSkipped) +
+                       std::to_string(R.Stats.Sat.CertSkipped) +
                        " nf-cache-reuse=" +
-                       std::to_string(R.Stats.NfCacheReuse);
+                       std::to_string(R.Stats.Sat.NfCacheReuse);
     }
     if (Recorder.enabled())
       Recorder.complete("prove", SpanStart, Recorder.nowNs() - SpanStart);
