@@ -82,11 +82,10 @@ int main() {
     sup::SaturationOptions Sat;
   };
   const Config Configs[] = {
-      {"full (indexed subsumption + demod)", {true, true, true}},
-      {"linear-scan subsumption", {true, true, false}},
-      {"no demodulation", {true, false, true}},
-      {"no subsumption", {false, true, true}},
-      {"bare calculus", {false, false, true}},
+      {"full (subsumption + demod)", {}},
+      {"no demodulation", {.Demodulation = false}},
+      {"no subsumption", {.Subsumption = false}},
+      {"bare calculus", {.Subsumption = false, .Demodulation = false}},
   };
   for (const Config &C : Configs) {
     BatchResult R = runSlpWith(Terms, Batch, C.Sat, FuelBudget);

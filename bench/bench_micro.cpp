@@ -250,4 +250,37 @@ static void BM_BatchSessionReuse(benchmark::State &State) {
 }
 BENCHMARK(BM_BatchSessionReuse);
 
+// The subsumption-heavy Table 1 query: the 69th draw of
+// `slpgen --dist=1 --vars=20 --seed=1 --plseg=0.04 --pne=0.11`, proved
+// the way `slp-batch --no-presolve --fuel=2000` proves it (canonical
+// form rebuilt in a reset session). Nearly all of its time goes to
+// forward subsumption, which fuel does not charge; the counters show
+// the pair checks against the clauses the scans visited.
+static void BM_SubsumptionHeavyQuery69(benchmark::State &State) {
+  std::string Query;
+  {
+    SymbolTable Symbols;
+    TermTable Terms(Symbols);
+    SplitMix64 Rng(1);
+    for (int I = 0; I != 69; ++I)
+      Query = sl::str(Terms, gen::distribution1(Terms, Rng, 20, 0.04, 0.11));
+  }
+  core::ProverSession Session;
+  sup::SaturationStats Sat;
+  for (auto _ : State) {
+    Session.reset();
+    sl::ParseResult P = sl::parseEntailment(Session.terms(), Query);
+    engine::CanonicalQuery K = engine::CanonicalQuery::of(*P.Value);
+    Session.reset();
+    sl::Entailment E = K.rebuild(Session.terms());
+    Fuel F(2000);
+    core::ProveResult R = Session.prove(E, F);
+    Sat = R.Stats.Sat;
+    benchmark::DoNotOptimize(R);
+  }
+  State.counters["SubChecks"] = static_cast<double>(Sat.SubChecks);
+  State.counters["SubScanBaseline"] = static_cast<double>(Sat.SubScanBaseline);
+}
+BENCHMARK(BM_SubsumptionHeavyQuery69)->Unit(benchmark::kMillisecond);
+
 BENCHMARK_MAIN();

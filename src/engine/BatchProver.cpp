@@ -8,7 +8,6 @@
 
 #include "analysis/StaticAnalyzer.h"
 #include "engine/StealPool.h"
-#include "engine/ThreadPool.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "sl/Parser.h"
@@ -220,7 +219,7 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   std::vector<QueryResult> Results(Tasks.size());
   Timer T;
 
-  unsigned Jobs = ThreadPool::resolveJobs(Opts.Jobs);
+  unsigned Jobs = resolveJobs(Opts.Jobs);
   Stats = BatchStats();
   std::vector<std::vector<BackendTally>> WorkerTallies;
   uint64_t PresolveMisses = 0;
@@ -255,17 +254,20 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
     WorkersUsed = Jobs;
     StealPool Queue(Tasks.size(), Jobs,
                     &obs::metrics().gauge("engine.queue.depth"), Opts.Cancel);
-    ThreadPool Pool(Jobs);
     std::vector<std::unique_ptr<Worker>> Workers(Jobs);
-    for (unsigned J = 0; J != Jobs; ++J)
-      Pool.submit([this, J, &Queue, &Tasks, &Results, &Workers] {
-        // One long-lived worker context per job for the whole batch.
-        Workers[J] = std::make_unique<Worker>(Opts);
-        size_t I;
-        while (Queue.pop(J, I))
-          Results[I] = proveOne(Tasks[I], *Workers[J]);
-      });
-    Pool.wait();
+    {
+      // One thread and one long-lived worker context per job for the
+      // whole batch; the scope joins them all.
+      std::vector<std::jthread> Threads;
+      Threads.reserve(Jobs);
+      for (unsigned J = 0; J != Jobs; ++J)
+        Threads.emplace_back([this, J, &Queue, &Tasks, &Results, &Workers] {
+          Workers[J] = std::make_unique<Worker>(Opts);
+          size_t I;
+          while (Queue.pop(J, I))
+            Results[I] = proveOne(Tasks[I], *Workers[J]);
+        });
+    }
     for (const std::unique_ptr<Worker> &W : Workers)
       Retire(*W);
     Stealing = Queue.totals();

@@ -49,6 +49,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace slp {
@@ -88,6 +89,15 @@ struct BatchOptions {
   /// token must outlive run().
   const CancelToken *Cancel = nullptr;
 };
+
+/// Resolves a requested job count: 0 means hardware concurrency (with
+/// a fallback of 1 when the runtime reports none).
+inline unsigned resolveJobs(unsigned Requested) {
+  if (Requested)
+    return Requested;
+  unsigned HW = std::thread::hardware_concurrency();
+  return HW ? HW : 1;
+}
 
 /// What happened to one query of the batch.
 enum class QueryStatus : uint8_t {

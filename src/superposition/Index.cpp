@@ -6,110 +6,45 @@
 
 #include "superposition/Index.h"
 
-#include <algorithm>
+#include "support/Hashing.h"
+
 #include <cassert>
 
 using namespace slp;
 using namespace slp::sup;
 
 //===----------------------------------------------------------------------===//
-// SubsumptionIndex
+// ClauseSig
 //===----------------------------------------------------------------------===//
 
-uint32_t SubsumptionIndex::allocNode() {
-  if (!Free.empty()) {
-    uint32_t Idx = Free.back();
-    Free.pop_back();
-    return Idx;
-  }
-  Pool.emplace_back();
-  return static_cast<uint32_t>(Pool.size() - 1);
-}
-
-void SubsumptionIndex::freeNode(uint32_t Idx) {
-  Pool[Idx].Kids.clear();
-  Pool[Idx].Rest.clear();
-  Pool[Idx].Ids.clear();
-  Free.push_back(Idx);
+uint64_t ClauseSig::symbolBit(Symbol S) {
+  return 1ull << (hashValue(S.id()) & 63);
 }
 
 namespace {
 
-/// First child slot whose feature value is >= V (Kids sorted by value).
-std::vector<std::pair<uint16_t, uint32_t>>::const_iterator
-kidLowerBound(const std::vector<std::pair<uint16_t, uint32_t>> &Kids,
-              uint16_t V) {
-  return std::lower_bound(
-      Kids.begin(), Kids.end(), V,
-      [](const std::pair<uint16_t, uint32_t> &K, uint16_t W) {
-        return K.first < W;
-      });
+/// Adds the root symbol of every subterm of \p T to \p Mask.
+void collectSymbols(const Term *T, uint64_t &Mask) {
+  Mask |= ClauseSig::symbolBit(T->symbol());
+  for (const Term *A : T->args())
+    collectSymbols(A, Mask);
 }
 
 } // namespace
 
-uint32_t SubsumptionIndex::findKid(const Node &N, uint16_t V) const {
-  auto It = kidLowerBound(N.Kids, V);
-  return It != N.Kids.end() && It->first == V ? It->second : ~0u;
-}
-
-void SubsumptionIndex::insert(uint32_t Id, const FeatureVector &FV) {
-  uint32_t Cur = 0;
-  for (size_t I = 0; I != PrefixDepth; ++I) {
-    uint32_t Kid = findKid(Pool[Cur], FV[I]);
-    if (Kid == ~0u) {
-      Kid = allocNode(); // May reallocate Pool; re-find the parent.
-      Node &N = Pool[Cur];
-      auto It = kidLowerBound(N.Kids, FV[I]);
-      N.Kids.insert(It, {FV[I], Kid});
-    }
-    Cur = Kid;
+ClauseSig ClauseSig::of(ClauseView C) {
+  ClauseSig S;
+  for (const Equation &E : C.neg()) {
+    S.Neg |= equationBit(E);
+    collectSymbols(E.lhs(), S.Syms);
+    collectSymbols(E.rhs(), S.Syms);
   }
-  Node &Leaf = Pool[Cur];
-  assert(std::find(Leaf.Ids.begin(), Leaf.Ids.end(), Id) ==
-             Leaf.Ids.end() &&
-         "clause id inserted twice");
-  for (size_t J = PrefixDepth; J != FeatureVector::NumFeatures; ++J)
-    Leaf.Rest.push_back(FV[J]);
-  Leaf.Ids.push_back(Id);
-  ++NumEntries;
-}
-
-bool SubsumptionIndex::erase(uint32_t Id, const FeatureVector &FV) {
-  // Walk the path down, then remove the id (swap with the last entry,
-  // feature block and all) and prune now-empty nodes from the leaf
-  // back up so retrieval never visits dead regions.
-  std::array<uint32_t, PrefixDepth> Path;
-  uint32_t Cur = 0;
-  for (size_t I = 0; I != PrefixDepth; ++I) {
-    Path[I] = Cur;
-    Cur = findKid(Pool[Cur], FV[I]);
-    if (Cur == ~0u)
-      return false;
+  for (const Equation &E : C.pos()) {
+    S.Pos |= equationBit(E);
+    collectSymbols(E.lhs(), S.Syms);
+    collectSymbols(E.rhs(), S.Syms);
   }
-  Node &Leaf = Pool[Cur];
-  auto It = std::find(Leaf.Ids.begin(), Leaf.Ids.end(), Id);
-  if (It == Leaf.Ids.end())
-    return false;
-  size_t E = static_cast<size_t>(It - Leaf.Ids.begin());
-  size_t Last = Leaf.Ids.size() - 1;
-  Leaf.Ids[E] = Leaf.Ids[Last];
-  Leaf.Ids.pop_back();
-  if (E != Last)
-    std::copy_n(Leaf.Rest.begin() + Last * RestFeatures, RestFeatures,
-                Leaf.Rest.begin() + E * RestFeatures);
-  Leaf.Rest.resize(Last * RestFeatures);
-  --NumEntries;
-  for (size_t I = PrefixDepth;
-       I != 0 && Pool[Cur].Ids.empty() && Pool[Cur].Kids.empty(); --I) {
-    Node &Parent = Pool[Path[I - 1]];
-    auto KidIt = kidLowerBound(Parent.Kids, FV[I - 1]);
-    assert(KidIt != Parent.Kids.end() && KidIt->second == Cur);
-    Parent.Kids.erase(KidIt);
-    freeNode(Cur);
-    Cur = Path[I - 1];
-  }
-  return true;
+  return S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -117,14 +52,14 @@ bool SubsumptionIndex::erase(uint32_t Id, const FeatureVector &FV) {
 //===----------------------------------------------------------------------===//
 
 void DemodIndex::addLhs(Symbol S) {
-  uint64_t Bit = FeatureVector::symbolBit(S);
+  uint64_t Bit = ClauseSig::symbolBit(S);
   unsigned Pos = static_cast<unsigned>(__builtin_ctzll(Bit));
   if (BitCount[Pos]++ == 0)
     Mask |= Bit;
 }
 
 void DemodIndex::removeLhs(Symbol S) {
-  uint64_t Bit = FeatureVector::symbolBit(S);
+  uint64_t Bit = ClauseSig::symbolBit(S);
   unsigned Pos = static_cast<unsigned>(__builtin_ctzll(Bit));
   assert(BitCount[Pos] != 0 && "removing a rule that was never added");
   if (--BitCount[Pos] == 0)

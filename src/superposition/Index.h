@@ -5,202 +5,64 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Clause indexing for the saturation engine's redundancy elimination.
+/// Clause signatures for the saturation engine's redundancy elimination.
 ///
-/// SubsumptionIndex is a feature-vector trie (Schulz): clause ids are
-/// stored at the leaf reached by their FeatureVector, and because every
-/// feature is monotone under subsumption, the clauses that can subsume
-/// a query C live on trie paths that are pointwise <= FV(C), while the
-/// clauses C can subsume live on paths pointwise >= FV(C). A retrieval
-/// therefore visits only the dominated (or dominating) region of the
-/// trie instead of scanning the whole clause database.
+/// ClauseSig is the Eén-Biere literal-abstraction signature ("Effective
+/// Preprocessing in SAT through Variable and Clause Elimination", SAT
+/// 2005), one 64-bit word per polarity: every equation sets the bit its
+/// hash selects. Subsumption here is set inclusion per polarity (Γ_D ⊆
+/// Γ_C and ∆_D ⊆ ∆_C), so D can subsume C only if D's bits are a subset
+/// of C's — one AND-NOT rejects almost every pair before the sorted-
+/// range inclusion test runs. The pure clauses of the SLP prover range
+/// over constants only, so the signature is nearly exact on them.
 ///
-/// The trie is deliberately shallow: only the first PrefixDepth
-/// features (the literal counts and depths, which spread clauses the
-/// most) branch; the remaining bucket features of every entry live
-/// contiguously in its leaf, laid out in retrieval order. A full-depth
-/// trie spends most of a retrieval pointer-chasing sparsely populated
-/// suffix levels; the shallow form replaces that with a linear
-/// dominance scan over a flat uint16_t array — the branch prefix does
-/// the coarse pruning, the scan streams through a cache line per
-/// couple of entries. Nodes live contiguously in a pool (32-bit
-/// indices, free list for pruned subtrees), children are kept in small
-/// sorted vectors, and retrieval is visitor-based so forward-
-/// subsumption queries can stop at the first hit instead of
-/// materializing the whole candidate set. Retrieval order (which is
-/// NOT part of the API contract) differs from the full-depth trie;
-/// verdicts are unaffected because both sides of every query are
-/// order-independent (any subsumer suffices forward, the subsumed set
-/// is deleted wholesale backward).
-///
-/// DemodIndex is a root-symbol fingerprint over the left-hand sides of
-/// the active unit demodulators. Each rule sets one bit of a 64-bit
-/// mask (per-bit reference counted, so retiring a rule clears its bit
-/// when the last rule sharing it disappears). Normalization then skips
-/// the rewrite-rule hash lookup for every subterm whose root symbol
-/// cannot match, and whole clauses are skipped when their symbol
-/// fingerprint (FeatureVector::symbolMask) is disjoint from the rule
-/// mask.
+/// The third word, Syms, is a bloom mask over the root symbols of every
+/// subterm. DemodIndex is the matching mask over the left-hand sides of
+/// the active unit demodulators (per-bit reference counted, so retiring
+/// a rule clears its bit when the last rule sharing it disappears).
+/// Normalization then skips the rewrite-rule hash lookup for every
+/// subterm whose root symbol cannot match, and whole clauses are skipped
+/// when their Syms mask is disjoint from the rule mask.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLP_SUPERPOSITION_INDEX_H
 #define SLP_SUPERPOSITION_INDEX_H
 
-#include "superposition/FeatureVector.h"
+#include "superposition/Clause.h"
 
 #include <array>
-#include <vector>
+#include <cstdint>
 
 namespace slp {
 namespace sup {
 
-/// Feature-vector trie mapping clause ids to their FeatureVector,
-/// answering the two one-sided dominance queries subsumption needs.
-class SubsumptionIndex {
-public:
-  SubsumptionIndex() { Pool.emplace_back(); /* root */ }
+/// Subsumption signature and root-symbol mask of one clause.
+struct ClauseSig {
+  uint64_t Neg = 0;  ///< One bit per hashed negative equation.
+  uint64_t Pos = 0;  ///< One bit per hashed positive equation.
+  uint64_t Syms = 0; ///< Bloom mask over the root symbols of every subterm.
 
-  /// Registers \p Id under \p FV. A clause id may be inserted again
-  /// after erase (the delete/revive machinery does this); inserting an
-  /// id that is currently present is an API-contract violation.
-  void insert(uint32_t Id, const FeatureVector &FV);
+  /// Computes the signature of \p C. Takes a view so pooled clauses
+  /// are signed without materializing; a `const Clause &` converts
+  /// implicitly.
+  static ClauseSig of(ClauseView C);
 
-  /// Unregisters \p Id (previously inserted under \p FV). Returns
-  /// false if the id was not present.
-  bool erase(uint32_t Id, const FeatureVector &FV);
-
-  /// Visits the ids whose vector is dominated by \p FV — the only
-  /// stored clauses that can subsume the query clause. Stops early
-  /// (returning true) as soon as \p Visit returns true.
-  template <typename VisitorT>
-  bool anyPotentialSubsumer(const FeatureVector &FV, VisitorT &&Visit) const {
-    return traverse<true>(0, FV, 0, Visit);
+  /// The signature bit an equation hashes to (either polarity).
+  static uint64_t equationBit(const Equation &E) {
+    return 1ull << (E.hash() & 63);
   }
 
-  /// Visits the ids whose vector dominates \p FV — the only stored
-  /// clauses the query clause can subsume. Stops early when \p Visit
-  /// returns true.
-  template <typename VisitorT>
-  bool anyPotentialSubsumed(const FeatureVector &FV, VisitorT &&Visit) const {
-    return traverse<false>(0, FV, 0, Visit);
+  /// The mask bit a symbol hashes to (shared with DemodIndex).
+  static uint64_t symbolBit(Symbol S);
+
+  /// False when a clause with signature (\p DNeg, \p DPos) certainly
+  /// cannot subsume a clause with signature (\p CNeg, \p CPos). Never
+  /// false for an actual subsumer (no false negatives).
+  static bool maySubsume(uint64_t DNeg, uint64_t DPos, uint64_t CNeg,
+                         uint64_t CPos) {
+    return ((DNeg & ~CNeg) | (DPos & ~CPos)) == 0;
   }
-
-  /// Appends the ids whose vector is dominated by \p FV.
-  void potentialSubsumers(const FeatureVector &FV,
-                          std::vector<uint32_t> &Out) const {
-    anyPotentialSubsumer(FV, [&](uint32_t Id) {
-      Out.push_back(Id);
-      return false;
-    });
-  }
-
-  /// Appends the ids whose vector dominates \p FV.
-  void potentialSubsumed(const FeatureVector &FV,
-                         std::vector<uint32_t> &Out) const {
-    anyPotentialSubsumed(FV, [&](uint32_t Id) {
-      Out.push_back(Id);
-      return false;
-    });
-  }
-
-  /// Number of ids currently stored.
-  size_t size() const { return NumEntries; }
-  bool empty() const { return NumEntries == 0; }
-
-  /// Removes every entry. The node pool is kept (minus its contents)
-  /// so a cleared index reuses its allocations.
-  void clear() {
-    for (Node &N : Pool) {
-      N.Kids.clear();
-      N.Rest.clear();
-      N.Ids.clear();
-    }
-    Free.clear();
-    for (uint32_t I = static_cast<uint32_t>(Pool.size()); I-- > 1;)
-      Free.push_back(I);
-    NumEntries = 0;
-  }
-
-  /// Features that branch in the trie; the rest are scanned linearly
-  /// at the leaves.
-  static constexpr size_t PrefixDepth = 4;
-  /// Per-entry features stored flat in the leaf arrays.
-  static constexpr size_t RestFeatures =
-      FeatureVector::NumFeatures - PrefixDepth;
-
-private:
-  /// One trie node. Interior nodes (depth < PrefixDepth) hold children
-  /// sorted by feature value — small in practice, so sorted vectors
-  /// beat node-based maps. Leaves (depth == PrefixDepth) hold the
-  /// entries as parallel arrays: Rest packs RestFeatures values per
-  /// entry back to back, so the dominance scan walks one contiguous
-  /// uint16_t stream in exactly the order ids are visited.
-  struct Node {
-    std::vector<std::pair<uint16_t, uint32_t>> Kids; ///< (value, pool idx)
-    std::vector<uint16_t> Rest; ///< RestFeatures per entry, flat.
-    std::vector<uint32_t> Ids;  ///< Parallel to Rest's entry blocks.
-  };
-
-  uint32_t allocNode();
-  void freeNode(uint32_t Idx);
-
-  /// Child of \p N with feature value \p V, or ~0u.
-  uint32_t findKid(const Node &N, uint16_t V) const;
-
-  /// Linear dominance scan over a leaf's flat feature blocks.
-  template <bool Below, typename VisitorT>
-  bool scanLeaf(const Node &N, const FeatureVector &FV,
-                VisitorT &Visit) const {
-    const uint16_t *R = N.Rest.data();
-    for (size_t E = 0, NumE = N.Ids.size(); E != NumE;
-         ++E, R += RestFeatures) {
-      bool Match = true;
-      for (size_t J = 0; J != RestFeatures; ++J) {
-        if (Below ? R[J] > FV[PrefixDepth + J]
-                  : R[J] < FV[PrefixDepth + J]) {
-          Match = false;
-          break;
-        }
-      }
-      if (Match && Visit(N.Ids[E]))
-        return true;
-    }
-    return false;
-  }
-
-  /// Depth-first walk of the dominated (Below = true: values <=
-  /// FV[Depth]) or dominating (values >= FV[Depth]) prefix region,
-  /// ending in a leaf scan.
-  template <bool Below, typename VisitorT>
-  bool traverse(uint32_t NodeIdx, const FeatureVector &FV, size_t Depth,
-                VisitorT &Visit) const {
-    const Node &N = Pool[NodeIdx];
-    if (Depth == PrefixDepth)
-      return scanLeaf<Below>(N, FV, Visit);
-    // Kids are sorted by value: the qualifying range is a prefix
-    // (Below) or a suffix (!Below).
-    if constexpr (Below) {
-      for (const auto &[V, Kid] : N.Kids) {
-        if (V > FV[Depth])
-          break;
-        if (traverse<Below>(Kid, FV, Depth + 1, Visit))
-          return true;
-      }
-    } else {
-      for (auto It = N.Kids.rbegin(); It != N.Kids.rend(); ++It) {
-        if (It->first < FV[Depth])
-          break;
-        if (traverse<Below>(It->second, FV, Depth + 1, Visit))
-          return true;
-      }
-    }
-    return false;
-  }
-
-  std::vector<Node> Pool;      ///< Pool[0] is the root.
-  std::vector<uint32_t> Free;  ///< Recyclable pool slots.
-  size_t NumEntries = 0;
 };
 
 /// Root-symbol fingerprint of the current demodulator set.
@@ -215,11 +77,11 @@ public:
   /// True iff some rule's left-hand side has a root symbol hashing to
   /// the same fingerprint bit as \p S (no false negatives).
   bool mayMatchRoot(Symbol S) const {
-    return (Mask & FeatureVector::symbolBit(S)) != 0;
+    return (Mask & ClauseSig::symbolBit(S)) != 0;
   }
 
-  /// True iff a clause with symbol fingerprint \p ClauseMask can
-  /// contain any rule's left-hand side as a subterm.
+  /// True iff a clause with symbol mask \p ClauseMask can contain any
+  /// rule's left-hand side as a subterm.
   bool mayRewrite(uint64_t ClauseMask) const {
     return (Mask & ClauseMask) != 0;
   }

@@ -27,10 +27,9 @@ void Saturation::clear() {
   Demod.clear();
   DemodOwned.clear();
   DemodIdx.clear();
-  FVById.clear();
-  SubIdx.clear();
-  NumLive = 0;
-  Candidates.clear();
+  SigById.clear();
+  Live.clear();
+  LiveSlot.clear();
   LitPool.clear();
   LitRefs.clear();
   ++OrderMemoEpoch; // O(1) memo invalidation.
@@ -63,8 +62,8 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
   if (Dup.State != DupOutcome::NoDup)
     return {Dup.Id, Dup.State == DupOutcome::Revived};
 
-  FeatureVector FV = FeatureVector::of(C);
-  if (isForwardSubsumed(C, FV)) {
+  ClauseSig Sig = ClauseSig::of(C);
+  if (isForwardSubsumed(C, Sig)) {
     ++Stats.SubsumedFwd;
     return {~0u, false};
   }
@@ -77,7 +76,7 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
   Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
   uint32_t Id = DB.append(C, std::move(J));
   Stats.PoolEquations = DB.poolEquations();
-  registerClause(Id, FV);
+  registerClause(Id, Sig);
   Passive.push({Size, Id});
   if (Empty && !EmptyClauseId)
     EmptyClauseId = Id;
@@ -99,8 +98,8 @@ std::optional<uint32_t> Saturation::keepDerived(Clause C, Justification J) {
   }
   if (Dup.State != DupOutcome::NoDup)
     return std::nullopt;
-  FeatureVector FV = FeatureVector::of(C);
-  if (isForwardSubsumed(C, FV)) {
+  ClauseSig Sig = ClauseSig::of(C);
+  if (isForwardSubsumed(C, Sig)) {
     ++Stats.SubsumedFwd;
     return std::nullopt;
   }
@@ -109,7 +108,7 @@ std::optional<uint32_t> Saturation::keepDerived(Clause C, Justification J) {
   Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
   uint32_t Id = DB.append(C, std::move(J));
   Stats.PoolEquations = DB.poolEquations();
-  registerClause(Id, FV);
+  registerClause(Id, Sig);
   Passive.push({Size, Id});
   ++Stats.Kept;
   if (Empty && !EmptyClauseId)
@@ -133,14 +132,14 @@ Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
       uint32_t DupId = It->second;
       if (!DB.deleted(DupId))
         return {DupOutcome::LiveDup, DupId};
-      if (isForwardSubsumed(C, FVById[DupId], DupId)) {
+      if (isForwardSubsumed(C, SigById[DupId], DupId)) {
         ++Stats.SubsumedFwd;
         return {DupOutcome::StillSubsumed, DupId};
       }
       DB.setDeleted(DupId, false);
       if (StaleDeleted)
         --StaleDeleted;
-      registerClause(DupId, FVById[DupId]);
+      registerClause(DupId, SigById[DupId]);
       Passive.push({DB.litCount(DupId), DupId});
       backwardSubsume(DupId);
       return {DupOutcome::Revived, DupId};
@@ -148,41 +147,33 @@ Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
   return {DupOutcome::NoDup, ~0u};
 }
 
-void Saturation::registerClause(uint32_t Id, const FeatureVector &FV) {
-  if (FVById.size() <= Id)
-    FVById.resize(Id + 1);
-  if (&FVById[Id] != &FV)
-    FVById[Id] = FV;
-  if (indexed())
-    SubIdx.insert(Id, FVById[Id]);
-  ++NumLive;
+void Saturation::registerClause(uint32_t Id, const ClauseSig &Sig) {
+  if (SigById.size() <= Id) {
+    SigById.resize(Id + 1);
+    LiveSlot.resize(Id + 1, ~0u);
+  }
+  SigById[Id] = Sig; // A self-assignment on revival.
+  LiveSlot[Id] = static_cast<uint32_t>(Live.size());
+  Live.push_back({Sig.Neg, Sig.Pos, Id});
   if (Opts.IncrementalModel)
     orderedLiveInsert(Id);
 }
 
-bool Saturation::isForwardSubsumed(ClauseView C, const FeatureVector &FV,
+bool Saturation::isForwardSubsumed(ClauseView C, const ClauseSig &Sig,
                                    uint32_t ExcludeId) {
   if (!Opts.Subsumption)
     return false;
   ++Stats.SubQueries;
-  // A full-database scan would consider every live clause except the
-  // excluded one (when it is live, e.g. the given-clause re-check).
+  // Every live clause except the excluded one (when it is live, e.g.
+  // the given-clause re-check) is a candidate.
   Stats.SubScanBaseline +=
-      NumLive - (ExcludeId != ~0u && !DB.deleted(ExcludeId) ? 1 : 0);
-  if (indexed()) {
-    // Early exit at the first subsumer, mirroring the linear scan.
-    return SubIdx.anyPotentialSubsumer(FV, [&](uint32_t Id) {
-      if (Id == ExcludeId)
-        return false;
-      ++Stats.SubChecks;
-      return DB.view(Id).subsumes(C);
-    });
-  }
-  for (uint32_t Id = 0; Id != DB.numClauses(); ++Id) {
-    if (DB.deleted(Id) || Id == ExcludeId)
+      Live.size() - (ExcludeId != ~0u && !DB.deleted(ExcludeId) ? 1 : 0);
+  for (const LiveClause &D : Live) {
+    if (!ClauseSig::maySubsume(D.Neg, D.Pos, Sig.Neg, Sig.Pos) ||
+        D.Id == ExcludeId)
       continue;
     ++Stats.SubChecks;
-    if (DB.view(Id).subsumes(C))
+    if (DB.view(D.Id).subsumes(C))
       return true;
   }
   return false;
@@ -194,33 +185,25 @@ void Saturation::backwardSubsume(uint32_t NewId) {
   // View, not copy: nothing below appends to the DB (deleteClause only
   // flips flags), so the spans stay valid for the whole sweep.
   ClauseView C = DB.view(NewId);
+  const ClauseSig &Sig = SigById[NewId];
   ++Stats.SubQueries;
-  // NewId itself is live and registered by now; a scan skips it.
-  Stats.SubScanBaseline += NumLive - 1;
-  if (indexed()) {
-    // Collect first: deleteClause edits the trie, so deletions must
-    // not happen mid-traversal.
-    Candidates.clear();
-    SubIdx.potentialSubsumed(FVById[NewId], Candidates);
-    for (uint32_t Id : Candidates) {
-      if (Id == NewId)
-        continue;
-      ++Stats.SubChecks;
-      if (C.subsumes(DB.view(Id))) {
-        deleteClause(Id);
-        ++Stats.SubsumedBwd;
-      }
-    }
-    return;
-  }
-  const uint32_t N = static_cast<uint32_t>(DB.numClauses());
-  for (uint32_t Id = 0; Id != N; ++Id) {
-    if (DB.deleted(Id) || Id == NewId)
+  // NewId itself is live and registered by now; the scan skips it.
+  Stats.SubScanBaseline += Live.size() - 1;
+  // deleteClause swap-removes from Live: a deletion moves the last
+  // entry into slot I, which is then examined next.
+  for (size_t I = 0; I < Live.size();) {
+    const LiveClause D = Live[I];
+    if (!ClauseSig::maySubsume(Sig.Neg, Sig.Pos, D.Neg, D.Pos) ||
+        D.Id == NewId) {
+      ++I;
       continue;
+    }
     ++Stats.SubChecks;
-    if (C.subsumes(DB.view(Id))) {
-      deleteClause(Id);
+    if (C.subsumes(DB.view(D.Id))) {
+      deleteClause(D.Id);
       ++Stats.SubsumedBwd;
+    } else {
+      ++I;
     }
   }
 }
@@ -251,11 +234,11 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
   // unit and send the results back through the queue. A clause whose
   // symbol fingerprint misses L's root symbol cannot contain L and is
   // skipped without walking its terms.
-  const uint64_t LhsBit = FeatureVector::symbolBit(L->symbol());
+  const uint64_t LhsBit = ClauseSig::symbolBit(L->symbol());
   for (uint32_t ActId : Active) {
     if (ActId == Id || DB.deleted(ActId))
       continue;
-    if (!(FVById[ActId].symbolMask() & LhsBit))
+    if (!(SigById[ActId].Syms & LhsBit))
       continue;
     auto Rewritten = demodClause(DB.view(ActId), ActId);
     if (!Rewritten)
@@ -304,8 +287,7 @@ Saturation::demodClause(ClauseView C, uint32_t SelfId) {
   // The clause can only be rewritten if some demodulator's left-hand
   // side occurs inside it, which requires the root-symbol fingerprints
   // to intersect.
-  if (SelfId < FVById.size() &&
-      !DemodIdx.mayRewrite(FVById[SelfId].symbolMask()))
+  if (SelfId < SigById.size() && !DemodIdx.mayRewrite(SigById[SelfId].Syms))
     return std::nullopt;
   std::vector<uint32_t> Used;
   bool Changed = false;
@@ -336,10 +318,15 @@ void Saturation::deleteClause(uint32_t Id) {
   if (DB.deleted(Id))
     return;
   DB.setDeleted(Id, true);
-  --NumLive;
   ++StaleDeleted;
-  if (indexed())
-    SubIdx.erase(Id, FVById[Id]);
+  // Swap-remove from Live.
+  const uint32_t Slot = LiveSlot[Id];
+  SLP_INVARIANT(Slot < Live.size() && Live[Slot].Id == Id,
+                "live-clause slot map out of sync");
+  Live[Slot] = Live.back();
+  LiveSlot[Live[Slot].Id] = Slot;
+  Live.pop_back();
+  LiveSlot[Id] = ~0u;
   if (Opts.IncrementalModel)
     orderedLiveErase(Id);
   auto It = DemodOwned.find(Id);
@@ -358,7 +345,7 @@ void Saturation::maybeCompactIndexes() {
   // Amortized: sweep only once the stale entries rival the live set,
   // so total sweep work stays linear in total deletions. The floor
   // keeps small queries (the common case) from ever sweeping.
-  if (StaleDeleted >= 64 && StaleDeleted >= NumLive)
+  if (StaleDeleted >= 64 && StaleDeleted >= Live.size())
     compactIndexes();
 }
 
@@ -654,8 +641,8 @@ void Saturation::stepGivenClause() {
   }
   // Another live clause may have arrived since this one was queued.
   // (Keep-time backward subsumption deletes most such clauses already;
-  // this is a cheap indexed safety net.)
-  if (isForwardSubsumed(C, FVById[GivenId], GivenId)) {
+  // this is a cheap signature-filtered safety net.)
+  if (isForwardSubsumed(C, SigById[GivenId], GivenId)) {
     deleteClause(GivenId);
     ++Stats.SubsumedFwd;
     return;

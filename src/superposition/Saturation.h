@@ -51,11 +51,6 @@ enum class SatResult {
 struct SaturationOptions {
   bool Subsumption = true;  ///< Forward/backward subsumption.
   bool Demodulation = true; ///< Rewriting by unit equations.
-  /// Answer subsumption queries through the feature-vector index
-  /// instead of scanning the clause database. Verdict-neutral: both
-  /// paths find the same subsumers/subsumed, the index merely prunes
-  /// the candidates that are tested.
-  bool IndexedSubsumption = true;
   /// Make the model attempts of saturateModelGuided() incremental:
   /// the live clauses are kept persistently in Bachmair-Ganzinger
   /// clause order, Gen is replayed from the first position where that
@@ -89,12 +84,10 @@ struct SaturationStats {
   /// bound (see compactIndexes()).
   uint64_t StalePurged = 0;
   uint64_t Compactions = 0;  ///< Compaction sweeps performed.
-  /// Pairs a full clause-database scan would have *enumerated* for the
-  /// same queries (the live clause count at each query, minus the
-  /// query clause itself). SubScanBaseline over SubChecks is the
-  /// index's candidate-pruning factor. Note the baseline ignores the
-  /// early exit a linear forward scan takes on a hit, so linear-mode
-  /// runs also report a (small) pruning factor from their early exits.
+  /// Pairs the subsumption scans visited: the live clause count at
+  /// each query, minus the query clause itself. SubScanBaseline over
+  /// SubChecks is the signature filter's rejection factor (the
+  /// baseline ignores the early exit a forward scan takes on a hit).
   uint64_t SubScanBaseline = 0;
   /// Candidate-model attempts made by saturateModelGuided().
   uint64_t ModelAttempts = 0;
@@ -317,18 +310,17 @@ private:
   demodClause(ClauseView C, uint32_t SelfId);
 
   /// True iff some live clause other than \p ExcludeId subsumes \p C.
-  /// \p FV must be C's feature vector. Uses the index when enabled.
-  bool isForwardSubsumed(ClauseView C, const FeatureVector &FV,
+  /// \p Sig must be C's signature; it filters the scan of Live.
+  bool isForwardSubsumed(ClauseView C, const ClauseSig &Sig,
                          uint32_t ExcludeId = ~0u);
 
   /// Deletes every live clause the newly kept clause \p NewId
   /// subsumes (backward subsumption).
   void backwardSubsume(uint32_t NewId);
 
-  /// Registers a clause that just became live: stores its feature
-  /// vector, adds it to the subsumption index, and bumps the live
-  /// count. Called on first keep and on revival.
-  void registerClause(uint32_t Id, const FeatureVector &FV);
+  /// Registers a clause that just became live: stores its signature
+  /// and appends it to Live. Called on first keep and on revival.
+  void registerClause(uint32_t Id, const ClauseSig &Sig);
 
   /// Disposition of a clause that matches a stored duplicate.
   struct DupOutcome {
@@ -344,11 +336,6 @@ private:
 
   /// Shared duplicate/revival handling for addInput and keepDerived.
   DupOutcome handleDuplicate(const Clause &C);
-
-  /// Whether subsumption queries go through the feature-vector index.
-  bool indexed() const {
-    return Opts.Subsumption && Opts.IndexedSubsumption;
-  }
 
   /// One iteration of the given-clause loop: pops the best passive
   /// clause, simplifies, activates, and generates inferences.
@@ -420,18 +407,21 @@ private:
   std::unordered_map<uint32_t, const Term *> DemodOwned;
   /// Root-symbol fingerprint of the demodulator left-hand sides;
   /// filters rule lookups per subterm and whole clauses per
-  /// FeatureVector::symbolMask.
+  /// ClauseSig::Syms.
   DemodIndex DemodIdx;
-  /// Feature vector of every clause ever kept, indexed by clause id
-  /// (persists across deletion so revival can re-index cheaply).
-  std::vector<FeatureVector> FVById;
-  /// Feature-vector trie over the *live* clauses (when indexed()).
-  SubsumptionIndex SubIdx;
-  /// Live (non-deleted) clause count, for the scan-baseline stats and
-  /// the linear fallback.
-  size_t NumLive = 0;
-  /// Scratch buffer for index retrievals.
-  std::vector<uint32_t> Candidates;
+  /// Signature of every clause ever kept, indexed by clause id
+  /// (persists across deletion so revival need not recompute it).
+  std::vector<ClauseSig> SigById;
+  /// The live (non-deleted) clauses as one packed array, in no
+  /// particular order; both subsumption directions scan it.
+  struct LiveClause {
+    uint64_t Neg, Pos; ///< The clause's ClauseSig words.
+    uint32_t Id;
+  };
+  std::vector<LiveClause> Live;
+  /// Position of each clause id in Live (~0u when not live), so a
+  /// deletion swap-removes in O(1).
+  std::vector<uint32_t> LiveSlot;
   /// Interned descending-sorted literal lists, one contiguous pool for
   /// every clause (clauses are immutable, and distinct live clauses
   /// have distinct lists, so the clause id doubles as the list id):

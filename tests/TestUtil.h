@@ -5,15 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared across test suites — the regression-corpus loader
-/// and a minimal JSON parser for validating the telemetry artifacts
-/// (--trace / --metrics-json output), so neither lives in more than
-/// one place.
+/// Helpers shared across test suites — source-tree paths, the
+/// regression-corpus loader and a minimal JSON parser for validating
+/// the telemetry artifacts (--trace / --metrics-json output), so none
+/// of them lives in more than one place.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLP_TESTS_TESTUTIL_H
 #define SLP_TESTS_TESTUTIL_H
+
+#include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdlib>
@@ -26,20 +28,24 @@
 namespace slp {
 namespace test {
 
-/// Opens data/regression.slp. The test binaries run from arbitrary
-/// build directories, so search upward for the repository data file;
-/// the returned stream is unopened if none of the candidates exist.
+#ifndef SLP_SOURCE_DIR
+#error "test targets must define SLP_SOURCE_DIR (see CMakeLists.txt)"
+#endif
+
+/// Absolute path of \p Rel (e.g. "data/regression.slp") in the source
+/// tree, wherever the build directory is.
+inline std::string sourcePath(const std::string &Rel) {
+  return std::string(SLP_SOURCE_DIR) + "/" + Rel;
+}
+
+/// Opens data/regression.slp. A missing file fails the calling test
+/// (and the returned stream is unopened), so no test passes vacuously
+/// on an empty corpus.
 inline std::ifstream openRegressionCorpus() {
-  std::ifstream In;
-  for (const char *Path :
-       {"data/regression.slp", "../data/regression.slp",
-        "../../data/regression.slp", "../../../data/regression.slp",
-        "../../../../data/regression.slp"}) {
-    In.open(Path);
-    if (In)
-      break;
-    In.clear();
-  }
+  const std::string Path = sourcePath("data/regression.slp");
+  std::ifstream In(Path);
+  if (!In)
+    ADD_FAILURE() << "cannot open " << Path;
   return In;
 }
 

@@ -8,7 +8,7 @@
 /// statistics from one ProverSession reused across a whole corpus must
 /// be bit-identical to fresh-prover runs (fresh SymbolTable, TermTable,
 /// and SlpProver per query over the session's baseline prefix). The
-/// corpora mirror the indexed-vs-linear identity tests: the tagged
+/// corpora mirror the IndexTest verdict-identity tests: the tagged
 /// regression suite plus the Table 1-3 distributions.
 ///
 //===----------------------------------------------------------------------===//

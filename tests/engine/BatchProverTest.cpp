@@ -15,14 +15,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/BatchProver.h"
-#include "engine/ThreadPool.h"
 #include "gen/RandomEntailments.h"
 #include "obs/Metrics.h"
 #include "sl/Parser.h"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 using namespace slp;
 using namespace slp::engine;
@@ -229,18 +226,4 @@ TEST(BatchProver, SaturationCountersSumOverQueriesForAnyJobs) {
     ByJobs[I] = Run;
   }
   EXPECT_EQ(ByJobs[0], ByJobs[1]);
-}
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool Pool(3);
-  EXPECT_EQ(Pool.numThreads(), 3u);
-  std::atomic<int> Counter{0};
-  for (int I = 0; I != 100; ++I)
-    Pool.submit([&Counter] { Counter.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Counter.load(), 100);
-  // The pool stays usable after a wait().
-  Pool.submit([&Counter] { Counter.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Counter.load(), 101);
 }

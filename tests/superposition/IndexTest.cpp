@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The clause-indexing subsystem: feature-vector monotonicity under
-/// subsumption, trie retrieval completeness against brute force, index
-/// maintenance across delete/revive, the demodulator fingerprint, and
-/// the end-to-end guarantee that indexed and linear subsumption
-/// produce identical verdicts on the regression corpus and the
-/// Table 1-3 random/VC distributions.
+/// Clause signatures and the subsumption scans they filter: the
+/// signature has no false negatives (over standalone and pooled
+/// clauses), the demodulator fingerprint, delete/revive handling, the
+/// brute-force saturation invariant that no live clause subsumes
+/// another, and end-to-end verdict identity with subsumption on and
+/// off over the regression corpus and the Table 1-3 distributions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +27,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <array>
 
 using namespace slp;
 using namespace slp::sup;
@@ -57,193 +57,90 @@ protected:
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// FeatureVector
+// ClauseSig
 //===----------------------------------------------------------------------===//
 
-TEST_F(IndexTest, FeatureVectorMonotoneUnderSubsumption) {
+TEST_F(IndexTest, SignatureHasNoFalseNegatives) {
   SplitMix64 Rng(11);
   std::vector<Clause> Cs;
-  for (int I = 0; I != 60; ++I)
+  for (int I = 0; I != 120; ++I)
     Cs.push_back(randomClause(Rng));
+  unsigned Pairs = 0;
   for (const Clause &A : Cs)
     for (const Clause &B : Cs)
       if (A.subsumes(B)) {
-        EXPECT_TRUE(FeatureVector::of(A).dominatedBy(FeatureVector::of(B)))
+        ++Pairs;
+        ClauseSig SA = ClauseSig::of(A), SB = ClauseSig::of(B);
+        EXPECT_TRUE(ClauseSig::maySubsume(SA.Neg, SA.Pos, SB.Neg, SB.Pos))
             << A.str(Terms) << " subsumes " << B.str(Terms)
-            << " but its features are not dominated";
+            << " but its signature rejects the pair";
       }
+  EXPECT_GT(Pairs, Cs.size()) << "no proper subsumption pairs drawn";
 }
 
-TEST_F(IndexTest, FeatureVectorDepthAndCounts) {
-  // -> f(a) ' b has one positive literal of depth 2 and no negatives.
-  const Term *A = T("a");
-  const Term *B = T("b");
-  Symbol F = Symbols.intern("f", 1);
-  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
-  FeatureVector FV =
-      FeatureVector::of(Clause({}, {Equation(FA, B)}));
-  EXPECT_EQ(FV[0], 0u); // #neg
-  EXPECT_EQ(FV[1], 1u); // #pos
-  EXPECT_EQ(FV[2], 0u); // neg depth
-  EXPECT_EQ(FV[3], 2u); // pos depth
-}
-
-TEST_F(IndexTest, FeatureVectorSymbolMaskCoversSubterms) {
-  const Term *A = T("a");
-  const Term *B = T("b");
-  Symbol F = Symbols.intern("f", 1);
-  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
-  FeatureVector FV = FeatureVector::of(Clause({}, {Equation(FA, B)}));
-  EXPECT_NE(FV.symbolMask() & FeatureVector::symbolBit(F), 0u);
-  EXPECT_NE(FV.symbolMask() & FeatureVector::symbolBit(A->symbol()), 0u);
-  EXPECT_NE(FV.symbolMask() & FeatureVector::symbolBit(B->symbol()), 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// SubsumptionIndex
-//===----------------------------------------------------------------------===//
-
-TEST_F(IndexTest, TrieRetrievalMatchesBruteForce) {
-  SplitMix64 Rng(23);
-  std::vector<FeatureVector> FVs;
-  SubsumptionIndex Idx;
-  for (uint32_t I = 0; I != 80; ++I) {
-    FVs.push_back(FeatureVector::of(randomClause(Rng)));
-    Idx.insert(I, FVs.back());
-  }
-  EXPECT_EQ(Idx.size(), 80u);
-
-  std::vector<uint32_t> Got, Want;
-  for (uint32_t Q = 0; Q != FVs.size(); ++Q) {
-    Got.clear();
-    Idx.potentialSubsumers(FVs[Q], Got);
-    Want.clear();
-    for (uint32_t I = 0; I != FVs.size(); ++I)
-      if (FVs[I].dominatedBy(FVs[Q]))
-        Want.push_back(I);
-    std::sort(Got.begin(), Got.end());
-    EXPECT_EQ(Got, Want) << "subsumer candidates for clause " << Q;
-
-    Got.clear();
-    Idx.potentialSubsumed(FVs[Q], Got);
-    Want.clear();
-    for (uint32_t I = 0; I != FVs.size(); ++I)
-      if (FVs[Q].dominatedBy(FVs[I]))
-        Want.push_back(I);
-    std::sort(Got.begin(), Got.end());
-    EXPECT_EQ(Got, Want) << "subsumed candidates for clause " << Q;
-  }
-}
-
-TEST_F(IndexTest, TrieChurnSweepMatchesBruteForce) {
-  // Insert/erase churn over the shallow trie's pooled leaf arrays:
-  // erasing swap-removes an entry's flat feature block, which must
-  // never corrupt its neighbours' blocks. Several toggle rounds with a
-  // full brute-force cross-check per round.
-  SplitMix64 Rng(77);
-  std::vector<FeatureVector> FVs;
-  std::vector<bool> Live;
-  SubsumptionIndex Idx;
-  for (uint32_t I = 0; I != 120; ++I) {
-    FVs.push_back(FeatureVector::of(randomClause(Rng)));
-    Live.push_back(true);
-    Idx.insert(I, FVs.back());
-  }
-  for (int Round = 0; Round != 6; ++Round) {
-    for (uint32_t I = 0; I != FVs.size(); ++I) {
-      if (Rng.next() % 3)
-        continue;
-      if (Live[I])
-        EXPECT_TRUE(Idx.erase(I, FVs[I]));
-      else
-        Idx.insert(I, FVs[I]);
-      Live[I] = !Live[I];
-    }
-    std::vector<uint32_t> Got, Want;
-    for (uint32_t Q = 0; Q != FVs.size(); ++Q) {
-      Got.clear();
-      Idx.potentialSubsumers(FVs[Q], Got);
-      Want.clear();
-      for (uint32_t I = 0; I != FVs.size(); ++I)
-        if (Live[I] && FVs[I].dominatedBy(FVs[Q]))
-          Want.push_back(I);
-      std::sort(Got.begin(), Got.end());
-      EXPECT_EQ(Got, Want) << "round " << Round << " subsumers of " << Q;
-
-      Got.clear();
-      Idx.potentialSubsumed(FVs[Q], Got);
-      Want.clear();
-      for (uint32_t I = 0; I != FVs.size(); ++I)
-        if (Live[I] && FVs[Q].dominatedBy(FVs[I]))
-          Want.push_back(I);
-      std::sort(Got.begin(), Got.end());
-      EXPECT_EQ(Got, Want) << "round " << Round << " subsumed of " << Q;
-    }
-  }
-}
-
-TEST_F(IndexTest, TrieOverPooledClauseViewsMatchesBruteForce) {
-  // Featurize through the saturation engine's flat clause arena
-  // (ClauseView spans) rather than standalone Clauses, and cross-check
-  // trie retrieval over those pooled vectors against brute force. This
-  // pins FeatureVector::of(ClauseView) to the Clause overload path and
-  // the trie to the SoA storage it indexes in production.
+TEST_F(IndexTest, SignatureOverPooledClauseViewsHasNoFalseNegatives) {
+  // Sign through the saturation engine's flat clause arena (ClauseView
+  // spans) rather than standalone Clauses: the view and the
+  // materialized copy must agree, and no subsuming pair among the
+  // pooled clauses may be rejected. Subsumption is off so that every
+  // input, subsumed or not, lands in the pool.
   KBO Ord;
-  Saturation Sat(Terms, Ord);
+  Saturation Sat(Terms, Ord, SaturationOptions{.Subsumption = false});
   SplitMix64 Rng(31);
   for (int I = 0; I != 100; ++I) {
     Clause C = randomClause(Rng);
     Sat.addInput(std::vector<Equation>(C.neg()),
                  std::vector<Equation>(C.pos()));
   }
-  SubsumptionIndex Idx;
-  std::vector<FeatureVector> FVs;
-  std::vector<uint32_t> IdxIds;
+  std::vector<ClauseSig> Sigs;
   for (uint32_t Id = 0; Id != Sat.numClauses(); ++Id) {
     ClauseView V = Sat.clause(Id);
-    FeatureVector FromView = FeatureVector::of(V);
-    FeatureVector FromCopy = FeatureVector::of(V.materialize());
-    ASSERT_TRUE(FromView == FromCopy)
-        << "view and materialized features diverge for clause " << Id;
-    FVs.push_back(FromView);
-    IdxIds.push_back(Id);
-    Idx.insert(Id, FromView);
+    ClauseSig FromView = ClauseSig::of(V);
+    ClauseSig FromCopy = ClauseSig::of(V.materialize());
+    ASSERT_TRUE(FromView.Neg == FromCopy.Neg && FromView.Pos == FromCopy.Pos &&
+                FromView.Syms == FromCopy.Syms)
+        << "view and materialized signatures diverge for clause " << Id;
+    Sigs.push_back(FromView);
   }
-  std::vector<uint32_t> Got, Want;
-  for (size_t Q = 0; Q != FVs.size(); ++Q) {
-    Got.clear();
-    Idx.potentialSubsumers(FVs[Q], Got);
-    Want.clear();
-    for (size_t I = 0; I != FVs.size(); ++I)
-      if (FVs[I].dominatedBy(FVs[Q]))
-        Want.push_back(IdxIds[I]);
-    std::sort(Got.begin(), Got.end());
-    EXPECT_EQ(Got, Want) << "pooled subsumer candidates for " << Q;
-  }
+  unsigned Pairs = 0;
+  for (uint32_t D = 0; D != Sigs.size(); ++D)
+    for (uint32_t C = 0; C != Sigs.size(); ++C)
+      if (D != C && Sat.clause(D).subsumes(Sat.clause(C))) {
+        ++Pairs;
+        EXPECT_TRUE(ClauseSig::maySubsume(Sigs[D].Neg, Sigs[D].Pos,
+                                          Sigs[C].Neg, Sigs[C].Pos))
+            << "pooled clause " << D << " subsumes " << C;
+      }
+  EXPECT_GT(Pairs, 0u) << "no subsumption pairs among the pooled clauses";
 }
 
-TEST_F(IndexTest, TrieEraseAndReinsert) {
-  SplitMix64 Rng(5);
-  FeatureVector FV1 = FeatureVector::of(randomClause(Rng));
-  FeatureVector FV2 = FeatureVector::of(randomClause(Rng));
-  SubsumptionIndex Idx;
-  Idx.insert(1, FV1);
-  Idx.insert(2, FV2);
-  EXPECT_TRUE(Idx.erase(1, FV1));
-  EXPECT_FALSE(Idx.erase(1, FV1)) << "second erase must report absence";
-  EXPECT_EQ(Idx.size(), 1u);
+TEST_F(IndexTest, ClauseSigSetsOneBitPerEquation) {
+  // -> f(a) ' b: one positive equation, no negative ones.
+  const Term *A = T("a");
+  const Term *B = T("b");
+  Symbol F = Symbols.intern("f", 1);
+  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
+  ClauseSig S = ClauseSig::of(Clause({}, {Equation(FA, B)}));
+  EXPECT_EQ(S.Neg, 0u);
+  EXPECT_EQ(S.Pos, ClauseSig::equationBit(Equation(FA, B)));
+  EXPECT_EQ(__builtin_popcountll(S.Pos), 1);
 
-  std::vector<uint32_t> Got;
-  Idx.potentialSubsumers(FV1, Got);
-  EXPECT_EQ(std::count(Got.begin(), Got.end(), 1u), 0)
-      << "erased id must not be retrievable";
+  // a ' b, b ' c -> : the bits of both equations, on the negative side.
+  Equation E1(A, B), E2(B, T("c"));
+  ClauseSig N = ClauseSig::of(Clause({E1, E2}, {}));
+  EXPECT_EQ(N.Neg, ClauseSig::equationBit(E1) | ClauseSig::equationBit(E2));
+  EXPECT_EQ(N.Pos, 0u);
+}
 
-  // Revival: the same id re-enters under the same vector.
-  Idx.insert(1, FV1);
-  Got.clear();
-  Idx.potentialSubsumers(FV1, Got);
-  EXPECT_EQ(std::count(Got.begin(), Got.end(), 1u), 1);
-  EXPECT_EQ(Idx.size(), 2u);
+TEST_F(IndexTest, ClauseSigSymbolMaskCoversSubterms) {
+  const Term *A = T("a");
+  const Term *B = T("b");
+  Symbol F = Symbols.intern("f", 1);
+  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
+  ClauseSig S = ClauseSig::of(Clause({}, {Equation(FA, B)}));
+  EXPECT_NE(S.Syms & ClauseSig::symbolBit(F), 0u);
+  EXPECT_NE(S.Syms & ClauseSig::symbolBit(A->symbol()), 0u);
+  EXPECT_NE(S.Syms & ClauseSig::symbolBit(B->symbol()), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -260,7 +157,7 @@ TEST_F(IndexTest, DemodIndexTracksRootSymbols) {
   Idx.addLhs(A);
   Idx.addLhs(A);
   EXPECT_TRUE(Idx.mayMatchRoot(A));
-  EXPECT_TRUE(Idx.mayRewrite(FeatureVector::symbolBit(A)));
+  EXPECT_TRUE(Idx.mayRewrite(ClauseSig::symbolBit(A)));
 
   // Reference counting: the bit survives one of two removals.
   Idx.removeLhs(A);
@@ -268,7 +165,7 @@ TEST_F(IndexTest, DemodIndexTracksRootSymbols) {
   Idx.removeLhs(A);
   EXPECT_FALSE(Idx.mayMatchRoot(A));
   EXPECT_TRUE(Idx.empty());
-  EXPECT_FALSE(Idx.mayRewrite(FeatureVector::symbolBit(B)));
+  EXPECT_FALSE(Idx.mayRewrite(ClauseSig::symbolBit(B)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,8 +223,8 @@ TEST_F(SatIndexTest, RevivedDuplicateRechecksForwardSubsumption) {
 
 TEST_F(SatIndexTest, IndexedQueriesPruneAgainstScanBaseline) {
   Saturation Sat(Terms, Ord);
-  // A batch of unrelated units: the index should test far fewer
-  // candidates than a full-DB scan per query.
+  // A batch of unrelated units: the signature filter should test far
+  // fewer candidates than the scans visit.
   for (int I = 0; I != 40; ++I)
     Sat.addInput({}, {Equation(T("a" + std::to_string(I)),
                                T("b" + std::to_string(I)))});
@@ -336,53 +233,76 @@ TEST_F(SatIndexTest, IndexedQueriesPruneAgainstScanBaseline) {
   const SaturationStats &S = Sat.stats();
   EXPECT_GT(S.SubQueries, 0u);
   EXPECT_LT(S.SubChecks, S.SubScanBaseline)
-      << "index failed to prune any candidates";
+      << "signature filter failed to reject any candidates";
 }
 
-TEST_F(SatIndexTest, IndexedAndLinearSaturationAgree) {
-  // Same clause stream through both configurations: identical
-  // verdicts and identical deletion decisions.
-  SaturationOptions Linear;
-  Linear.IndexedSubsumption = false;
-  Saturation A(Terms, Ord);
-  Saturation B(Terms, Ord, Linear);
-  SplitMix64 Rng(99);
-  for (int I = 0; I != 150; ++I) {
-    Clause C = randomClause(Rng);
-    A.addInput(std::vector<Equation>(C.neg()), std::vector<Equation>(C.pos()));
-    B.addInput(std::vector<Equation>(C.neg()), std::vector<Equation>(C.pos()));
+TEST_F(SatIndexTest, NoLiveClauseSubsumesAnother) {
+  // The brute-force oracle for the filtered scans: forward subsumption
+  // keeps subsumed clauses out and backward subsumption deletes the
+  // clauses a new one subsumes, so no live clause ever subsumes
+  // another. A signature false negative or a stale Live entry breaks
+  // this. (It holds only while there is no empty clause, which
+  // subsumes everything but deletes nothing.)
+  unsigned States = 0;
+  auto CheckInvariant = [&](const Saturation &Sat, const std::string &Where) {
+    if (Sat.hasEmptyClause())
+      return;
+    ++States;
+    std::vector<uint32_t> Live;
+    for (uint32_t Id = 0; Id != Sat.numClauses(); ++Id)
+      if (!Sat.deleted(Id))
+        Live.push_back(Id);
+    for (uint32_t D : Live)
+      for (uint32_t C : Live)
+        if (D != C && Sat.clause(D).subsumes(Sat.clause(C)))
+          ADD_FAILURE() << Where << ": live " << Sat.clause(D).str(Terms)
+                        << " subsumes live " << Sat.clause(C).str(Terms);
+  };
+  for (uint64_t Seed = 1; Seed != 21; ++Seed) {
+    SplitMix64 Rng(Seed);
+    Saturation Sat(Terms, Ord);
+    for (int I = 0; I != 30 && !Sat.hasEmptyClause(); ++I) {
+      Clause C = randomClause(Rng);
+      if (C.empty())
+        continue;
+      Sat.addInput(std::vector<Equation>(C.neg()),
+                   std::vector<Equation>(C.pos()));
+      CheckInvariant(Sat, "seed " + std::to_string(Seed) + " input " +
+                              std::to_string(I));
+      if (I % 10 == 9) {
+        Fuel F(200);
+        Sat.saturate(F);
+        CheckInvariant(Sat, "seed " + std::to_string(Seed) +
+                                " saturate after input " + std::to_string(I));
+      }
+    }
+    Fuel F;
+    Sat.saturate(F);
+    CheckInvariant(Sat, "seed " + std::to_string(Seed) + " final saturate");
   }
-  Fuel FA, FB;
-  EXPECT_EQ(A.saturate(FA), B.saturate(FB));
-  ASSERT_EQ(A.numClauses(), B.numClauses());
-  for (uint32_t Id = 0; Id != A.numClauses(); ++Id) {
-    EXPECT_EQ(A.clause(Id) == B.clause(Id), true) << "clause " << Id;
-    EXPECT_EQ(A.deleted(Id), B.deleted(Id)) << "clause " << Id;
-  }
-  EXPECT_EQ(A.stats().SubsumedFwd, B.stats().SubsumedFwd);
-  EXPECT_EQ(A.stats().SubsumedBwd, B.stats().SubsumedBwd);
-  EXPECT_EQ(A.stats().Kept, B.stats().Kept);
+  EXPECT_GT(States, 200u) << "too few consistent states checked";
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end verdict identity (indexed vs. linear)
+// End-to-end verdict identity (subsumption on vs. off)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Proves \p E under both subsumption implementations and checks the
-/// verdicts match; returns the (shared) verdict.
+/// Proves \p E with and without subsumption and checks the verdicts
+/// match: deleting subsumed clauses must never change an answer.
+/// Returns the (shared) verdict.
 core::Verdict proveBothWays(TermTable &Terms, const sl::Entailment &E,
                             const std::string &Label) {
-  core::ProverOptions Indexed;
-  core::ProverOptions Linear;
-  Linear.Sat.IndexedSubsumption = false;
-  core::SlpProver PI(Terms, Indexed);
-  core::SlpProver PL(Terms, Linear);
-  core::ProveResult RI = PI.prove(E);
-  core::ProveResult RL = PL.prove(E);
-  EXPECT_EQ(RI.V, RL.V) << "verdict diverges on " << Label;
-  return RI.V;
+  core::ProverOptions With;
+  core::ProverOptions Without;
+  Without.Sat.Subsumption = false;
+  core::SlpProver PW(Terms, With);
+  core::SlpProver PO(Terms, Without);
+  core::ProveResult RW = PW.prove(E);
+  core::ProveResult RO = PO.prove(E);
+  EXPECT_EQ(RW.V, RO.V) << "verdict diverges on " << Label;
+  return RW.V;
 }
 
 } // namespace
@@ -398,9 +318,11 @@ TEST_F(IndexTest, RegressionCorpusVerdictsIdentical) {
 }
 
 TEST_F(IndexTest, Table1DistributionVerdictsIdentical) {
+  // Ten variables: without subsumption the Table 1 refutations blow up
+  // from about twelve on.
   SplitMix64 Rng(1);
   for (int I = 0; I != 40; ++I) {
-    sl::Entailment E = gen::distribution1(Terms, Rng, 12, 0.09, 0.11);
+    sl::Entailment E = gen::distribution1(Terms, Rng, 10, 0.09, 0.11);
     proveBothWays(Terms, E, "table1 #" + std::to_string(I));
   }
 }

@@ -216,7 +216,9 @@ TEST_F(SaturationTest, ModelGuidedCertifiedModelsEdgeResiduals) {
 }
 
 TEST_F(SaturationTest, NoSimplificationStillRefutes) {
-  Saturation Bare(Terms, Ord, SaturationOptions{false, false});
+  Saturation Bare(Terms, Ord,
+                  SaturationOptions{.Subsumption = false,
+                                    .Demodulation = false});
   Bare.addInput({}, {Equation(T("a"), T("b"))});
   Bare.addInput({}, {Equation(T("b"), T("c"))});
   Bare.addInput({Equation(T("a"), T("c"))}, {});

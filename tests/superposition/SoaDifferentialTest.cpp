@@ -13,8 +13,9 @@
 /// that perturbs a single inference shows up as a one-line diff here.
 ///
 /// Regenerate (only after independently validating the new behavior,
-/// e.g. against the indexed-vs-linear and incremental-vs-scratch
-/// differential suites) with SLP_REGEN_SOA_GOLDEN=1.
+/// e.g. against the IndexTest brute-force oracles and the
+/// incremental-vs-scratch differential suite) with
+/// SLP_REGEN_SOA_GOLDEN=1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,22 +35,6 @@
 using namespace slp;
 
 namespace {
-
-/// Locates tests/data/soa_golden.txt relative to the build directory
-/// the test binary happens to run from (same upward search as the
-/// regression-corpus loader).
-std::string goldenPath() {
-  for (const char *Path :
-       {"tests/data/soa_golden.txt", "../tests/data/soa_golden.txt",
-        "../../tests/data/soa_golden.txt",
-        "../../../tests/data/soa_golden.txt",
-        "../../../../tests/data/soa_golden.txt"}) {
-    std::ifstream In(Path);
-    if (In)
-      return Path;
-  }
-  return "";
-}
 
 /// Proves every query of \p Queries in one long-lived session (the
 /// engine's lifecycle) and renders one snapshot line per query:
@@ -121,18 +106,15 @@ TEST(SoaDifferentialTest, MatchesPreRefactorSnapshots) {
     VcQueries.push_back(T.Text);
   snapshotCorpus("symexec-vc", VcQueries, /*FuelPerQuery=*/0, Snap);
 
-  std::string Path = goldenPath();
+  const std::string Path = test::sourcePath("tests/data/soa_golden.txt");
   if (std::getenv("SLP_REGEN_SOA_GOLDEN")) {
-    ASSERT_FALSE(Path.empty())
-        << "create an (empty) tests/data/soa_golden.txt first so the "
-           "regeneration can locate it";
     std::ofstream Out(Path, std::ios::trunc);
     Out << Snap.str();
     GTEST_SKIP() << "regenerated " << Path;
   }
 
-  ASSERT_FALSE(Path.empty()) << "tests/data/soa_golden.txt not found";
   std::ifstream In(Path);
+  ASSERT_TRUE(In) << "cannot open " << Path;
   std::ostringstream Golden;
   Golden << In.rdbuf();
   std::istringstream Got(Snap.str()), Want(Golden.str());

@@ -204,7 +204,7 @@ int main(int argc, char **argv) {
         Sat.SubChecks ? static_cast<double>(Sat.SubScanBaseline) / Sat.SubChecks
                       : 0.0;
     std::fprintf(stderr,
-                 "subsumption (indexed): %llu fwd, %llu bwd, %llu checks of "
+                 "subsumption: %llu fwd, %llu bwd, %llu checks of "
                  "%llu scan-equivalent (%.1fx pruned)\n",
                  static_cast<unsigned long long>(Sat.SubsumedFwd),
                  static_cast<unsigned long long>(Sat.SubsumedBwd),
