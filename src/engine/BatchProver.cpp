@@ -13,6 +13,8 @@
 #include "sl/Parser.h"
 #include "support/Timer.h"
 
+#include <algorithm>
+
 using namespace slp;
 using namespace slp::engine;
 
@@ -37,6 +39,34 @@ PhaseHistograms &phaseHistograms() {
       obs::metrics().histogram("engine.phase.prove_ns")};
   return H;
 }
+
+/// Holds the worker's ResultCache claim on a key for one prove.
+/// publish() hands the verdict over; every other way out of proveOne
+/// (an unparsable backend answer, an exception) abandons the claim, so
+/// the key's waiters never hang.
+class CacheClaim {
+public:
+  /// Owns \p Q's claim in \p Cache; a null \p Cache holds nothing.
+  CacheClaim(ResultCache *Cache, const CanonicalQuery &Q)
+      : Cache(Cache), Q(Q) {}
+  CacheClaim(const CacheClaim &) = delete;
+  CacheClaim &operator=(const CacheClaim &) = delete;
+  ~CacheClaim() {
+    if (Cache)
+      Cache->abandon(Q);
+  }
+
+  bool held() const { return Cache; }
+
+  void publish(core::Verdict V) {
+    Cache->publish(Q, V);
+    Cache = nullptr;
+  }
+
+private:
+  ResultCache *Cache;
+  const CanonicalQuery &Q;
+};
 
 } // namespace
 
@@ -124,9 +154,19 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   if (Opts.CacheEnabled) {
     std::optional<core::Verdict> Hit;
     {
+      // The cache phase is the lookup's own work; time blocked on
+      // another worker's prove of the same key is the separate
+      // cache-wait phase, recorded inside acquire().
       obs::TraceSpan Span("cache-lookup");
-      ScopedTimer ST(PH.CacheNs, &W.CacheSeconds);
-      Hit = Cache.lookup(Q);
+      Timer LookupTimer;
+      double Waited = 0;
+      Hit = Cache.acquire(Q, &Waited);
+      // The wait is nested in the lookup; the clamp only keeps rounding
+      // from turning the difference negative.
+      double Work = std::max(0.0, LookupTimer.seconds() - Waited);
+      PH.CacheNs.record(static_cast<uint64_t>(Work * 1e9));
+      W.CacheSeconds += Work;
+      W.CacheWaitSeconds += Waited;
       Span.arg("hit", static_cast<uint64_t>(Hit.has_value()));
     }
     ++(Hit ? W.CacheHits : W.CacheMisses);
@@ -136,6 +176,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       return Out;
     }
   }
+  CacheClaim Claim(Opts.CacheEnabled ? &Cache : nullptr, Q);
 
   // Rewind the parse-local terms and re-materialize the canonical form
   // at the baseline, so the verdict is a pure function of the
@@ -170,7 +211,8 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       ProveTime = ProveTimer.seconds();
       if (!BR.Parsed) {
         // Cannot happen for text we rendered ourselves, but surface it
-        // rather than miscount.
+        // rather than miscount. The claim's destructor abandons the
+        // key, so its waiters take it over instead of hanging.
         Out.Status = QueryStatus::ParseError;
         Out.Error = BR.Error;
         return Out;
@@ -206,10 +248,10 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
     W.Tally.FuelUsed += Out.FuelUsed;
   }
 
-  if (Opts.CacheEnabled) {
+  if (Claim.held()) {
     obs::TraceSpan Span("cache-insert");
     ScopedTimer ST(PH.CacheNs, &W.CacheSeconds);
-    Cache.insert(Q, Out.V);
+    Claim.publish(Out.V);
   }
   return Out;
 }
@@ -235,6 +277,7 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
     Stats.PresolveSeconds += W.PresolveSeconds;
     Stats.ProveSeconds += W.ProveSeconds;
     Stats.CacheSeconds += W.CacheSeconds;
+    Stats.CacheWaitSeconds += W.CacheWaitSeconds;
     Stats.CacheHits += W.CacheHits;
     Stats.CacheMisses += W.CacheMisses;
     PresolveMisses += W.PresolveMisses;

@@ -8,11 +8,13 @@
 /// The batch proving engine: N pool workers drain a work-stealing
 /// StealPool over a batch of ProofTasks (textual entailment
 /// obligations from a corpus file, the symbolic executor, or any other
-/// source), memoizing verdicts in a shared ResultCache keyed by the
-/// alpha-invariant CanonicalQuery. Each worker owns a contiguous block
-/// of the batch and steals half of a straggler's remainder when it
-/// drains, so heavy-tailed query costs stop serializing the tail of
-/// the run.
+/// source), memoizing verdicts in a shared single-flight ResultCache
+/// keyed by the alpha-invariant CanonicalQuery: each key of a batch is
+/// proved once, and a worker that meets a key another worker is
+/// proving waits for that verdict instead of proving it again. Each
+/// worker owns a contiguous block of the batch and steals half of a
+/// straggler's remainder when it drains, so heavy-tailed query costs
+/// stop serializing the tail of the run.
 ///
 /// Each worker owns one core::ProverSession for the whole batch: the
 /// task is parsed once, straight into the session's term table on top
@@ -153,6 +155,10 @@ struct BatchStats {
   /// sum can exceed Seconds when Jobs > 1): text parsing, proving
   /// (including the canonical rebuild), and cache lookups/inserts.
   double ParseSeconds = 0, ProveSeconds = 0, CacheSeconds = 0;
+  /// Worker-seconds spent blocked in ResultCache::acquire() while
+  /// another worker proved the same key: idle, not cache work, so not
+  /// part of CacheSeconds. Depends on scheduling, unlike the counts.
+  double CacheWaitSeconds = 0;
   /// Worker-session reuse counters, aggregated over all sessions of
   /// the run: sessions constructed (== workers), rewinds back to the
   /// baseline table, query-local terms and arena payload bytes
@@ -220,7 +226,7 @@ private:
     /// Portfolio is set.
     BackendTally Tally;
     double ParseSeconds = 0, PresolveSeconds = 0, ProveSeconds = 0,
-           CacheSeconds = 0;
+           CacheSeconds = 0, CacheWaitSeconds = 0;
     /// Counted at the lookup itself, so a task that a cancellation left
     /// unclaimed is neither a cache miss nor a pre-solver miss.
     uint64_t CacheHits = 0, CacheMisses = 0, PresolveMisses = 0;

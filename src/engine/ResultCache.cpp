@@ -6,7 +6,9 @@
 
 #include "engine/ResultCache.h"
 
+#include "obs/Trace.h"
 #include "support/Invariants.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 
@@ -18,7 +20,8 @@ ResultCache::ResultCache(Options Opts)
       MissesMetric(obs::metrics().counter("cache.misses")),
       InsertionsMetric(obs::metrics().counter("cache.insertions")),
       EvictionsMetric(obs::metrics().counter("cache.evictions")),
-      EntriesMetric(obs::metrics().gauge("cache.entries")) {
+      EntriesMetric(obs::metrics().gauge("cache.entries")),
+      WaitMetric(obs::metrics().histogram("engine.phase.cache_wait_ns")) {
   size_t NumShards = std::max<size_t>(1, Opts.NumShards);
   // Distribute the requested bound across shards, spreading the
   // remainder over the first MaxEntries % NumShards shards so the
@@ -34,25 +37,23 @@ ResultCache::ResultCache(Options Opts)
   }
 }
 
-std::optional<core::Verdict> ResultCache::lookup(const CanonicalQuery &Q) {
-  Shard &S = shardFor(Q.hash());
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Map.find(Q.key());
-  if (It == S.Map.end()) {
-    ++S.Misses;
-    MissesMetric.inc();
+std::optional<core::Verdict> ResultCache::findLocked(Shard &S,
+                                                    std::string_view Key) {
+  auto It = S.Map.find(Key);
+  if (It == S.Map.end())
     return std::nullopt;
-  }
-  ++S.Hits;
-  HitsMetric.inc();
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
   return It->second->second;
 }
 
-void ResultCache::insert(const CanonicalQuery &Q, core::Verdict V) {
-  Shard &S = shardFor(Q.hash());
-  std::lock_guard<std::mutex> Lock(S.M);
-  if (S.Map.count(Q.key()))
+void ResultCache::countLocked(Shard &S, bool Hit) {
+  ++(Hit ? S.Hits : S.Misses);
+  (Hit ? HitsMetric : MissesMetric).inc();
+}
+
+void ResultCache::insertLocked(Shard &S, std::string_view Key,
+                               core::Verdict V) {
+  if (S.Map.count(Key))
     return; // Racing duplicate; identical by construction.
   while (S.Lru.size() >= S.Cap) {
     S.Map.erase(S.Lru.back().first);
@@ -61,7 +62,7 @@ void ResultCache::insert(const CanonicalQuery &Q, core::Verdict V) {
     EvictionsMetric.inc();
     EntriesMetric.add(-1);
   }
-  S.Lru.emplace_front(Q.key(), V);
+  S.Lru.emplace_front(Key, V);
   S.Map.emplace(S.Lru.front().first, S.Lru.begin());
   SLP_INVARIANT(S.Lru.size() <= S.Cap,
                 "cache shard grew past its capacity");
@@ -70,6 +71,80 @@ void ResultCache::insert(const CanonicalQuery &Q, core::Verdict V) {
   ++S.Insertions;
   InsertionsMetric.inc();
   EntriesMetric.add(1);
+}
+
+bool ResultCache::claimedLocked(const Shard &S, std::string_view Key) {
+  return std::find(S.Pending.begin(), S.Pending.end(), Key) !=
+         S.Pending.end();
+}
+
+void ResultCache::releaseLocked(Shard &S, std::string_view Key) {
+  auto It = std::find(S.Pending.begin(), S.Pending.end(), Key);
+  SLP_INVARIANT(It != S.Pending.end(), "cache claim released twice");
+  if (It == S.Pending.end())
+    return;
+  *It = S.Pending.back();
+  S.Pending.pop_back();
+}
+
+std::optional<core::Verdict> ResultCache::acquire(const CanonicalQuery &Q,
+                                                  double *WaitSeconds) {
+  Shard &S = shardFor(Q.hash());
+  // Declared ahead of the lock, so a wait is recorded after unlocking.
+  std::optional<obs::TraceSpan> WaitSpan;
+  std::optional<ScopedTimer> WaitTimer;
+  std::unique_lock<std::mutex> Lock(S.M);
+  for (;;) {
+    if (std::optional<core::Verdict> V = findLocked(S, Q.key())) {
+      countLocked(S, /*Hit=*/true);
+      return V;
+    }
+    if (!claimedLocked(S, Q.key())) {
+      S.Pending.push_back(Q.key());
+      countLocked(S, /*Hit=*/false);
+      return std::nullopt;
+    }
+    if (!WaitTimer) {
+      WaitSpan.emplace("cache-wait");
+      WaitTimer.emplace(WaitMetric, WaitSeconds);
+    }
+    // Once the claim ends, the entry is either stored (a hit) or gone
+    // (abandoned or already evicted: claim it anew).
+    S.Released.wait(Lock, [&] { return !claimedLocked(S, Q.key()); });
+  }
+}
+
+void ResultCache::publish(const CanonicalQuery &Q, core::Verdict V) {
+  Shard &S = shardFor(Q.hash());
+  {
+    std::lock_guard<std::mutex> Lock(S.M);
+    insertLocked(S, Q.key(), V);
+    releaseLocked(S, Q.key());
+  }
+  S.Released.notify_all();
+}
+
+void ResultCache::abandon(const CanonicalQuery &Q) {
+  Shard &S = shardFor(Q.hash());
+  {
+    std::lock_guard<std::mutex> Lock(S.M);
+    releaseLocked(S, Q.key());
+  }
+  S.Released.notify_all();
+}
+
+std::optional<core::Verdict> ResultCache::lookup(const CanonicalQuery &Q) {
+  Shard &S = shardFor(Q.hash());
+  std::lock_guard<std::mutex> Lock(S.M);
+  std::optional<core::Verdict> V = findLocked(S, Q.key());
+  countLocked(S, V.has_value());
+  return V;
+}
+
+void ResultCache::insert(const CanonicalQuery &Q, core::Verdict V) {
+  Shard &S = shardFor(Q.hash());
+  std::lock_guard<std::mutex> Lock(S.M);
+  insertLocked(S, Q.key(), V);
 }
 
 CacheStats ResultCache::stats() const {

@@ -16,6 +16,25 @@
 /// per-shard least-recently-used with a per-shard capacity derived
 /// from the total MaxEntries bound.
 ///
+/// Single flight: acquire() is the engine's entry point. It answers
+/// from the memo when it can; otherwise the first caller of a key
+/// becomes its owner, and every later caller of that key blocks on the
+/// shard's condition variable until the owner ends its claim. The
+/// owner ends it exactly once: publish() stores the verdict and wakes
+/// the waiters, which return it as hits; abandon() stores nothing, and
+/// the first waiter to recheck becomes the new owner. A waiter that
+/// wakes to find the published entry already evicted reclaims the key
+/// the same way (a miss), so no wait outlives the claims that caused
+/// it. Each acquire() counts as exactly one hit or one miss, so over
+/// one batch that never evicts, misses == distinct keys and hits ==
+/// calls - distinct keys, whatever the interleaving.
+///
+/// No cycle of waits: a caller holds at most one claim, and never
+/// calls acquire() while holding one. A waiter therefore waits on an
+/// owner that is proving, not waiting, and each wait ends when that
+/// one in-flight prove ends, which its fuel budget or completion
+/// guarantees.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLP_ENGINE_RESULTCACHE_H
@@ -25,6 +44,7 @@
 #include "engine/CanonicalKey.h"
 #include "obs/Metrics.h"
 
+#include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -63,8 +83,28 @@ public:
   /// Releases this cache's contribution to the `cache.entries` gauge.
   ~ResultCache() { clear(); }
 
+  /// Single-flight lookup (see the file comment). Returns the memoized
+  /// verdict for \p Q, refreshing its LRU slot, or — when another
+  /// caller owns \p Q — blocks until that claim ends and returns its
+  /// verdict; either is a hit. Returns nullopt on a miss: the caller
+  /// now owns \p Q and must end the claim with publish() or abandon()
+  /// while \p Q is alive (the claim refers to its key). Time spent
+  /// blocked is recorded as a `cache-wait` trace span, into the
+  /// `engine.phase.cache_wait_ns` histogram and, when given, added to
+  /// \p WaitSeconds. Thread safe.
+  std::optional<core::Verdict> acquire(const CanonicalQuery &Q,
+                                       double *WaitSeconds = nullptr);
+
+  /// Ends the caller's claim on \p Q: memoizes \p V as insert() does
+  /// and wakes the waiters of \p Q.
+  void publish(const CanonicalQuery &Q, core::Verdict V);
+
+  /// Ends the caller's claim on \p Q without a verdict; one waiter of
+  /// \p Q, if any, becomes its owner.
+  void abandon(const CanonicalQuery &Q);
+
   /// Returns the memoized verdict for \p Q, refreshing its LRU slot;
-  /// nullopt on a miss. Thread safe.
+  /// nullopt on a miss. Never waits for or takes a claim. Thread safe.
   std::optional<core::Verdict> lookup(const CanonicalQuery &Q);
 
   /// Memoizes \p V for \p Q, evicting the shard's least recently used
@@ -89,6 +129,11 @@ public:
 private:
   struct Shard {
     mutable std::mutex M;
+    /// Notified whenever a claim of this shard ends.
+    std::condition_variable Released;
+    /// Keys with a claim in flight, as views into the owners'
+    /// CanonicalQuery::key() strings; at most one per owner.
+    std::vector<std::string_view> Pending;
     /// Front = most recently used. Node addresses are stable, so the
     /// map below can key on views into the stored strings.
     std::list<std::pair<std::string, core::Verdict>> Lru;
@@ -104,6 +149,19 @@ private:
     return *Shards[Hash % Shards.size()];
   }
 
+  /// The memoized verdict for \p Key (refreshing its LRU slot), with
+  /// \p S.M held; counts nothing.
+  static std::optional<core::Verdict> findLocked(Shard &S,
+                                                 std::string_view Key);
+  /// Counts one hit or miss with \p S.M held.
+  void countLocked(Shard &S, bool Hit);
+  /// insert() with \p S.M held.
+  void insertLocked(Shard &S, std::string_view Key, core::Verdict V);
+  /// Whether \p Key has a claim in flight, with \p S.M held.
+  static bool claimedLocked(const Shard &S, std::string_view Key);
+  /// Drops \p Key's claim from \p S with \p S.M held.
+  static void releaseLocked(Shard &S, std::string_view Key);
+
   std::vector<std::unique_ptr<Shard>> Shards;
 
   /// Registry mirrors of the shard counters (`cache.*`), accumulated
@@ -114,6 +172,7 @@ private:
   obs::Counter &InsertionsMetric;
   obs::Counter &EvictionsMetric;
   obs::Gauge &EntriesMetric;
+  obs::Histogram &WaitMetric;
 };
 
 } // namespace engine

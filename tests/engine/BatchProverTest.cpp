@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace slp;
 using namespace slp::engine;
 
@@ -39,6 +41,19 @@ std::vector<std::string> makeCorpus(unsigned PerDist, uint64_t Seed) {
     Corpus.push_back(
         sl::str(Terms, gen::distribution2(Terms, Rng, 6, /*PNext=*/0.6)));
   return Corpus;
+}
+
+/// Number of distinct canonical keys among \p Corpus.
+size_t distinctKeys(const std::vector<std::string> &Corpus) {
+  SymbolTable Symbols;
+  TermTable Terms(Symbols);
+  std::set<std::string> Keys;
+  for (const std::string &Q : Corpus) {
+    sl::ParseResult P = sl::parseEntailment(Terms, Q);
+    EXPECT_TRUE(P.ok()) << Q;
+    Keys.insert(CanonicalQuery::of(*P.Value).key());
+  }
+  return Keys.size();
 }
 
 std::vector<core::Verdict>
@@ -95,24 +110,31 @@ TEST(BatchProver, DuplicatedCorpusHitsCache) {
   std::vector<std::string> Corpus;
   for (int Rep = 0; Rep != 4; ++Rep)
     Corpus.insert(Corpus.end(), Base.begin(), Base.end());
+  const size_t Distinct = distinctKeys(Corpus);
+  ASSERT_LE(Distinct, Base.size());
 
-  // One job: with racing workers two first-occurrences of one key can
-  // legitimately both miss, so exact hit accounting needs sequential.
+  // The single-flight cache proves each key once at any job count:
+  // racing first occurrences wait for the owner and count as hits.
   // Presolve off: statically decided queries never reach the cache.
-  BatchOptions Opts;
-  Opts.Jobs = 1;
-  Opts.Presolve = false;
-  BatchProver Engine(Opts);
-  std::vector<QueryResult> Results = Engine.run(Corpus);
+  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
+    BatchOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Presolve = false;
+    BatchProver Engine(Opts);
+    std::vector<QueryResult> Results = Engine.run(Corpus);
 
-  const BatchStats &S = Engine.stats();
-  EXPECT_EQ(S.Queries, Corpus.size());
-  // At least the 3 repeats of every unique query come from the cache
-  // (more if the base corpus already contains alpha-duplicates).
-  EXPECT_GE(S.CacheHits, 3u * Base.size());
-  // Repeats agree with the first occurrence.
-  for (size_t I = Base.size(); I != Corpus.size(); ++I)
-    EXPECT_EQ(Results[I].V, Results[I % Base.size()].V);
+    const BatchStats &S = Engine.stats();
+    EXPECT_EQ(S.Queries, Corpus.size()) << Jobs << " jobs";
+    EXPECT_EQ(S.CacheMisses, Distinct) << Jobs << " jobs";
+    EXPECT_EQ(S.CacheHits, Corpus.size() - Distinct) << Jobs << " jobs";
+    size_t Proved = 0;
+    for (const QueryResult &R : Results)
+      Proved += !R.FromCache;
+    EXPECT_EQ(Proved, Distinct) << Jobs << " jobs";
+    // Repeats agree with the first occurrence.
+    for (size_t I = Base.size(); I != Corpus.size(); ++I)
+      EXPECT_EQ(Results[I].V, Results[I % Base.size()].V);
+  }
 }
 
 TEST(BatchProver, CacheOffNeverHits) {

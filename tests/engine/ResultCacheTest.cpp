@@ -6,7 +6,8 @@
 ///
 /// The memoizing entailment cache: canonical key construction
 /// (alpha-invariance, symmetric-atom orientation, normalizations),
-/// hit/miss accounting, LRU eviction, and concurrent access.
+/// hit/miss accounting, LRU eviction, concurrent access, and the
+/// single-flight acquire/publish/abandon protocol.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 using namespace slp;
@@ -226,13 +229,21 @@ TEST_F(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
     Queries.push_back(canon(Q.c_str()));
   }
 
+  // Threads 0-1 use the plain lookup/insert pair, threads 2-3 the
+  // single-flight acquire/publish pair, on the same keys.
+  std::atomic<unsigned> Owners{0};
   std::vector<std::thread> Threads;
   for (int T = 0; T != 4; ++T)
-    Threads.emplace_back([&Cache, &Queries, T] {
+    Threads.emplace_back([&Cache, &Queries, &Owners, T] {
       for (int Round = 0; Round != 200; ++Round) {
         const CanonicalQuery &Q = Queries[(T * 7 + Round) % Queries.size()];
-        if (!Cache.lookup(Q))
-          Cache.insert(Q, core::Verdict::Valid);
+        if (T < 2) {
+          if (!Cache.lookup(Q))
+            Cache.insert(Q, core::Verdict::Valid);
+        } else if (!Cache.acquire(Q)) {
+          ++Owners;
+          Cache.publish(Q, core::Verdict::Valid);
+        }
       }
     });
   for (std::thread &T : Threads)
@@ -241,6 +252,129 @@ TEST_F(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
   CacheStats S = Cache.stats();
   EXPECT_EQ(S.Entries, Queries.size());
   EXPECT_EQ(S.Hits + S.Misses, 4u * 200u);
+  // Nothing is evicted, so a key is claimed at most once.
+  EXPECT_LE(Owners.load(), Queries.size());
   for (const CanonicalQuery &Q : Queries)
     EXPECT_TRUE(Cache.lookup(Q).has_value());
+}
+
+TEST_F(ResultCacheTest, SecondClaimantBlocksUntilPublish) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("x != y & next(x, y) |- lseg(x, y)");
+  ASSERT_FALSE(Cache.acquire(Q).has_value());
+
+  std::atomic<bool> Returned{false};
+  std::optional<core::Verdict> Got;
+  std::thread Waiter([&] {
+    Got = Cache.acquire(Q);
+    Returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(Returned) << "a claimed key must not be handed out twice";
+  Cache.publish(Q, core::Verdict::Invalid);
+  Waiter.join();
+
+  ASSERT_TRUE(Got.has_value()) << "the waiter must see the owner's verdict";
+  EXPECT_EQ(*Got, core::Verdict::Invalid);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits, 1u) << "a waiter counts as a hit";
+  EXPECT_EQ(S.Misses, 1u);
+}
+
+TEST_F(ResultCacheTest, AbandonHandsTheKeyToExactlyOneWaiter) {
+  ResultCache Cache;
+  CanonicalQuery Q = canon("lseg(x, y) * next(y, z) |- lseg(x, z)");
+  ASSERT_FALSE(Cache.acquire(Q).has_value());
+
+  constexpr unsigned NumWaiters = 3;
+  std::atomic<unsigned> Owners{0}, Hits{0};
+  std::vector<std::thread> Waiters;
+  for (unsigned I = 0; I != NumWaiters; ++I)
+    Waiters.emplace_back([&] {
+      std::optional<core::Verdict> V = Cache.acquire(Q);
+      if (V) {
+        EXPECT_EQ(*V, core::Verdict::Valid);
+        ++Hits;
+        return;
+      }
+      ++Owners;
+      // Hold the claim a moment, so the other waiters block on it too.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      Cache.publish(Q, core::Verdict::Valid);
+    });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Cache.abandon(Q); // E.g. the backend's answer did not parse.
+  for (std::thread &T : Waiters)
+    T.join();
+
+  EXPECT_EQ(Owners.load(), 1u);
+  EXPECT_EQ(Hits.load(), NumWaiters - 1);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, 2u) << "the first owner and its successor";
+  EXPECT_EQ(S.Hits, NumWaiters - 1);
+  EXPECT_EQ(S.Insertions, 1u);
+}
+
+TEST_F(ResultCacheTest, WaiterReclaimsAKeyEvictedBeforeItRechecks) {
+  ResultCache::Options Opts;
+  Opts.NumShards = 1;
+  Opts.MaxEntries = 1;
+  ResultCache Cache(Opts);
+  CanonicalQuery Q1 = canon("next(x, y) |- next(x, y)");
+  CanonicalQuery Q2 = canon("lseg(x, y) |- lseg(x, y)");
+  ASSERT_FALSE(Cache.acquire(Q1).has_value());
+
+  std::optional<core::Verdict> Got = core::Verdict::Unknown;
+  std::thread Waiter([&] {
+    Got = Cache.acquire(Q1);
+    if (!Got)
+      Cache.publish(Q1, core::Verdict::Valid);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Q1's verdict arrives and is evicted (one slot) before the blocked
+  // waiter is woken to recheck.
+  Cache.insert(Q1, core::Verdict::Valid);
+  Cache.insert(Q2, core::Verdict::Valid);
+  Cache.abandon(Q1);
+  Waiter.join(); // Must not hang.
+
+  EXPECT_FALSE(Got.has_value()) << "the waiter reclaims the key";
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits, 0u);
+  EXPECT_EQ(S.Misses, 2u);
+  EXPECT_TRUE(Cache.lookup(Q1).has_value()) << "the reclaimer published";
+}
+
+TEST_F(ResultCacheTest, ConcurrentAcquireClaimsEachKeyOnce) {
+  ResultCache Cache;
+  std::vector<CanonicalQuery> Queries;
+  for (int I = 0; I != 16; ++I) {
+    std::string Q = "x != y |- ";
+    for (int J = 0; J != I + 1; ++J)
+      Q += (J ? " * lseg(x, y)" : "lseg(x, y)");
+    Queries.push_back(canon(Q.c_str()));
+  }
+
+  constexpr unsigned NumThreads = 4, Rounds = 200;
+  std::atomic<unsigned> Owners{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&Cache, &Queries, &Owners, T] {
+      for (unsigned Round = 0; Round != Rounds; ++Round) {
+        const CanonicalQuery &Q = Queries[(T * 5 + Round) % Queries.size()];
+        if (!Cache.acquire(Q)) {
+          ++Owners;
+          Cache.publish(Q, core::Verdict::Invalid);
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  // Schedule-independent accounting: one miss per distinct key.
+  EXPECT_EQ(Owners.load(), Queries.size());
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, Queries.size());
+  EXPECT_EQ(S.Hits, NumThreads * Rounds - Queries.size());
+  EXPECT_EQ(S.Insertions, Queries.size());
 }

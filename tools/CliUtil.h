@@ -147,8 +147,9 @@ inline void printModelGuidedStats(const obs::MetricsSnapshot &S) {
 /// Prints the engine's phase latencies and session-reuse counters to
 /// stderr from a registry snapshot: per-phase totals are the
 /// `engine.phase.*_ns` histogram sums (the same clock reads that feed
-/// BatchStats' phase seconds), with p50/p99 of the per-query prove
-/// latency alongside.
+/// BatchStats' phase seconds; `wait` is time blocked on another
+/// worker's prove of the same key), with p50/p99 of the per-query
+/// prove latency alongside.
 inline void printEngineReuseStats(const obs::MetricsSnapshot &S) {
   auto PhaseSeconds = [&S](std::string_view Name) {
     const obs::HistogramSnapshot *H = S.histogram(Name);
@@ -156,10 +157,11 @@ inline void printEngineReuseStats(const obs::MetricsSnapshot &S) {
   };
   std::fprintf(stderr,
                "phases (worker-seconds): parse %.3f, prove %.3f, "
-               "cache %.3f\n",
+               "cache %.3f, wait %.3f\n",
                PhaseSeconds("engine.phase.parse_ns"),
                PhaseSeconds("engine.phase.prove_ns"),
-               PhaseSeconds("engine.phase.cache_ns"));
+               PhaseSeconds("engine.phase.cache_ns"),
+               PhaseSeconds("engine.phase.cache_wait_ns"));
   if (const obs::HistogramSnapshot *H = S.histogram("engine.phase.prove_ns"))
     if (H->Count)
       std::fprintf(stderr,

@@ -27,13 +27,13 @@
 ///                     saturation counters (attempts, Gen positions
 ///                     replay-skipped, certification checks skipped,
 ///                     normal-form memo reuses), the per-phase wall
-///                     clock (parse / prove / cache), the
+///                     clock (parse / prove / cache / cache wait), the
 ///                     worker-session reuse counters (rewinds, terms
 ///                     and arena bytes reclaimed, slabs recycled), and
 ///                     the per-backend win/loss/time breakdown
 ///     --trace=FILE    record per-query phase spans (parse,
-///                     canonicalize, cache-lookup, prove, model
-///                     attempts, portfolio races) as Chrome
+///                     canonicalize, cache-lookup, cache-wait, prove,
+///                     model attempts, portfolio races) as Chrome
 ///                     trace-event JSON — load in Perfetto or
 ///                     chrome://tracing
 ///     --metrics-json=FILE
