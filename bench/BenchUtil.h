@@ -233,22 +233,26 @@ private:
 };
 
 /// Runs the complete Berdine-style baseline over a batch (through the
-/// engine and the backend abstraction, like every other column).
+/// engine and the backend abstraction, like every other column). The
+/// static pre-solver is off, so the column measures the baseline
+/// itself.
 inline BatchResult runBerdine(TermTable &Terms,
                               const std::vector<sl::Entailment> &Batch,
                               uint64_t FuelPerInstance) {
   return runBackend(engine::BackendKind::Berdine, Terms, Batch,
-                    FuelPerInstance);
+                    FuelPerInstance, /*Presolve=*/false);
 }
 
 /// Runs the greedy jStar-style prover over a batch. "Solved" counts
 /// proofs found; the prover is incomplete, so valid instances it
-/// cannot prove show up as unsolved.
+/// cannot prove show up as unsolved. The pre-solver is off: ahead of
+/// the unfolder it would decide instances (Invalid ones included) that
+/// the unfolder cannot.
 inline BatchResult runGreedy(TermTable &Terms,
                              const std::vector<sl::Entailment> &Batch,
                              uint64_t FuelPerInstance) {
   return runBackend(engine::BackendKind::Unfolding, Terms, Batch,
-                    FuelPerInstance);
+                    FuelPerInstance, /*Presolve=*/false);
 }
 
 } // namespace bench

@@ -76,6 +76,11 @@ public:
   /// Class representative id for \p T (stable between unites).
   uint32_t find(const Term *T) { return UF.find(T->id()); }
 
+  /// The closure's partition over term ids, e.g. for copying into a
+  /// scratch UnionFind that merges further without touching the
+  /// closure.
+  const UnionFind &partition() const { return UF; }
+
 private:
   UnionFind UF;
   std::vector<std::pair<const Term *, const Term *>> Diseqs;

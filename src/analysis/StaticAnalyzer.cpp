@@ -244,18 +244,6 @@ buildCandidate(UnionFind &Partition,
   return M;
 }
 
-/// Copies the closure's partition into a plain UnionFind over term
-/// ids (the closure itself stays untouched).
-UnionFind partitionOf(PureClosure &C,
-                      const std::vector<const Term *> &AllTerms) {
-  UnionFind P;
-  for (size_t I = 0; I != AllTerms.size(); ++I)
-    for (size_t J = I + 1; J != AllTerms.size(); ++J)
-      if (C.same(AllTerms[I], AllTerms[J]))
-        P.unite(AllTerms[I]->id(), AllTerms[J]->id());
-  return P;
-}
-
 /// Stage 3: probes up to three cheap candidate models, each verified
 /// against the executable semantics before being believed.
 std::optional<sl::CounterModel>
@@ -269,7 +257,7 @@ probeCounterModels(PureClosure &C, const sl::Entailment &E,
   // Probe A/C: every closure class distinct; lsegs as one-cell then
   // two-cell chains (the two-cell chain defeats an RHS next over an
   // LHS lseg).
-  UnionFind Distinct = partitionOf(C, AllTerms);
+  UnionFind Distinct = C.partition();
   for (unsigned LsegCells : {1u, 2u}) {
     std::optional<sl::CounterModel> M =
         buildCandidate(Distinct, AllTerms, Nil, E.Lhs.Spatial, LsegCells);
@@ -281,7 +269,7 @@ probeCounterModels(PureClosure &C, const sl::Entailment &E,
   // disequality (minimal-distinction model; collapses unconstrained
   // lsegs to emp). Nil's class absorbs nothing, so heap addresses
   // stay representable.
-  UnionFind Merged = partitionOf(C, AllTerms);
+  UnionFind Merged = C.partition();
   uint32_t NilClass = Merged.find(Nil->id());
   auto MergeAllowed = [&](uint32_t A, uint32_t B) {
     for (const auto &[X, Y] : C.disequalities()) {

@@ -14,6 +14,14 @@
 using namespace slp;
 using namespace slp::core;
 
+namespace {
+
+/// Hard cap on outer iterations; a pure safety net, the algorithm
+/// terminates on its own (Theorem 5.1).
+constexpr unsigned MaxOuterIterations = 1u << 20;
+
+} // namespace
+
 const char *core::verdictName(Verdict V) {
   switch (V) {
   case Verdict::Valid:
@@ -81,7 +89,7 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
     return Result;
   };
 
-  for (unsigned Outer = 0; Outer != Opts.MaxOuterIterations; ++Outer) {
+  for (unsigned Outer = 0; Outer != MaxOuterIterations; ++Outer) {
     ++Result.Stats.OuterIterations;
 
     // Inner loop (lines 4-10): saturate, model, normalize, W-rules.

@@ -71,9 +71,6 @@ enum class OrderingChoice { Kbo, Lpo };
 struct ProverOptions {
   sup::SaturationOptions Sat;
   OrderingChoice Ordering = OrderingChoice::Kbo;
-  /// Hard cap on outer iterations; a pure safety net, the algorithm
-  /// terminates on its own (Theorem 5.1).
-  unsigned MaxOuterIterations = 1u << 20;
 };
 
 /// The SLP prover. One instance can check many entailments; per-query

@@ -20,24 +20,27 @@ using namespace slp::engine;
 
 namespace {
 
-/// Cached references to the per-phase latency histograms (registry
-/// objects never move, so one lookup serves the process).
-struct PhaseHistograms {
+/// Cached references to the per-phase latency histograms and the
+/// queue-depth gauge (registry objects never move, so one lookup
+/// serves the process).
+struct EngineMetrics {
   obs::Histogram &Parse;
   obs::Histogram &Presolve;
   obs::Histogram &Canon;
   obs::Histogram &CacheNs;
   obs::Histogram &Prove;
+  obs::Gauge &QueueDepth;
 };
 
-PhaseHistograms &phaseHistograms() {
-  static PhaseHistograms H{
+EngineMetrics &engineMetrics() {
+  static EngineMetrics M{
       obs::metrics().histogram("engine.phase.parse_ns"),
       obs::metrics().histogram("engine.phase.presolve_ns"),
       obs::metrics().histogram("engine.phase.canon_ns"),
       obs::metrics().histogram("engine.phase.cache_ns"),
-      obs::metrics().histogram("engine.phase.prove_ns")};
-  return H;
+      obs::metrics().histogram("engine.phase.prove_ns"),
+      obs::metrics().gauge("engine.queue.depth")};
+  return M;
 }
 
 /// Holds the worker's ResultCache claim on a key for one prove.
@@ -75,25 +78,16 @@ BatchProver::BatchProver(BatchOptions Opts)
 
 BatchProver::Worker::Worker(const BatchOptions &Opts)
     : Session(Opts.Prover) {
-  if (Opts.Backend == BackendKind::Slp) {
-    // Fast path: the session itself proves; no backend object, no
-    // canonical-text round trip.
-    Tally.Name = backendKindName(BackendKind::Slp);
+  Tally.Name = backendKindName(Opts.Backend);
+  // Fast path: the session itself proves; no backend object, no
+  // canonical-text round trip.
+  if (Opts.Backend == BackendKind::Slp)
     return;
-  }
-  if (Opts.Backend == BackendKind::Portfolio) {
-    // The per-query Fuel handed to prove() carries the budget; the
-    // portfolio derives each member's budget from it.
-    PortfolioOptions PO;
-    PO.Backends = Opts.Portfolio;
-    PO.Prover = Opts.Prover;
-    auto P = std::make_unique<PortfolioProver>(std::move(PO));
-    Portfolio = P.get();
-    Backend = std::move(P);
-    return;
-  }
+  // The per-query Fuel handed to prove() carries the budget; a
+  // portfolio derives each member's budget from it.
   Backend = makeBackend(Opts.Backend, Opts.Prover);
-  Tally.Name = Backend->name();
+  if (Opts.Backend == BackendKind::Portfolio)
+    Portfolio = static_cast<PortfolioProver *>(Backend.get());
 }
 
 std::vector<BackendTally> BatchProver::Worker::tallies() const {
@@ -104,7 +98,7 @@ std::vector<BackendTally> BatchProver::Worker::tallies() const {
 
 QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   QueryResult Out;
-  PhaseHistograms &PH = phaseHistograms();
+  EngineMetrics &EM = engineMetrics();
   obs::TraceSpan QuerySpan("query");
   if (!Task.Name.empty())
     QuerySpan.arg("name", Task.Name);
@@ -117,7 +111,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   W.Session.reset();
   sl::ParseResult P = [&] {
     obs::TraceSpan Span("parse");
-    ScopedTimer ST(PH.Parse, &W.ParseSeconds);
+    ScopedTimer ST(EM.Parse, &W.ParseSeconds);
     return sl::parseEntailment(W.Session.terms(), Task.Text);
   }();
   if (!P.ok()) {
@@ -132,7 +126,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   // the cost of one cheap closure pass.
   if (Opts.Presolve) {
     obs::TraceSpan Span("presolve");
-    ScopedTimer ST(PH.Presolve, &W.PresolveSeconds);
+    ScopedTimer ST(EM.Presolve, &W.PresolveSeconds);
     analysis::AnalysisResult A =
         analysis::analyze(W.Session.terms(), *P.Value);
     if (A.definitive()) {
@@ -148,7 +142,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
 
   CanonicalQuery Q = [&] {
     obs::TraceSpan Span("canonicalize");
-    ScopedTimer ST(PH.Canon);
+    ScopedTimer ST(EM.Canon);
     return CanonicalQuery::of(*P.Value);
   }();
   if (Opts.CacheEnabled) {
@@ -164,7 +158,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       // The wait is nested in the lookup; the clamp only keeps rounding
       // from turning the difference negative.
       double Work = std::max(0.0, LookupTimer.seconds() - Waited);
-      PH.CacheNs.record(static_cast<uint64_t>(Work * 1e9));
+      EM.CacheNs.record(static_cast<uint64_t>(Work * 1e9));
       W.CacheSeconds += Work;
       W.CacheWaitSeconds += Waited;
       Span.arg("hit", static_cast<uint64_t>(Hit.has_value()));
@@ -187,7 +181,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   double ProveTime = 0;
   {
     obs::TraceSpan Span("prove");
-    ScopedTimer ST(PH.Prove, &W.ProveSeconds);
+    ScopedTimer ST(EM.Prove, &W.ProveSeconds);
     Timer ProveTimer;
     sl::Entailment E = Q.rebuild(W.Session.terms());
 
@@ -250,7 +244,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
 
   if (Claim.held()) {
     obs::TraceSpan Span("cache-insert");
-    ScopedTimer ST(PH.CacheNs, &W.CacheSeconds);
+    ScopedTimer ST(EM.CacheNs, &W.CacheSeconds);
     Claim.publish(Out.V);
   }
   return Out;
@@ -260,65 +254,53 @@ std::vector<QueryResult>
 BatchProver::run(const std::vector<ProofTask> &Tasks) {
   std::vector<QueryResult> Results(Tasks.size());
   Timer T;
-
-  unsigned Jobs = resolveJobs(Opts.Jobs);
   Stats = BatchStats();
+
+  // One worker loop for every job count: the calling thread is worker
+  // 0 and N - 1 scoped threads run the rest, so a one-task batch (or
+  // Jobs == 1) proves on the caller with no thread spawned.
+  const unsigned N = Tasks.size() <= 1 ? 1 : resolveJobs(Opts.Jobs);
+  StealPool Queue(Tasks.size(), N, &engineMetrics().QueueDepth, Opts.Cancel);
+  std::vector<std::unique_ptr<Worker>> Workers(N);
+  auto Drain = [this, &Queue, &Tasks, &Results, &Workers](unsigned J) {
+    Workers[J] = std::make_unique<Worker>(Opts);
+    size_t I;
+    while (Queue.pop(J, I))
+      Results[I] = proveOne(Tasks[I], *Workers[J]);
+  };
+  {
+    // The scope joins the helpers before their workers are retired.
+    std::vector<std::jthread> Threads;
+    Threads.reserve(N - 1);
+    for (unsigned J = 1; J != N; ++J)
+      Threads.emplace_back(Drain, J);
+    Drain(0);
+  }
+
   std::vector<std::vector<BackendTally>> WorkerTallies;
   uint64_t PresolveMisses = 0;
-  auto Retire = [&](const Worker &W) {
-    const core::SessionStats &SS = W.Session.stats();
+  for (const std::unique_ptr<Worker> &W : Workers) {
+    const core::SessionStats &SS = W->Session.stats();
     ++Stats.Sessions;
     Stats.SessionResets += SS.Resets;
     Stats.TermsReclaimed += SS.TermsReclaimed;
     Stats.ArenaBytesReclaimed += SS.BytesReclaimed;
     Stats.ArenaSlabsReused += SS.SlabsReused;
-    WorkerTallies.push_back(W.tallies());
-    Stats.ParseSeconds += W.ParseSeconds;
-    Stats.PresolveSeconds += W.PresolveSeconds;
-    Stats.ProveSeconds += W.ProveSeconds;
-    Stats.CacheSeconds += W.CacheSeconds;
-    Stats.CacheWaitSeconds += W.CacheWaitSeconds;
-    Stats.CacheHits += W.CacheHits;
-    Stats.CacheMisses += W.CacheMisses;
-    PresolveMisses += W.PresolveMisses;
-  };
-
-  StealStats Stealing;
-  unsigned WorkersUsed = 1;
-  if (Jobs <= 1 || Tasks.size() <= 1) {
-    Worker W(Opts);
-    for (size_t I = 0; I != Tasks.size(); ++I) {
-      if (Opts.Cancel && Opts.Cancel->cancelled())
-        break; // Unclaimed tasks keep their default Unknown result.
-      Results[I] = proveOne(Tasks[I], W);
-    }
-    Retire(W);
-  } else {
-    WorkersUsed = Jobs;
-    StealPool Queue(Tasks.size(), Jobs,
-                    &obs::metrics().gauge("engine.queue.depth"), Opts.Cancel);
-    std::vector<std::unique_ptr<Worker>> Workers(Jobs);
-    {
-      // One thread and one long-lived worker context per job for the
-      // whole batch; the scope joins them all.
-      std::vector<std::jthread> Threads;
-      Threads.reserve(Jobs);
-      for (unsigned J = 0; J != Jobs; ++J)
-        Threads.emplace_back([this, J, &Queue, &Tasks, &Results, &Workers] {
-          Workers[J] = std::make_unique<Worker>(Opts);
-          size_t I;
-          while (Queue.pop(J, I))
-            Results[I] = proveOne(Tasks[I], *Workers[J]);
-        });
-    }
-    for (const std::unique_ptr<Worker> &W : Workers)
-      Retire(*W);
-    Stealing = Queue.totals();
+    WorkerTallies.push_back(W->tallies());
+    Stats.ParseSeconds += W->ParseSeconds;
+    Stats.PresolveSeconds += W->PresolveSeconds;
+    Stats.ProveSeconds += W->ProveSeconds;
+    Stats.CacheSeconds += W->CacheSeconds;
+    Stats.CacheWaitSeconds += W->CacheWaitSeconds;
+    Stats.CacheHits += W->CacheHits;
+    Stats.CacheMisses += W->CacheMisses;
+    PresolveMisses += W->PresolveMisses;
   }
+  StealStats Stealing = Queue.totals();
 
   Stats.Seconds = T.seconds();
   Stats.Queries = Tasks.size();
-  Stats.WorkersUsed = WorkersUsed;
+  Stats.WorkersUsed = N;
   Stats.Steals = Stealing.Steals;
   Stats.StealAttempts = Stealing.StealAttempts;
   // Merge per-backend tallies across workers, preserving member order.

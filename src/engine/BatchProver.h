@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch proving engine: N pool workers drain a work-stealing
-/// StealPool over a batch of ProofTasks (textual entailment
-/// obligations from a corpus file, the symbolic executor, or any other
-/// source), memoizing verdicts in a shared single-flight ResultCache
-/// keyed by the alpha-invariant CanonicalQuery: each key of a batch is
-/// proved once, and a worker that meets a key another worker is
-/// proving waits for that verdict instead of proving it again. Each
-/// worker owns a contiguous block of the batch and steals half of a
-/// straggler's remainder when it drains, so heavy-tailed query costs
-/// stop serializing the tail of the run.
+/// The batch proving engine: N pool workers (the calling thread is
+/// worker 0) drain a work-stealing StealPool over a batch of
+/// ProofTasks (textual entailment obligations from a corpus file, the
+/// symbolic executor, or any other source), memoizing verdicts in a
+/// shared single-flight ResultCache keyed by the alpha-invariant
+/// CanonicalQuery: each key of a batch is proved once, and a worker
+/// that meets a key another worker is proving waits for that verdict
+/// instead of proving it again. Each worker owns a contiguous block
+/// of the batch and steals half of a straggler's remainder when it
+/// drains, so heavy-tailed query costs stop serializing the tail of
+/// the run.
 ///
 /// Each worker owns one core::ProverSession for the whole batch: the
 /// task is parsed once, straight into the session's term table on top
@@ -66,11 +67,13 @@ struct BatchOptions {
   unsigned Jobs = 1;          ///< Worker threads; 0 = hardware concurrency.
   bool CacheEnabled = true;   ///< Consult/populate the ResultCache.
   /// Run the polynomial static analyzer (analysis::analyze) on each
-  /// parsed query ahead of the cache lookup; a definitive analyzer
-  /// verdict skips canonicalization, cache, and prover entirely. The
-  /// analyzer is sound, so verdicts are identical either way
-  /// (`--no-presolve` on the tools exists for measurement and
-  /// differential testing, not correctness).
+  /// parsed query ahead of the cache lookup, for every backend; a
+  /// definitive analyzer verdict skips canonicalization, cache, and
+  /// backend entirely. The analyzer is sound, so for the complete
+  /// backends (slp, berdine, portfolio) verdicts are identical either
+  /// way. The incomplete unfolder never answers Invalid and misses
+  /// some valid queries, so with it the pre-solver decides queries the
+  /// unfolder alone cannot; turn it off to measure the bare backend.
   bool Presolve = true;
   uint64_t FuelPerQuery = 0;  ///< Inference budget per query; 0 = unlimited.
                               ///< For the portfolio backend this is the
@@ -82,9 +85,6 @@ struct BatchOptions {
   /// go through the core::EntailmentBackend interface, one backend
   /// instance per worker.
   BackendKind Backend = BackendKind::Slp;
-  /// Portfolio members when Backend == BackendKind::Portfolio.
-  std::vector<BackendKind> Portfolio = {
-      BackendKind::Slp, BackendKind::Berdine, BackendKind::Unfolding};
   /// Optional batch-level preemption: when the token fires, workers
   /// stop claiming tasks at their next item boundary (the in-flight
   /// query finishes; unclaimed tasks report Verdict::Unknown). The
@@ -146,9 +146,9 @@ struct BatchStats {
   /// Saturation counters summed over every proved (non-cached) query:
   /// the sum of the per-query QueryResult::Sat.
   sup::SaturationStats Sat;
-  /// Work distribution over the run: worker threads actually used, and
-  /// the steal pool's counters (all zero when Jobs <= 1 — the
-  /// sequential path has nobody to steal from).
+  /// Work distribution over the run: workers actually used (1 for a
+  /// batch of at most one task, else the resolved Jobs), and the steal
+  /// pool's counters (all zero with one worker: nobody to steal from).
   unsigned WorkersUsed = 0;
   uint64_t Steals = 0, StealAttempts = 0;
   /// Per-phase wall clock, summed across workers (CPU-seconds; the

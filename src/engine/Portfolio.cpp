@@ -153,15 +153,12 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
   // One token for the whole race, chained off the caller's: the first
   // definitive verdict raises it, and an outer cancellation — pending
   // or fired mid-race — reads as cancelled through the parent link.
-  // The per-member budget is the configured one, else the caller's —
-  // and a caller budget that is already spent is a lost race, not an
-  // unlimited one.
-  if (!Opts.FuelPerQuery && F.limited() && F.remaining() == 0)
+  // The per-member budget is the caller's remaining one, and a caller
+  // budget that is already spent is a lost race, not an unlimited one.
+  if (F.limited() && F.remaining() == 0)
     return core::BackendResult{}; // Unknown; nobody raced.
   CancelToken RaceCancel(F.cancelToken());
-  uint64_t Budget =
-      Opts.FuelPerQuery ? Opts.FuelPerQuery
-                        : (F.limited() ? F.remaining() : 0);
+  uint64_t Budget = F.limited() ? F.remaining() : 0;
   Seq.store(0, std::memory_order_relaxed);
   for (Slot &S : Slots)
     S = Slot{};
@@ -210,7 +207,7 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
     TotalFuel += S.FuelUsed;
   }
   // Charge the caller's budget with the whole race for accounting;
-  // the race itself is bounded by Opts.FuelPerQuery per member.
+  // the race itself was bounded per member by the budget at its start.
   F.consume(TotalFuel);
 
   if (Winner != N) {

@@ -94,11 +94,6 @@ struct PortfolioOptions {
   /// and must not contain BackendKind::Portfolio.
   std::vector<BackendKind> Backends = {
       BackendKind::Slp, BackendKind::Berdine, BackendKind::Unfolding};
-  /// Per-member inference budget per task; each member gets its own
-  /// budget (they race, they do not share one). 0 defers to the Fuel
-  /// handed to prove(): a limited caller budget becomes the
-  /// per-member budget of the race, an unlimited one races unbounded.
-  uint64_t FuelPerQuery = 0;
   /// Configuration for the SLP member.
   core::ProverOptions Prover;
 };
@@ -122,9 +117,9 @@ public:
 
   /// Races every member on \p Task; returns the first definitive
   /// verdict (its producer in BackendResult::Backend) or, when no
-  /// member decides, an Unknown result. Each member's budget is
-  /// PortfolioOptions::FuelPerQuery, or — when that is 0 — \p F's
-  /// remaining budget at race start (per member; they do not share).
+  /// member decides, an Unknown result. Each member's budget is \p F's
+  /// remaining budget at race start (per member; they race, they do
+  /// not share one); an unlimited \p F races unbounded.
   /// \p F is charged with the fuel all members consumed, and its
   /// CancelToken, if any, is chained into the race token, so firing
   /// it — before or during the race — stops every member at its next

@@ -45,8 +45,7 @@ struct Token {
 
 class Lexer {
 public:
-  Lexer(std::string_view Input, unsigned StartLine)
-      : Input(Input), Line(StartLine) {}
+  explicit Lexer(std::string_view Input) : Input(Input) {}
 
   Token next() {
     skipTrivia();
@@ -133,15 +132,15 @@ private:
 
   std::string_view Input;
   size_t Pos = 0;
-  unsigned Line;
+  unsigned Line = 1;
   unsigned Column = 1;
 };
 
 /// Recursive-descent parser over the token stream.
 class Parser {
 public:
-  Parser(TermTable &Terms, std::string_view Input, unsigned StartLine)
-      : Terms(Terms), Lex(Input, StartLine) {
+  Parser(TermTable &Terms, std::string_view Input)
+      : Terms(Terms), Lex(Input) {
     Tok = Lex.next();
   }
 
@@ -307,40 +306,6 @@ private:
 } // namespace
 
 ParseResult sl::parseEntailment(TermTable &Terms, std::string_view Input) {
-  Parser P(Terms, Input, /*StartLine=*/1);
+  Parser P(Terms, Input);
   return P.parseEntailment();
-}
-
-FileParseResult sl::parseEntailmentFile(TermTable &Terms,
-                                        std::string_view Input) {
-  FileParseResult Result;
-  unsigned LineNo = 0;
-  size_t Pos = 0;
-  while (Pos <= Input.size()) {
-    size_t Eol = Input.find('\n', Pos);
-    std::string_view Line = Input.substr(
-        Pos, Eol == std::string_view::npos ? std::string_view::npos
-                                           : Eol - Pos);
-    ++LineNo;
-
-    // Skip blank lines and comment-only lines.
-    size_t NonWs = Line.find_first_not_of(" \t\r");
-    bool Blank = NonWs == std::string_view::npos || Line[NonWs] == '#' ||
-                 Line.substr(NonWs, 2) == "//";
-    if (!Blank) {
-      Parser P(Terms, Line, LineNo);
-      ParseResult R = P.parseEntailment();
-      if (!R.ok()) {
-        Result.Error = R.Error;
-        Result.Error->Line = LineNo;
-        return Result;
-      }
-      Result.Entailments.push_back(std::move(*R.Value));
-    }
-
-    if (Eol == std::string_view::npos)
-      break;
-    Pos = Eol + 1;
-  }
-  return Result;
 }

@@ -48,21 +48,9 @@ struct ParseResult {
   bool ok() const { return Value.has_value(); }
 };
 
-/// Result of parsing a whole file (one entailment per line).
-struct FileParseResult {
-  std::vector<Entailment> Entailments;
-  std::optional<ParseError> Error;
-
-  bool ok() const { return !Error.has_value(); }
-};
-
 /// Parses a single entailment from \p Input. Constants are interned
 /// into \p Terms.
 ParseResult parseEntailment(TermTable &Terms, std::string_view Input);
-
-/// Parses newline-separated entailments, skipping blanks and comments.
-FileParseResult parseEntailmentFile(TermTable &Terms,
-                                    std::string_view Input);
 
 } // namespace sl
 } // namespace slp

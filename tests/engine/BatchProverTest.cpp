@@ -201,6 +201,28 @@ TEST(BatchProver, SplitCorpusSkipsBlanksAndComments) {
   EXPECT_EQ(Lines[1], "lseg(a, b) |- lseg(a, b)");
 }
 
+// perfbench's latency sweep times one-task runs: such a run proves on
+// the calling thread as the pool's only worker, whatever Jobs says.
+TEST(BatchProver, OneTaskRunUsesOneWorkerAndNeverSteals) {
+  BatchOptions Opts;
+  Opts.Jobs = 4;
+  BatchProver Engine(Opts);
+  std::vector<QueryResult> Results =
+      Engine.run(std::vector<std::string>{"lseg(x, y) |- next(x, y)"});
+  ASSERT_EQ(Results.size(), 1u);
+  EXPECT_EQ(Results[0].V, core::Verdict::Invalid);
+  const BatchStats &S = Engine.stats();
+  EXPECT_EQ(S.WorkersUsed, 1u);
+  EXPECT_EQ(S.Sessions, 1u);
+  EXPECT_EQ(S.Steals, 0u);
+  EXPECT_EQ(S.StealAttempts, 0u);
+
+  // A larger batch at the same setting uses all four.
+  Engine.run(makeCorpus(5, /*Seed=*/11));
+  EXPECT_EQ(Engine.stats().WorkersUsed, 4u);
+  EXPECT_EQ(Engine.stats().Sessions, 4u);
+}
+
 TEST(BatchProver, CancelledTasksAreNotCacheMisses) {
   std::vector<std::string> Corpus = makeCorpus(5, /*Seed=*/5);
   CancelToken Cancel;

@@ -261,12 +261,10 @@ TEST(PortfolioTest, ExhaustedCallerBudgetForfeitsWithoutRacing) {
 }
 
 TEST(PortfolioTest, PerMemberFuelBudgetsApply) {
-  // With a tiny per-member budget nobody decides NeedsSplit's harder
-  // cousin... here even the easy query: budget 1 stops all members.
-  PortfolioOptions PO;
-  PO.FuelPerQuery = 1;
-  PortfolioProver P(std::move(PO));
-  core::BackendResult R = proveWith(P, NeedsSplit);
+  // The caller's Fuel is each member's budget: with Fuel(1) nobody
+  // decides even the easy NeedsSplit query.
+  PortfolioProver P;
+  core::BackendResult R = proveWith(P, NeedsSplit, /*FuelSteps=*/1);
   EXPECT_EQ(R.V, core::Verdict::Unknown);
   EXPECT_TRUE(R.Backend.empty());
 }

@@ -6,12 +6,43 @@
 
 #include "sl/Parser.h"
 
+#include "engine/BatchProver.h"
+
 #include <gtest/gtest.h>
 
 using namespace slp;
 using namespace slp::sl;
 
 namespace {
+
+/// How far a corpus parsed: the entailments before the first bad line,
+/// and that line's diagnostic.
+struct CorpusParse {
+  size_t Parsed = 0;
+  std::optional<ParseError> Error;
+
+  bool ok() const { return !Error; }
+};
+
+/// Reads a corpus the way the tools do: splitCorpus drops blank and
+/// comment-only lines, each query line parses on its own, and a
+/// diagnostic is anchored to the corpus line splitCorpus reports.
+CorpusParse parseCorpus(TermTable &Terms, std::string_view Text) {
+  std::vector<unsigned> LineNos;
+  std::vector<std::string> Lines =
+      engine::BatchProver::splitCorpus(Text, &LineNos);
+  CorpusParse Out;
+  for (size_t I = 0; I != Lines.size(); ++I) {
+    ParseResult R = parseEntailment(Terms, Lines[I]);
+    if (!R.ok()) {
+      Out.Error = R.Error;
+      Out.Error->Line = LineNos[I];
+      break;
+    }
+    ++Out.Parsed;
+  }
+  return Out;
+}
 
 class ParserTest : public ::testing::Test {
 protected:
@@ -90,13 +121,13 @@ TEST_F(ParserTest, RoundTripThroughPrinter) {
 }
 
 TEST_F(ParserTest, FileWithCommentsAndBlanks) {
-  FileParseResult R = parseEntailmentFile(Terms, "# header comment\n"
-                                                 "\n"
-                                                 "x -> y |- lseg(x, y)\n"
-                                                 "  // indented comment\n"
-                                                 "emp |- emp\n");
+  CorpusParse R = parseCorpus(Terms, "# header comment\n"
+                                     "\n"
+                                     "x -> y |- lseg(x, y)\n"
+                                     "  // indented comment\n"
+                                     "emp |- emp\n");
   ASSERT_TRUE(R.ok()) << R.Error->render();
-  EXPECT_EQ(R.Entailments.size(), 2u);
+  EXPECT_EQ(R.Parsed, 2u);
 }
 
 TEST_F(ParserTest, ErrorMissingTurnstile) {
@@ -121,8 +152,7 @@ TEST_F(ParserTest, ErrorFalseOnLhsRejected) {
 }
 
 TEST_F(ParserTest, FileErrorReportsLine) {
-  FileParseResult R =
-      parseEntailmentFile(Terms, "emp |- emp\nnot an entailment\n");
+  CorpusParse R = parseCorpus(Terms, "emp |- emp\nnot an entailment\n");
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.Error->Line, 2u);
 }
@@ -151,7 +181,7 @@ TEST_F(ParserTest, UnknownCharacterAfterValidPrefix) {
 TEST_F(ParserTest, UnknownCharacterLocationWithCrlfAndComments) {
   // CRLF line endings, comment lines of both flavors, and an error on
   // the fourth line: the diagnostic carries the exact line and column.
-  FileParseResult R = parseEntailmentFile(
+  CorpusParse R = parseCorpus(
       Terms, "# leading comment\r\n"
              "emp |- emp\r\n"
              "// another comment\r\n"
@@ -167,8 +197,7 @@ TEST_F(ParserTest, UnknownCharacterLocationWithCrlfAndComments) {
 TEST_F(ParserTest, ErrorColumnCountsTabsAsSingleColumns) {
   // Each tab advances the column by one (no tab expansion), so the
   // '%' after "\t\temp |- " sits at column 10.
-  FileParseResult R =
-      parseEntailmentFile(Terms, "emp |- emp\n\t\temp |- %\n");
+  CorpusParse R = parseCorpus(Terms, "emp |- emp\n\t\temp |- %\n");
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.Error->Message.find("unrecognized character '%'"),
             std::string::npos)
@@ -191,7 +220,7 @@ TEST_F(ParserTest, NonPrintableGarbageIsHexEscaped) {
 TEST_F(ParserTest, NonLexicalErrorStillReportsExactLocation) {
   // A grammar (not lexer) error in a multi-line CRLF file: the
   // missing ')' is reported where the ',' was expected.
-  FileParseResult R = parseEntailmentFile(
+  CorpusParse R = parseCorpus(
       Terms, "# header\r\n"
              "lseg(x y) |- emp\r\n");
   ASSERT_FALSE(R.ok());

@@ -19,20 +19,14 @@
 ///                   (greedy is an alias for unfolding)
 ///     --fuel=N      inference step budget per query (default
 ///                   unlimited; for portfolio, per racing backend)
-///     --jobs=N      prove queries concurrently through the batch
-///                   engine (verdicts only; 0 = all cores). When
-///                   unspecified, plain verdict runs default to all
-///                   cores; the proof/model/stats output modes need
-///                   the in-process saturation objects and fall back
-///                   to the sequential single-worker path. Unlike the
-///                   sequential path, which stops at the first bad
-///                   line, the engine path reports parse errors per
-///                   query on stdout, like slp-batch
-///     --no-presolve disable the polynomial static pre-solver
-///                   (verdicts are identical; for measurement). The
-///                   sequential path also skips it automatically when
-///                   --proof/--check-proof/--dot-proof need the real
-///                   saturation objects
+///     --jobs=N      worker count for verdict-only runs (default 0 =
+///                   all cores); the output never depends on it. The
+///                   render modes above read the prover's objects and
+///                   run in process, so they accept only --jobs=1
+///     --no-presolve disable the polynomial static pre-solver, which
+///                   otherwise runs ahead of every backend (also
+///                   skipped when --proof/--check-proof/--dot-proof
+///                   need the real saturation objects)
 ///     --trace=FILE  record phase spans (parse, prove, model
 ///                   attempts, portfolio races) as Chrome trace-event
 ///                   JSON — load in Perfetto or chrome://tracing
@@ -45,8 +39,6 @@
 #include "CliUtil.h"
 
 #include "analysis/StaticAnalyzer.h"
-#include "baselines/BerdineProver.h"
-#include "baselines/UnfoldingProver.h"
 #include "core/Backend.h"
 #include "core/Dot.h"
 #include "core/ProofTree.h"
@@ -75,8 +67,8 @@ struct CliOptions {
   bool DotModel = false;
   bool Stats = false;
   engine::BackendKind Backend = engine::BackendKind::Slp;
-  uint64_t FuelSteps = 0;  // 0 = unlimited.
-  unsigned Jobs = 1;       // > 1 or 0 routes through the batch engine.
+  uint64_t FuelSteps = 0; // 0 = unlimited.
+  unsigned Jobs = 0;      // 0 = all cores.
   bool JobsGiven = false;
   bool Presolve = true;
   cli::TelemetryOptions Telemetry;
@@ -148,28 +140,19 @@ int main(int argc, char **argv) {
       HaveFile = true;
     }
   }
-  bool SequentialOnly = Opts.Proof || Opts.Model || Opts.CheckProof ||
-                        Opts.DotProof || Opts.DotModel || Opts.Stats;
-  bool UseEngine;
-  if (Opts.JobsGiven) {
-    UseEngine = Opts.Jobs != 1;
-    if (UseEngine && SequentialOnly) {
-      std::cerr << "slp: --jobs supports plain verdict output only "
-                   "(no --proof/--model/--check-proof/--dot-*/--stats)\n";
-      return usage();
-    }
-  } else {
-    // Unspecified --jobs: plain verdict runs use every core through
-    // the batch engine (verdicts are byte-identical to sequential);
-    // the rendering modes stay on the sequential path they require.
-    UseEngine = !SequentialOnly;
-    Opts.Jobs = 0;
+  // The render modes read the prover's objects, so they run in
+  // process; every other run goes through the batch engine.
+  bool Render = Opts.Proof || Opts.Model || Opts.CheckProof ||
+                Opts.DotProof || Opts.DotModel || Opts.Stats;
+  if (Render && Opts.JobsGiven && Opts.Jobs != 1) {
+    std::cerr << "slp: --jobs supports plain verdict output only "
+                 "(no --proof/--model/--check-proof/--dot-*/--stats)\n";
+    return usage();
   }
   bool IsSlp = Opts.Backend == engine::BackendKind::Slp;
   bool IsPortfolio = Opts.Backend == engine::BackendKind::Portfolio;
-  if (!UseEngine && !IsSlp &&
-      (Opts.Proof || Opts.CheckProof || Opts.DotProof || Opts.DotModel ||
-       (Opts.Model && !IsPortfolio))) {
+  if (!IsSlp && (Opts.Proof || Opts.CheckProof || Opts.DotProof ||
+                 Opts.DotModel || (Opts.Model && !IsPortfolio))) {
     std::cerr << "slp: --proof/--check-proof/--dot-* need --backend=slp "
                  "(--model also works with --backend=portfolio)\n";
     return usage();
@@ -193,43 +176,49 @@ int main(int argc, char **argv) {
 
   cli::startTelemetry(Opts.Telemetry);
 
+  // Every query line is parsed up front into the tool's table, in
+  // corpus order: the echo renders from it, and the render modes
+  // prove from it. A line that does not parse is reported in place.
   SymbolTable Symbols;
   TermTable Terms(Symbols);
+  std::vector<unsigned> LineNos;
+  std::vector<std::string> Queries =
+      engine::BatchProver::splitCorpus(Input, &LineNos);
+  std::vector<sl::ParseResult> Parsed;
+  {
+    obs::TraceSpan Span("parse");
+    Parsed.reserve(Queries.size());
+    for (const std::string &Q : Queries)
+      Parsed.push_back(sl::parseEntailment(Terms, Q));
+  }
 
-  if (UseEngine) {
-    // No up-front whole-file parse here: the workers parse each line
-    // themselves, and a bad line is reported per-query like slp-batch
-    // does, so the parallel path skips a redundant sequential pass
-    // over the corpus.
+  int Exit = 0;
+  // Echoes query I with its verdict text; an unparsable line echoes
+  // raw, with its diagnostic anchored to the corpus line.
+  auto Print = [&](size_t I, const std::string &VerdictText) {
+    sl::ParseResult &P = Parsed[I];
+    std::cout << "[" << (I + 1) << "] "
+              << (P.ok() ? sl::str(Terms, *P.Value) : Queries[I])
+              << "\n    " << VerdictText;
+    if (!P.ok()) {
+      P.Error->Line = LineNos[I];
+      std::cout << ": " << P.Error->render();
+      Exit = 1;
+    }
+  };
+
+  if (!Render) {
     engine::BatchOptions EngineOpts;
     EngineOpts.Jobs = Opts.Jobs;
     EngineOpts.FuelPerQuery = Opts.FuelSteps;
     EngineOpts.Backend = Opts.Backend;
     EngineOpts.Presolve = Opts.Presolve;
-    engine::BatchProver Engine(EngineOpts);
-    std::vector<unsigned> LineNos;
-    std::vector<std::string> Queries =
-        engine::BatchProver::splitCorpus(Input, &LineNos);
-    std::vector<engine::QueryResult> Results = Engine.run(Queries);
-    int Exit = 0;
+    std::vector<engine::QueryResult> Results =
+        engine::BatchProver(EngineOpts).run(Queries);
+    // The workers parse the same lines with the same parser, so a
+    // parse error is exactly a line that Parsed already rejected.
     for (size_t I = 0; I != Results.size(); ++I) {
-      // Echo each query rendered from its own line; fall back to the
-      // raw text if the line does not parse.
-      sl::ParseResult Line = sl::parseEntailment(Terms, Queries[I]);
-      std::cout << "[" << (I + 1) << "] "
-                << (Line.ok() ? sl::str(Terms, *Line.Value) : Queries[I])
-                << "\n    " << Results[I].verdictText();
-      if (Results[I].Status == engine::QueryStatus::ParseError) {
-        // Workers parse each line standalone, so their diagnostics
-        // say line 1; re-anchor to the corpus line.
-        if (!Line.ok()) {
-          Line.Error->Line = LineNos[I];
-          std::cout << ": " << Line.Error->render();
-        } else {
-          std::cout << ": " << Results[I].Error;
-        }
-        Exit = 1;
-      }
+      Print(I, Results[I].verdictText());
       std::cout << "\n";
     }
     if (!cli::finishTelemetry("slp", Opts.Telemetry))
@@ -237,26 +226,22 @@ int main(int argc, char **argv) {
     return Exit;
   }
 
-  sl::FileParseResult Parsed = [&] {
-    obs::TraceSpan Span("parse");
-    return sl::parseEntailmentFile(Terms, Input);
-  }();
-  if (!Parsed.ok()) {
-    std::cerr << (Opts.File.empty() ? "<stdin>" : Opts.File) << ":"
-              << Parsed.Error->render() << "\n";
-    return 1;
-  }
-
   core::SlpProver Slp(Terms);
-  baselines::BerdineProver Berdine(Terms);
-  baselines::UnfoldingProver Greedy(Terms);
-  std::unique_ptr<engine::PortfolioProver> Portfolio;
-  if (IsPortfolio)
-    Portfolio = std::make_unique<engine::PortfolioProver>();
+  std::unique_ptr<core::EntailmentBackend> Backend;
+  if (!IsSlp)
+    Backend = engine::makeBackend(Opts.Backend);
+  // The proof renderers need the real saturation objects, so any of
+  // them disables the pre-solver.
+  bool Presolve =
+      Opts.Presolve && !Opts.Proof && !Opts.CheckProof && !Opts.DotProof;
 
-  unsigned Index = 0;
-  for (const sl::Entailment &E : Parsed.Entailments) {
-    ++Index;
+  for (size_t I = 0; I != Parsed.size(); ++I) {
+    if (!Parsed[I].ok()) {
+      Print(I, "parse-error");
+      std::cout << "\n";
+      continue;
+    }
+    const sl::Entailment &E = *Parsed[I].Value;
     Fuel F = Opts.FuelSteps ? Fuel(Opts.FuelSteps) : Fuel();
     Timer T;
     std::string VerdictText;
@@ -264,47 +249,35 @@ int main(int argc, char **argv) {
     // stdout flushing does not inflate the prove phase.
     obs::TraceRecorder &Recorder = obs::TraceRecorder::global();
     uint64_t SpanStart = Recorder.enabled() ? Recorder.nowNs() : 0;
-    if (Opts.Backend == engine::BackendKind::Berdine) {
-      VerdictText = baselineVerdictName(Berdine.prove(E, F));
-    } else if (Opts.Backend == engine::BackendKind::Unfolding) {
-      VerdictText = Greedy.prove(E, F) == baselines::GreedyVerdict::Valid
-                        ? "valid"
-                        : "not-proved";
-    } else if (IsPortfolio) {
-      // Race the full backend set (each member budgeted by --fuel via
-      // F); report which member won.
+    // The pre-solver runs ahead of every backend, as in the engine.
+    analysis::AnalysisResult Pre;
+    if (Presolve)
+      Pre = analysis::analyze(Terms, E);
+    if (Pre.definitive()) {
+      // Statically decided: the analyzer is sound, so the verdict is
+      // the one the backend would reach.
+      VerdictText = core::verdictName(Pre.V);
+      if (IsPortfolio)
+        VerdictText += " [presolve]";
+      if (Opts.Model && Pre.Cex)
+        VerdictText += "\n  countermodel: " +
+                       sl::str(Terms, Pre.Cex->S, Pre.Cex->H);
+      if (Opts.DotModel && Pre.Cex)
+        VerdictText += "\n" + core::counterModelToDot(Terms, Pre.Cex->S,
+                                                      Pre.Cex->H);
+      if (Opts.Stats)
+        VerdictText += std::string("\n  stats: presolved (") +
+                       analysis::reasonName(Pre.R) + ")";
+    } else if (Backend) {
+      // The baselines and the portfolio (each member budgeted by
+      // --fuel via F); a portfolio reports which member won.
       core::ProofTask Task{sl::str(Terms, E), "", 0};
-      core::BackendResult R = Portfolio->prove(Task, F);
+      core::BackendResult R = Backend->prove(Task, F);
       VerdictText = core::verdictName(R.V);
-      if (!R.Backend.empty())
+      if (IsPortfolio && !R.Backend.empty())
         VerdictText += " [" + R.Backend + "]";
       if (Opts.Model && !R.CexText.empty())
         VerdictText += "\n  countermodel: " + R.CexText;
-    } else if (std::optional<analysis::AnalysisResult> Pre =
-                   [&]() -> std::optional<analysis::AnalysisResult> {
-                 // The proof renderers need the real saturation
-                 // objects, so any of them disables the pre-solver.
-                 if (!Opts.Presolve || Opts.Proof || Opts.CheckProof ||
-                     Opts.DotProof)
-                   return std::nullopt;
-                 analysis::AnalysisResult A = analysis::analyze(Terms, E);
-                 if (!A.definitive())
-                   return std::nullopt;
-                 return A;
-               }()) {
-      // Statically decided: identical verdict text to the prover path
-      // (the analyzer is sound), so --no-presolve output is
-      // byte-identical modulo --stats timings.
-      VerdictText = core::verdictName(Pre->V);
-      if (Opts.Model && Pre->Cex)
-        VerdictText += "\n  countermodel: " +
-                       sl::str(Terms, Pre->Cex->S, Pre->Cex->H);
-      if (Opts.DotModel && Pre->Cex)
-        VerdictText += "\n" + core::counterModelToDot(Terms, Pre->Cex->S,
-                                                      Pre->Cex->H);
-      if (Opts.Stats)
-        VerdictText += std::string("\n  stats: presolved (") +
-                       analysis::reasonName(Pre->R) + ")";
     } else {
       core::ProveResult R = Slp.prove(E, F);
       VerdictText = core::verdictName(R.V);
@@ -351,17 +324,17 @@ int main(int argc, char **argv) {
     }
     if (Recorder.enabled())
       Recorder.complete("prove", SpanStart, Recorder.nowNs() - SpanStart);
-    std::cout << "[" << Index << "] " << sl::str(Terms, E) << "\n    "
-              << VerdictText;
+    Print(I, VerdictText);
     if (Opts.Stats)
       std::cout << "\n    time: " << T.seconds() << "s";
     std::cout << "\n";
   }
   if (IsPortfolio && Opts.Stats) {
-    engine::publishBackendTallies(Portfolio->tallies());
+    engine::publishBackendTallies(
+        static_cast<engine::PortfolioProver &>(*Backend).tallies());
     cli::printBackendStats(obs::metrics().snapshot());
   }
   if (!cli::finishTelemetry("slp", Opts.Telemetry))
-    return 1;
-  return 0;
+    return Exit ? Exit : 1;
+  return Exit;
 }
