@@ -250,12 +250,16 @@ static void BM_BatchSessionReuse(benchmark::State &State) {
 }
 BENCHMARK(BM_BatchSessionReuse);
 
-// The subsumption-heavy Table 1 query: the 69th draw of
+// The subsumption-heavy Table 1 query, checked in as data/query69.slp:
+// the 69th draw of
 // `slpgen --dist=1 --vars=20 --seed=1 --plseg=0.04 --pne=0.11`, proved
-// the way `slp-batch --no-presolve --fuel=2000` proves it (canonical
-// form rebuilt in a reset session). Nearly all of its time goes to
-// forward subsumption, which fuel does not charge; the counters show
-// the pair checks against the clauses the scans visited.
+// the way `slp --no-presolve --fuel=2000 data/query69.slp` proves it
+// (canonical form rebuilt in a reset session). Nearly all of its time
+// goes to forward subsumption, which fuel does not charge; the counters
+// show the pair checks against the clauses the scans visited.
+// `slp --no-presolve --fuel=2000 --query-stats data/query69.slp` prints
+// its verdict, fuel and fwd/bwd deletions, which CTest pins
+// (cli_slp_query69_counts).
 static void BM_SubsumptionHeavyQuery69(benchmark::State &State) {
   std::string Query;
   {

@@ -6,7 +6,7 @@ document (non-empty `traceEvents`, every event a known phase, complete
 "X" events carrying a duration, any B/E pairs balanced per thread) and
 that a `--metrics-json=` dump carries the counters and histogram
 percentiles the dashboards key on. CI runs this against a
-`slp-batch --trace=trace.json --metrics-json=metrics.json` smoke run,
+`slp --trace=trace.json --metrics-json=metrics.json` smoke run,
 so a regression that silently empties the telemetry fails the build.
 
 Usage: scripts/check_trace.py trace.json metrics.json

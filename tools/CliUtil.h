@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Option-parsing helpers shared by the slp/slp-batch/slpgen binaries,
-/// so validation fixes apply to every tool at once.
+/// Option-parsing helpers and `--stats` printers shared by slp,
+/// slp-verify, slpgen and slp-fuzz, so a validation fix or a summary
+/// line applies to every tool at once. In every tool `--stats`
+/// means one thing: a run summary on stderr.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -183,6 +185,64 @@ inline void printEngineReuseStats(const obs::MetricsSnapshot &S) {
           S.counterOr0("session.arena_bytes_reclaimed")),
       static_cast<unsigned long long>(
           S.counterOr0("session.arena_slabs_reused")));
+}
+
+/// Prints the engine's `--stats` summary for a finished run to stderr:
+/// throughput, verdicts, cache, pre-solver, subsumption and pool
+/// counters, then the model-guided, phase/session and per-backend
+/// lines. One implementation for every tool that runs the engine.
+inline void printBatchStats(const engine::BatchProver &Engine) {
+  const engine::BatchOptions &Opts = Engine.options();
+  const engine::BatchStats &S = Engine.stats();
+  engine::CacheStats C = Engine.cache().stats();
+  std::fprintf(stderr,
+               "batch: %zu queries in %.3fs (%.1f q/s, %u workers; "
+               "%llu steals, %llu attempts)\n"
+               "verdicts: %zu valid, %zu invalid, %zu unknown, "
+               "%zu parse errors\n"
+               "cache: %s, hit rate %.1f%% (%llu hits, %llu misses, "
+               "%zu entries, %llu evictions)\n",
+               S.Queries, S.Seconds, S.throughput(), S.WorkersUsed,
+               static_cast<unsigned long long>(S.Steals),
+               static_cast<unsigned long long>(S.StealAttempts), S.Valid,
+               S.Invalid, S.Unknown, S.ParseErrors,
+               Opts.CacheEnabled ? "on" : "off", 100.0 * S.hitRate(),
+               static_cast<unsigned long long>(S.CacheHits),
+               static_cast<unsigned long long>(S.CacheMisses), C.Entries,
+               static_cast<unsigned long long>(C.Evictions));
+  if (Opts.Presolve) {
+    size_t Decided = S.PresolvedValid + S.PresolvedInvalid;
+    size_t Parsed = S.Queries - S.ParseErrors;
+    std::fprintf(stderr,
+                 "presolve: %zu of %zu decided statically (%.1f%%: "
+                 "%zu valid, %zu invalid) in %.3fs\n",
+                 Decided, Parsed, Parsed ? 100.0 * Decided / Parsed : 0.0,
+                 S.PresolvedValid, S.PresolvedInvalid, S.PresolveSeconds);
+  }
+  const sup::SaturationStats &Sat = S.Sat;
+  double Prune =
+      Sat.SubChecks ? static_cast<double>(Sat.SubScanBaseline) / Sat.SubChecks
+                    : 0.0;
+  std::fprintf(stderr,
+               "subsumption: %llu fwd, %llu bwd, %llu checks of "
+               "%llu scan-equivalent (%.1fx pruned)\n",
+               static_cast<unsigned long long>(Sat.SubsumedFwd),
+               static_cast<unsigned long long>(Sat.SubsumedBwd),
+               static_cast<unsigned long long>(Sat.SubChecks),
+               static_cast<unsigned long long>(Sat.SubScanBaseline), Prune);
+  uint64_t MemoTotal = Sat.OrderCacheHits + Sat.OrderCacheMisses;
+  std::fprintf(stderr,
+               "pools: %llu equations, %llu literals; order memo "
+               "%llu hits / %llu misses (%.1f%%)\n",
+               static_cast<unsigned long long>(Sat.PoolEquations),
+               static_cast<unsigned long long>(Sat.PoolLiterals),
+               static_cast<unsigned long long>(Sat.OrderCacheHits),
+               static_cast<unsigned long long>(Sat.OrderCacheMisses),
+               MemoTotal ? 100.0 * Sat.OrderCacheHits / MemoTotal : 0.0);
+  obs::MetricsSnapshot Snap = obs::metrics().snapshot();
+  printModelGuidedStats(Snap);
+  printEngineReuseStats(Snap);
+  printBackendStats(Snap);
 }
 
 /// The shared `--trace=` / `--metrics-json=` options: every tool that

@@ -23,7 +23,8 @@
 ///     --program=NAME  verify only the named program
 ///     --list          list corpus programs and exit
 ///     --vcs           also print one line per VC with its verdict
-///     --stats         print engine statistics to stderr
+///     --stats         print the engine's run summary to stderr (the
+///                     same block as `slp --stats`)
 ///     --no-presolve   disable the polynomial static pre-solver that
 ///                     runs ahead of the cache lookup (verdicts are
 ///                     identical; for measurement)
@@ -42,7 +43,6 @@
 #include "engine/BatchProver.h"
 #include "engine/VcTasks.h"
 
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -177,26 +177,8 @@ int main(int argc, char **argv) {
   std::cout << "total: " << TotalVCs << " VCs, " << Discharged
             << " discharged\n";
 
-  if (Stats) {
-    const engine::BatchStats &S = Engine.stats();
-    std::fprintf(stderr,
-                 "verify: %zu VCs in %.3fs (%.1f VC/s, %u workers; "
-                 "%llu steals, %llu attempts); cache %s, %llu hits\n",
-                 S.Queries, S.Seconds, S.throughput(), S.WorkersUsed,
-                 static_cast<unsigned long long>(S.Steals),
-                 static_cast<unsigned long long>(S.StealAttempts),
-                 Opts.CacheEnabled ? "on" : "off",
-                 static_cast<unsigned long long>(S.CacheHits));
-    if (Opts.Presolve)
-      std::fprintf(stderr, "presolve: %zu VCs decided statically "
-                           "(%zu valid, %zu invalid) in %.3fs\n",
-                   S.PresolvedValid + S.PresolvedInvalid, S.PresolvedValid,
-                   S.PresolvedInvalid, S.PresolveSeconds);
-    obs::MetricsSnapshot Snap = obs::metrics().snapshot();
-    cli::printModelGuidedStats(Snap);
-    cli::printEngineReuseStats(Snap);
-    cli::printBackendStats(Snap);
-  }
+  if (Stats)
+    cli::printBatchStats(Engine);
   if (!cli::finishTelemetry("slp-verify", Telemetry))
     return 1;
   return Discharged == TotalVCs ? 0 : 1;

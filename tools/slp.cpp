@@ -14,15 +14,19 @@
 ///     --check-proof audit each refutation with the semantic checker
 ///     --dot-proof   emit the refutation as a Graphviz digraph
 ///     --dot-model   emit the countermodel heap as a Graphviz digraph
-///     --stats       print per-query statistics
+///     --query-stats print per-query prover counters and time
 ///     --backend=B   slp (default) | berdine | unfolding | portfolio
 ///                   (greedy is an alias for unfolding)
 ///     --fuel=N      inference step budget per query (default
 ///                   unlimited; for portfolio, per racing backend)
 ///     --jobs=N      worker count for verdict-only runs (default 0 =
-///                   all cores); the output never depends on it. The
-///                   render modes above read the prover's objects and
-///                   run in process, so they accept only --jobs=1
+///                   all cores); the output never depends on it
+///     --cache=on|off
+///                   the engine's memoizing entailment cache (default
+///                   on); verdicts are identical either way
+///     --stats       print the engine's run summary to stderr (batch,
+///                   verdicts, cache, pre-solver, subsumption, pools,
+///                   model-guided, phases, sessions, backends)
 ///     --no-presolve disable the polynomial static pre-solver, which
 ///                   otherwise runs ahead of every backend (also
 ///                   skipped when --proof/--check-proof/--dot-proof
@@ -33,6 +37,11 @@
 ///     --metrics-json=FILE
 ///                   dump the metrics-registry snapshot as JSON on
 ///                   exit
+///
+/// Plain runs go through the batch engine. The render modes (--proof
+/// through --query-stats) read the prover's objects and run in process,
+/// so they reject the engine options --cache, --stats and any --jobs
+/// other than 1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,11 +74,14 @@ struct CliOptions {
   bool CheckProof = false;
   bool DotProof = false;
   bool DotModel = false;
+  bool QueryStats = false;
   bool Stats = false;
   engine::BackendKind Backend = engine::BackendKind::Slp;
   uint64_t FuelSteps = 0; // 0 = unlimited.
   unsigned Jobs = 0;      // 0 = all cores.
   bool JobsGiven = false;
+  bool Cache = true;
+  bool CacheGiven = false;
   bool Presolve = true;
   cli::TelemetryOptions Telemetry;
   std::string File; // Empty = stdin.
@@ -77,10 +89,10 @@ struct CliOptions {
 
 int usage() {
   std::cerr << "usage: slp [--proof] [--model] [--check-proof] "
-               "[--dot-proof] [--dot-model] [--stats] "
+               "[--dot-proof] [--dot-model] [--query-stats] "
                "[--backend=slp|berdine|unfolding|portfolio] [--fuel=N] "
-               "[--jobs=N] [--no-presolve] [--trace=FILE] "
-               "[--metrics-json=FILE] [file]\n";
+               "[--jobs=N] [--cache=on|off] [--stats] [--no-presolve] "
+               "[--trace=FILE] [--metrics-json=FILE] [file]\n";
   return 2;
 }
 
@@ -105,11 +117,16 @@ int main(int argc, char **argv) {
       Opts.DotProof = true;
     else if (Arg == "--dot-model")
       Opts.DotModel = true;
+    else if (Arg == "--query-stats")
+      Opts.QueryStats = true;
     else if (Arg == "--stats")
       Opts.Stats = true;
     else if (Arg == "--no-presolve")
       Opts.Presolve = false;
-    else if (Arg.rfind("--backend=", 0) == 0) {
+    else if (Arg == "--cache=on" || Arg == "--cache=off") {
+      Opts.Cache = Arg == "--cache=on";
+      Opts.CacheGiven = true;
+    } else if (Arg.rfind("--backend=", 0) == 0) {
       if (!cli::parseBackendOpt("slp", Arg.substr(10), Opts.Backend))
         return usage();
     } else if (Arg.rfind("--fuel=", 0) == 0) {
@@ -141,12 +158,15 @@ int main(int argc, char **argv) {
     }
   }
   // The render modes read the prover's objects, so they run in
-  // process; every other run goes through the batch engine.
+  // process; every other run goes through the batch engine, and only
+  // those runs take the engine's options.
   bool Render = Opts.Proof || Opts.Model || Opts.CheckProof ||
-                Opts.DotProof || Opts.DotModel || Opts.Stats;
-  if (Render && Opts.JobsGiven && Opts.Jobs != 1) {
-    std::cerr << "slp: --jobs supports plain verdict output only "
-                 "(no --proof/--model/--check-proof/--dot-*/--stats)\n";
+                Opts.DotProof || Opts.DotModel || Opts.QueryStats;
+  if (Render && ((Opts.JobsGiven && Opts.Jobs != 1) || Opts.CacheGiven ||
+                 Opts.Stats)) {
+    std::cerr << "slp: --jobs/--cache/--stats support plain verdict output "
+                 "only (no --proof/--model/--check-proof/--dot-*/"
+                 "--query-stats)\n";
     return usage();
   }
   bool IsSlp = Opts.Backend == engine::BackendKind::Slp;
@@ -213,14 +233,17 @@ int main(int argc, char **argv) {
     EngineOpts.FuelPerQuery = Opts.FuelSteps;
     EngineOpts.Backend = Opts.Backend;
     EngineOpts.Presolve = Opts.Presolve;
-    std::vector<engine::QueryResult> Results =
-        engine::BatchProver(EngineOpts).run(Queries);
+    EngineOpts.CacheEnabled = Opts.Cache;
+    engine::BatchProver Engine(EngineOpts);
+    std::vector<engine::QueryResult> Results = Engine.run(Queries);
     // The workers parse the same lines with the same parser, so a
     // parse error is exactly a line that Parsed already rejected.
     for (size_t I = 0; I != Results.size(); ++I) {
       Print(I, Results[I].verdictText());
       std::cout << "\n";
     }
+    if (Opts.Stats)
+      cli::printBatchStats(Engine);
     if (!cli::finishTelemetry("slp", Opts.Telemetry))
       return Exit ? Exit : 1;
     return Exit;
@@ -265,7 +288,7 @@ int main(int argc, char **argv) {
       if (Opts.DotModel && Pre.Cex)
         VerdictText += "\n" + core::counterModelToDot(Terms, Pre.Cex->S,
                                                       Pre.Cex->H);
-      if (Opts.Stats)
+      if (Opts.QueryStats)
         VerdictText += std::string("\n  stats: presolved (") +
                        analysis::reasonName(Pre.R) + ")";
     } else if (Backend) {
@@ -301,7 +324,7 @@ int main(int argc, char **argv) {
       if (Opts.DotModel && R.Cex)
         VerdictText += "\n" + core::counterModelToDot(Terms, R.Cex->S,
                                                       R.Cex->H);
-      if (Opts.Stats)
+      if (Opts.QueryStats)
         VerdictText += "\n  stats: outer=" +
                        std::to_string(R.Stats.OuterIterations) +
                        " inner=" + std::to_string(R.Stats.InnerIterations) +
@@ -325,14 +348,9 @@ int main(int argc, char **argv) {
     if (Recorder.enabled())
       Recorder.complete("prove", SpanStart, Recorder.nowNs() - SpanStart);
     Print(I, VerdictText);
-    if (Opts.Stats)
+    if (Opts.QueryStats)
       std::cout << "\n    time: " << T.seconds() << "s";
     std::cout << "\n";
-  }
-  if (IsPortfolio && Opts.Stats) {
-    engine::publishBackendTallies(
-        static_cast<engine::PortfolioProver &>(*Backend).tallies());
-    cli::printBackendStats(obs::metrics().snapshot());
   }
   if (!cli::finishTelemetry("slp", Opts.Telemetry))
     return Exit ? Exit : 1;
