@@ -201,7 +201,7 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
   C.Sigma = Sigma;
   core::NegSpatialClause CP;
   CP.Sigma = SigmaP;
-  core::UnfoldResult U = core::unfold(Terms, Stack, C, CP);
+  core::UnfoldResult U = core::unfold(Stack, C, CP);
   return U.K == core::UnfoldResult::Kind::Derived ? BaselineVerdict::Valid
                                                   : BaselineVerdict::Invalid;
 }

@@ -6,6 +6,7 @@
 
 #include "core/ClausalForm.h"
 
+#include <cassert>
 #include <sstream>
 
 using namespace slp;
@@ -43,7 +44,28 @@ std::string core::str(const TermTable &Terms, const NegSpatialClause &C) {
   return OS.str();
 }
 
-ClausalForm core::cnf(const TermTable &Terms, const sl::Entailment &E) {
+std::string core::cnfLabel(const TermTable &Terms, const sup::Equation &Eq,
+                           bool Negated) {
+  return Negated ? "cnf: " + eqStr(Terms, Eq, false) + " -> []"
+                 : "cnf: [] -> " + eqStr(Terms, Eq, false);
+}
+
+std::string core::wellFormednessLabel(const TermTable &Terms, InputRule Rule,
+                                      const PosSpatialClause &C) {
+  assert(Rule >= InputRule::W1 && Rule <= InputRule::W5 && "not a W rule");
+  std::ostringstream OS;
+  OS << 'W' << static_cast<int>(Rule) << " on " << str(Terms, C);
+  return OS.str();
+}
+
+std::string core::unfoldingLabel(const TermTable &Terms,
+                                 const PosSpatialClause &C,
+                                 const NegSpatialClause &CPrime) {
+  return "SR after unfolding " + str(Terms, CPrime) + " against " +
+         str(Terms, C);
+}
+
+ClausalForm core::cnf(const sl::Entailment &E) {
   ClausalForm Out;
 
   // The pure part of Π: each positive literal P yields ∅ → P, each
@@ -51,13 +73,7 @@ ClausalForm core::cnf(const TermTable &Terms, const sl::Entailment &E) {
   for (const sl::PureAtom &A : E.Lhs.Pure) {
     sup::Equation Eq(A.Lhs, A.Rhs);
     PureInput In;
-    if (A.Negated) {
-      In.Neg.push_back(Eq);
-      In.Label = "cnf: " + eqStr(Terms, Eq, false) + " -> []";
-    } else {
-      In.Pos.push_back(Eq);
-      In.Label = "cnf: [] -> " + eqStr(Terms, Eq, false);
-    }
+    (A.Negated ? In.Neg : In.Pos).push_back(Eq);
     Out.PureClauses.push_back(std::move(In));
   }
 

@@ -23,12 +23,17 @@
 namespace slp {
 namespace core {
 
-/// A pure clause destined for the superposition engine, with a
-/// human-readable provenance label for proof trees.
+/// The SL-level inference that injected a pure clause. W1-W5 have the
+/// values 1-5.
+enum class InputRule : uint8_t { Cnf, W1, W2, W3, W4, W5, SR };
+
+/// A pure clause destined for the superposition engine, tagged with the
+/// rule that produced it. The prover keeps what the rule's label names
+/// and renders the text only when a proof is printed.
 struct PureInput {
   std::vector<sup::Equation> Neg;
   std::vector<sup::Equation> Pos;
-  std::string Label;
+  InputRule Rule = InputRule::Cnf;
 };
 
 /// cnf(E), with the single positive and negative spatial clauses kept
@@ -40,7 +45,18 @@ struct ClausalForm {
 };
 
 /// Builds the clausal embedding of \p E.
-ClausalForm cnf(const TermTable &Terms, const sl::Entailment &E);
+ClausalForm cnf(const sl::Entailment &E);
+
+/// Provenance labels, as proof trees print them.
+/// "cnf: Eq -> []" for a negated atom of Π, "cnf: [] -> Eq" otherwise.
+std::string cnfLabel(const TermTable &Terms, const sup::Equation &Eq,
+                     bool Negated);
+/// "W? on C" for a consequence of rule \p Rule (W1-W5) on \p C.
+std::string wellFormednessLabel(const TermTable &Terms, InputRule Rule,
+                                const PosSpatialClause &C);
+/// "SR after unfolding C' against C".
+std::string unfoldingLabel(const TermTable &Terms, const PosSpatialClause &C,
+                           const NegSpatialClause &CPrime);
 
 } // namespace core
 } // namespace slp

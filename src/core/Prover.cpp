@@ -40,17 +40,54 @@ SlpProver::SlpProver(TermTable &Terms, ProverOptions Opts)
 void SlpProver::onTermTableReset() {
   if (Sat)
     Sat->clear(); // Stored clauses hold pointers into the rewound arena.
-  Labels.clear();
+  clearProvenance();
   Kbo.invalidateCache(); // Weight memo is term-id-keyed.
 }
 
-bool SlpProver::addPure(PureInput In) {
-  uint32_t Tag = static_cast<uint32_t>(Labels.size());
-  auto [Id, New] =
-      Sat->addInput(std::move(In.Neg), std::move(In.Pos), Tag);
+void SlpProver::clearProvenance() {
+  Provs.clear();
+  PosSnaps.clear();
+  NegSnaps.clear();
+}
+
+bool SlpProver::addPure(PureInput In, uint32_t PosSnap, uint32_t NegSnap) {
+  Provenance P{In.Rule, !In.Neg.empty(), PosSnap, NegSnap, nullptr, nullptr};
+  if (In.Rule == InputRule::Cnf) {
+    const sup::Equation &Eq = P.Negative ? In.Neg[0] : In.Pos[0];
+    P.Lhs = Eq.lhs();
+    P.Rhs = Eq.rhs();
+  }
+  size_t Stored = Sat->numClauses();
+  auto [Id, New] = Sat->addInput(std::move(In.Neg), std::move(In.Pos),
+                                 static_cast<uint32_t>(Provs.size()));
   (void)Id;
-  Labels.push_back(std::move(In.Label));
+  // Rejected and revived duplicates write no justification, so only an
+  // appended clause carries the tag.
+  if (Sat->numClauses() != Stored)
+    Provs.push_back(P);
   return New;
+}
+
+std::vector<std::string> SlpProver::inputLabels() const {
+  std::vector<std::string> Labels;
+  Labels.reserve(Provs.size());
+  for (const Provenance &P : Provs) {
+    switch (P.Rule) {
+    case InputRule::Cnf:
+      Labels.push_back(
+          cnfLabel(Terms, sup::Equation(P.Lhs, P.Rhs), P.Negative));
+      break;
+    case InputRule::SR:
+      Labels.push_back(
+          unfoldingLabel(Terms, PosSnaps[P.PosSnap], NegSnaps[P.NegSnap]));
+      break;
+    default:
+      Labels.push_back(
+          wellFormednessLabel(Terms, P.Rule, PosSnaps[P.PosSnap]));
+      break;
+    }
+  }
+  return Labels;
 }
 
 ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
@@ -66,10 +103,10 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
             : static_cast<const TermOrder &>(Kbo);
     Sat = std::make_unique<sup::Saturation>(Terms, Ord, Opts.Sat);
   }
-  Labels.clear();
+  clearProvenance();
 
   ProveResult Result;
-  ClausalForm CF = cnf(Terms, E);
+  ClausalForm CF = cnf(E);
 
   // Line 2: S := Pure(cnf(E)).
   for (PureInput &In : CF.PureClauses)
@@ -111,9 +148,14 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
       C = normalize(*Sat, *R, CF.PosSigma); // Line 8.
 
       // Line 9: S := S* ∪ PCns_W({C}); exit on fixpoint (line 10).
+      // The round's stored consequences share one snapshot of C.
       bool AnyNew = false;
-      for (PureInput &In : wellFormednessConsequences(Terms, C))
-        AnyNew |= addPure(std::move(In));
+      size_t Recorded = Provs.size();
+      uint32_t Snap = static_cast<uint32_t>(PosSnaps.size());
+      for (PureInput &In : wellFormednessConsequences(C))
+        AnyNew |= addPure(std::move(In), Snap);
+      if (Provs.size() != Recorded)
+        PosSnaps.push_back(C);
       if (!AnyNew)
         break;
     }
@@ -137,17 +179,20 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
 
     // Line 13: unfolding; either one new pure clause or a countermodel
     // (line 14, via the constructive version of Lemma 4.4).
-    UnfoldResult U = unfold(Terms, SR, C, CPrime);
+    UnfoldResult U = unfold(SR, C, CPrime);
     if (U.K == UnfoldResult::Kind::CounterModel)
       return Finish(Verdict::Invalid,
                     sl::CounterModel{SR, std::move(U.Cex)});
 
-    if (!addPure(std::move(U.Derived))) {
+    if (!addPure(std::move(U.Derived), static_cast<uint32_t>(PosSnaps.size()),
+                 static_cast<uint32_t>(NegSnaps.size()))) {
       // Unreachable in theory: a clause derived by a successful walk
       // is falsified by R while every stored clause is satisfied by R.
       assert(false && "unfolding derived a clause that was not new");
       return Finish(Verdict::Unknown, std::nullopt);
     }
+    PosSnaps.push_back(C);
+    NegSnaps.push_back(CPrime);
   }
   return Finish(Verdict::Unknown, std::nullopt);
 }

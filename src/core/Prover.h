@@ -97,9 +97,12 @@ public:
   /// into inputLabels().
   const sup::Saturation &saturation() const { return *Sat; }
 
-  /// Provenance labels for the SL-level inferences that injected pure
-  /// clauses (cnf, W1-W5, SR-after-unfolding).
-  const std::vector<std::string> &inputLabels() const { return Labels; }
+  /// Provenance labels for the SL-level inferences that injected the
+  /// stored input clauses (cnf, W1-W5, SR-after-unfolding), one per
+  /// external tag. Rendered on each call from the most recent query's
+  /// provenance records; call it before the next prove() or
+  /// onTermTableReset().
+  std::vector<std::string> inputLabels() const;
 
   TermTable &terms() { return Terms; }
 
@@ -111,15 +114,33 @@ public:
   void onTermTableReset();
 
 private:
-  /// Adds a pure clause with provenance; returns true if it was new.
-  bool addPure(PureInput In);
+  /// What an input clause's label names: the rule, plus the cnf
+  /// equation (Lhs ' Rhs, Negative for a negated atom of Π) or indices
+  /// into the spatial clause snapshots (W1-W5 name PosSnaps[PosSnap];
+  /// SR names NegSnaps[NegSnap] against PosSnaps[PosSnap]).
+  struct Provenance {
+    InputRule Rule;
+    bool Negative;
+    uint32_t PosSnap, NegSnap;
+    const Term *Lhs, *Rhs;
+  };
+
+  /// Adds a pure clause whose label names the given snapshots; returns
+  /// true if it was new. A provenance record is kept only when the
+  /// clause is stored, since only then does a clause carry its tag.
+  bool addPure(PureInput In, uint32_t PosSnap = 0, uint32_t NegSnap = 0);
+  void clearProvenance();
 
   TermTable &Terms;
   ProverOptions Opts;
   KBO Kbo;
   LPO Lpo;
   std::unique_ptr<sup::Saturation> Sat;
-  std::vector<std::string> Labels;
+  /// Per-query provenance store, indexed by external tag. Terms stay
+  /// valid until onTermTableReset(), which clears the store.
+  std::vector<Provenance> Provs;
+  std::vector<PosSpatialClause> PosSnaps;
+  std::vector<NegSpatialClause> NegSnaps;
 };
 
 } // namespace core

@@ -31,8 +31,7 @@ sl::Loc maxLocation(const sl::Stack &S, const sl::Heap &H) {
 
 } // namespace
 
-UnfoldResult core::unfold(const TermTable &Terms, const sl::Stack &SR,
-                          const PosSpatialClause &C,
+UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
                           const NegSpatialClause &CPrime) {
   assert(isWellFormed(C.Sigma) && "unfolding requires a well-formed Σ_R");
 
@@ -176,8 +175,7 @@ UnfoldResult core::unfold(const TermTable &Terms, const sl::Stack &SR,
   R.Derived.Pos.insert(R.Derived.Pos.end(), CPrime.Pos.begin(),
                        CPrime.Pos.end());
   R.Derived.Pos.insert(R.Derived.Pos.end(), SideEqs.begin(), SideEqs.end());
-  R.Derived.Label =
-      "SR after unfolding " + str(Terms, CPrime) + " against " + str(Terms, C);
+  R.Derived.Rule = InputRule::SR;
   R.Note = "unfolding walk succeeded";
   return R;
 }

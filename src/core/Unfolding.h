@@ -44,8 +44,8 @@ struct UnfoldResult {
 /// Runs the walk. Preconditions (established by the prover loop):
 /// both clauses are normalized w.r.t. the same model R whose induced
 /// stack is \p SR; C.Sigma is well-formed; R forces Σ_R and ¬Σ'_R.
-UnfoldResult unfold(const TermTable &Terms, const sl::Stack &SR,
-                    const PosSpatialClause &C, const NegSpatialClause &CPrime);
+UnfoldResult unfold(const sl::Stack &SR, const PosSpatialClause &C,
+                    const NegSpatialClause &CPrime);
 
 } // namespace core
 } // namespace slp

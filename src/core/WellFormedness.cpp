@@ -21,18 +21,17 @@ bool core::isWellFormed(const sl::SpatialFormula &Sigma) {
 }
 
 std::vector<PureInput>
-core::wellFormednessConsequences(const TermTable &Terms,
-                                 const PosSpatialClause &C) {
+core::wellFormednessConsequences(const PosSpatialClause &C) {
   std::vector<PureInput> Out;
   const sl::SpatialFormula &Sigma = C.Sigma;
 
-  auto Emit = [&](std::vector<sup::Equation> Extra, const char *Rule) {
+  auto Emit = [&](std::vector<sup::Equation> Extra, InputRule Rule) {
     PureInput In;
     In.Neg = C.Neg;
     In.Pos = C.Pos;
     for (sup::Equation &E : Extra)
       In.Pos.push_back(E);
-    In.Label = std::string(Rule) + " on " + str(Terms, C);
+    In.Rule = Rule;
     Out.push_back(std::move(In));
   };
 
@@ -42,9 +41,9 @@ core::wellFormednessConsequences(const TermTable &Terms,
     // W1/W2: nil may not address a heap cell.
     if (A.Addr->isNil()) {
       if (A.isNext())
-        Emit({}, "W1");
+        Emit({}, InputRule::W1);
       else
-        Emit({sup::Equation(A.Val, A.Addr)}, "W2");
+        Emit({sup::Equation(A.Val, A.Addr)}, InputRule::W2);
     }
 
     // W3/W4/W5: two disjoint cells cannot share an address.
@@ -53,15 +52,15 @@ core::wellFormednessConsequences(const TermTable &Terms,
       if (A.Addr != B.Addr)
         continue;
       if (A.isNext() && B.isNext()) {
-        Emit({}, "W3");
+        Emit({}, InputRule::W3);
       } else if (A.isNext() || B.isNext()) {
         // W4: the lseg of the pair must be empty.
         const sl::HeapAtom &L = A.isLseg() ? A : B;
-        Emit({sup::Equation(L.Addr, L.Val)}, "W4");
+        Emit({sup::Equation(L.Addr, L.Val)}, InputRule::W4);
       } else {
         // W5: one of the two lsegs must be empty.
         Emit({sup::Equation(A.Addr, A.Val), sup::Equation(B.Addr, B.Val)},
-             "W5");
+             InputRule::W5);
       }
     }
   }

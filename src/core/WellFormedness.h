@@ -21,9 +21,8 @@
 namespace slp {
 namespace core {
 
-/// Computes PCns_W({C}) with per-clause provenance labels.
-std::vector<PureInput> wellFormednessConsequences(const TermTable &Terms,
-                                                  const PosSpatialClause &C);
+/// Computes PCns_W({C}), each clause tagged with its rule (W1-W5).
+std::vector<PureInput> wellFormednessConsequences(const PosSpatialClause &C);
 
 /// True iff Σ is well-formed: no nil address, no duplicate address.
 bool isWellFormed(const sl::SpatialFormula &Sigma);

@@ -30,9 +30,9 @@ protected:
 
 TEST_F(CnfTest, PaperExampleShape) {
   // cnf(E) of the §2 example has exactly the three clauses (1)-(3).
-  ClausalForm CF = cnf(
-      Terms, parse("c != e & lseg(a, b) * lseg(a, c) * next(c, d) * "
-                   "lseg(d, e) |- lseg(b, c) * lseg(c, e)"));
+  ClausalForm CF = cnf(parse("c != e & lseg(a, b) * lseg(a, c) * "
+                             "next(c, d) * lseg(d, e) |- lseg(b, c) * "
+                             "lseg(c, e)"));
   // (1) c ' e -> [].
   ASSERT_EQ(CF.PureClauses.size(), 1u);
   EXPECT_EQ(CF.PureClauses[0].Neg.size(), 1u);
@@ -48,8 +48,7 @@ TEST_F(CnfTest, PaperExampleShape) {
 }
 
 TEST_F(CnfTest, RhsPureLiteralsSplitBySign) {
-  ClausalForm CF =
-      cnf(Terms, parse("emp |- x = y & z != w & emp"));
+  ClausalForm CF = cnf(parse("emp |- x = y & z != w & emp"));
   // Positive RHS atoms land on the left of the last clause (Π'+),
   // negated ones on the right (Π'−).
   EXPECT_EQ(CF.NegSigma.Neg.size(), 1u);
@@ -57,7 +56,7 @@ TEST_F(CnfTest, RhsPureLiteralsSplitBySign) {
 }
 
 TEST_F(CnfTest, LhsLiteralsBecomeUnitClauses) {
-  ClausalForm CF = cnf(Terms, parse("x = y & z != w & emp |- emp"));
+  ClausalForm CF = cnf(parse("x = y & z != w & emp |- emp"));
   ASSERT_EQ(CF.PureClauses.size(), 2u);
   // x = y asserted positively.
   EXPECT_EQ(CF.PureClauses[0].Pos.size(), 1u);
@@ -68,7 +67,7 @@ TEST_F(CnfTest, LhsLiteralsBecomeUnitClauses) {
 }
 
 TEST_F(CnfTest, LabelsArePresent) {
-  ClausalForm CF = cnf(Terms, parse("x = y & emp |- emp"));
+  ClausalForm CF = cnf(parse("x = y & emp |- emp"));
   ASSERT_EQ(CF.PureClauses.size(), 1u);
-  EXPECT_NE(CF.PureClauses[0].Label.find("cnf"), std::string::npos);
+  EXPECT_EQ(CF.PureClauses[0].Rule, InputRule::Cnf);
 }

@@ -158,21 +158,21 @@ TEST_F(ComponentsTest, NormalizationOfNegativeClause) {
 TEST_F(ComponentsTest, W1NextAtNil) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(Terms.nil(), T("y"))};
-  auto Out = wellFormednessConsequences(Terms, C);
+  auto Out = wellFormednessConsequences(C);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_TRUE(Out[0].Neg.empty());
   EXPECT_TRUE(Out[0].Pos.empty()); // The empty clause: Σ unsatisfiable.
-  EXPECT_NE(Out[0].Label.find("W1"), std::string::npos);
+  EXPECT_EQ(Out[0].Rule, InputRule::W1);
 }
 
 TEST_F(ComponentsTest, W2LsegAtNil) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(Terms.nil(), T("y"))};
-  auto Out = wellFormednessConsequences(Terms, C);
+  auto Out = wellFormednessConsequences(C);
   ASSERT_EQ(Out.size(), 1u);
   ASSERT_EQ(Out[0].Pos.size(), 1u); // y ' nil.
   EXPECT_TRUE(Out[0].Pos[0].mentions(T("y")));
-  EXPECT_NE(Out[0].Label.find("W2"), std::string::npos);
+  EXPECT_EQ(Out[0].Rule, InputRule::W2);
 }
 
 TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
@@ -180,14 +180,14 @@ TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
   {
     PosSpatialClause C;
     C.Sigma = {sl::HeapAtom::next(X, Y), sl::HeapAtom::next(X, Z)};
-    auto Out = wellFormednessConsequences(Terms, C);
+    auto Out = wellFormednessConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     EXPECT_TRUE(Out[0].Pos.empty()); // W3: contradiction.
   }
   {
     PosSpatialClause C;
     C.Sigma = {sl::HeapAtom::next(X, Y), sl::HeapAtom::lseg(X, Z)};
-    auto Out = wellFormednessConsequences(Terms, C);
+    auto Out = wellFormednessConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     ASSERT_EQ(Out[0].Pos.size(), 1u); // W4: x ' z.
     EXPECT_EQ(Out[0].Pos[0], sup::Equation(X, Z));
@@ -195,7 +195,7 @@ TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
   {
     PosSpatialClause C;
     C.Sigma = {sl::HeapAtom::lseg(X, Y), sl::HeapAtom::lseg(X, Z)};
-    auto Out = wellFormednessConsequences(Terms, C);
+    auto Out = wellFormednessConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     EXPECT_EQ(Out[0].Pos.size(), 2u); // W5: x ' y, x ' z.
   }
@@ -207,7 +207,7 @@ TEST_F(ComponentsTest, WRulesCarryClausePureParts) {
   C.Pos = {sup::Equation(T("r"), T("s"))};
   C.Sigma = {sl::HeapAtom::next(T("x"), T("y")),
              sl::HeapAtom::next(T("x"), T("z"))};
-  auto Out = wellFormednessConsequences(Terms, C);
+  auto Out = wellFormednessConsequences(C);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0].Neg, C.Neg);
   EXPECT_EQ(Out[0].Pos, C.Pos);
@@ -217,7 +217,7 @@ TEST_F(ComponentsTest, WellFormedCleanSigmaNoConsequences) {
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(T("x"), T("y")),
              sl::HeapAtom::lseg(T("y"), T("z"))};
-  EXPECT_TRUE(wellFormednessConsequences(Terms, C).empty());
+  EXPECT_TRUE(wellFormednessConsequences(C).empty());
   EXPECT_TRUE(isWellFormed(C.Sigma));
   C.Sigma.push_back(sl::HeapAtom::next(T("x"), T("w")));
   EXPECT_FALSE(isWellFormed(C.Sigma));
@@ -247,7 +247,7 @@ TEST_F(ComponentsTest, UnfoldExactMatchDerivesEmptyResidue) {
   C.Sigma = {sl::HeapAtom::next(X, Y)};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::next(X, Y)};
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::Derived);
   EXPECT_TRUE(R.Derived.Neg.empty());
   EXPECT_TRUE(R.Derived.Pos.empty()); // SR alone: the empty clause.
@@ -260,7 +260,7 @@ TEST_F(ComponentsTest, UnfoldU1EmitsSideLiteral) {
   C.Sigma = {sl::HeapAtom::next(X, Y)};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::lseg(X, Y)};
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::Derived);
   ASSERT_EQ(R.Derived.Pos.size(), 1u);
   EXPECT_EQ(R.Derived.Pos[0], sup::Equation(X, Y)); // "or x ' y".
@@ -273,7 +273,7 @@ TEST_F(ComponentsTest, UnfoldU3NilTailNoSideLiteral) {
   C.Sigma = {sl::HeapAtom::lseg(X, Y), sl::HeapAtom::lseg(Y, Terms.nil())};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::lseg(X, Terms.nil())};
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::Derived);
   EXPECT_TRUE(R.Derived.Pos.empty()); // U3 is unconditional.
 }
@@ -286,7 +286,7 @@ TEST_F(ComponentsTest, UnfoldU5EmitsGuardLiteral) {
              sl::HeapAtom::lseg(Z, W)};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::lseg(X, Z), sl::HeapAtom::lseg(Z, W)};
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::Derived);
   ASSERT_EQ(R.Derived.Pos.size(), 1u);
   EXPECT_EQ(R.Derived.Pos[0], sup::Equation(Z, W)); // "or z ' w".
@@ -299,7 +299,7 @@ TEST_F(ComponentsTest, UnfoldMismatchYieldsGraphCex) {
   C.Sigma = {sl::HeapAtom::next(X, Y)};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::next(X, Z)}; // Wrong target.
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::CounterModel);
   // The countermodel is the graph heap itself and refutes Σ -> Σ'.
   EXPECT_TRUE(sl::satisfies(S, R.Cex, C.Sigma));
@@ -313,7 +313,7 @@ TEST_F(ComponentsTest, UnfoldNextVsLsegStretches) {
   C.Sigma = {sl::HeapAtom::lseg(X, Y)};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::next(X, Y)};
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::CounterModel);
   EXPECT_EQ(R.Cex.size(), 2u); // The stretched two-cell segment.
   EXPECT_TRUE(sl::satisfies(S, R.Cex, C.Sigma));
@@ -327,7 +327,7 @@ TEST_F(ComponentsTest, UnfoldDanglingEndpointReroutes) {
   C.Sigma = {sl::HeapAtom::lseg(X, Y), sl::HeapAtom::lseg(Y, Z)};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::lseg(X, Z)};
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::CounterModel);
   EXPECT_TRUE(sl::satisfies(S, R.Cex, C.Sigma));
   EXPECT_FALSE(sl::satisfies(S, R.Cex, CP.Sigma));
@@ -337,7 +337,7 @@ TEST_F(ComponentsTest, UnfoldEmpBothSides) {
   sl::Stack S = totalStack({});
   PosSpatialClause C;
   NegSpatialClause CP;
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::Derived);
   EXPECT_TRUE(R.Derived.Pos.empty());
 }
@@ -349,7 +349,7 @@ TEST_F(ComponentsTest, UnfoldLeftoverAtomsYieldCex) {
   C.Sigma = {sl::HeapAtom::next(X, Y), sl::HeapAtom::next(Z, Y)};
   NegSpatialClause CP;
   CP.Sigma = {sl::HeapAtom::next(X, Y)}; // Σ' misses the z cell.
-  UnfoldResult R = unfold(Terms, S, C, CP);
+  UnfoldResult R = unfold(S, C, CP);
   ASSERT_EQ(R.K, UnfoldResult::Kind::CounterModel);
   EXPECT_FALSE(sl::satisfies(S, R.Cex, CP.Sigma));
 }

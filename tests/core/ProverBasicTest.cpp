@@ -15,6 +15,8 @@
 #include "sl/Parser.h"
 #include "sl/Semantics.h"
 
+#include "../TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace slp;
@@ -215,4 +217,33 @@ TEST_F(ProverBasicTest, OutOfFuelReportsUnknown) {
   Fuel Tiny(1);
   ProveResult R = Prover.prove(*P.Value, Tiny);
   EXPECT_EQ(R.V, Verdict::Unknown);
+}
+
+//===----------------------------------------------------------------------===//
+// Provenance bookkeeping
+//===----------------------------------------------------------------------===//
+
+// The prover keeps one provenance record per stored input clause: a
+// duplicate that addInput rejects leaves no record behind, and every
+// input clause's external tag names a rendered label.
+TEST_F(ProverBasicTest, OneProvenanceRecordPerStoredInput) {
+  std::vector<std::string> Queries = test::regressionQueryLines();
+  ASSERT_FALSE(Queries.empty()) << "data/regression.slp not found";
+  for (const std::string &Q : Queries) {
+    sl::ParseResult P = sl::parseEntailment(Terms, Q);
+    ASSERT_TRUE(P.ok()) << Q;
+    Prover.prove(*P.Value);
+    const sup::Saturation &Sat = Prover.saturation();
+    std::vector<std::string> Labels = Prover.inputLabels();
+    size_t Inputs = 0;
+    for (uint32_t Id = 0; Id != Sat.numClauses(); ++Id) {
+      const sup::Justification &J = Sat.justification(Id);
+      if (J.Kind != sup::RuleKind::Input)
+        continue;
+      ++Inputs;
+      ASSERT_LT(J.ExternalTag, Labels.size()) << Q;
+      EXPECT_FALSE(Labels[J.ExternalTag].empty()) << Q;
+    }
+    EXPECT_EQ(Labels.size(), Inputs) << Q;
+  }
 }
