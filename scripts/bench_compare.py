@@ -16,7 +16,7 @@ For each end-to-end metric of BENCHMARK.json the script prints the
 median of BASE, the median of NEW, the change in the metric's "worse"
 direction, and the metric's bound, and flags the changes that exceed
 their bound. The comparison only reports: the exit status is 1 only
-when an input is malformed or a result says "correct": false.
+when an input is malformed or a compared result says "correct": false.
 """
 
 import json
@@ -58,13 +58,13 @@ def load_results(path):
             raise Malformed(f"{path}: last line is not JSON")
     if isinstance(doc, dict) and "runs" in doc:
         runs = doc["runs"]
-        if not isinstance(runs, list) or not runs:
-            raise Malformed(f"{path}: 'runs' is not a non-empty list")
-        last = runs[-1].get("commit") if isinstance(runs[-1], dict) else None
-        picked = [r for r in runs
-                  if isinstance(r, dict) and r.get("commit") == last]
-        return [check_result(r.get("result"), f"{path} ({last})")
-                for r in picked]
+        if (not isinstance(runs, list) or not runs
+                or not all(isinstance(r, dict) for r in runs)):
+            raise Malformed(f"{path}: 'runs' is not a non-empty list of objects")
+        for r in runs:
+            check_result(r.get("result"), f"{path} ({r.get('commit')})")
+        last = runs[-1].get("commit")
+        return [r["result"] for r in runs if r.get("commit") == last]
     return [check_result(doc, path)]
 
 

@@ -183,6 +183,7 @@ TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
     auto Out = wellFormednessConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     EXPECT_TRUE(Out[0].Pos.empty()); // W3: contradiction.
+    EXPECT_EQ(Out[0].Rule, InputRule::W3);
   }
   {
     PosSpatialClause C;
@@ -191,6 +192,7 @@ TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
     ASSERT_EQ(Out.size(), 1u);
     ASSERT_EQ(Out[0].Pos.size(), 1u); // W4: x ' z.
     EXPECT_EQ(Out[0].Pos[0], sup::Equation(X, Z));
+    EXPECT_EQ(Out[0].Rule, InputRule::W4);
   }
   {
     PosSpatialClause C;
@@ -198,6 +200,7 @@ TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
     auto Out = wellFormednessConsequences(C);
     ASSERT_EQ(Out.size(), 1u);
     EXPECT_EQ(Out[0].Pos.size(), 2u); // W5: x ' y, x ' z.
+    EXPECT_EQ(Out[0].Rule, InputRule::W5);
   }
 }
 
@@ -251,6 +254,7 @@ TEST_F(ComponentsTest, UnfoldExactMatchDerivesEmptyResidue) {
   ASSERT_EQ(R.K, UnfoldResult::Kind::Derived);
   EXPECT_TRUE(R.Derived.Neg.empty());
   EXPECT_TRUE(R.Derived.Pos.empty()); // SR alone: the empty clause.
+  EXPECT_EQ(R.Derived.Rule, InputRule::SR);
 }
 
 TEST_F(ComponentsTest, UnfoldU1EmitsSideLiteral) {
