@@ -123,8 +123,7 @@ inline BatchResult runBackend(engine::BackendKind Backend, TermTable &Terms,
   R.Seconds = T.seconds();
   R.Sat = Engine.stats().Sat;
   R.CacheHits = Engine.stats().CacheHits;
-  R.Presolved =
-      Engine.stats().PresolvedValid + Engine.stats().PresolvedInvalid;
+  R.Presolved = Engine.stats().PresolvedValid;
   R.Backends = Engine.stats().Backends;
   obs::HistogramSnapshot Prove =
       obs::metrics().histogram("engine.phase.prove_ns").snapshot().minus(

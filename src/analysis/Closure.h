@@ -66,20 +66,8 @@ public:
   /// class (i.e. the asserted pure facts are unsatisfiable).
   bool contradictory() const { return Contradiction; }
 
-  /// The recorded disequalities, as term pairs (original endpoints,
-  /// not representatives).
-  const std::vector<std::pair<const Term *, const Term *>> &
-  disequalities() const {
-    return Diseqs;
-  }
-
   /// Class representative id for \p T (stable between unites).
   uint32_t find(const Term *T) { return UF.find(T->id()); }
-
-  /// The closure's partition over term ids, e.g. for copying into a
-  /// scratch UnionFind that merges further without touching the
-  /// closure.
-  const UnionFind &partition() const { return UF; }
 
 private:
   UnionFind UF;

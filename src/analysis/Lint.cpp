@@ -198,18 +198,13 @@ void analysis::lintQuery(const std::string &File, unsigned Line,
   if (A.definitive())
     ++Out.Definitive;
 
-  // Label check: the analyzer is sound, so a definitive disagreement
-  // is a corpus bug, not an analyzer finding.
-  if (Label != ExpectedVerdict::None && A.definitive()) {
-    bool LabelValid = Label == ExpectedVerdict::Valid;
-    bool IsValid = A.V == core::Verdict::Valid;
-    if (LabelValid != IsValid)
-      emit(Out, File, Line, 1, LintSeverity::Error,
-           LintCode::ExpectMismatch,
-           std::string("label says '") + (LabelValid ? "valid" : "invalid") +
-               "' but the query is definitively " +
-               (IsValid ? "valid" : "invalid") + " (" + A.Detail + ")");
-  }
+  // Label check: the analyzer is sound and answers only Valid, so an
+  // `invalid` label on a query it proves is a corpus bug, not an
+  // analyzer finding.
+  if (Label == ExpectedVerdict::Invalid && A.definitive())
+    emit(Out, File, Line, 1, LintSeverity::Error, LintCode::ExpectMismatch,
+         "label says 'invalid' but the query is definitively valid (" +
+             A.Detail + ")");
 
   // Labeled lines are test vectors: the intent is the label, so the
   // advisory rules below are suppressed for them.

@@ -12,8 +12,8 @@
 /// Codes (documented in docs/analysis.md):
 ///
 ///   SLP-E001  parse error (error)
-///   SLP-E002  `# expect:` label contradicts a definitive analyzer
-///             verdict (error) — the analyzer is sound, so this is a
+///   SLP-E002  `# expect: invalid` label on a query the analyzer proves
+///             Valid (error) — the analyzer is sound, so this is a
 ///             corpus bug
 ///   SLP-W001  contradictory antecedent: the query is vacuously valid
 ///   SLP-W002  duplicate spatial atom within one side's Σ
@@ -25,8 +25,9 @@
 ///
 /// A line labeled `# expect: valid|invalid` (preceding comment line or
 /// trailing same-line comment) is a test vector: its intent is the
-/// label, so W001-W005 are suppressed for it and only the label itself
-/// is checked (E002). With LintOptions::Generated the W-rules are
+/// label, so W001-W005 are suppressed for it and only an `invalid`
+/// label is checked (E002; the analyzer never answers Invalid, so a
+/// `valid` label has nothing to contradict). With LintOptions::Generated the W-rules are
 /// demoted to notes — machine-generated corpora legitimately contain
 /// contradictions and trivialities, and only structural integrity
 /// (parse errors, label checks) should gate them.
@@ -82,7 +83,8 @@ struct LintOptions {
   /// Demote W001-W005 to notes (machine-generated corpus).
   bool Generated = false;
   /// Treat every query as carrying this label (e.g. a VC corpus that
-  /// must be all-valid) unless the line carries its own.
+  /// is meant to be all-valid, which marks its queries intentional)
+  /// unless the line carries its own.
   ExpectedVerdict ExpectAll = ExpectedVerdict::None;
 };
 
@@ -91,7 +93,7 @@ struct LintReport {
   std::vector<LintDiagnostic> Diags;
   size_t Queries = 0; ///< Query lines linted (comments/blanks excluded).
   size_t Labeled = 0; ///< Queries carrying an `# expect:` label.
-  /// Queries the analyzer decided definitively (label-checkable).
+  /// Queries the analyzer proved Valid (label-checkable).
   size_t Definitive = 0;
 
   size_t count(LintSeverity S) const;

@@ -7,11 +7,6 @@
 #include "analysis/StaticAnalyzer.h"
 
 #include "analysis/Closure.h"
-#include "sl/Semantics.h"
-#include "support/UnionFind.h"
-
-#include <algorithm>
-#include <unordered_map>
 
 using namespace slp;
 using namespace slp::analysis;
@@ -26,8 +21,6 @@ const char *analysis::reasonName(Reason R) {
     return "wf-contradiction";
   case Reason::SyntacticMatch:
     return "syntactic-match";
-  case Reason::CounterModel:
-    return "countermodel";
   }
   return "none";
 }
@@ -35,7 +28,7 @@ const char *analysis::reasonName(Reason R) {
 namespace {
 
 /// One spatial atom viewed through a closure: class ids plus the
-/// original terms (kept for provenance and model building).
+/// original terms (kept for provenance and closure queries).
 struct NormAtom {
   bool Lseg = false;
   uint32_t Addr = 0, Val = 0;
@@ -197,108 +190,9 @@ bool matches(PureClosure &C, const sl::Entailment &E) {
   return true;
 }
 
-/// Builds a candidate interpretation from a partition of the
-/// entailment's terms: every partition class gets one location (the
-/// nil class gets NilLoc) and every non-trivial LHS atom contributes
-/// a chain of \p LsegCells cells (next atoms always one). Returns
-/// nullopt when the candidate cannot even be represented (an
-/// allocated nil address or an address collision) — such a candidate
-/// is not a model of the LHS anyway.
-std::optional<sl::CounterModel>
-buildCandidate(UnionFind &Partition,
-               const std::vector<const Term *> &AllTerms,
-               const Term *Nil, const sl::SpatialFormula &Sigma,
-               unsigned LsegCells) {
-  sl::CounterModel M;
-  std::unordered_map<uint32_t, sl::Loc> ClassLoc;
-  uint32_t NilClass = Partition.find(Nil->id());
-  ClassLoc[NilClass] = sl::NilLoc;
-  sl::Loc Next = 1;
-  for (const Term *T : AllTerms) {
-    uint32_t Cls = Partition.find(T->id());
-    auto [It, New] = ClassLoc.try_emplace(Cls, Next);
-    if (New)
-      ++Next;
-    M.S.bind(T, It->second);
-  }
-
-  // Locations beyond Next are free for lseg chain interior nodes.
-  sl::Loc Fresh = Next;
-  for (const sl::HeapAtom &A : Sigma) {
-    uint32_t AddrCls = Partition.find(A.Addr->id());
-    uint32_t ValCls = Partition.find(A.Val->id());
-    if (A.isLseg() && AddrCls == ValCls)
-      continue; // Trivial: emp.
-    sl::Loc From = ClassLoc.at(AddrCls), To = ClassLoc.at(ValCls);
-    unsigned Cells = A.isLseg() ? LsegCells : 1;
-    for (unsigned Step = 0; Step != Cells; ++Step) {
-      sl::Loc Dst = Step + 1 == Cells ? To : Fresh;
-      if (From == sl::NilLoc || M.H.contains(From))
-        return std::nullopt;
-      M.H.set(From, Dst);
-      From = Dst;
-      if (Step + 1 != Cells)
-        ++Fresh;
-    }
-  }
-  return M;
-}
-
-/// Stage 3: probes up to three cheap candidate models, each verified
-/// against the executable semantics before being believed.
-std::optional<sl::CounterModel>
-probeCounterModels(PureClosure &C, const sl::Entailment &E,
-                   const Term *Nil) {
-  std::vector<const Term *> AllTerms;
-  E.collectTerms(AllTerms);
-  if (std::find(AllTerms.begin(), AllTerms.end(), Nil) == AllTerms.end())
-    AllTerms.push_back(Nil);
-
-  // Probe A/C: every closure class distinct; lsegs as one-cell then
-  // two-cell chains (the two-cell chain defeats an RHS next over an
-  // LHS lseg).
-  UnionFind Distinct = C.partition();
-  for (unsigned LsegCells : {1u, 2u}) {
-    std::optional<sl::CounterModel> M =
-        buildCandidate(Distinct, AllTerms, Nil, E.Lhs.Spatial, LsegCells);
-    if (M && sl::isCounterexample(M->S, M->H, E))
-      return M;
-  }
-
-  // Probe B: greedily merge classes not separated by a recorded
-  // disequality (minimal-distinction model; collapses unconstrained
-  // lsegs to emp). Nil's class absorbs nothing, so heap addresses
-  // stay representable.
-  UnionFind Merged = C.partition();
-  uint32_t NilClass = Merged.find(Nil->id());
-  auto MergeAllowed = [&](uint32_t A, uint32_t B) {
-    for (const auto &[X, Y] : C.disequalities()) {
-      uint32_t RX = Merged.find(X->id()), RY = Merged.find(Y->id());
-      if ((RX == A && RY == B) || (RX == B && RY == A))
-        return false;
-    }
-    return true;
-  };
-  for (size_t I = 0; I != AllTerms.size(); ++I)
-    for (size_t J = I + 1; J != AllTerms.size(); ++J) {
-      uint32_t A = Merged.find(AllTerms[I]->id());
-      uint32_t B = Merged.find(AllTerms[J]->id());
-      if (A == B || A == NilClass || B == NilClass)
-        continue;
-      if (MergeAllowed(A, B))
-        Merged.unite(A, B);
-    }
-  std::optional<sl::CounterModel> M =
-      buildCandidate(Merged, AllTerms, Nil, E.Lhs.Spatial, 1);
-  if (M && sl::isCounterexample(M->S, M->H, E))
-    return M;
-  return std::nullopt;
-}
-
 } // namespace
 
-AnalysisResult analysis::analyze(TermTable &Terms, const sl::Entailment &E,
-                                 const AnalysisOptions &Opts) {
+AnalysisResult analysis::analyze(TermTable &Terms, const sl::Entailment &E) {
   AnalysisResult Out;
   const Term *Nil = Terms.nil();
 
@@ -327,16 +221,6 @@ AnalysisResult analysis::analyze(TermTable &Terms, const sl::Entailment &E,
     Out.Detail = "normalized RHS is syntactically entailed by the LHS";
     return Out;
   }
-
-  // Stage 3: verified countermodel probes.
-  if (Opts.CounterModelProbe)
-    if (std::optional<sl::CounterModel> M = probeCounterModels(C, E, Nil)) {
-      Out.V = core::Verdict::Invalid;
-      Out.R = Reason::CounterModel;
-      Out.Detail = "verified countermodel: " + str(Terms, M->S, M->H);
-      Out.Cex = std::move(M);
-      return Out;
-    }
 
   return Out;
 }

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A sound static analyzer over parsed entailments that decides a
-/// useful fragment in polynomial time and never calls saturation. It
-/// runs three stages:
+/// A sound static analyzer over parsed entailments that proves a
+/// useful fragment Valid in polynomial time and never calls
+/// saturation. It runs two stages:
 ///
 ///   1. A union-find closure of the antecedent's pure part Π with
 ///      disequality tracking (analysis::PureClosure), extended to a
@@ -29,19 +29,11 @@
 ///      is entailed by the closure and the spatial multisets match,
 ///      the entailment is Valid.
 ///
-///   3. A countermodel probe: up to three cheap candidate models of
-///      the antecedent (all-classes-distinct with one- or two-cell
-///      lseg chains, and a greedily merged minimal-distinction
-///      model) are built and checked against the *executable*
-///      semantics (sl::isCounterexample); a candidate that satisfies
-///      the LHS but not the RHS proves Invalid and is returned as a
-///      concrete countermodel. In particular an RHS pure literal not
-///      entailed by the closure is usually refuted here.
-///
 /// Everything else returns Unknown and falls through to the full
-/// prover. Soundness contract (same as core::EntailmentBackend):
-/// Valid/Invalid results are definitive; the differential test suite
-/// asserts bit-identity against the SLP backend on every corpus.
+/// prover, which decides Invalid queries with a countermodel of its
+/// own. Soundness contract: the answer is Valid or Unknown, and Valid
+/// only when the entailment holds; the differential test suite
+/// asserts agreement with the SLP backend on every corpus.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,50 +41,38 @@
 #define SLP_ANALYSIS_STATICANALYZER_H
 
 #include "core/Prover.h"
-#include "sl/Oracle.h"
 
-#include <optional>
 #include <string>
 
 namespace slp {
 namespace analysis {
 
-/// Which rule produced a definitive verdict.
+/// Which rule proved the entailment Valid.
 enum class Reason : uint8_t {
   None,              ///< Verdict is Unknown.
   PureContradiction, ///< Π alone is unsatisfiable.
   WfContradiction,   ///< Π + W1-W5 consequences of Σ are unsatisfiable.
   SyntacticMatch,    ///< Normalized RHS is syntactically entailed.
-  CounterModel,      ///< A verified countermodel was constructed.
 };
 
 const char *reasonName(Reason R);
 
-/// Outcome of one analyze() call.
+/// Outcome of one analyze() call: Valid or Unknown.
 struct AnalysisResult {
   core::Verdict V = core::Verdict::Unknown;
   Reason R = Reason::None;
   /// Human-readable provenance, e.g. "W3 on next(x, y) / next(x, z)";
   /// consumed by slp-lint diagnostics. Empty when Unknown.
   std::string Detail;
-  /// Concrete verified countermodel; present iff V == Invalid.
-  std::optional<sl::CounterModel> Cex;
 
   bool definitive() const { return V != core::Verdict::Unknown; }
-};
-
-struct AnalysisOptions {
-  /// Try the candidate-model probes (stage 3). Off restricts the
-  /// analyzer to Valid/Unknown answers.
-  bool CounterModelProbe = true;
 };
 
 /// Statically analyzes \p E. Never calls saturation; polynomial in
 /// the size of the entailment. \p Terms must be the table \p E was
 /// built over (it is only used to look up nil and to render
 /// provenance, no query-visible terms are interned).
-AnalysisResult analyze(TermTable &Terms, const sl::Entailment &E,
-                       const AnalysisOptions &Opts = {});
+AnalysisResult analyze(TermTable &Terms, const sl::Entailment &E);
 
 } // namespace analysis
 } // namespace slp

@@ -121,9 +121,9 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   }
 
   // Static pre-solve: the polynomial analyzer runs on the parsed form,
-  // ahead of canonicalization and the cache. It is sound, so a
-  // definitive answer is the final verdict; Unknown falls through at
-  // the cost of one cheap closure pass.
+  // ahead of canonicalization and the cache. It answers only Valid,
+  // and soundly, so that answer is the final verdict; Unknown falls
+  // through at the cost of one cheap closure pass.
   if (Opts.Presolve) {
     obs::TraceSpan Span("presolve");
     ScopedTimer ST(EM.Presolve, &W.PresolveSeconds);
@@ -326,9 +326,7 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
       ++Stats.ParseErrors;
       continue;
     }
-    if (R.Presolved)
-      ++(R.V == core::Verdict::Valid ? Stats.PresolvedValid
-                                     : Stats.PresolvedInvalid);
+    Stats.PresolvedValid += R.Presolved;
     Stats.Sat += R.Sat;
     switch (R.V) {
     case core::Verdict::Valid:
@@ -355,7 +353,6 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   Reg.counter("engine.unknown").inc(Stats.Unknown);
   if (Opts.Presolve) {
     Reg.counter("analysis.presolved.valid").inc(Stats.PresolvedValid);
-    Reg.counter("analysis.presolved.invalid").inc(Stats.PresolvedInvalid);
     Reg.counter("analysis.presolved.miss").inc(PresolveMisses);
   }
   Reg.gauge("engine.sessions").set(static_cast<int64_t>(Stats.Sessions));

@@ -68,12 +68,12 @@ struct BatchOptions {
   bool CacheEnabled = true;   ///< Consult/populate the ResultCache.
   /// Run the polynomial static analyzer (analysis::analyze) on each
   /// parsed query ahead of the cache lookup, for every backend; a
-  /// definitive analyzer verdict skips canonicalization, cache, and
-  /// backend entirely. The analyzer is sound, so for the complete
-  /// backends (slp, berdine, portfolio) verdicts are identical either
-  /// way. The incomplete unfolder never answers Invalid and misses
-  /// some valid queries, so with it the pre-solver decides queries the
-  /// unfolder alone cannot; turn it off to measure the bare backend.
+  /// Valid analyzer verdict skips canonicalization, cache, and backend
+  /// entirely. The analyzer is sound and never answers Invalid, so for
+  /// the complete backends (slp, berdine, portfolio) verdicts are
+  /// identical either way. The incomplete unfolder misses some valid
+  /// queries, so with it the pre-solver proves queries the unfolder
+  /// alone cannot; turn it off to measure the bare backend.
   bool Presolve = true;
   uint64_t FuelPerQuery = 0;  ///< Inference budget per query; 0 = unlimited.
                               ///< For the portfolio backend this is the
@@ -112,8 +112,8 @@ struct QueryResult {
   QueryStatus Status = QueryStatus::Ok;
   core::Verdict V = core::Verdict::Unknown;
   bool FromCache = false;
-  /// Decided by the static pre-solver; the saturation prover (and the
-  /// cache) never saw this query.
+  /// Proved Valid by the static pre-solver; the saturation prover (and
+  /// the cache) never saw this query.
   bool Presolved = false;
   uint64_t FuelUsed = 0; ///< 0 for cache hits and parse errors.
   /// Saturation counters of the proof (all 0 for cache hits, parse
@@ -138,10 +138,10 @@ struct BatchStats {
   size_t Queries = 0;
   size_t Valid = 0, Invalid = 0, Unknown = 0, ParseErrors = 0;
   uint64_t CacheHits = 0, CacheMisses = 0;
-  /// Queries the static pre-solver decided (mirrored to the
+  /// Queries the static pre-solver proved Valid (mirrored to the
   /// analysis.presolved.* counters; PresolveSeconds includes the
   /// misses that fell through to the prover).
-  size_t PresolvedValid = 0, PresolvedInvalid = 0;
+  size_t PresolvedValid = 0;
   double PresolveSeconds = 0;
   /// Saturation counters summed over every proved (non-cached) query:
   /// the sum of the per-query QueryResult::Sat.

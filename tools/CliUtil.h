@@ -211,13 +211,13 @@ inline void printBatchStats(const engine::BatchProver &Engine) {
                static_cast<unsigned long long>(S.CacheMisses), C.Entries,
                static_cast<unsigned long long>(C.Evictions));
   if (Opts.Presolve) {
-    size_t Decided = S.PresolvedValid + S.PresolvedInvalid;
     size_t Parsed = S.Queries - S.ParseErrors;
     std::fprintf(stderr,
-                 "presolve: %zu of %zu decided statically (%.1f%%: "
-                 "%zu valid, %zu invalid) in %.3fs\n",
-                 Decided, Parsed, Parsed ? 100.0 * Decided / Parsed : 0.0,
-                 S.PresolvedValid, S.PresolvedInvalid, S.PresolveSeconds);
+                 "presolve: %zu of %zu decided statically (%.1f%%) in "
+                 "%.3fs\n",
+                 S.PresolvedValid, Parsed,
+                 Parsed ? 100.0 * S.PresolvedValid / Parsed : 0.0,
+                 S.PresolveSeconds);
   }
   const sup::SaturationStats &Sat = S.Sat;
   double Prune =

@@ -17,7 +17,9 @@
 ///                     corpus: contradictions and trivialities are
 ///                     expected there, only structural integrity gates)
 ///     --expect=valid  treat every unlabeled query as labeled
-///                     `# expect: valid` (all-valid corpora, e.g. VCs)
+///                     `# expect: valid`, i.e. intentional: the
+///                     advisory W-rules are suppressed (all-valid
+///                     corpora, e.g. VCs)
 ///     --symexec       lint the bundled symexec corpus VCs instead of
 ///                     (or in addition to) input files
 ///     --quiet         suppress the summary line
@@ -26,8 +28,10 @@
 /// Exit status: 0 clean (or notes only), 1 findings at a failing
 /// severity (errors; warnings too under --Werror), 2 usage/IO error.
 /// Lines labeled `# expect: valid|invalid` are test vectors: the
-/// advisory W-rules are suppressed for them and the label itself is
-/// checked against the analyzer's definitive verdicts (SLP-E002).
+/// advisory W-rules are suppressed for them, and an `invalid` label on
+/// a query the analyzer proves Valid is an error (SLP-E002). The
+/// analyzer never answers Invalid, so it cannot catch a `valid` label
+/// on an invalid query; the full prover checks those.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -277,17 +277,12 @@ int main(int argc, char **argv) {
     if (Presolve)
       Pre = analysis::analyze(Terms, E);
     if (Pre.definitive()) {
-      // Statically decided: the analyzer is sound, so the verdict is
-      // the one the backend would reach.
+      // Statically proved Valid: the analyzer is sound, so the verdict
+      // is the one the backend would reach, and there is no
+      // countermodel to render.
       VerdictText = core::verdictName(Pre.V);
       if (IsPortfolio)
         VerdictText += " [presolve]";
-      if (Opts.Model && Pre.Cex)
-        VerdictText += "\n  countermodel: " +
-                       sl::str(Terms, Pre.Cex->S, Pre.Cex->H);
-      if (Opts.DotModel && Pre.Cex)
-        VerdictText += "\n" + core::counterModelToDot(Terms, Pre.Cex->S,
-                                                      Pre.Cex->H);
       if (Opts.QueryStats)
         VerdictText += std::string("\n  stats: presolved (") +
                        analysis::reasonName(Pre.R) + ")";
