@@ -27,10 +27,11 @@
 /// trailing same-line comment) is a test vector: its intent is the
 /// label, so W001-W005 are suppressed for it and only an `invalid`
 /// label is checked (E002; the analyzer never answers Invalid, so a
-/// `valid` label has nothing to contradict). With LintOptions::Generated the W-rules are
-/// demoted to notes — machine-generated corpora legitimately contain
-/// contradictions and trivialities, and only structural integrity
-/// (parse errors, label checks) should gate them.
+/// `valid` label has nothing to contradict). With
+/// LintOptions::Generated the W-rules are demoted to notes —
+/// machine-generated corpora legitimately contain contradictions and
+/// trivialities, and only structural integrity (parse errors, label
+/// checks) should gate them.
 ///
 //===----------------------------------------------------------------------===//
 
