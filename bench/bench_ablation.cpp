@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ablations for the design choices DESIGN.md calls out:
+/// Ablations for two design choices of the prover:
 ///
 ///   1. redundancy elimination in the superposition engine
 ///      (subsumption and demodulation on/off),

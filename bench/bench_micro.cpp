@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// google-benchmark microbenchmarks for the substrates: term
-/// interning, KBO comparison, superposition saturation, model
-/// generation, and a single end-to-end prover query.
+/// interning, superposition saturation, model generation, and a
+/// single end-to-end prover query.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,29 +41,13 @@ static void BM_TermLookupHit(benchmark::State &State) {
 }
 BENCHMARK(BM_TermLookupHit);
 
-static void BM_KboCompare(benchmark::State &State) {
-  SymbolTable Symbols;
-  TermTable Terms(Symbols);
-  KBO Ord;
-  std::vector<const Term *> Cs;
-  for (int I = 0; I != 64; ++I)
-    Cs.push_back(Terms.constant("v" + std::to_string(I)));
-  size_t I = 0;
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(Ord.compare(Cs[I % 64], Cs[(I * 7 + 13) % 64]));
-    ++I;
-  }
-}
-BENCHMARK(BM_KboCompare);
-
 static void BM_SaturationChain(benchmark::State &State) {
   // Equality chain refutation x1=..=xN, x1 != xN.
   const int N = static_cast<int>(State.range(0));
   for (auto _ : State) {
     SymbolTable Symbols;
     TermTable Terms(Symbols);
-    KBO Ord;
-    sup::Saturation Sat(Terms, Ord);
+    sup::Saturation Sat(Terms);
     for (int I = 1; I != N; ++I)
       Sat.addInput({}, {sup::Equation(
                            Terms.constant("x" + std::to_string(I)),
@@ -80,8 +64,7 @@ BENCHMARK(BM_SaturationChain)->Arg(8)->Arg(16)->Arg(32);
 static void BM_ModelGeneration(benchmark::State &State) {
   SymbolTable Symbols;
   TermTable Terms(Symbols);
-  KBO Ord;
-  sup::Saturation Sat(Terms, Ord);
+  sup::Saturation Sat(Terms);
   SplitMix64 Rng(7);
   for (int I = 0; I != 30; ++I) {
     const Term *A = Terms.constant("v" + std::to_string(Rng.below(20)));
@@ -110,7 +93,6 @@ namespace {
 void modelGuidedAttemptCycle(benchmark::State &State, bool Incremental) {
   SymbolTable Symbols;
   TermTable Terms(Symbols);
-  KBO Ord;
   SplitMix64 Rng(11);
   const unsigned NumConsts = 400, BaseClauses = 300, Rounds = 64;
   std::vector<const Term *> Consts;
@@ -125,7 +107,7 @@ void modelGuidedAttemptCycle(benchmark::State &State, bool Incremental) {
 
   sup::SaturationOptions Opts;
   Opts.IncrementalModel = Incremental;
-  sup::Saturation Sat(Terms, Ord, Opts);
+  sup::Saturation Sat(Terms, Opts);
   for (auto _ : State) {
     Sat.clear();
     for (const auto &B : Base)

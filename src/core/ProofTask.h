@@ -17,8 +17,8 @@
 ///
 /// Historically this type lived in engine/; it moved down to core/
 /// when core::EntailmentBackend made it the argument of every
-/// backend's prove(). engine/ProofTask.h re-exports it under the old
-/// engine:: name.
+/// backend's prove(). engine/BatchProver.h re-exports it under the
+/// old engine:: name.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -41,7 +41,6 @@ void SlpProver::onTermTableReset() {
   if (Sat)
     Sat->clear(); // Stored clauses hold pointers into the rewound arena.
   clearProvenance();
-  Kbo.invalidateCache(); // Weight memo is term-id-keyed.
 }
 
 void SlpProver::clearProvenance() {
@@ -94,15 +93,10 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
   // Fresh clause database per query; the Saturation instance itself is
   // reused (clear() restores the freshly constructed state, keeping
   // the index pools' allocations warm across queries).
-  if (Sat) {
+  if (Sat)
     Sat->clear();
-  } else {
-    const TermOrder &Ord =
-        Opts.Ordering == OrderingChoice::Lpo
-            ? static_cast<const TermOrder &>(Lpo)
-            : static_cast<const TermOrder &>(Kbo);
-    Sat = std::make_unique<sup::Saturation>(Terms, Ord, Opts.Sat);
-  }
+  else
+    Sat = std::make_unique<sup::Saturation>(Terms, Opts.Sat);
   clearProvenance();
 
   ProveResult Result;

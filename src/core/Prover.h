@@ -64,13 +64,9 @@ struct ProveResult {
   ProveStats Stats;
 };
 
-/// Which simplification order drives the calculus.
-enum class OrderingChoice { Kbo, Lpo };
-
 /// Prover configuration (the ablation benchmarks toggle these).
 struct ProverOptions {
   sup::SaturationOptions Sat;
-  OrderingChoice Ordering = OrderingChoice::Kbo;
 };
 
 /// The SLP prover. One instance can check many entailments; per-query
@@ -108,8 +104,8 @@ public:
 
   /// Must be called after the underlying TermTable was reset() to a
   /// mark: rewinding reuses dense term ids for different terms, so the
-  /// clause database (which stores Term pointers) is cleared and every
-  /// term-id-keyed cache (the KBO weight memo) is invalidated.
+  /// clause database (which stores Term pointers) and its term-id-keyed
+  /// caches are cleared.
   /// ProverSession calls this from its reset().
   void onTermTableReset();
 
@@ -133,8 +129,6 @@ private:
 
   TermTable &Terms;
   ProverOptions Opts;
-  KBO Kbo;
-  LPO Lpo;
   std::unique_ptr<sup::Saturation> Sat;
   /// Per-query provenance store, indexed by external tag. Terms stay
   /// valid until onTermTableReset(), which clears the store.

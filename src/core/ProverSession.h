@@ -10,7 +10,8 @@
 /// rewound between queries instead of being rebuilt. The table is
 /// checkpointed right after construction — the baseline holds exactly
 /// the shared prefix (nil) — and reset() truncates arena, term ids,
-/// hash buckets, and symbols back to it, recycling the arena slabs.
+/// the per-symbol index, and symbols back to it, recycling the arena
+/// slabs.
 ///
 /// Lifecycle:
 ///

@@ -36,7 +36,6 @@ public:
   /// Binds constant \p Var to \p L. Binding nil to anything but
   /// NilLoc is a contract violation.
   void bind(const Term *Var, Loc L) {
-    assert(Var->isConstant() && "stacks bind constants only");
     assert((!Var->isNil() || L == NilLoc) && "nil evaluates to nil");
     Bindings[Var->id()] = L;
   }

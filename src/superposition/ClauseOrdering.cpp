@@ -13,12 +13,12 @@ using namespace slp::sup;
 
 Order ClauseOrdering::compareLiterals(const OrientedLiteral &A,
                                       const OrientedLiteral &B) const {
-  Order O = Ord.compare(A.Max, B.Max);
+  Order O = compareTerms(A.Max, B.Max);
   if (O != Order::Equal)
     return O;
   if (A.Negative != B.Negative)
     return A.Negative ? Order::Greater : Order::Less;
-  return Ord.compare(A.Min, B.Min);
+  return compareTerms(A.Min, B.Min);
 }
 
 std::vector<OrientedLiteral>

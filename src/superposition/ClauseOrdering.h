@@ -27,18 +27,16 @@ namespace sup {
 
 /// A literal = equation + polarity, as needed by the orderings.
 struct OrientedLiteral {
-  const Term *Max; ///< KBO-larger side.
-  const Term *Min; ///< KBO-smaller side (equal to Max for s ' s).
+  const Term *Max; ///< Side that is larger in the term order.
+  const Term *Min; ///< The other side (equal to Max for s ' s).
   bool Negative;
 };
 
-/// Computes literal/clause comparisons relative to a fixed KBO.
+/// Computes literal/clause comparisons induced by the term order.
 class ClauseOrdering {
 public:
-  explicit ClauseOrdering(const TermOrder &Ord) : Ord(Ord) {}
-
   OrientedLiteral orient(const Equation &E, bool Negative) const {
-    const Term *Max = Ord.max(E.lhs(), E.rhs());
+    const Term *Max = maxTerm(E.lhs(), E.rhs());
     const Term *Min = E.other(Max);
     return {Max, Min, Negative};
   }
@@ -70,11 +68,6 @@ public:
   /// Canonical clauses carry each literal once, so this reduces to:
   /// every other literal is strictly smaller.
   bool isStrictlyMaximal(const OrientedLiteral &L, ClauseView C) const;
-
-  const TermOrder &termOrder() const { return Ord; }
-
-private:
-  const TermOrder &Ord;
 };
 
 } // namespace sup

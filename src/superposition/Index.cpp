@@ -21,28 +21,15 @@ uint64_t ClauseSig::symbolBit(Symbol S) {
   return 1ull << (hashValue(S.id()) & 63);
 }
 
-namespace {
-
-/// Adds the root symbol of every subterm of \p T to \p Mask.
-void collectSymbols(const Term *T, uint64_t &Mask) {
-  Mask |= ClauseSig::symbolBit(T->symbol());
-  for (const Term *A : T->args())
-    collectSymbols(A, Mask);
-}
-
-} // namespace
-
 ClauseSig ClauseSig::of(ClauseView C) {
   ClauseSig S;
   for (const Equation &E : C.neg()) {
     S.Neg |= equationBit(E);
-    collectSymbols(E.lhs(), S.Syms);
-    collectSymbols(E.rhs(), S.Syms);
+    S.Syms |= symbolBit(E.lhs()->symbol()) | symbolBit(E.rhs()->symbol());
   }
   for (const Equation &E : C.pos()) {
     S.Pos |= equationBit(E);
-    collectSymbols(E.lhs(), S.Syms);
-    collectSymbols(E.rhs(), S.Syms);
+    S.Syms |= symbolBit(E.lhs()->symbol()) | symbolBit(E.rhs()->symbol());
   }
   return S;
 }

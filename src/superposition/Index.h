@@ -16,13 +16,14 @@
 /// range inclusion test runs. The pure clauses of the SLP prover range
 /// over constants only, so the signature is nearly exact on them.
 ///
-/// The third word, Syms, is a bloom mask over the root symbols of every
-/// subterm. DemodIndex is the matching mask over the left-hand sides of
-/// the active unit demodulators (per-bit reference counted, so retiring
-/// a rule clears its bit when the last rule sharing it disappears).
-/// Normalization then skips the rewrite-rule hash lookup for every
-/// subterm whose root symbol cannot match, and whole clauses are skipped
-/// when their Syms mask is disjoint from the rule mask.
+/// The third word, Syms, is a bloom mask over the symbols of the
+/// clause's constants. DemodIndex is the matching mask over the
+/// left-hand sides of the active unit demodulators (per-bit reference
+/// counted, so retiring a rule clears its bit when the last rule
+/// sharing it disappears). Demodulation then skips the rewrite-rule
+/// hash lookup for every constant whose symbol cannot match, and whole
+/// clauses are skipped when their Syms mask is disjoint from the rule
+/// mask.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,11 +38,11 @@
 namespace slp {
 namespace sup {
 
-/// Subsumption signature and root-symbol mask of one clause.
+/// Subsumption signature and symbol mask of one clause.
 struct ClauseSig {
   uint64_t Neg = 0;  ///< One bit per hashed negative equation.
   uint64_t Pos = 0;  ///< One bit per hashed positive equation.
-  uint64_t Syms = 0; ///< Bloom mask over the root symbols of every subterm.
+  uint64_t Syms = 0; ///< Bloom mask over the symbols of its constants.
 
   /// Computes the signature of \p C. Takes a view so pooled clauses
   /// are signed without materializing; a `const Clause &` converts
@@ -65,23 +66,23 @@ struct ClauseSig {
   }
 };
 
-/// Root-symbol fingerprint of the current demodulator set.
+/// Symbol fingerprint of the current demodulator set.
 class DemodIndex {
 public:
-  /// Records a rule with left-hand side root symbol \p S.
+  /// Records a rule whose left-hand side has symbol \p S.
   void addLhs(Symbol S);
 
-  /// Retires a rule previously added with root symbol \p S.
+  /// Retires a rule previously added with symbol \p S.
   void removeLhs(Symbol S);
 
-  /// True iff some rule's left-hand side has a root symbol hashing to
-  /// the same fingerprint bit as \p S (no false negatives).
+  /// True iff some rule's left-hand side has a symbol hashing to the
+  /// same fingerprint bit as \p S (no false negatives).
   bool mayMatchRoot(Symbol S) const {
     return (Mask & ClauseSig::symbolBit(S)) != 0;
   }
 
   /// True iff a clause with symbol mask \p ClauseMask can contain any
-  /// rule's left-hand side as a subterm.
+  /// rule's left-hand side.
   bool mayRewrite(uint64_t ClauseMask) const {
     return (Mask & ClauseMask) != 0;
   }

@@ -8,8 +8,8 @@
 /// Pure literals are (dis)equations between ground terms. A literal is
 /// stored in a canonical orientation (smaller term id first) so that
 /// syntactically equal literals compare equal regardless of how they
-/// were written; the ordering-relevant orientation (KBO-larger side)
-/// is computed on demand.
+/// were written; the ordering-relevant orientation (the side larger in
+/// the term order) is computed on demand.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,7 +34,7 @@ void Saturation::clear() {
   LitRefs.clear();
   ++OrderMemoEpoch; // O(1) memo invalidation.
   FromByMax.clear();
-  IntoBySubterm.clear();
+  IntoByMax.clear();
   StaleDeleted = 0;
   OrderedLive.clear();
   LiveWatermark = ~size_t(0);
@@ -222,7 +222,7 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
                                       // the equation pool.
   if (E.trivial())
     return;
-  const Term *L = Ordering.termOrder().max(E.lhs(), E.rhs());
+  const Term *L = maxTerm(E.lhs(), E.rhs());
   const Term *R = E.other(L);
   if (Demod.reducibleAtRoot(L))
     return; // Keep the system left-reduced; superposition joins them.
@@ -232,7 +232,7 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
 
   // Backward demodulation: rewrite active clauses reducible by the new
   // unit and send the results back through the queue. A clause whose
-  // symbol fingerprint misses L's root symbol cannot contain L and is
+  // symbol fingerprint misses L's symbol cannot contain L and is
   // skipped without walking its terms.
   const uint64_t LhsBit = ClauseSig::symbolBit(L->symbol());
   for (uint32_t ActId : Active) {
@@ -258,20 +258,8 @@ const Term *Saturation::demodTerm(const Term *T, uint32_t SelfId,
                                   std::vector<uint32_t> &Used) {
   const Term *Current = T;
   for (;;) {
-    if (Current->numArgs() != 0) {
-      std::vector<const Term *> NewArgs;
-      NewArgs.reserve(Current->numArgs());
-      bool Changed = false;
-      for (const Term *A : Current->args()) {
-        const Term *NA = demodTerm(A, SelfId, Used);
-        Changed |= (NA != A);
-        NewArgs.push_back(NA);
-      }
-      if (Changed)
-        Current = Terms.make(Current->symbol(), NewArgs);
-    }
-    // Fingerprint test first: most subterms share no root symbol with
-    // any demodulator, so the rule-table lookup is usually skipped.
+    // Fingerprint test first: most constants share no symbol with any
+    // demodulator, so the rule-table lookup is usually skipped.
     if (!DemodIdx.mayMatchRoot(Current->symbol()))
       return Current;
     const RewriteRule *Rule = Demod.ruleFor(Current);
@@ -285,8 +273,8 @@ const Term *Saturation::demodTerm(const Term *T, uint32_t SelfId,
 std::optional<std::pair<Clause, std::vector<uint32_t>>>
 Saturation::demodClause(ClauseView C, uint32_t SelfId) {
   // The clause can only be rewritten if some demodulator's left-hand
-  // side occurs inside it, which requires the root-symbol fingerprints
-  // to intersect.
+  // side occurs in it, which requires the symbol fingerprints to
+  // intersect.
   if (SelfId < SigById.size() && !DemodIdx.mayRewrite(SigById[SelfId].Syms))
     return std::nullopt;
   std::vector<uint32_t> Used;
@@ -376,7 +364,7 @@ void Saturation::compactIndexes() {
         }
       };
   SweepPartnerIndex(FromByMax);
-  SweepPartnerIndex(IntoBySubterm);
+  SweepPartnerIndex(IntoByMax);
 
   Stats.StalePurged += Purged;
   StaleDeleted = 0;
@@ -601,7 +589,7 @@ bool Saturation::attemptModelIncremental(
   // warm system must stay behind to seed the next attempt after the
   // caller adds more clauses, and re-deriving the caller's normal
   // forms is cheaper than duplicating the whole memo every success.
-  Model.emplace(Terms);
+  Model.emplace();
   for (const RewriteRule &Rule : IncModel.rules())
     Model->addRule(Rule.Lhs, Rule.Rhs, Rule.GeneratingClause);
   return true;
@@ -683,19 +671,6 @@ std::vector<uint32_t> Saturation::liveClauses() const {
 // Inference rules
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Collects the distinct subterm ids of \p T (including T itself).
-void collectSubtermIds(const Term *T, std::vector<uint32_t> &Out) {
-  if (std::find(Out.begin(), Out.end(), T->id()) != Out.end())
-    return;
-  Out.push_back(T->id());
-  for (const Term *A : T->args())
-    collectSubtermIds(A, Out);
-}
-
-} // namespace
-
 void Saturation::generateInferences(uint32_t GivenId) {
   equalityResolution(GivenId);
   equalityFactoring(GivenId);
@@ -705,15 +680,12 @@ void Saturation::generateInferences(uint32_t GivenId) {
   // Register the given clause in the partner indexes.
   if (!MG.Negative && MG.Max != MG.Min)
     FromByMax[MG.Max->id()].push_back(GivenId);
-  std::vector<uint32_t> Subterms;
-  collectSubtermIds(MG.Max, Subterms);
-  for (uint32_t Sub : Subterms)
-    IntoBySubterm[Sub].push_back(GivenId);
+  IntoByMax[MG.Max->id()].push_back(GivenId);
 
-  // Given as 'from': partners whose maximal side contains MG.Max.
+  // Given as 'from': partners whose maximal side is MG.Max.
   if (!MG.Negative && MG.Max != MG.Min) {
-    auto It = IntoBySubterm.find(MG.Max->id());
-    if (It != IntoBySubterm.end()) {
+    auto It = IntoByMax.find(MG.Max->id());
+    if (It != IntoByMax.end()) {
       // Copy: superpose() may grow the index maps.
       std::vector<uint32_t> Partners = It->second;
       for (uint32_t Partner : Partners) {
@@ -725,54 +697,16 @@ void Saturation::generateInferences(uint32_t GivenId) {
     }
   }
 
-  // Given as 'into': partners whose from-term is one of our subterms.
-  for (uint32_t Sub : Subterms) {
-    auto It = FromByMax.find(Sub);
-    if (It == FromByMax.end())
-      continue;
-    std::vector<uint32_t> Partners = It->second;
-    for (uint32_t Partner : Partners) {
-      if (DB.deleted(GivenId))
-        return;
-      if (Partner != GivenId && !DB.deleted(Partner))
-        superpose(Partner, GivenId);
-    }
-  }
-}
-
-void Saturation::replacements(const Term *In, const Term *Find,
-                              const Term *Repl,
-                              std::vector<const Term *> &Out) {
-  // Pre-order walk over the occurrence positions of Find, with an
-  // explicit spine instead of recursion; each occurrence rebuilds the
-  // terms along its spine into the shared argument scratch buffer.
-  ReplPath.clear();
-  ReplPath.push_back({In, 0});
-  while (!ReplPath.empty()) {
-    ReplFrame &F = ReplPath.back();
-    if (F.NextArg == 0 && F.T == Find) {
-      const Term *New = Repl;
-      // For every spine node, NextArg - 1 is the argument currently on
-      // the path (it was advanced when its child frame was pushed).
-      for (size_t I = ReplPath.size() - 1; I-- > 0;) {
-        const Term *P = ReplPath[I].T;
-        ReplArgs.assign(P->args().begin(), P->args().end());
-        ReplArgs[ReplPath[I].NextArg - 1] = New;
-        New = Terms.make(P->symbol(), ReplArgs);
-      }
-      Out.push_back(New);
-      // No descent: Find cannot occur inside itself (proper subterms
-      // are distinct nodes of a DAG built bottom-up).
-      ReplPath.pop_back();
-      continue;
-    }
-    if (F.NextArg < F.T->numArgs()) {
-      const Term *Child = F.T->arg(F.NextArg);
-      ++F.NextArg;
-      ReplPath.push_back({Child, 0});
-      continue;
-    }
-    ReplPath.pop_back();
+  // Given as 'into': partners whose from-term is MG.Max.
+  auto It = FromByMax.find(MG.Max->id());
+  if (It == FromByMax.end())
+    return;
+  std::vector<uint32_t> Partners = It->second;
+  for (uint32_t Partner : Partners) {
+    if (DB.deleted(GivenId))
+      return;
+    if (Partner != GivenId && !DB.deleted(Partner))
+      superpose(Partner, GivenId);
   }
 }
 
@@ -794,51 +728,43 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
   if (MF.Negative || MF.Max == MF.Min)
     return;
   // The 'into' literal must be (strictly) maximal in its clause: again
-  // only the unique maximal literal qualifies; rewriting happens in
-  // its larger side.
+  // only the unique maximal literal qualifies. Terms are constants, so
+  // MF.Max occurs in it only as its larger side, which becomes MF.Min.
   const OrientedLiteral MG = maxLiteral(IntoId);
-  std::vector<const Term *> Repls;
-  replacements(MG.Max, MF.Max, MF.Min, Repls);
-  if (Repls.empty())
+  if (MG.Max != MF.Max)
     return;
 
-  // Copies, not views: keepDerived grows the equation pool, which
-  // would invalidate spans into it.
+  // The views stay valid while the conclusion is assembled: only
+  // keepDerived grows the equation pool.
   ClauseView FView = DB.view(FromId), GView = DB.view(IntoId);
-  const std::vector<Equation> FNeg(FView.neg().begin(), FView.neg().end());
-  const std::vector<Equation> FPos(FView.pos().begin(), FView.pos().end());
-  const std::vector<Equation> GNeg(GView.neg().begin(), GView.neg().end());
-  const std::vector<Equation> GPos(GView.pos().begin(), GView.pos().end());
   const Equation FromEq(MF.Max, MF.Min);
   const Equation IntoEq(MG.Max, MG.Min);
 
-  for (const Term *NewMax : Repls) {
-    std::vector<Equation> Neg(FNeg);
-    std::vector<Equation> Pos;
-    for (const Equation &PE : FPos)
-      if (PE != FromEq)
+  std::vector<Equation> Neg(FView.neg().begin(), FView.neg().end());
+  std::vector<Equation> Pos;
+  for (const Equation &PE : FView.pos())
+    if (PE != FromEq)
+      Pos.push_back(PE);
+  Justification J;
+  if (MG.Negative) {
+    // Superposition left: Γ1,Γ2, r't -> ∆1,∆2.
+    for (const Equation &NE : GView.neg())
+      if (NE != IntoEq)
+        Neg.push_back(NE);
+    Neg.emplace_back(MF.Min, MG.Min);
+    Pos.insert(Pos.end(), GView.pos().begin(), GView.pos().end());
+    J.Kind = RuleKind::SupLeft;
+  } else {
+    // Superposition right: Γ1,Γ2 -> ∆1,∆2, r't.
+    Neg.insert(Neg.end(), GView.neg().begin(), GView.neg().end());
+    for (const Equation &PE : GView.pos())
+      if (PE != IntoEq)
         Pos.push_back(PE);
-    Justification J;
-    if (MG.Negative) {
-      // Superposition left: Γ1,Γ2, s[r]'t -> ∆1,∆2.
-      for (const Equation &NE : GNeg)
-        if (NE != IntoEq)
-          Neg.push_back(NE);
-      Neg.emplace_back(NewMax, MG.Min);
-      Pos.insert(Pos.end(), GPos.begin(), GPos.end());
-      J.Kind = RuleKind::SupLeft;
-    } else {
-      // Superposition right: Γ1,Γ2 -> ∆1,∆2, s[r]'t.
-      Neg.insert(Neg.end(), GNeg.begin(), GNeg.end());
-      for (const Equation &PE : GPos)
-        if (PE != IntoEq)
-          Pos.push_back(PE);
-      Pos.emplace_back(NewMax, MG.Min);
-      J.Kind = RuleKind::SupRight;
-    }
-    J.Parents = {FromId, IntoId};
-    keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
+    Pos.emplace_back(MF.Min, MG.Min);
+    J.Kind = RuleKind::SupRight;
   }
+  J.Parents = {FromId, IntoId};
+  keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
 }
 
 void Saturation::equalityResolution(uint32_t Id) {
@@ -930,7 +856,7 @@ std::span<const OrientedLiteral> Saturation::sortedLits(uint32_t Id) const {
 
 GroundRewriteSystem
 Saturation::genModelFrom(std::vector<uint32_t> Ids) const {
-  GroundRewriteSystem R(Terms);
+  GroundRewriteSystem R;
 
   // Process clauses in ascending clause order (Bachmair-Ganzinger).
   // The per-id sorted literal lists are interned in the flat pool: the

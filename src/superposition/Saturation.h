@@ -79,7 +79,7 @@ struct SaturationStats {
   uint64_t SubQueries = 0;   ///< Forward + backward subsumption queries.
   uint64_t SubChecks = 0;    ///< Clause pairs tested with subsumes().
   /// Lazily-invalidated index entries (Fingerprints, FromByMax,
-  /// IntoBySubterm) belonging to deleted clauses that a compaction
+  /// IntoByMax) belonging to deleted clauses that a compaction
   /// sweep purged; long-lived instances would otherwise grow without
   /// bound (see compactIndexes()).
   uint64_t StalePurged = 0;
@@ -170,10 +170,8 @@ template <typename Fn> void SaturationStats::forEach(Fn &&F) const {
 /// Incremental ground superposition engine.
 class Saturation {
 public:
-  Saturation(TermTable &Terms, const TermOrder &Ord,
-             SaturationOptions Opts = {})
-      : Terms(Terms), Ordering(Ord), Opts(Opts), Demod(Terms),
-        IncModel(Terms) {}
+  explicit Saturation(TermTable &Terms, SaturationOptions Opts = {})
+      : Terms(Terms), Opts(Opts) {}
 
   Saturation(const Saturation &) = delete;
   Saturation &operator=(const Saturation &) = delete;
@@ -194,7 +192,7 @@ public:
                      uint32_t ExternalTag = ~0u);
 
   /// Sweeps the lazily-invalidated entries of deleted clauses out of
-  /// Fingerprints, FromByMax, and IntoBySubterm. Runs automatically
+  /// Fingerprints, FromByMax, and IntoByMax. Runs automatically
   /// (amortized) once stale entries rival the live clause count; a
   /// long-lived caller may also force a sweep at any quiescent point.
   /// Purging a deleted clause's fingerprint is sound: re-adding an
@@ -292,11 +290,6 @@ private:
   /// materialized, so callers comparing two lists materialize both
   /// before taking spans).
   std::span<const OrientedLiteral> sortedLits(uint32_t Id) const;
-
-  /// Replaces every occurrence position of \p Find in \p In one at a
-  /// time; appends each single-position replacement result.
-  void replacements(const Term *In, const Term *Find, const Term *Repl,
-                    std::vector<const Term *> &Out);
 
   /// Rewrites \p T to Demod-normal form, recording used unit ids.
   /// Rules generated by clause \p SelfId are skipped so a unit
@@ -405,9 +398,8 @@ private:
   GroundRewriteSystem Demod;
   /// Left-hand side of the demodulation rule owned by a clause id.
   std::unordered_map<uint32_t, const Term *> DemodOwned;
-  /// Root-symbol fingerprint of the demodulator left-hand sides;
-  /// filters rule lookups per subterm and whole clauses per
-  /// ClauseSig::Syms.
+  /// Symbol fingerprint of the demodulator left-hand sides; filters
+  /// rule lookups per constant and whole clauses per ClauseSig::Syms.
   DemodIndex DemodIdx;
   /// Signature of every clause ever kept, indexed by clause id
   /// (persists across deletion so revival need not recompute it).
@@ -449,24 +441,16 @@ private:
   static constexpr size_t OrderMemoSize = 1 << 12;
   mutable std::vector<OrderMemoEntry> OrderMemo; ///< Lazily allocated.
   mutable uint32_t OrderMemoEpoch = 1;
-  /// Scratch for replacements(): the explicit occurrence walk and the
-  /// argument buffer used to rebuild terms along the spine, reused
-  /// across calls instead of allocating per argument position.
-  struct ReplFrame {
-    const Term *T;
-    unsigned NextArg;
-  };
-  std::vector<ReplFrame> ReplPath;
-  std::vector<const Term *> ReplArgs;
   /// Inference partner indexes over *active* clauses: a superposition
   /// between F (from) and G (into) exists only when F's maximal term
-  /// occurs inside G's maximal term, so partners are found by term id
-  /// instead of scanning the whole active set. FromByMax keys clauses
-  /// by their strictly-maximal positive left side; IntoBySubterm keys
-  /// clauses by every distinct subterm of their maximal side. Entries
-  /// are invalidated lazily via the Deleted flag.
+  /// is G's maximal term, so partners are found by term id instead of
+  /// scanning the whole active set. FromByMax keys clauses by the
+  /// larger side of their maximal literal when it is positive and
+  /// nontrivial; IntoByMax keys every clause by the larger side of its
+  /// maximal literal. Entries are invalidated lazily via the Deleted
+  /// flag.
   std::unordered_map<uint32_t, std::vector<uint32_t>> FromByMax;
-  std::unordered_map<uint32_t, std::vector<uint32_t>> IntoBySubterm;
+  std::unordered_map<uint32_t, std::vector<uint32_t>> IntoByMax;
   /// Deleted clauses whose lazily-invalidated index entries have not
   /// been compacted away yet; drives maybeCompactIndexes().
   size_t StaleDeleted = 0;

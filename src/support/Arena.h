@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A simple bump-pointer arena used for term DAGs, clauses and spatial
+/// A simple bump-pointer arena used for terms, clauses and spatial
 /// atoms. Objects allocated here are never individually freed; the
 /// whole arena is released at once, or rewound to a previously taken
 /// Mark (strictly LIFO). Slabs cut loose by a rewind are retained on a

@@ -1,16 +1,14 @@
-//===- term/Ordering.h - Precedence, KBO and LPO ----------------*- C++ -*-===//
+//===- term/Ordering.h - The term order -------------------------*- C++ -*-===//
 //
 // Part of the SLP project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Term orderings for the superposition calculus: a total precedence
-/// on symbols and two total simplification orders on ground terms —
-/// the Knuth-Bendix ordering (the default) and the lexicographic path
-/// ordering (selectable; the ordering-choice ablation compares them).
-/// Section 3.3 of the paper requires nil to be the minimal constant;
-/// Precedence enforces that invariant.
+/// The total order on ground terms that drives the superposition
+/// calculus. Terms are constants, so the order is a precedence on
+/// symbols: creation order, i.e. symbol id. Section 3.3 of the paper
+/// requires nil to be the minimal constant, and nil is symbol 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +16,6 @@
 #define SLP_TERM_ORDERING_H
 
 #include "term/Term.h"
-
-#include <vector>
 
 namespace slp {
 
@@ -34,148 +30,20 @@ inline Order flip(Order O) {
   return Order::Equal;
 }
 
-/// A total order on symbols. By default symbols are ranked by creation
-/// order, which makes nil (symbol 0) minimal; custom ranks may be
-/// installed but must keep nil minimal.
-class Precedence {
-public:
-  /// Rank of a symbol; higher rank means greater in the precedence.
-  uint64_t rank(Symbol S) const {
-    if (S.id() < Ranks.size())
-      return Ranks[S.id()];
-    return S.id(); // Default: creation order.
-  }
+/// Compares two ground terms by symbol id (nil minimal).
+inline Order compareTerms(const Term *A, const Term *B) {
+  const uint32_t SA = A->symbol().id(), SB = B->symbol().id();
+  if (SA < SB)
+    return Order::Less;
+  if (SA > SB)
+    return Order::Greater;
+  return Order::Equal;
+}
 
-  /// Installs a custom rank for \p S. nil must stay minimal.
-  void setRank(Symbol S, uint64_t Rank) {
-    assert((S != SymbolTable::nil() || Rank == 0) &&
-           "nil must remain the minimal symbol");
-    assert((S == SymbolTable::nil() || Rank > 0) &&
-           "non-nil symbols must rank above nil");
-    if (S.id() >= Ranks.size()) {
-      size_t Old = Ranks.size();
-      Ranks.resize(S.id() + 1);
-      for (size_t I = Old; I != Ranks.size(); ++I)
-        Ranks[I] = I;
-    }
-    Ranks[S.id()] = Rank;
-  }
-
-  Order compare(Symbol A, Symbol B) const {
-    uint64_t RA = rank(A), RB = rank(B);
-    if (RA < RB)
-      return Order::Less;
-    if (RA > RB)
-      return Order::Greater;
-    assert(A == B && "precedence ranks must be distinct per symbol");
-    return Order::Equal;
-  }
-
-  bool greater(Symbol A, Symbol B) const {
-    return compare(A, B) == Order::Greater;
-  }
-
-private:
-  std::vector<uint64_t> Ranks;
-};
-
-/// Abstract total simplification order on ground terms; the calculus
-/// is parameterized over this interface.
-class TermOrder {
-public:
-  virtual ~TermOrder();
-
-  virtual Order compare(const Term *A, const Term *B) const = 0;
-
-  bool greater(const Term *A, const Term *B) const {
-    return compare(A, B) == Order::Greater;
-  }
-
-  /// Of two interned terms, returns the larger one.
-  const Term *max(const Term *A, const Term *B) const {
-    return greater(B, A) ? B : A;
-  }
-
-  const Term *min(const Term *A, const Term *B) const {
-    return greater(B, A) ? A : B;
-  }
-};
-
-/// Knuth-Bendix ordering on ground terms: compare total symbol weight
-/// first, then head precedence, then arguments lexicographically.
-/// With a total precedence this is a total simplification order on
-/// ground terms, as required by the calculus of Nieuwenhuis-Rubio.
-///
-/// Two memoization layers serve the saturation hot loops
-/// (compareSortedLiterals, demodulation orientation), which compare
-/// the same few hundred interned terms against each other over and
-/// over: a per-term weight memo and a direct-mapped (idA, idB) pair
-/// cache of full comparison results. Both are keyed by dense term ids,
-/// so both must be dropped via invalidateCache() when the TermTable is
-/// rewound. Like the weight memo, the pair cache makes a KBO instance
-/// single-thread-per-instance (each ProverSession owns its own).
-class KBO : public TermOrder {
-public:
-  explicit KBO(Precedence Prec = Precedence(), uint64_t SymbolWeight = 1)
-      : Prec(std::move(Prec)), SymbolWeight(SymbolWeight) {}
-
-  /// Total weight of \p T: SymbolWeight per node of the term tree.
-  uint64_t weight(const Term *T) const;
-
-  Order compare(const Term *A, const Term *B) const override;
-
-  const Precedence &precedence() const { return Prec; }
-  Precedence &precedence() { return Prec; }
-
-  /// Drops the term-id-keyed memos (weights and pair results). Must be
-  /// called when the underlying TermTable is reset() to a mark:
-  /// rewinding reuses dense term ids for different terms, which would
-  /// alias stale entries.
-  void invalidateCache() {
-    WeightCache.clear();
-    ++PairEpoch; // Lazily invalidates every pair entry.
-  }
-
-private:
-  Precedence Prec;
-  uint64_t SymbolWeight;
-  // Weight memo indexed by term id (0 = not yet computed).
-  mutable std::vector<uint64_t> WeightCache;
-
-  /// Direct-mapped pair-comparison cache. Epoch-stamped entries make
-  /// invalidation O(1) — invalidateCache() runs once per query, and a
-  /// bulk clear of the table would cost more than the cache saves on
-  /// small queries.
-  struct PairEntry {
-    uint64_t Key = 0;   ///< (idA << 32) | idB; 0 = never written
-                        ///< (only the A == B pair maps to 0, and that
-                        ///< is answered before the cache).
-    uint32_t Epoch = 0; ///< Valid only when equal to PairEpoch.
-    uint8_t Val = 0;    ///< Order, as its enumerator index.
-  };
-  static constexpr size_t PairCacheSize = 1 << 13; ///< Slots (power of 2).
-  mutable std::vector<PairEntry> PairCache;        ///< Lazily allocated.
-  mutable uint32_t PairEpoch = 1;
-};
-
-/// Lexicographic path ordering on ground terms: s > t if
-///   (1) some argument of s is >= t, or
-///   (2) head(s) > head(t) and s > every argument of t, or
-///   (3) heads are equal, the first differing arguments decide, and
-///       the greater side dominates the smaller side's remaining
-///       arguments.
-class LPO : public TermOrder {
-public:
-  explicit LPO(Precedence Prec = Precedence()) : Prec(std::move(Prec)) {}
-
-  Order compare(const Term *A, const Term *B) const override;
-
-  const Precedence &precedence() const { return Prec; }
-  Precedence &precedence() { return Prec; }
-
-private:
-  Precedence Prec;
-};
+/// Of two terms, returns the larger one.
+inline const Term *maxTerm(const Term *A, const Term *B) {
+  return compareTerms(B, A) == Order::Greater ? B : A;
+}
 
 } // namespace slp
 

@@ -3,15 +3,6 @@
 // Part of the SLP project.
 //
 //===----------------------------------------------------------------------===//
-//
-// Both normalizers run an explicit worklist instead of recursing:
-// ground SL list terms nest as deeply as the data structures they
-// describe, and one stack frame per nesting level overflows the thread
-// stack long before the arena runs out. The frame and argument buffers
-// are reused across calls, so a normalization allocates nothing once
-// the scratch vectors have grown to the deepest term seen.
-//
-//===----------------------------------------------------------------------===//
 
 #include "term/Rewrite.h"
 
@@ -19,138 +10,47 @@ using namespace slp;
 
 const Term *GroundRewriteSystem::normalize(const Term *T) const {
   const uint32_t N = static_cast<uint32_t>(Rules.size());
-  {
-    auto Cached = NormalFormCache.find(T->id());
-    if (Cached != NormalFormCache.end() && Cached->second.RuleCount == N)
-      return Cached->second.NF;
-  }
-
-  std::vector<NormFrame> &Frames = FrameScratch;
-  std::vector<const Term *> &Args = ArgScratch;
-  Frames.clear();
-  Args.clear();
-  Frames.push_back({T, T, 0, 0, false});
-  const Term *Result = T;
-
-  // Pops the top frame and delivers its normal form as the parent's
-  // next normalized argument.
-  auto Deliver = [&](const Term *NF) {
-    Frames.pop_back();
-    if (Frames.empty()) {
-      Result = NF;
-      return;
-    }
-    NormFrame &P = Frames.back();
-    P.ArgsChanged |= (NF != P.Cur->arg(P.ArgIdx));
-    Args.push_back(NF);
-    ++P.ArgIdx;
-  };
-
-  // Deliver plus memoize (and journal) under the frame's original
-  // term; pure memo hits skip this — re-storing them would grow the
-  // journal on every warm lookup.
+  // Memoizes (and journals) the normal form under T; pure memo hits on
+  // T itself skip this — re-storing them would grow the journal on
+  // every warm lookup.
   auto Finish = [&](const Term *NF) {
-    NormalFormCache[Frames.back().Orig->id()] = {NF, N};
+    NormalFormCache[T->id()] = {NF, N};
     if (N > 0)
-      CacheJournal.emplace_back(Frames.back().Orig->id(), N);
-    Deliver(NF);
+      CacheJournal.emplace_back(T->id(), N);
+    return NF;
   };
 
-  while (!Frames.empty()) {
-    NormFrame &F = Frames.back();
-
-    if (F.ArgIdx == 0) {
-      // (Re)entering this reduct: consult the memo. An entry computed
-      // under fewer rules is still a reduct of Cur (it only ever used
-      // kept rules), so normalization resumes from it — by convergence
-      // the final normal form is unchanged.
-      auto Cached = NormalFormCache.find(F.Cur->id());
-      if (Cached != NormalFormCache.end()) {
-        if (Cached->second.RuleCount == N) {
-          // The entry is current. Store only when it teaches us
-          // something new (the frame rewrote away from its original).
-          if (F.Orig == F.Cur)
-            Deliver(Cached->second.NF);
-          else
-            Finish(Cached->second.NF);
-          continue;
-        }
-        ++CacheRepairs;
-        F.Cur = Cached->second.NF;
-      }
+  const Term *Cur = T;
+  for (;;) {
+    // (Re)entering a reduct: consult the memo. An entry computed under
+    // fewer rules is still a reduct of Cur (it only ever used kept
+    // rules), so normalization resumes from it — by convergence the
+    // final normal form is unchanged.
+    auto Cached = NormalFormCache.find(Cur->id());
+    if (Cached != NormalFormCache.end()) {
+      const Term *NF = Cached->second.NF;
+      if (Cached->second.RuleCount == N)
+        return Cur == T ? NF : Finish(NF);
+      ++CacheRepairs;
+      Cur = NF;
     }
-
-    // Innermost: normalize the arguments first.
-    if (F.ArgIdx < F.Cur->numArgs()) {
-      const Term *A = F.Cur->arg(F.ArgIdx);
-      Frames.push_back({A, A, 0, static_cast<uint32_t>(Args.size()), false});
-      continue;
-    }
-
-    const Term *Cur = F.Cur;
-    if (F.ArgsChanged)
-      Cur = Terms.make(Cur->symbol(),
-                       {Args.data() + F.ArgsBase, Cur->numArgs()});
-    Args.resize(F.ArgsBase);
-
-    if (const RewriteRule *Rule = ruleFor(Cur)) {
-      // Rules strictly decrease the term ordering, so this terminates.
-      F.Cur = Rule->Rhs;
-      F.ArgIdx = 0;
-      F.ArgsChanged = false;
-      continue;
-    }
-    Finish(Cur);
+    // Rules strictly decrease the term ordering, so this terminates.
+    const RewriteRule *Rule = ruleFor(Cur);
+    if (!Rule)
+      return Finish(Cur);
+    Cur = Rule->Rhs;
   }
-  return Result;
 }
 
 const Term *
 GroundRewriteSystem::normalizeTracked(const Term *T,
                                       std::vector<const RewriteRule *> &Used)
     const {
-  // Same worklist as normalize(), but every root step is recorded in
-  // application order, so the memo (which would skip steps) is not
-  // consulted.
-  std::vector<NormFrame> &Frames = FrameScratch;
-  std::vector<const Term *> &Args = ArgScratch;
-  Frames.clear();
-  Args.clear();
-  Frames.push_back({T, T, 0, 0, false});
-  const Term *Result = T;
-
-  while (!Frames.empty()) {
-    NormFrame &F = Frames.back();
-
-    if (F.ArgIdx < F.Cur->numArgs()) {
-      const Term *A = F.Cur->arg(F.ArgIdx);
-      Frames.push_back({A, A, 0, static_cast<uint32_t>(Args.size()), false});
-      continue;
-    }
-
-    const Term *Cur = F.Cur;
-    if (F.ArgsChanged)
-      Cur = Terms.make(Cur->symbol(),
-                       {Args.data() + F.ArgsBase, Cur->numArgs()});
-    Args.resize(F.ArgsBase);
-
-    if (const RewriteRule *Rule = ruleFor(Cur)) {
-      Used.push_back(Rule);
-      F.Cur = Rule->Rhs;
-      F.ArgIdx = 0;
-      F.ArgsChanged = false;
-      continue;
-    }
-
-    Frames.pop_back();
-    if (Frames.empty()) {
-      Result = Cur;
-      break;
-    }
-    NormFrame &P = Frames.back();
-    P.ArgsChanged |= (Cur != P.Cur->arg(P.ArgIdx));
-    Args.push_back(Cur);
-    ++P.ArgIdx;
+  // Every step is recorded in application order, so the memo (which
+  // would skip steps) is not consulted.
+  while (const RewriteRule *Rule = ruleFor(T)) {
+    Used.push_back(Rule);
+    T = Rule->Rhs;
   }
-  return Result;
+  return T;
 }

@@ -31,7 +31,6 @@
 #ifndef SLP_TERM_REWRITE_H
 #define SLP_TERM_REWRITE_H
 
-#include "term/Ordering.h"
 #include "term/Term.h"
 
 #include <unordered_map>
@@ -56,8 +55,6 @@ struct RewriteRule {
 /// A convergent ground rewrite system over interned terms.
 class GroundRewriteSystem {
 public:
-  explicit GroundRewriteSystem(TermTable &Terms) : Terms(Terms) {}
-
   /// Adds Lhs ⇒ Rhs. At most one rule per left-hand side is allowed
   /// (left-reducedness), which Gen guarantees by construction. The
   /// normal-form memo survives: existing entries are repaired lazily
@@ -160,8 +157,6 @@ public:
   bool empty() const { return Rules.empty(); }
   size_t size() const { return Rules.size(); }
 
-  TermTable &terms() const { return Terms; }
-
 private:
   /// A memoized normal form, valid relative to the first RuleCount
   /// rules of the current sequence.
@@ -170,17 +165,6 @@ private:
     uint32_t RuleCount;
   };
 
-  /// One node of the explicit normalization worklist (ground SL list
-  /// terms nest deeply; recursion would risk stack overflow).
-  struct NormFrame {
-    const Term *Orig;  ///< Term whose normal form this frame computes.
-    const Term *Cur;   ///< Current reduct of Orig.
-    unsigned ArgIdx;   ///< Next argument of Cur to normalize.
-    uint32_t ArgsBase; ///< Start of this frame's args in ArgScratch.
-    bool ArgsChanged;  ///< Some argument changed; Cur must be rebuilt.
-  };
-
-  TermTable &Terms;
   std::vector<RewriteRule> Rules;
   std::unordered_map<uint32_t, size_t> RuleByLhs;
   mutable std::unordered_map<uint32_t, CacheEntry> NormalFormCache;
@@ -190,11 +174,6 @@ private:
   /// are never dropped and are not journaled.
   mutable std::vector<std::pair<uint32_t, uint32_t>> CacheJournal;
   mutable uint64_t CacheRepairs = 0;
-  /// Reusable worklist storage for normalize()/normalizeTracked(); a
-  /// per-level std::vector would otherwise be allocated at every
-  /// nesting depth.
-  mutable std::vector<NormFrame> FrameScratch;
-  mutable std::vector<const Term *> ArgScratch;
 };
 
 } // namespace slp

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Function symbols for the ground term language. The separation-logic
-/// fragment of the paper only needs constants (program variables plus
-/// the distinguished nil), but the substrate supports arbitrary arities
-/// so the superposition calculus is the general ground one.
+/// Constant symbols for the ground term language. The separation-logic
+/// fragment of the paper only needs constants: program variables plus
+/// the distinguished nil.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +46,7 @@ class SymbolTable {
 public:
   SymbolTable() {
     // Reserve id 0 for nil.
-    Symbol S = intern("nil", /*Arity=*/0);
+    Symbol S = constant("nil");
     (void)S;
     assert(S.id() == 0 && "nil must be symbol 0");
   }
@@ -55,28 +54,19 @@ public:
   /// The distinguished null-pointer constant.
   static Symbol nil() { return Symbol(0); }
 
-  /// Returns the symbol named \p Name with the given arity, creating
-  /// it on first use. Reusing a name with a different arity is an
-  /// API-contract violation.
-  Symbol intern(std::string_view Name, unsigned Arity) {
+  /// Returns the symbol named \p Name, creating it on first use.
+  Symbol constant(std::string_view Name) {
     std::string_view Stable = Names.intern(Name);
     auto It = Index.find(Stable);
-    if (It != Index.end()) {
-      assert(Entries[It->second].Arity == Arity &&
-             "symbol re-interned with a different arity");
+    if (It != Index.end())
       return Symbol(It->second);
-    }
     uint32_t Id = static_cast<uint32_t>(Entries.size());
-    Entries.push_back({Stable, Arity});
+    Entries.push_back(Stable);
     Index.emplace(Stable, Id);
     return Symbol(Id);
   }
 
-  /// Convenience for arity-0 symbols (program variables).
-  Symbol constant(std::string_view Name) { return intern(Name, 0); }
-
-  std::string_view name(Symbol S) const { return Entries.at(S.id()).Name; }
-  unsigned arity(Symbol S) const { return Entries.at(S.id()).Arity; }
+  std::string_view name(Symbol S) const { return Entries.at(S.id()); }
   size_t size() const { return Entries.size(); }
 
   /// Forgets every symbol with id >= \p NumSymbols, so a session can
@@ -89,18 +79,13 @@ public:
     assert(NumSymbols >= 1 && "nil must survive truncation");
     assert(NumSymbols <= Entries.size() && "cannot truncate upwards");
     for (size_t Id = NumSymbols; Id != Entries.size(); ++Id)
-      Index.erase(Entries[Id].Name);
+      Index.erase(Entries[Id]);
     Entries.resize(NumSymbols);
   }
 
 private:
-  struct Entry {
-    std::string_view Name;
-    unsigned Arity;
-  };
-
   StringInterner Names;
-  std::vector<Entry> Entries;
+  std::vector<std::string_view> Entries; ///< Names by symbol id.
   std::unordered_map<std::string_view, uint32_t> Index;
 };
 

@@ -1,4 +1,4 @@
-//===- term/Term.cpp - Hash-consed ground term DAG ------------------------===//
+//===- term/Term.cpp - Interned ground constants --------------------------===//
 //
 // Part of the SLP project.
 //
@@ -6,71 +6,30 @@
 
 #include "term/Term.h"
 
-#include <sstream>
-
 using namespace slp;
 
-const Term *TermTable::make(Symbol Sym, std::span<const Term *const> Args) {
-  assert(Symbols.arity(Sym) == Args.size() &&
-         "term built with wrong number of arguments");
-  uint64_t H = hashKey(Sym, Args);
-  auto [It, End] = Buckets.equal_range(H);
-  for (; It != End; ++It) {
-    const Term *T = It->second;
-    if (T->symbol() != Sym || T->numArgs() != Args.size())
-      continue;
-    bool Same = true;
-    for (unsigned I = 0; I != T->numArgs(); ++I)
-      if (T->arg(I) != Args[I]) {
-        Same = false;
-        break;
-      }
-    if (Same)
-      return T;
+const Term *TermTable::constant(Symbol Sym) {
+  assert(Sym.id() < Symbols.size() && "symbol of another table");
+  if (Sym.id() >= BySymbol.size())
+    BySymbol.resize(Sym.id() + 1, nullptr);
+  const Term *&Slot = BySymbol[Sym.id()];
+  if (!Slot) {
+    void *Mem = Storage.allocate(sizeof(Term), alignof(Term));
+    Slot = new (Mem) Term(Sym, static_cast<uint32_t>(TermsById.size()));
+    TermsById.push_back(Slot);
   }
-
-  const Term **ArgsCopy = nullptr;
-  if (!Args.empty())
-    ArgsCopy = const_cast<const Term **>(
-        Storage.copyArray<const Term *>(Args.data(), Args.size()));
-  uint32_t Id = static_cast<uint32_t>(TermsById.size());
-  void *Mem = Storage.allocate(sizeof(Term), alignof(Term));
-  Term *T = new (Mem) Term(Sym, Id, H, ArgsCopy,
-                           static_cast<unsigned>(Args.size()));
-  TermsById.push_back(T);
-  Buckets.emplace(H, T);
-  return T;
+  return Slot;
 }
 
 void TermTable::reset(const Mark &M) {
   assert(M.NumTerms <= TermsById.size() && "marks must be reset LIFO");
-  // Drop the bucket entries of every term above the mark; collisions
-  // are resolved by pointer identity, so each erase is O(bucket).
-  for (size_t I = TermsById.size(); I-- > M.NumTerms;) {
-    const Term *T = TermsById[I];
-    auto [It, End] = Buckets.equal_range(T->hash());
-    for (; It != End; ++It)
-      if (It->second == T) {
-        Buckets.erase(It);
-        break;
-      }
-  }
+  // A term made after the mark may belong to a symbol interned before
+  // it, so clear the slot of every dropped term before truncating.
+  for (size_t I = M.NumTerms; I != TermsById.size(); ++I)
+    BySymbol[TermsById[I]->symbol().id()] = nullptr;
   TermsById.resize(M.NumTerms);
+  if (BySymbol.size() > M.NumSymbols)
+    BySymbol.resize(M.NumSymbols);
   Storage.rewind(M.Storage);
   Symbols.truncate(M.NumSymbols);
-}
-
-std::string TermTable::str(const Term *T) const {
-  std::ostringstream OS;
-  OS << Symbols.name(T->symbol());
-  if (T->numArgs() == 0)
-    return OS.str();
-  OS << '(';
-  for (unsigned I = 0; I != T->numArgs(); ++I) {
-    if (I)
-      OS << ", ";
-    OS << str(T->arg(I));
-  }
-  OS << ')';
-  return OS.str();
 }

@@ -1,14 +1,15 @@
-//===- term/Term.h - Hash-consed ground term DAG ----------------*- C++ -*-===//
+//===- term/Term.h - Interned ground constants ------------------*- C++ -*-===//
 //
 // Part of the SLP project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ground terms are interned into a DAG: structurally equal terms are
-/// the same node, so equality is pointer equality and every term
-/// carries a dense id usable as a vector index. Nodes live in an arena
-/// owned by the TermTable and are never freed individually.
+/// Ground terms are the constants of the separation-logic fragment:
+/// program variables and nil. Each symbol has exactly one interned
+/// term node, so equality is pointer equality and every term carries a
+/// dense id usable as a vector index. Nodes live in an arena owned by
+/// the TermTable and are never freed individually.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,54 +17,34 @@
 #define SLP_TERM_TERM_H
 
 #include "support/Arena.h"
-#include "support/Hashing.h"
 #include "term/Symbol.h"
 
-#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace slp {
 
-/// An immutable, interned ground term. Compare with `==` on pointers.
+/// An immutable, interned ground constant. Compare with `==` on
+/// pointers.
 class Term {
 public:
   Symbol symbol() const { return Sym; }
   uint32_t id() const { return Id; }
-  uint64_t hash() const { return Hash; }
-  unsigned numArgs() const { return NumArgs; }
-
-  std::span<const Term *const> args() const {
-    return {ArgsBegin, static_cast<size_t>(NumArgs)};
-  }
-
-  const Term *arg(unsigned I) const {
-    assert(I < NumArgs && "argument index out of range");
-    return ArgsBegin[I];
-  }
-
-  bool isConstant() const { return NumArgs == 0; }
   bool isNil() const { return Sym == SymbolTable::nil(); }
 
 private:
   friend class TermTable;
-  Term(Symbol Sym, uint32_t Id, uint64_t Hash, const Term *const *ArgsBegin,
-       unsigned NumArgs)
-      : Sym(Sym), Id(Id), Hash(Hash), NumArgs(NumArgs), ArgsBegin(ArgsBegin) {}
+  Term(Symbol Sym, uint32_t Id) : Sym(Sym), Id(Id) {}
 
   Symbol Sym;
   uint32_t Id;
-  uint64_t Hash;
-  unsigned NumArgs;
-  const Term *const *ArgsBegin;
 };
 
 /// Interning factory and owner of all Term nodes of a problem.
 ///
 /// Supports checkpoint/rewind: mark() captures the table state and
-/// reset(Mark) truncates the arena, the dense id vector, the hash
-/// buckets, and the owning SymbolTable back to that baseline. A prover
+/// reset(Mark) truncates the arena, the dense id vector, the per-symbol
+/// index, and the owning SymbolTable back to that baseline. A prover
 /// session interns query-local terms on top of a persistent
 /// shared-prefix table and rewinds between queries instead of
 /// rebuilding a table from scratch (see core::ProverSession).
@@ -90,19 +71,16 @@ public:
   /// Truncates the table back to \p M: every term and symbol interned
   /// after the mark is forgotten (pointers to them dangle), the arena
   /// is rewound, and subsequent interning reassigns the same dense ids
-  /// deterministically. Callers holding term-id-keyed caches (e.g.
-  /// KBO's weight memo) must invalidate them.
+  /// deterministically. Callers holding term-id-keyed caches must
+  /// invalidate them.
   void reset(const Mark &M);
 
-  /// Returns the unique term \p Sym(\p Args...).
-  const Term *make(Symbol Sym, std::span<const Term *const> Args = {});
-
-  /// Returns the unique constant term for \p Sym (arity 0).
-  const Term *constant(Symbol Sym) { return make(Sym); }
+  /// Returns the unique constant term for \p Sym.
+  const Term *constant(Symbol Sym);
 
   /// Interns the name and returns its constant term.
   const Term *constant(std::string_view Name) {
-    return make(Symbols.constant(Name));
+    return constant(Symbols.constant(Name));
   }
 
   /// The distinguished nil constant.
@@ -124,28 +102,17 @@ public:
   /// of allocating a fresh one; the session-reuse win in one number.
   uint64_t arenaSlabsReused() const { return Storage.slabsReused(); }
 
-  /// Renders \p T as text, e.g. "f(a, nil)".
-  std::string str(const Term *T) const;
-
-private:
-  struct Key {
-    Symbol Sym;
-    std::span<const Term *const> Args;
-  };
-
-  static uint64_t hashKey(Symbol Sym, std::span<const Term *const> Args) {
-    uint64_t H = hashValue(Sym.id());
-    for (const Term *A : Args)
-      H = hashCombine(H, A->hash());
-    return H;
+  /// Renders \p T as text: its symbol's name.
+  std::string str(const Term *T) const {
+    return std::string(Symbols.name(T->symbol()));
   }
 
+private:
   SymbolTable &Symbols;
   Arena Storage;
   std::vector<const Term *> TermsById;
-  // Buckets from hash to candidate terms; collisions resolved by
-  // structural comparison (which is shallow thanks to interning).
-  std::unordered_multimap<uint64_t, const Term *> Buckets;
+  /// The term of each symbol, indexed by symbol id (null until made).
+  std::vector<const Term *> BySymbol;
 };
 
 } // namespace slp

@@ -28,7 +28,6 @@ class ComponentsTest : public ::testing::Test {
 protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
-  KBO Ord;
 
   const Term *T(const char *N) { return Terms.constant(N); }
 };
@@ -40,7 +39,7 @@ protected:
 //===----------------------------------------------------------------------===//
 
 TEST_F(ComponentsTest, InducedStackSeparatesClasses) {
-  GroundRewriteSystem R(Terms);
+  GroundRewriteSystem R;
   R.addRule(T("b"), T("a"), 0); // b ~ a.
   std::vector<const Term *> Cs{Terms.nil(), T("a"), T("b"), T("c")};
   sl::Stack S = inducedStack(R, Cs);
@@ -51,7 +50,7 @@ TEST_F(ComponentsTest, InducedStackSeparatesClasses) {
 }
 
 TEST_F(ComponentsTest, InducedStackSendsNilClassToNil) {
-  GroundRewriteSystem R(Terms);
+  GroundRewriteSystem R;
   R.addRule(T("a"), Terms.nil(), 0);
   std::vector<const Term *> Cs{Terms.nil(), T("a"), T("b")};
   sl::Stack S = inducedStack(R, Cs);
@@ -60,7 +59,7 @@ TEST_F(ComponentsTest, InducedStackSendsNilClassToNil) {
 }
 
 TEST_F(ComponentsTest, GraphHeapOneEdgePerAtom) {
-  GroundRewriteSystem R(Terms);
+  GroundRewriteSystem R;
   std::vector<const Term *> Cs{Terms.nil(), T("x"), T("y"), T("z")};
   sl::Stack S = inducedStack(R, Cs);
   sl::SpatialFormula Sigma{sl::HeapAtom::lseg(T("x"), T("y")),
@@ -86,7 +85,7 @@ TEST_F(ComponentsTest, NormalizationRewritesAndDropsTrivial) {
   const Term *B = T("b");
   (void)A;
   (void)B;
-  sup::Saturation Sat(Terms, Ord);
+  sup::Saturation Sat(Terms);
   Sat.addInput({}, {sup::Equation(T("a"), T("b"))});
   Fuel F;
   ASSERT_EQ(Sat.saturate(F), sup::SatResult::Saturated);
@@ -116,7 +115,7 @@ TEST_F(ComponentsTest, NormalizationAccumulatesResidue) {
   (void)A0;
   (void)B0;
   (void)C0;
-  sup::Saturation Sat(Terms, Ord);
+  sup::Saturation Sat(Terms);
   Sat.addInput({}, {sup::Equation(T("a"), T("b")),
                     sup::Equation(T("a"), T("c"))});
   Fuel F;
@@ -138,7 +137,7 @@ TEST_F(ComponentsTest, NormalizationOfNegativeClause) {
   const Term *B = T("b");
   (void)A;
   (void)B;
-  sup::Saturation Sat(Terms, Ord);
+  sup::Saturation Sat(Terms);
   Sat.addInput({}, {sup::Equation(T("a"), T("b"))});
   Fuel F;
   ASSERT_EQ(Sat.saturate(F), sup::SatResult::Saturated);

@@ -67,8 +67,7 @@ TEST_F(ClauseTest, Subsumption) {
 }
 
 TEST_F(ClauseTest, LiteralOrderingNegativeAboveSameEquation) {
-  KBO Ord;
-  ClauseOrdering CO(Ord);
+  ClauseOrdering CO;
   OrientedLiteral Pos = CO.orient(Equation(A, B), /*Negative=*/false);
   OrientedLiteral Neg = CO.orient(Equation(A, B), /*Negative=*/true);
   EXPECT_EQ(CO.compareLiterals(Neg, Pos), Order::Greater);
@@ -76,8 +75,7 @@ TEST_F(ClauseTest, LiteralOrderingNegativeAboveSameEquation) {
 }
 
 TEST_F(ClauseTest, LiteralOrderingByMaxTerm) {
-  KBO Ord;
-  ClauseOrdering CO(Ord);
+  ClauseOrdering CO;
   // c > b > a in creation-order precedence.
   OrientedLiteral AB = CO.orient(Equation(A, B), false);
   OrientedLiteral AC = CO.orient(Equation(A, C), false);
@@ -85,8 +83,7 @@ TEST_F(ClauseTest, LiteralOrderingByMaxTerm) {
 }
 
 TEST_F(ClauseTest, ClauseOrderingMultisetExtension) {
-  KBO Ord;
-  ClauseOrdering CO(Ord);
+  ClauseOrdering CO;
   Clause C1({}, {Equation(A, B)});
   Clause C2({}, {Equation(A, C)});
   EXPECT_EQ(CO.compareClauses(C2, C1), Order::Greater);
@@ -98,8 +95,7 @@ TEST_F(ClauseTest, ClauseOrderingMultisetExtension) {
 }
 
 TEST_F(ClauseTest, StrictMaximality) {
-  KBO Ord;
-  ClauseOrdering CO(Ord);
+  ClauseOrdering CO;
   Clause C1({}, {Equation(A, B), Equation(A, C)});
   OrientedLiteral AB = CO.orient(Equation(A, B), false);
   OrientedLiteral AC = CO.orient(Equation(A, C), false);

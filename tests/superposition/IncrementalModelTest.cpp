@@ -71,13 +71,12 @@ void randomClause(TermTable &Terms, SplitMix64 &Rng, unsigned NumVars,
 TEST(IncrementalModel, LockstepRandomSoups) {
   SymbolTable Symbols;
   TermTable Terms(Symbols);
-  KBO Ord;
   SplitMix64 Rng(20260729);
   for (int Round = 0; Round != 60; ++Round) {
     SaturationOptions ScratchOpts;
     ScratchOpts.IncrementalModel = false;
-    Saturation Inc(Terms, Ord);
-    Saturation Scratch(Terms, Ord, ScratchOpts);
+    Saturation Inc(Terms);
+    Saturation Scratch(Terms, ScratchOpts);
     unsigned NumVars = 3 + Rng.below(5);
     unsigned Batches = 1 + Rng.below(4);
     for (unsigned B = 0; B != Batches; ++B) {
@@ -113,13 +112,12 @@ TEST(IncrementalModel, LockstepRandomSoups) {
 TEST(IncrementalModel, LockstepUnderFuelSlices) {
   SymbolTable Symbols;
   TermTable Terms(Symbols);
-  KBO Ord;
   SplitMix64 Rng(411);
   for (int Round = 0; Round != 25; ++Round) {
     SaturationOptions ScratchOpts;
     ScratchOpts.IncrementalModel = false;
-    Saturation Inc(Terms, Ord);
-    Saturation Scratch(Terms, Ord, ScratchOpts);
+    Saturation Inc(Terms);
+    Saturation Scratch(Terms, ScratchOpts);
     unsigned NumVars = 4 + Rng.below(4);
     for (unsigned I = 0, N = 4 + Rng.below(6); I != N; ++I) {
       std::vector<Equation> Neg, Pos;
@@ -154,12 +152,11 @@ TEST(IncrementalModel, LockstepUnderFuelSlices) {
 TEST(IncrementalModel, ClearResetsIncrementalState) {
   SymbolTable Symbols;
   TermTable Terms(Symbols);
-  KBO Ord;
   SplitMix64 Rng(77);
-  Saturation Reused(Terms, Ord);
+  Saturation Reused(Terms);
   for (int Round = 0; Round != 20; ++Round) {
     Reused.clear();
-    Saturation Fresh(Terms, Ord);
+    Saturation Fresh(Terms);
     unsigned NumVars = 3 + Rng.below(4);
     for (unsigned I = 0, N = 2 + Rng.below(5); I != N; ++I) {
       std::vector<Equation> Neg, Pos;
@@ -183,12 +180,11 @@ TEST(IncrementalModel, ClearResetsIncrementalState) {
 TEST(IncrementalModel, CountersReportAmortization) {
   SymbolTable Symbols;
   TermTable Terms(Symbols);
-  KBO Ord;
   SplitMix64 Rng(5);
   SaturationOptions ScratchOpts;
   ScratchOpts.IncrementalModel = false;
-  Saturation Inc(Terms, Ord);
-  Saturation Scratch(Terms, Ord, ScratchOpts);
+  Saturation Inc(Terms);
+  Saturation Scratch(Terms, ScratchOpts);
   // Several saturate-then-extend rounds over one growing set.
   for (int Round = 0; Round != 6; ++Round) {
     for (unsigned I = 0; I != 8; ++I) {

@@ -27,8 +27,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-
 using namespace slp;
 using namespace slp::sup;
 
@@ -84,8 +82,7 @@ TEST_F(IndexTest, SignatureOverPooledClauseViewsHasNoFalseNegatives) {
   // materialized copy must agree, and no subsuming pair among the
   // pooled clauses may be rejected. Subsumption is off so that every
   // input, subsumed or not, lands in the pool.
-  KBO Ord;
-  Saturation Sat(Terms, Ord, SaturationOptions{.Subsumption = false});
+  Saturation Sat(Terms, SaturationOptions{.Subsumption = false});
   SplitMix64 Rng(31);
   for (int I = 0; I != 100; ++I) {
     Clause C = randomClause(Rng);
@@ -115,14 +112,12 @@ TEST_F(IndexTest, SignatureOverPooledClauseViewsHasNoFalseNegatives) {
 }
 
 TEST_F(IndexTest, ClauseSigSetsOneBitPerEquation) {
-  // -> f(a) ' b: one positive equation, no negative ones.
+  // -> a ' b: one positive equation, no negative ones.
   const Term *A = T("a");
   const Term *B = T("b");
-  Symbol F = Symbols.intern("f", 1);
-  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
-  ClauseSig S = ClauseSig::of(Clause({}, {Equation(FA, B)}));
+  ClauseSig S = ClauseSig::of(Clause({}, {Equation(A, B)}));
   EXPECT_EQ(S.Neg, 0u);
-  EXPECT_EQ(S.Pos, ClauseSig::equationBit(Equation(FA, B)));
+  EXPECT_EQ(S.Pos, ClauseSig::equationBit(Equation(A, B)));
   EXPECT_EQ(__builtin_popcountll(S.Pos), 1);
 
   // a ' b, b ' c -> : the bits of both equations, on the negative side.
@@ -132,15 +127,17 @@ TEST_F(IndexTest, ClauseSigSetsOneBitPerEquation) {
   EXPECT_EQ(N.Pos, 0u);
 }
 
-TEST_F(IndexTest, ClauseSigSymbolMaskCoversSubterms) {
+TEST_F(IndexTest, ClauseSigSymbolMaskCoversEveryConstant) {
+  // a ' b -> c ' nil: the mask is exactly the four constants' bits.
   const Term *A = T("a");
   const Term *B = T("b");
-  Symbol F = Symbols.intern("f", 1);
-  const Term *FA = Terms.make(F, std::array<const Term *, 1>{A});
-  ClauseSig S = ClauseSig::of(Clause({}, {Equation(FA, B)}));
-  EXPECT_NE(S.Syms & ClauseSig::symbolBit(F), 0u);
-  EXPECT_NE(S.Syms & ClauseSig::symbolBit(A->symbol()), 0u);
-  EXPECT_NE(S.Syms & ClauseSig::symbolBit(B->symbol()), 0u);
+  const Term *C = T("c");
+  ClauseSig S =
+      ClauseSig::of(Clause({Equation(A, B)}, {Equation(C, Terms.nil())}));
+  uint64_t Expected = 0;
+  for (const Term *X : {A, B, C, Terms.nil()})
+    Expected |= ClauseSig::symbolBit(X->symbol());
+  EXPECT_EQ(S.Syms, Expected);
 }
 
 //===----------------------------------------------------------------------===//
@@ -176,13 +173,12 @@ namespace {
 
 class SatIndexTest : public IndexTest {
 protected:
-  KBO Ord;
 };
 
 } // namespace
 
 TEST_F(SatIndexTest, BackwardSubsumptionDeletesWeakerClauses) {
-  Saturation Sat(Terms, Ord);
+  Saturation Sat(Terms);
   auto Wide =
       Sat.addInput({}, {Equation(T("a"), T("b")), Equation(T("c"), T("d"))});
   ASSERT_TRUE(Wide.New);
@@ -196,7 +192,7 @@ TEST_F(SatIndexTest, BackwardSubsumptionDeletesWeakerClauses) {
 }
 
 TEST_F(SatIndexTest, RevivedDuplicateRechecksForwardSubsumption) {
-  Saturation Sat(Terms, Ord);
+  Saturation Sat(Terms);
   auto Wide =
       Sat.addInput({}, {Equation(T("a"), T("b")), Equation(T("c"), T("d"))});
   auto Unit = Sat.addInput({}, {Equation(T("a"), T("b"))});
@@ -222,7 +218,7 @@ TEST_F(SatIndexTest, RevivedDuplicateRechecksForwardSubsumption) {
 }
 
 TEST_F(SatIndexTest, IndexedQueriesPruneAgainstScanBaseline) {
-  Saturation Sat(Terms, Ord);
+  Saturation Sat(Terms);
   // A batch of unrelated units: the signature filter should test far
   // fewer candidates than the scans visit.
   for (int I = 0; I != 40; ++I)
@@ -260,7 +256,7 @@ TEST_F(SatIndexTest, NoLiveClauseSubsumesAnother) {
   };
   for (uint64_t Seed = 1; Seed != 21; ++Seed) {
     SplitMix64 Rng(Seed);
-    Saturation Sat(Terms, Ord);
+    Saturation Sat(Terms);
     for (int I = 0; I != 30 && !Sat.hasEmptyClause(); ++I) {
       Clause C = randomClause(Rng);
       if (C.empty())

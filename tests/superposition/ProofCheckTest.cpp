@@ -19,7 +19,6 @@ class ProofCheckTest : public ::testing::Test {
 protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
-  KBO Ord;
 
   const Term *T(const char *N) { return Terms.constant(N); }
 };
@@ -49,7 +48,7 @@ TEST_F(ProofCheckTest, EntailsGroundEmptyClause) {
 }
 
 TEST_F(ProofCheckTest, RefutationAudits) {
-  Saturation Sat(Terms, Ord);
+  Saturation Sat(Terms);
   Sat.addInput({}, {Equation(T("a"), T("b"))});
   Sat.addInput({}, {Equation(T("b"), T("c"))});
   Sat.addInput({Equation(T("a"), T("c"))}, {});
@@ -62,7 +61,7 @@ TEST_F(ProofCheckTest, RefutationAudits) {
 }
 
 TEST_F(ProofCheckTest, DisjunctiveRefutationAudits) {
-  Saturation Sat(Terms, Ord);
+  Saturation Sat(Terms);
   Sat.addInput({}, {Equation(T("a"), T("b")), Equation(T("a"), T("c"))});
   Sat.addInput({Equation(T("a"), T("b"))}, {});
   Sat.addInput({Equation(T("a"), T("c"))}, {});
@@ -91,7 +90,7 @@ TEST_F(ProofCheckTest, RandomProverRefutationsAudit) {
 }
 
 TEST_F(ProofCheckTest, OversizedStepsAreSkippedNotFailed) {
-  Saturation Sat(Terms, Ord);
+  Saturation Sat(Terms);
   // A chain over 12 constants: the refutation has steps mentioning
   // more constants than the checker's partition cap.
   for (int I = 1; I != 12; ++I)

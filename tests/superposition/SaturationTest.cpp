@@ -22,8 +22,7 @@ class SaturationTest : public ::testing::Test {
 protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
-  KBO Ord;
-  Saturation Sat{Terms, Ord};
+  Saturation Sat{Terms};
   Fuel Unlimited;
 
   const Term *T(const char *N) { return Terms.constant(N); }
@@ -216,7 +215,7 @@ TEST_F(SaturationTest, ModelGuidedCertifiedModelsEdgeResiduals) {
 }
 
 TEST_F(SaturationTest, NoSimplificationStillRefutes) {
-  Saturation Bare(Terms, Ord,
+  Saturation Bare(Terms,
                   SaturationOptions{.Subsumption = false,
                                     .Demodulation = false});
   Bare.addInput({}, {Equation(T("a"), T("b"))});
@@ -253,7 +252,7 @@ TEST_F(SaturationTest, ClearedInstanceMatchesFreshInstance) {
   (void)Sat.saturate(F1);
   Sat.clear();
 
-  Saturation Fresh(Terms, Ord);
+  Saturation Fresh(Terms);
   auto Feed = [&](Saturation &S) {
     S.addInput({}, {Equation(T("p"), T("q"))});
     S.addInput({}, {Equation(T("q"), T("r")), Equation(T("p"), T("r"))});
@@ -277,7 +276,7 @@ TEST_F(SaturationTest, CompactionPurgesStaleIndexEntriesAndIsNeutral) {
   // next given-clause step must sweep them (stale >> live), and the
   // sweep must not change any outcome. A second engine compacted
   // eagerly at every stage serves as the reference.
-  Saturation Eager(Terms, Ord);
+  Saturation Eager(Terms);
   auto Feed = [&](Saturation &S, bool CompactEagerly) {
     for (int I = 0; I != 100; ++I)
       S.addInput({}, {Equation(T("a"), T("b")),

@@ -32,21 +32,7 @@ TEST_F(TermTest, ConstantsAreInterned) {
   const Term *B = Terms.constant("b");
   EXPECT_EQ(A1, A2);
   EXPECT_NE(A1, B);
-  EXPECT_TRUE(A1->isConstant());
-}
-
-TEST_F(TermTest, CompoundTermsAreInterned) {
-  Symbol F = Symbols.intern("f", 2);
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *T1 = Terms.make(F, std::vector<const Term *>{A, B});
-  const Term *T2 = Terms.make(F, std::vector<const Term *>{A, B});
-  const Term *T3 = Terms.make(F, std::vector<const Term *>{B, A});
-  EXPECT_EQ(T1, T2);
-  EXPECT_NE(T1, T3);
-  EXPECT_EQ(T1->numArgs(), 2u);
-  EXPECT_EQ(T1->arg(0), A);
-  EXPECT_EQ(T1->arg(1), B);
+  EXPECT_EQ(Terms.constant(A1->symbol()), A1);
 }
 
 TEST_F(TermTest, IdsAreDense) {
@@ -55,22 +41,6 @@ TEST_F(TermTest, IdsAreDense) {
   EXPECT_EQ(Terms.byId(Nil->id()), Nil);
   EXPECT_EQ(Terms.byId(A->id()), A);
   EXPECT_EQ(Terms.size(), 2u);
-}
-
-TEST_F(TermTest, NestedTermsPrint) {
-  Symbol F = Symbols.intern("f", 2);
-  Symbol G = Symbols.intern("g", 1);
-  const Term *A = Terms.constant("a");
-  const Term *GA = Terms.make(G, std::vector<const Term *>{A});
-  const Term *T = Terms.make(F, std::vector<const Term *>{GA, Terms.nil()});
-  EXPECT_EQ(Terms.str(T), "f(g(a), nil)");
-}
-
-TEST_F(TermTest, ReinternSameArityOk) {
-  Symbol F1 = Symbols.intern("f", 2);
-  Symbol F2 = Symbols.intern("f", 2);
-  EXPECT_EQ(F1, F2);
-  EXPECT_EQ(Symbols.arity(F1), 2u);
 }
 
 TEST_F(TermTest, ManyConstantsStayDistinct) {
@@ -86,19 +56,24 @@ TEST_F(TermTest, ManyConstantsStayDistinct) {
 TEST_F(TermTest, MarkResetTruncatesTermsAndSymbols) {
   const Term *Nil = Terms.nil();
   const Term *A = Terms.constant("a");
+  // A symbol interned before the mark whose term is made after it.
+  Symbol C = Symbols.constant("c");
   TermTable::Mark M = Terms.mark();
 
-  Symbol F = Symbols.intern("f", 1);
-  const Term *B = Terms.constant("b");
-  (void)Terms.make(F, std::vector<const Term *>{B});
-  EXPECT_EQ(Terms.size(), 4u);
+  Symbol F = Symbols.constant("f");
+  (void)Terms.constant("b");
+  (void)Terms.constant(F);
+  (void)Terms.constant(C);
+  EXPECT_EQ(Terms.size(), 5u);
 
   Terms.reset(M);
   EXPECT_EQ(Terms.size(), 2u);
-  EXPECT_EQ(Symbols.size(), 2u); // nil, a
+  EXPECT_EQ(Symbols.size(), 3u); // nil, a, c
   // Pre-mark terms survive with identity intact.
   EXPECT_EQ(Terms.nil(), Nil);
   EXPECT_EQ(Terms.constant("a"), A);
+  // The surviving symbol gets a fresh term at the next dense id.
+  EXPECT_EQ(Terms.constant(C)->id(), 2u);
 }
 
 TEST_F(TermTest, ResetReassignsDenseIdsDeterministically) {
@@ -135,7 +110,7 @@ TEST_F(TermTest, ResetDropsHashBucketEntries) {
   Terms.reset(M);
   EXPECT_EQ(Terms.size(), 1u);
   // A post-reset lookup of a dropped name must create a fresh term,
-  // not resurrect a stale bucket entry.
+  // not resurrect a stale index entry.
   const Term *C5 = Terms.constant("c5");
   EXPECT_EQ(C5->id(), 1u);
   EXPECT_EQ(Terms.byId(1), C5);
