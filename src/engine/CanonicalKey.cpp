@@ -141,18 +141,27 @@ sl::Entailment CanonicalQuery::rebuild(TermTable &Terms) const {
     return Consts[I];
   };
 
+  // Operands are interned left to right, in their own statements (the
+  // evaluation order of function arguments is unspecified). The term
+  // order is symbol-creation order, so this numbers the constants the
+  // way parsing sl::str of the rebuilt query does.
   sl::Entailment E;
   auto decodePure = [&](const std::vector<PureEnc> &In,
                         std::vector<sl::PureAtom> &Out) {
-    for (const PureEnc &A : In)
-      Out.push_back(A.Neg ? sl::PureAtom::ne(constant(A.Lhs), constant(A.Rhs))
-                          : sl::PureAtom::eq(constant(A.Lhs), constant(A.Rhs)));
+    for (const PureEnc &A : In) {
+      const Term *L = constant(A.Lhs);
+      const Term *R = constant(A.Rhs);
+      Out.push_back(A.Neg ? sl::PureAtom::ne(L, R) : sl::PureAtom::eq(L, R));
+    }
   };
   auto decodeSpatial = [&](const std::vector<HeapEnc> &In,
                            sl::SpatialFormula &Out) {
-    for (const HeapEnc &A : In)
-      Out.push_back(A.Lseg ? sl::HeapAtom::lseg(constant(A.Addr), constant(A.Val))
-                           : sl::HeapAtom::next(constant(A.Addr), constant(A.Val)));
+    for (const HeapEnc &A : In) {
+      const Term *Addr = constant(A.Addr);
+      const Term *Val = constant(A.Val);
+      Out.push_back(A.Lseg ? sl::HeapAtom::lseg(Addr, Val)
+                           : sl::HeapAtom::next(Addr, Val));
+    }
   };
   decodePure(LhsPure, E.Lhs.Pure);
   decodeSpatial(LhsSpatial, E.Lhs.Spatial);

@@ -99,6 +99,36 @@ TEST_F(ResultCacheTest, RebuildRoundTripsToSameKey) {
   }
 }
 
+TEST_F(ResultCacheTest, RebuildNumbersConstantsLikeTheParser) {
+  // The term order is symbol-creation order, so a rebuilt query must
+  // intern its constants in the order the parser meets them in its
+  // text; otherwise the engine and a backend that parses the canonical
+  // text would prove the same query under different orders.
+  const char *Inputs[] = {
+      "x != y & next(a, b) |- lseg(a, b)",
+      "x != y & lseg(x, y) * next(y, z) |- lseg(x, z)",
+      "b != a & next(a, b) * lseg(b, nil) |- lseg(a, nil)",
+      "p = q & next(q, r) * lseg(r, s) |- r != s & lseg(q, s)",
+  };
+  for (const char *In : Inputs) {
+    CanonicalQuery Q = canon(In);
+    SymbolTable S1;
+    TermTable T1(S1);
+    sl::Entailment Rebuilt = Q.rebuild(T1);
+    SymbolTable S2;
+    TermTable T2(S2);
+    sl::ParseResult Reparsed = sl::parseEntailment(T2, sl::str(T1, Rebuilt));
+    ASSERT_TRUE(Reparsed.ok()) << In;
+    ASSERT_EQ(S1.size(), S2.size()) << In;
+    for (uint32_t I = 0; I != T1.size(); ++I) {
+      EXPECT_EQ(T1.str(T1.byId(I)), T2.str(T2.byId(I)))
+          << In << ": term " << I;
+      EXPECT_EQ(T1.byId(I)->symbol().id(), T2.byId(I)->symbol().id())
+          << In << ": term " << I;
+    }
+  }
+}
+
 TEST_F(ResultCacheTest, HitAndMissAccounting) {
   ResultCache Cache;
   CanonicalQuery Q = canon("x != y & lseg(x, y) |- lseg(x, y)");
