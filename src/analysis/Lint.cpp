@@ -159,20 +159,22 @@ void checkUnusedVariables(const std::string &File, unsigned Line,
                           std::string_view LineText, const TermTable &Terms,
                           const sl::Entailment &E, const LintOptions &Opts,
                           LintReport &Out) {
-  std::map<const Term *, unsigned> Occurrences;
+  // Keyed by term id, so the warnings follow interning order.
+  std::map<uint32_t, unsigned> Occurrences;
   auto Count = [&](const sl::Assertion &A) {
     for (const sl::PureAtom &P : A.Pure) {
-      ++Occurrences[P.Lhs];
-      ++Occurrences[P.Rhs];
+      ++Occurrences[P.Lhs->id()];
+      ++Occurrences[P.Rhs->id()];
     }
     for (const sl::HeapAtom &H : A.Spatial) {
-      ++Occurrences[H.Addr];
-      ++Occurrences[H.Val];
+      ++Occurrences[H.Addr->id()];
+      ++Occurrences[H.Val->id()];
     }
   };
   Count(E.Lhs);
   Count(E.Rhs);
-  for (const auto &[T, N] : Occurrences) {
+  for (const auto &[Id, N] : Occurrences) {
+    const Term *T = Terms.byId(Id);
     if (N != 1 || T->isNil())
       continue;
     std::string Name = Terms.str(T);

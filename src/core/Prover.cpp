@@ -39,7 +39,7 @@ SlpProver::SlpProver(TermTable &Terms, ProverOptions Opts)
 
 void SlpProver::onTermTableReset() {
   if (Sat)
-    Sat->clear(); // Stored clauses hold pointers into the rewound arena.
+    Sat->clear(); // Stored clauses hold pointers to dropped terms.
   clearProvenance();
 }
 

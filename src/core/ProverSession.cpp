@@ -8,8 +8,6 @@
 
 #include "support/Invariants.h"
 
-#include <algorithm>
-
 using namespace slp;
 using namespace slp::core;
 
@@ -19,27 +17,13 @@ ProverSession::ProverSession(ProverOptions Opts)
   // state, exactly as in a fresh table.
   Terms.nil();
   Baseline = Terms.mark();
-  Stats.BaselineTerms = Terms.size();
-}
-
-ProveResult ProverSession::prove(const sl::Entailment &E, Fuel &F) {
-  ++Stats.Queries;
-  ProveResult R = P.prove(E, F);
-  Stats.PeakTerms = std::max(Stats.PeakTerms, Terms.size());
-  return R;
 }
 
 void ProverSession::reset() {
   ++Stats.Resets;
   Stats.TermsReclaimed += Terms.size() - Baseline.NumTerms;
-  Stats.BytesReclaimed += Terms.arenaBytes() - Baseline.Storage.Bytes;
   Terms.reset(Baseline);
   SLP_INVARIANT(Terms.size() == Baseline.NumTerms,
                 "session rewind did not restore the term baseline");
   P.onTermTableReset();
-}
-
-const SessionStats &ProverSession::stats() const {
-  Stats.SlabsReused = Terms.arenaSlabsReused();
-  return Stats;
 }

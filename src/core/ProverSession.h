@@ -9,9 +9,8 @@
 /// TermTable, and an SlpProver (with its Saturation engine), and is
 /// rewound between queries instead of being rebuilt. The table is
 /// checkpointed right after construction — the baseline holds exactly
-/// the shared prefix (nil) — and reset() truncates arena, term ids,
-/// the per-symbol index, and symbols back to it, recycling the arena
-/// slabs.
+/// the shared prefix (nil) — and reset() truncates the terms, the
+/// per-symbol index, and the symbols back to it.
 ///
 /// Lifecycle:
 ///
@@ -44,14 +43,8 @@ namespace core {
 
 /// Counters describing the reuse behavior of one session.
 struct SessionStats {
-  uint64_t Queries = 0;        ///< prove() calls.
   uint64_t Resets = 0;         ///< Rewinds back to the baseline.
   uint64_t TermsReclaimed = 0; ///< Query-local terms dropped by resets.
-  uint64_t BytesReclaimed = 0; ///< Arena payload bytes dropped by resets.
-  uint64_t SlabsReused = 0;    ///< Arena slabs recycled instead of
-                               ///< reallocated (lifetime total).
-  size_t BaselineTerms = 0;    ///< Shared-prefix size (nil only: 1).
-  size_t PeakTerms = 0;        ///< Largest table size seen at a prove().
 };
 
 /// Owns the full per-query proving state and rewinds it between
@@ -70,7 +63,9 @@ public:
   const SlpProver &prover() const { return P; }
 
   /// Checks \p E (built over terms()) with an explicit fuel budget.
-  ProveResult prove(const sl::Entailment &E, Fuel &F);
+  ProveResult prove(const sl::Entailment &E, Fuel &F) {
+    return P.prove(E, F);
+  }
 
   /// Checks \p E with unlimited fuel.
   ProveResult prove(const sl::Entailment &E) {
@@ -84,14 +79,14 @@ public:
   /// countermodel or proof referencing them — become invalid.
   void reset();
 
-  const SessionStats &stats() const;
+  const SessionStats &stats() const { return Stats; }
 
 private:
   SymbolTable Syms;
   TermTable Terms;
   SlpProver P;
   TermTable::Mark Baseline;
-  mutable SessionStats Stats;
+  SessionStats Stats;
 };
 
 } // namespace core

@@ -284,8 +284,6 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
     ++Stats.Sessions;
     Stats.SessionResets += SS.Resets;
     Stats.TermsReclaimed += SS.TermsReclaimed;
-    Stats.ArenaBytesReclaimed += SS.BytesReclaimed;
-    Stats.ArenaSlabsReused += SS.SlabsReused;
     WorkerTallies.push_back(W->tallies());
     Stats.ParseSeconds += W->ParseSeconds;
     Stats.PresolveSeconds += W->PresolveSeconds;
@@ -358,8 +356,6 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   Reg.gauge("engine.sessions").set(static_cast<int64_t>(Stats.Sessions));
   Reg.counter("session.resets").inc(Stats.SessionResets);
   Reg.counter("session.terms_reclaimed").inc(Stats.TermsReclaimed);
-  Reg.counter("session.arena_bytes_reclaimed").inc(Stats.ArenaBytesReclaimed);
-  Reg.counter("session.arena_slabs_reused").inc(Stats.ArenaSlabsReused);
   Stats.Sat.forEach(
       [&Reg](const char *Name, uint64_t V) { Reg.counter(Name).inc(V); });
   Reg.gauge("engine.workers").set(static_cast<int64_t>(Stats.WorkersUsed));

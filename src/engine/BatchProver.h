@@ -161,14 +161,10 @@ struct BatchStats {
   double CacheWaitSeconds = 0;
   /// Worker-session reuse counters, aggregated over all sessions of
   /// the run: sessions constructed (== workers), rewinds back to the
-  /// baseline table, query-local terms and arena payload bytes
-  /// reclaimed by those rewinds, and arena slabs recycled from the
-  /// free list instead of reallocated.
+  /// baseline table, and query-local terms dropped by those rewinds.
   size_t Sessions = 0;
   uint64_t SessionResets = 0;
   uint64_t TermsReclaimed = 0;
-  uint64_t ArenaBytesReclaimed = 0;
-  uint64_t ArenaSlabsReused = 0;
   /// Per-backend win/loss/time breakdown, merged across workers, in
   /// member order (single entry for non-portfolio runs). Cache hits
   /// and parse errors are not races and appear in no tally.

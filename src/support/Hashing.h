@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small FNV-1a based hashing helpers used by interners and hash maps.
+/// Small FNV-1a based hashing helpers used by hash maps.
 ///
 //===----------------------------------------------------------------------===//
 

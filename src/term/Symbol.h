@@ -14,12 +14,12 @@
 #ifndef SLP_TERM_SYMBOL_H
 #define SLP_TERM_SYMBOL_H
 
-#include "support/StringInterner.h"
-
 #include <cassert>
 #include <cstdint>
+#include <deque>
+#include <string>
 #include <string_view>
-#include <vector>
+#include <unordered_map>
 
 namespace slp {
 
@@ -51,41 +51,42 @@ public:
     assert(S.id() == 0 && "nil must be symbol 0");
   }
 
+  // Index keys view into Names, so a copy would dangle.
+  SymbolTable(const SymbolTable &) = delete;
+  SymbolTable &operator=(const SymbolTable &) = delete;
+
   /// The distinguished null-pointer constant.
   static Symbol nil() { return Symbol(0); }
 
   /// Returns the symbol named \p Name, creating it on first use.
   Symbol constant(std::string_view Name) {
-    std::string_view Stable = Names.intern(Name);
-    auto It = Index.find(Stable);
+    auto It = Index.find(Name);
     if (It != Index.end())
       return Symbol(It->second);
-    uint32_t Id = static_cast<uint32_t>(Entries.size());
-    Entries.push_back(Stable);
-    Index.emplace(Stable, Id);
+    uint32_t Id = static_cast<uint32_t>(Names.size());
+    Index.emplace(Names.emplace_back(Name), Id);
     return Symbol(Id);
   }
 
-  std::string_view name(Symbol S) const { return Entries.at(S.id()); }
-  size_t size() const { return Entries.size(); }
+  std::string_view name(Symbol S) const { return Names.at(S.id()); }
+  size_t size() const { return Names.size(); }
 
-  /// Forgets every symbol with id >= \p NumSymbols, so a session can
-  /// rewind to a checkpoint taken with size(). Handles to dropped
-  /// symbols become invalid; re-interning a dropped name assigns a
-  /// fresh (dense) id again. The backing string storage is retained —
-  /// names are small and re-interning reuses them. nil (id 0) can
-  /// never be dropped.
+  /// Forgets every symbol with id >= \p NumSymbols, and frees its name,
+  /// so a session can rewind to a checkpoint taken with size(). Handles
+  /// to dropped symbols become invalid; re-interning a dropped name
+  /// assigns a fresh (dense) id again. nil (id 0) can never be dropped.
   void truncate(size_t NumSymbols) {
     assert(NumSymbols >= 1 && "nil must survive truncation");
-    assert(NumSymbols <= Entries.size() && "cannot truncate upwards");
-    for (size_t Id = NumSymbols; Id != Entries.size(); ++Id)
-      Index.erase(Entries[Id]);
-    Entries.resize(NumSymbols);
+    assert(NumSymbols <= Names.size() && "cannot truncate upwards");
+    for (size_t Id = NumSymbols; Id != Names.size(); ++Id)
+      Index.erase(Names[Id]);
+    Names.resize(NumSymbols);
   }
 
 private:
-  StringInterner Names;
-  std::vector<std::string_view> Entries; ///< Names by symbol id.
+  /// Names by symbol id. A deque never moves a string it holds, so
+  /// views into a short name's inline buffer stay valid as it grows.
+  std::deque<std::string> Names;
   std::unordered_map<std::string_view, uint32_t> Index;
 };
 

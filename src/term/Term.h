@@ -8,17 +8,17 @@
 /// Ground terms are the constants of the separation-logic fragment:
 /// program variables and nil. Each symbol has exactly one interned
 /// term node, so equality is pointer equality and every term carries a
-/// dense id usable as a vector index. Nodes live in an arena owned by
-/// the TermTable and are never freed individually.
+/// dense id usable as a vector index. The TermTable stores the nodes
+/// by id and never moves one while it lives.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLP_TERM_TERM_H
 #define SLP_TERM_TERM_H
 
-#include "support/Arena.h"
 #include "term/Symbol.h"
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -43,11 +43,11 @@ private:
 /// Interning factory and owner of all Term nodes of a problem.
 ///
 /// Supports checkpoint/rewind: mark() captures the table state and
-/// reset(Mark) truncates the arena, the dense id vector, the per-symbol
-/// index, and the owning SymbolTable back to that baseline. A prover
-/// session interns query-local terms on top of a persistent
-/// shared-prefix table and rewinds between queries instead of
-/// rebuilding a table from scratch (see core::ProverSession).
+/// reset(Mark) truncates the terms, the per-symbol index, and the
+/// owning SymbolTable back to that baseline. A prover session interns
+/// query-local terms on top of a persistent shared-prefix table and
+/// rewinds between queries instead of rebuilding a table from scratch
+/// (see core::ProverSession).
 class TermTable {
 public:
   explicit TermTable(SymbolTable &Symbols) : Symbols(Symbols) {}
@@ -56,23 +56,20 @@ public:
   TermTable &operator=(const TermTable &) = delete;
 
   /// A checkpoint of the table (and its symbol table). Marks must be
-  /// consumed LIFO, like Arena marks.
+  /// consumed LIFO.
   struct Mark {
     size_t NumTerms = 0;
     size_t NumSymbols = 0;
-    Arena::Mark Storage;
   };
 
   /// Captures the current table state for a later reset().
-  Mark mark() const {
-    return {TermsById.size(), Symbols.size(), Storage.mark()};
-  }
+  Mark mark() const { return {Terms.size(), Symbols.size()}; }
 
   /// Truncates the table back to \p M: every term and symbol interned
-  /// after the mark is forgotten (pointers to them dangle), the arena
-  /// is rewound, and subsequent interning reassigns the same dense ids
-  /// deterministically. Callers holding term-id-keyed caches must
-  /// invalidate them.
+  /// after the mark is forgotten (pointers to them dangle; earlier
+  /// terms keep their addresses), and subsequent interning reassigns
+  /// the same dense ids deterministically. Callers holding
+  /// term-id-keyed caches must invalidate them.
   void reset(const Mark &M);
 
   /// Returns the unique constant term for \p Sym.
@@ -87,20 +84,13 @@ public:
   const Term *nil() { return constant(SymbolTable::nil()); }
 
   /// Number of distinct terms created so far; term ids are < size().
-  size_t size() const { return TermsById.size(); }
+  size_t size() const { return Terms.size(); }
 
   /// Looks a term up by its dense id.
-  const Term *byId(uint32_t Id) const { return TermsById.at(Id); }
+  const Term *byId(uint32_t Id) const { return &Terms.at(Id); }
 
   SymbolTable &symbols() { return Symbols; }
   const SymbolTable &symbols() const { return Symbols; }
-
-  /// Payload bytes currently allocated in the backing arena.
-  size_t arenaBytes() const { return Storage.bytesAllocated(); }
-
-  /// Times the backing arena recycled a slab parked by reset() instead
-  /// of allocating a fresh one; the session-reuse win in one number.
-  uint64_t arenaSlabsReused() const { return Storage.slabsReused(); }
 
   /// Renders \p T as text: its symbol's name.
   std::string str(const Term *T) const {
@@ -109,8 +99,9 @@ public:
 
 private:
   SymbolTable &Symbols;
-  Arena Storage;
-  std::vector<const Term *> TermsById;
+  /// The nodes, indexed by term id. A deque keeps every node at its
+  /// address while the table grows and while reset() erases its tail.
+  std::deque<Term> Terms;
   /// The term of each symbol, indexed by symbol id (null until made).
   std::vector<const Term *> BySymbol;
 };

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 using namespace slp;
 using namespace slp::analysis;
@@ -102,6 +104,34 @@ TEST(LintTest, UnusedVariableIsW004AndAnchored) {
       EXPECT_EQ(D.Col, 32u) << D.render();
       EXPECT_NE(D.Message.find("'z'"), std::string::npos);
     }
+}
+
+TEST(LintTest, UnusedVariableWarningsFollowSourceOrder) {
+  // A ring of disequalities over 97 of v0..v99; v10, v50 and v90 each
+  // sit once at their place in it, as `vI != nil`.
+  auto IsUnused = [](int I) { return I == 10 || I == 50 || I == 90; };
+  std::string Line;
+  for (int I = 0; I != 100; ++I) {
+    int Next = (I + 1) % 100;
+    while (IsUnused(Next))
+      Next = (Next + 1) % 100;
+    Line += (I ? " & v" : "v") + std::to_string(I) + " != " +
+            (IsUnused(I) ? "nil" : "v" + std::to_string(Next));
+  }
+  LintReport R = lint(Line + " |- true\n");
+  std::vector<std::string> Names;
+  unsigned LastCol = 0;
+  for (const LintDiagnostic &D : R.Diags) {
+    if (D.Code != LintCode::UnusedVariable)
+      continue;
+    EXPECT_GT(D.Col, LastCol) << D.render();
+    LastCol = D.Col;
+    Names.push_back(D.Message.substr(D.Message.find('\'')));
+  }
+  EXPECT_EQ(Names, (std::vector<std::string>{
+                       "'v10' occurs only once (constrains nothing)",
+                       "'v50' occurs only once (constrains nothing)",
+                       "'v90' occurs only once (constrains nothing)"}));
 }
 
 TEST(LintTest, IllFormedSigmaIsW005) {

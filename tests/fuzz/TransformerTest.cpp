@@ -115,8 +115,9 @@ TEST(Transformers, ApplyIsDeterministic) {
     std::optional<sl::Entailment> B =
         fuzz::apply(T.Kind, Terms, *P.Value, 42);
     ASSERT_EQ(A.has_value(), B.has_value()) << T.Name;
-    if (A)
+    if (A) {
       EXPECT_EQ(sl::str(Terms, *A), sl::str(Terms, *B)) << T.Name;
+    }
   }
 }
 
@@ -248,8 +249,9 @@ TEST(Transformers, VariantsRoundTripThroughParser) {
       TermTable Terms2(Syms2);
       sl::ParseResult Q = sl::parseEntailment(Terms2, Text);
       EXPECT_TRUE(Q.ok()) << T.Name << ": " << Text;
-      if (Q.ok())
+      if (Q.ok()) {
         EXPECT_EQ(sl::str(Terms2, *Q.Value), Text);
+      }
     }
   }
 }

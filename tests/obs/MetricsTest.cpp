@@ -35,8 +35,9 @@ TEST(HistogramBuckets, LowerBoundIsInverseOnBoundaries) {
   for (unsigned B = 0; B < Histogram::NumBuckets; ++B) {
     uint64_t Lo = Histogram::bucketLowerBound(B);
     EXPECT_EQ(Histogram::bucketIndex(Lo), B) << "bucket " << B;
-    if (Lo > 0)
+    if (Lo > 0) {
       EXPECT_EQ(Histogram::bucketIndex(Lo - 1), B - 1) << "bucket " << B;
+    }
   }
 }
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 using namespace slp;
 
 namespace {
@@ -128,4 +131,64 @@ TEST_F(TermTest, NestedMarksResetLifo) {
   EXPECT_EQ(Terms.str(Terms.byId(1)), "a");
   Terms.reset(Outer);
   EXPECT_EQ(Terms.size(), 1u);
+}
+
+TEST_F(TermTest, SymbolNamesStayReadableAsTableGrows) {
+  // One name fits in std::string's inline buffer, one does not.
+  std::string Short = "x";
+  std::string Long = "a_rather_long_program_variable";
+  Symbol S = Symbols.constant(Short);
+  Symbol L = Symbols.constant(Long);
+  std::string_view SName = Symbols.name(S), LName = Symbols.name(L);
+  Short[0] = 'q'; // The table keeps its own copy of each name.
+  Long[0] = 'q';
+  for (int I = 0; I != 1000; ++I)
+    (void)Symbols.constant("g" + std::to_string(I));
+  EXPECT_EQ(SName, "x");
+  EXPECT_EQ(LName, "a_rather_long_program_variable");
+  EXPECT_EQ(Symbols.name(S), "x");
+  EXPECT_EQ(Symbols.constant("x"), S);
+  EXPECT_EQ(Symbols.constant("a_rather_long_program_variable"), L);
+  EXPECT_EQ(Symbols.size(), 1003u);
+}
+
+TEST_F(TermTest, SymbolNamesSurviveTruncateAndReintern) {
+  Symbol S = Symbols.constant("y");
+  Symbol L = Symbols.constant("another_long_variable_name");
+  std::string_view SName = Symbols.name(S), LName = Symbols.name(L);
+  size_t Kept = Symbols.size();
+  Symbol Dropped = Symbols.constant("dropped_long_variable_name");
+  for (int I = 0; I != 1000; ++I)
+    (void)Symbols.constant("h" + std::to_string(I));
+  Symbols.truncate(Kept);
+  // A dropped name comes back at the next dense id; distinct names
+  // stay distinct symbols.
+  EXPECT_EQ(Symbols.constant("dropped_long_variable_name"), Dropped);
+  for (int I = 0; I != 1000; ++I)
+    EXPECT_NE(Symbols.constant("k" + std::to_string(I)), S);
+  EXPECT_EQ(Symbols.size(), Kept + 1001);
+  EXPECT_EQ(SName, "y");
+  EXPECT_EQ(LName, "another_long_variable_name");
+  EXPECT_EQ(Symbols.constant("y"), S);
+  EXPECT_EQ(Symbols.constant("another_long_variable_name"), L);
+}
+
+TEST_F(TermTest, ResetKeepsEarlierTermsInPlace) {
+  std::vector<const Term *> Before;
+  for (int I = 0; I != 100; ++I)
+    Before.push_back(Terms.constant("b" + std::to_string(I)));
+  TermTable::Mark M = Terms.mark();
+  for (int I = 0; I != 1000; ++I)
+    (void)Terms.constant("c" + std::to_string(I));
+  Terms.reset(M);
+  // Regrow well past the dropped tail, through many storage chunks.
+  for (int I = 0; I != 2000; ++I)
+    (void)Terms.constant("d" + std::to_string(I));
+  for (int I = 0; I != 100; ++I) {
+    EXPECT_EQ(Terms.byId(static_cast<uint32_t>(I)), Before[I]);
+    EXPECT_EQ(Before[I]->id(), static_cast<uint32_t>(I));
+    EXPECT_EQ(Terms.str(Before[I]), "b" + std::to_string(I));
+    EXPECT_EQ(Terms.constant("b" + std::to_string(I)), Before[I]);
+  }
+  EXPECT_EQ(Terms.size(), 2100u);
 }

@@ -176,15 +176,10 @@ inline void printEngineReuseStats(const obs::MetricsSnapshot &S) {
   const int64_t *Sessions = S.gauge("engine.sessions");
   std::fprintf(
       stderr,
-      "sessions: %lld workers, %llu resets, %llu terms / "
-      "%llu arena bytes reclaimed, %llu slabs reused\n",
+      "sessions: %lld workers, %llu resets, %llu terms reclaimed\n",
       static_cast<long long>(Sessions ? *Sessions : 0),
       static_cast<unsigned long long>(S.counterOr0("session.resets")),
-      static_cast<unsigned long long>(S.counterOr0("session.terms_reclaimed")),
-      static_cast<unsigned long long>(
-          S.counterOr0("session.arena_bytes_reclaimed")),
-      static_cast<unsigned long long>(
-          S.counterOr0("session.arena_slabs_reused")));
+      static_cast<unsigned long long>(S.counterOr0("session.terms_reclaimed")));
 }
 
 /// Prints the engine's `--stats` summary for a finished run to stderr:
