@@ -146,8 +146,8 @@ inline BatchResult runSlp(TermTable &Terms,
                     FuelPerInstance);
 }
 
-/// The SLP column with the static pre-solver disabled, for measuring
-/// the presolve wall-clock delta in the trajectory artifacts.
+/// The SLP column with the static pre-solver disabled (the tables'
+/// SLP-nopre column and the trajectories' slp_nopresolve_seconds).
 inline BatchResult runSlpNoPresolve(TermTable &Terms,
                                     const std::vector<sl::Entailment> &Batch,
                                     uint64_t FuelPerInstance) {

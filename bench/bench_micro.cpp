@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// google-benchmark microbenchmarks for the substrates: term
-/// interning, superposition saturation, model generation, and a
-/// single end-to-end prover query.
+/// interning, superposition saturation, model generation, the static
+/// pre-solver, and a single end-to-end prover query.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/StaticAnalyzer.h"
 #include "core/Prover.h"
 #include "core/ProverSession.h"
 #include "engine/CanonicalKey.h"
@@ -173,6 +174,33 @@ static void BM_ProverRandomDist2(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ProverRandomDist2);
+
+// The static pre-solver alone (closure, W1-W5 fixpoint, matcher) on
+// the entail-d2 corpus shape: the 400 queries of
+// `slpgen --dist=2 --vars=16 --count=400 --seed=1 --pnext=0.7`,
+// parsed once into one table; each iteration analyzes one query.
+static void BM_AnalyzeDist2(benchmark::State &State) {
+  SymbolTable Symbols;
+  TermTable Terms(Symbols);
+  std::vector<sl::Entailment> Es;
+  {
+    SymbolTable GenSyms;
+    TermTable GenTerms(GenSyms);
+    SplitMix64 Rng(1);
+    for (int I = 0; I != 400; ++I) {
+      std::string Text =
+          sl::str(GenTerms, gen::distribution2(GenTerms, Rng, 16, 0.7));
+      Es.push_back(*sl::parseEntailment(Terms, Text).Value);
+    }
+  }
+  size_t I = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(analysis::analyze(Terms, Es[I % Es.size()]));
+    ++I;
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_AnalyzeDist2);
 
 namespace {
 

@@ -78,8 +78,9 @@ int main(int argc, char **argv) {
   std::printf("Table 3: 'clones' of the %zu VCs from the 18-program corpus "
               "(fuel %llu/instance)\n\n",
               VCs.size(), static_cast<unsigned long long>(FuelBudget));
-  std::printf("%6s | %14s %14s %14s | %s\n", "Copies", "Greedy[jStar]",
-              "Berdine[SF]", "SLP", "Greedy misses");
+  std::printf("%6s | %14s %14s %14s %14s | %s\n", "Copies",
+              "Greedy[jStar]", "Berdine[SF]", "SLP", "SLP-nopre",
+              "Greedy misses");
 
   for (unsigned Copies = 1; Copies <= MaxCopies; ++Copies) {
     std::vector<sl::Entailment> Batch;
@@ -90,18 +91,16 @@ int main(int argc, char **argv) {
     BatchResult Slp = runSlp(Terms, Batch, FuelBudget);
     BatchResult Berdine = runBerdine(Terms, Batch, FuelBudget);
     BatchResult Greedy = runGreedy(Terms, Batch, FuelBudget);
-    // The presolve wall-clock delta only goes into the trajectory
-    // artifact, so skip the extra pass on plain-text runs.
-    BatchResult SlpNoPre;
-    if (Json)
-      SlpNoPre = runSlpNoPresolve(Terms, Batch, FuelBudget);
+    // The same SLP pass with the static pre-solver off: the column
+    // pair shows what the pre-solver costs or saves per row.
+    BatchResult SlpNoPre = runSlpNoPresolve(Terms, Batch, FuelBudget);
 
     // All VCs are valid; what the greedy prover fails to prove is its
     // incompleteness gap (cf. jStar's 59 of 209).
-    std::printf("%6u | %14s %14s %14s | %u of %zu\n", Copies,
+    std::printf("%6u | %14s %14s %14s %14s | %u of %zu\n", Copies,
                 cell(Greedy).c_str(), cell(Berdine).c_str(),
-                cell(Slp).c_str(), Greedy.Total - Greedy.Solved,
-                Batch.size());
+                cell(Slp).c_str(), cell(SlpNoPre).c_str(),
+                Greedy.Total - Greedy.Solved, Batch.size());
     std::fflush(stdout);
 
     if (Json) {

@@ -6,6 +6,8 @@
 
 #include "analysis/Closure.h"
 
+#include <algorithm>
+
 using namespace slp;
 using namespace slp::analysis;
 
@@ -13,12 +15,20 @@ bool PureClosure::unite(const Term *A, const Term *B) {
   uint32_t RA = UF.find(A->id()), RB = UF.find(B->id());
   if (RA == RB)
     return false;
-  UF.unite(RA, RB);
-  // A merge can close a disequality's endpoints into one class; the
-  // scan is linear in the store, which is linear in |Π| plus the
-  // derived facts — polynomial overall.
-  for (const auto &[X, Y] : Diseqs)
-    if (UF.find(X->id()) == UF.find(Y->id())) {
+  // Grow before taking references: a resize would invalidate them.
+  if (Diseqs.size() <= std::max(RA, RB))
+    Diseqs.resize(std::max(RA, RB) + 1);
+  uint32_t Root = UF.unite(RA, RB);
+  std::vector<uint32_t> &Kept = Diseqs[Root];
+  std::vector<uint32_t> &Lost = Diseqs[Root == RA ? RB : RA];
+  if (Kept.size() < Lost.size())
+    Kept.swap(Lost);
+  Kept.insert(Kept.end(), Lost.begin(), Lost.end());
+  std::vector<uint32_t>().swap(Lost);
+  // A merge can close a disequality's endpoints into one class; every
+  // disequality touching the new class is in its list.
+  for (uint32_t X : Kept)
+    if (UF.find(X) == Root) {
       Contradiction = true;
       break;
     }
@@ -26,14 +36,15 @@ bool PureClosure::unite(const Term *A, const Term *B) {
 }
 
 bool PureClosure::addDisequality(const Term *A, const Term *B) {
-  if (same(A, B)) {
+  if (same(A, B))
     Contradiction = true;
-    Diseqs.push_back({A, B});
-    return true;
-  }
-  if (distinct(A, B))
+  else if (distinct(A, B))
     return false;
-  Diseqs.push_back({A, B});
+  uint32_t RA = find(A), RB = find(B);
+  if (Diseqs.size() <= std::max(RA, RB))
+    Diseqs.resize(std::max(RA, RB) + 1);
+  Diseqs[RA].push_back(B->id());
+  Diseqs[RB].push_back(A->id());
   return true;
 }
 
@@ -42,10 +53,13 @@ bool PureClosure::distinct(const Term *A, const Term *B) {
   if (RA == RB)
     return false; // Equal classes are never distinct (that would be a
                   // contradiction, reported separately).
-  for (const auto &[X, Y] : Diseqs) {
-    uint32_t RX = UF.find(X->id()), RY = UF.find(Y->id());
-    if ((RX == RA && RY == RB) || (RX == RB && RY == RA))
+  if (Diseqs.size() <= std::max(RA, RB))
+    return false; // Some class has no disequality recorded yet.
+  const std::vector<uint32_t> &LA = Diseqs[RA], &LB = Diseqs[RB];
+  const std::vector<uint32_t> &Scan = LA.size() <= LB.size() ? LA : LB;
+  uint32_t Other = LA.size() <= LB.size() ? RB : RA;
+  for (uint32_t X : Scan)
+    if (UF.find(X) == Other)
       return true;
-  }
   return false;
 }

@@ -8,16 +8,19 @@
 /// A union-find congruence closure over the pure part Π of an
 /// assertion, with disequality tracking. The fragment's program
 /// expressions are interned constants, so congruence degenerates to
-/// equivalence closure over term ids; disequalities are kept as a pair
-/// list and consulted through the closure, so `x != y` together with
-/// `y = z` answers distinct(x, z). A contradiction (some recorded
-/// disequality whose endpoints share a class) is detected eagerly and
-/// latches: once contradictory, always contradictory.
+/// equivalence closure over term ids. Each class root keeps a list
+/// holding one member id of every class recorded distinct from it
+/// (one entry per recorded disequality, in both endpoints' lists), so
+/// `x != y` together with `y = z` answers distinct(x, z). A
+/// contradiction (some recorded disequality whose endpoints share a
+/// class) is detected eagerly and latches: once contradictory, always
+/// contradictory.
 ///
-/// This is the substrate of the static pre-solver (analysis::analyze):
-/// everything here is polynomial — unite is near-O(1) amortized,
-/// distinct() and contradiction detection scan the disequality list of
-/// one class.
+/// This is the substrate of the static pre-solver (analysis::analyze).
+/// unite is near-O(1) amortized plus one scan of the merged class's
+/// list, which absorbs the smaller of the two lists; distinct()
+/// scans the shorter of its two classes' lists. No operation visits
+/// the whole disequality store.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +30,6 @@
 #include "sl/Formula.h"
 #include "support/UnionFind.h"
 
-#include <utility>
 #include <vector>
 
 namespace slp {
@@ -71,7 +73,9 @@ public:
 
 private:
   UnionFind UF;
-  std::vector<std::pair<const Term *, const Term *>> Diseqs;
+  /// Indexed by class root: a member id of each class recorded
+  /// distinct from that root's class. Only roots' lists are live.
+  std::vector<std::vector<uint32_t>> Diseqs;
   bool Contradiction = false;
 };
 

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Union-find over dense ids with path halving, used by the baseline
-/// provers for congruence bookkeeping (the SLP prover itself uses the
-/// superposition engine instead).
+/// Union-find over dense ids with path halving and union by rank:
+/// congruence bookkeeping for the baseline provers, the pre-solver's
+/// closure (analysis/Closure.h) and symbolic execution (the SLP prover
+/// itself uses the superposition engine instead).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,8 +10,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Closure.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace slp;
 using namespace slp::analysis;
@@ -26,6 +31,99 @@ protected:
   const Term *Y = Terms.constant("y");
   const Term *Z = Terms.constant("z");
   const Term *W = Terms.constant("w");
+};
+
+/// Reference closure: one flat list of disequality pairs, scanned
+/// whole by distinct() and after every merge. Slow but plainly
+/// correct; PureClosure must give the same answer to every call.
+class PairListClosure {
+public:
+  bool unite(const Term *A, const Term *B) {
+    uint32_t RA = UF.find(A->id()), RB = UF.find(B->id());
+    if (RA == RB)
+      return false;
+    UF.unite(RA, RB);
+    for (const auto &[P, Q] : Diseqs)
+      if (UF.find(P->id()) == UF.find(Q->id())) {
+        Contradiction = true;
+        break;
+      }
+    return true;
+  }
+
+  bool addDisequality(const Term *A, const Term *B) {
+    if (same(A, B)) {
+      Contradiction = true;
+      Diseqs.push_back({A, B});
+      return true;
+    }
+    if (distinct(A, B))
+      return false;
+    Diseqs.push_back({A, B});
+    return true;
+  }
+
+  bool same(const Term *A, const Term *B) {
+    return UF.find(A->id()) == UF.find(B->id());
+  }
+
+  bool distinct(const Term *A, const Term *B) {
+    uint32_t RA = UF.find(A->id()), RB = UF.find(B->id());
+    if (RA == RB)
+      return false;
+    for (const auto &[P, Q] : Diseqs) {
+      uint32_t RP = UF.find(P->id()), RQ = UF.find(Q->id());
+      if ((RP == RA && RQ == RB) || (RP == RB && RQ == RA))
+        return true;
+    }
+    return false;
+  }
+
+  bool contradictory() const { return Contradiction; }
+
+private:
+  UnionFind UF;
+  std::vector<std::pair<const Term *, const Term *>> Diseqs;
+  bool Contradiction = false;
+};
+
+/// Drives a PureClosure and the pair-list reference in lockstep over a
+/// fixed term set, and checks after every step that each return value
+/// and every same/distinct/contradictory answer agrees.
+class Lockstep {
+public:
+  explicit Lockstep(std::vector<const Term *> Ts) : Ts(std::move(Ts)) {}
+
+  bool unite(const Term *A, const Term *B) {
+    bool Got = C.unite(A, B);
+    EXPECT_EQ(Got, Ref.unite(A, B));
+    check();
+    return Got;
+  }
+
+  bool addDisequality(const Term *A, const Term *B) {
+    bool Got = C.addDisequality(A, B);
+    EXPECT_EQ(Got, Ref.addDisequality(A, B));
+    check();
+    return Got;
+  }
+
+  bool contradictory() const { return C.contradictory(); }
+
+private:
+  void check() {
+    ASSERT_EQ(C.contradictory(), Ref.contradictory());
+    for (const Term *A : Ts)
+      for (const Term *B : Ts) {
+        ASSERT_EQ(C.same(A, B), Ref.same(A, B));
+        ASSERT_EQ(C.distinct(A, B), Ref.distinct(A, B))
+            << "distinct(" << A->id() << ", " << B->id() << ")";
+      }
+  }
+
+  std::vector<const Term *> Ts;
+  PureClosure C;
+  PairListClosure Ref;
 };
 
 } // namespace
@@ -97,4 +195,75 @@ TEST_F(ClosureTest, AddDispatchesOnAtomPolarity) {
   EXPECT_TRUE(C.distinct(X, Z));
   C.add(sl::PureAtom::eq(X, Z));
   EXPECT_TRUE(C.contradictory());
+}
+
+TEST_F(ClosureTest, MatchesPairListReference) {
+  std::vector<const Term *> Ts;
+  for (int I = 0; I != 24; ++I) {
+    std::string Name = "t";
+    Ts.push_back(Terms.constant(Name += std::to_string(I)));
+  }
+  for (uint64_t Seed = 1; Seed != 201; ++Seed) {
+    SplitMix64 Rng(Seed);
+    // Vary the mix so some runs stay consistent long and others
+    // contradict early.
+    double PUnite = 0.1 + 0.05 * static_cast<double>(Seed % 8);
+    Lockstep L(Ts);
+    for (int Step = 0; Step != 48; ++Step) {
+      const Term *A = Ts[Rng.below(Ts.size())];
+      const Term *B = Ts[Rng.below(Ts.size())];
+      if (Rng.chance(PUnite))
+        L.unite(A, B);
+      else
+        L.addDisequality(A, B);
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+  }
+}
+
+// A merge keeps the union-find's root (the higher-ranked class, here
+// the united pair x = y) and appends the shorter disequality list to
+// the longer one. These cases cover both orders of list sizes, with
+// the closing disequality recorded from either side.
+TEST_F(ClosureTest, MergeContradictsInBothSizeOrders) {
+  std::vector<const Term *> Fresh;
+  for (const char *Name : {"f0", "f1", "f2", "f3"})
+    Fresh.push_back(Terms.constant(Name));
+  std::vector<const Term *> All = {X, Y, Z, W};
+  All.insert(All.end(), Fresh.begin(), Fresh.end());
+
+  for (bool RootListLonger : {true, false})
+    for (bool FromRootSide : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "root list longer: "
+                                        << RootListLonger
+                                        << ", recorded from root side: "
+                                        << FromRootSide);
+      Lockstep L(All);
+      L.unite(X, Y); // Rank 1: {x, y} keeps its root when merged with z.
+      const Term *Long = RootListLonger ? Y : Z;
+      for (const Term *F : Fresh)
+        EXPECT_TRUE(L.addDisequality(Long, F));
+      if (FromRootSide)
+        EXPECT_TRUE(L.addDisequality(X, Z));
+      else
+        EXPECT_TRUE(L.addDisequality(Z, X));
+      EXPECT_FALSE(L.contradictory());
+      EXPECT_TRUE(L.unite(Z, Y));
+      EXPECT_TRUE(L.contradictory());
+    }
+
+  // The same merges without a closing disequality stay consistent.
+  for (bool RootListLonger : {true, false}) {
+    Lockstep L(All);
+    L.unite(X, Y);
+    const Term *Long = RootListLonger ? Y : Z;
+    for (const Term *F : Fresh)
+      L.addDisequality(Long, F);
+    L.addDisequality(Z, W);
+    EXPECT_TRUE(L.unite(Z, Y));
+    EXPECT_FALSE(L.contradictory());
+    // x != w now follows through the merged class's list.
+    EXPECT_FALSE(L.addDisequality(X, W));
+  }
 }
