@@ -12,7 +12,7 @@ using namespace slp;
 using namespace slp::analysis;
 
 bool PureClosure::unite(const Term *A, const Term *B) {
-  uint32_t RA = UF.find(A->id()), RB = UF.find(B->id());
+  uint32_t RA = UF.find(A->symbol().id()), RB = UF.find(B->symbol().id());
   if (RA == RB)
     return false;
   // Grow before taking references: a resize would invalidate them.
@@ -43,8 +43,8 @@ bool PureClosure::addDisequality(const Term *A, const Term *B) {
   uint32_t RA = find(A), RB = find(B);
   if (Diseqs.size() <= std::max(RA, RB))
     Diseqs.resize(std::max(RA, RB) + 1);
-  Diseqs[RA].push_back(B->id());
-  Diseqs[RB].push_back(A->id());
+  Diseqs[RA].push_back(B->symbol().id());
+  Diseqs[RB].push_back(A->symbol().id());
   return true;
 }
 

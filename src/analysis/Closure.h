@@ -69,7 +69,7 @@ public:
   bool contradictory() const { return Contradiction; }
 
   /// Class representative id for \p T (stable between unites).
-  uint32_t find(const Term *T) { return UF.find(T->id()); }
+  uint32_t find(const Term *T) { return UF.find(T->symbol().id()); }
 
 private:
   UnionFind UF;

@@ -163,21 +163,20 @@ void checkUnusedVariables(const std::string &File, unsigned Line,
   std::map<uint32_t, unsigned> Occurrences;
   auto Count = [&](const sl::Assertion &A) {
     for (const sl::PureAtom &P : A.Pure) {
-      ++Occurrences[P.Lhs->id()];
-      ++Occurrences[P.Rhs->id()];
+      ++Occurrences[P.Lhs->symbol().id()];
+      ++Occurrences[P.Rhs->symbol().id()];
     }
     for (const sl::HeapAtom &H : A.Spatial) {
-      ++Occurrences[H.Addr->id()];
-      ++Occurrences[H.Val->id()];
+      ++Occurrences[H.Addr->symbol().id()];
+      ++Occurrences[H.Val->symbol().id()];
     }
   };
   Count(E.Lhs);
   Count(E.Rhs);
   for (const auto &[Id, N] : Occurrences) {
-    const Term *T = Terms.byId(Id);
-    if (N != 1 || T->isNil())
+    if (N != 1 || Id == SymbolTable::nil().id())
       continue;
-    std::string Name = Terms.str(T);
+    std::string Name(Terms.symbols().name(Symbol(Id)));
     emit(Out, File, Line, tokenColumn(LineText, Name), wSeverity(Opts),
          LintCode::UnusedVariable,
          "variable '" + Name + "' occurs only once (constrains nothing)");

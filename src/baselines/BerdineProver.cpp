@@ -60,12 +60,12 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
   UnionFind UF;
   for (const sl::PureAtom &A : S.Pure)
     if (!A.Negated)
-      UF.unite(A.Lhs->id(), A.Rhs->id());
+      UF.unite(A.Lhs->symbol().id(), A.Rhs->symbol().id());
   std::set<std::pair<uint32_t, uint32_t>> Diseqs;
   for (const sl::PureAtom &A : S.Pure) {
     if (!A.Negated)
       continue;
-    uint32_t RA = UF.find(A.Lhs->id()), RB = UF.find(A.Rhs->id());
+    uint32_t RA = UF.find(A.Lhs->symbol().id()), RB = UF.find(A.Rhs->symbol().id());
     if (RA == RB)
       return BaselineVerdict::Valid; // Π inconsistent.
     Diseqs.emplace(std::min(RA, RB), std::max(RA, RB));
@@ -74,15 +74,15 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
   // Pick a representative constant per class; a class containing nil
   // is represented by nil.
   std::unordered_map<uint32_t, const Term *> Rep;
-  uint32_t NilClass = UF.find(Terms.nil()->id());
+  uint32_t NilClass = UF.find(Terms.nil()->symbol().id());
   for (const Term *C : S.Constants) {
-    uint32_t R = UF.find(C->id());
+    uint32_t R = UF.find(C->symbol().id());
     auto It = Rep.find(R);
-    if (It == Rep.end() || C->id() < It->second->id())
+    if (It == Rep.end() || C->symbol().id() < It->second->symbol().id())
       Rep[R] = C;
   }
   Rep[NilClass] = Terms.nil();
-  auto RepOf = [&](const Term *T) { return Rep.at(UF.find(T->id())); };
+  auto RepOf = [&](const Term *T) { return Rep.at(UF.find(T->symbol().id())); };
 
   // Step 2: substitute representatives; drop trivial lsegs.
   auto Subst = [&](const sl::SpatialFormula &In) {
@@ -162,7 +162,7 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
     for (size_t J = I + 1; J != Reps.size(); ++J) {
       if (!F.consume())
         return BaselineVerdict::Unknown;
-      uint32_t RA = UF.find(Reps[I]->id()), RB = UF.find(Reps[J]->id());
+      uint32_t RA = UF.find(Reps[I]->symbol().id()), RB = UF.find(Reps[J]->symbol().id());
       if (Diseqs.count({std::min(RA, RB), std::max(RA, RB)}))
         continue;
       ++Stats.CaseSplits;
@@ -191,7 +191,7 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
     const Term *R = RepOf(C);
     if (R->isNil())
       continue;
-    auto [It, Inserted] = LocOf.try_emplace(R->id(), NextLoc);
+    auto [It, Inserted] = LocOf.try_emplace(R->symbol().id(), NextLoc);
     if (Inserted)
       ++NextLoc;
     Stack.bind(R, It->second);

@@ -28,7 +28,7 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
   std::set<std::pair<uint32_t, uint32_t>> Diseqs;
   std::unordered_map<uint32_t, const Term *> Rep;
 
-  auto RepOf = [&](const Term *T) { return Rep.at(UF.find(T->id())); };
+  auto RepOf = [&](const Term *T) { return Rep.at(UF.find(T->symbol().id())); };
 
   // One propagation round: rebuild the congruence and the substituted
   // spatial formulas. Returns false when Π is inconsistent (which
@@ -39,22 +39,22 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
     Rep.clear();
     for (const sl::PureAtom &A : Pure)
       if (!A.Negated)
-        UF.unite(A.Lhs->id(), A.Rhs->id());
+        UF.unite(A.Lhs->symbol().id(), A.Rhs->symbol().id());
     for (const sl::PureAtom &A : Pure) {
       if (!A.Negated)
         continue;
-      uint32_t RA = UF.find(A.Lhs->id()), RB = UF.find(A.Rhs->id());
+      uint32_t RA = UF.find(A.Lhs->symbol().id()), RB = UF.find(A.Rhs->symbol().id());
       if (RA == RB)
         return false;
       Diseqs.emplace(std::min(RA, RB), std::max(RA, RB));
     }
     for (const Term *C : Constants) {
-      uint32_t R = UF.find(C->id());
+      uint32_t R = UF.find(C->symbol().id());
       auto It = Rep.find(R);
-      if (It == Rep.end() || C->id() < It->second->id())
+      if (It == Rep.end() || C->symbol().id() < It->second->symbol().id())
         Rep[R] = C;
     }
-    Rep[UF.find(Terms.nil()->id())] = Terms.nil();
+    Rep[UF.find(Terms.nil()->symbol().id())] = Terms.nil();
 
     auto Subst = [&](const sl::SpatialFormula &In) {
       sl::SpatialFormula Out;
@@ -120,14 +120,14 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
   std::set<uint32_t> NextAddrs;
   for (const sl::HeapAtom &A : Sigma)
     if (A.isNext())
-      NextAddrs.insert(A.Addr->id());
+      NextAddrs.insert(A.Addr->symbol().id());
   auto Distinct = [&](const Term *X, const Term *Y) {
     if (X == Y)
       return false;
-    uint32_t RX = UF.find(X->id()), RY = UF.find(Y->id());
+    uint32_t RX = UF.find(X->symbol().id()), RY = UF.find(Y->symbol().id());
     if (Diseqs.count({std::min(RX, RY), std::max(RX, RY)}))
       return true;
-    bool XNext = NextAddrs.count(X->id()), YNext = NextAddrs.count(Y->id());
+    bool XNext = NextAddrs.count(X->symbol().id()), YNext = NextAddrs.count(Y->symbol().id());
     if (XNext && YNext)
       return true;
     if ((XNext && Y->isNil()) || (YNext && X->isNil()))
@@ -151,13 +151,13 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
   // the unfolding axioms only when their side conditions are evident.
   std::unordered_map<uint32_t, size_t> AtomAt;
   for (size_t I = 0; I != Sigma.size(); ++I)
-    AtomAt.emplace(Sigma[I].Addr->id(), I);
+    AtomAt.emplace(Sigma[I].Addr->symbol().id(), I);
   std::vector<bool> Consumed(Sigma.size(), false);
 
   for (const sl::HeapAtom &AP : SigmaP) {
     if (!F.consume())
       return GreedyVerdict::NotProved;
-    auto It = AtomAt.find(AP.Addr->id());
+    auto It = AtomAt.find(AP.Addr->symbol().id());
     if (AP.isNext()) {
       if (It == AtomAt.end() || Consumed[It->second])
         return GreedyVerdict::NotProved;
@@ -172,7 +172,7 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
     while (Cur != End) {
       if (!F.consume())
         return GreedyVerdict::NotProved;
-      auto Step = AtomAt.find(Cur->id());
+      auto Step = AtomAt.find(Cur->symbol().id());
       if (Step == AtomAt.end() || Consumed[Step->second])
         return GreedyVerdict::NotProved;
       Consumed[Step->second] = true;
@@ -192,7 +192,7 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
         Cur = T.Val; // U3.
         continue;
       }
-      auto Guard = AtomAt.find(End->id());
+      auto Guard = AtomAt.find(End->symbol().id());
       if (Guard == AtomAt.end())
         return GreedyVerdict::NotProved;
       const sl::HeapAtom &Z = Sigma[Guard->second];

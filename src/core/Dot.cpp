@@ -74,7 +74,7 @@ std::string core::counterModelToDot(const TermTable &Terms, const sl::Stack &S,
   std::map<uint32_t, sl::Loc> Ordered(S.bindings().begin(),
                                       S.bindings().end());
   for (auto [TermId, L] : Ordered) {
-    std::string Name(Terms.str(Terms.byId(TermId)));
+    std::string Name(Terms.symbols().name(Symbol(TermId)));
     auto &Slot = VarsAt[L];
     Slot += Slot.empty() ? Name : ("," + Name);
   }

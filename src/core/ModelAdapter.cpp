@@ -23,7 +23,7 @@ sl::Stack core::inducedStack(const GroundRewriteSystem &R,
     if (NF->isNil()) {
       L = sl::NilLoc;
     } else {
-      auto [It, Inserted] = LocOfNormalForm.try_emplace(NF->id(), NextLoc);
+      auto [It, Inserted] = LocOfNormalForm.try_emplace(NF->symbol().id(), NextLoc);
       if (Inserted)
         ++NextLoc;
       L = It->second;

@@ -54,7 +54,7 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
   // identity coincides with address identity.
   std::unordered_map<uint32_t, size_t> AtomAt;
   for (size_t I = 0; I != C.Sigma.size(); ++I)
-    AtomAt.emplace(C.Sigma[I].Addr->id(), I);
+    AtomAt.emplace(C.Sigma[I].Addr->symbol().id(), I);
 
   std::vector<bool> Consumed(C.Sigma.size(), false);
   std::vector<sup::Equation> SideEqs;
@@ -68,7 +68,7 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
   };
 
   for (const sl::HeapAtom &AP : CPrime.Sigma) {
-    auto It = AtomAt.find(AP.Addr->id());
+    auto It = AtomAt.find(AP.Addr->symbol().id());
 
     if (AP.isNext()) {
       // Σ' wants the single cell AP.Addr -> AP.Val.
@@ -104,7 +104,7 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
     const Term *Cur = AP.Addr;
     const Term *End = AP.Val;
     while (Cur != End) {
-      auto Step = AtomAt.find(Cur->id());
+      auto Step = AtomAt.find(Cur->symbol().id());
       if (Step == AtomAt.end())
         return GraphCex("lseg in Σ' dangles in Σ's heap");
       if (Consumed[Step->second])
@@ -131,7 +131,7 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
         Cur = T.Val;
         continue;
       }
-      auto Guard = AtomAt.find(End->id());
+      auto Guard = AtomAt.find(End->symbol().id());
       if (Guard != AtomAt.end()) {
         // U4 (end allocated as next) / U5 (end allocated as lseg,
         // which additionally may be empty: record z ' w).

@@ -70,7 +70,7 @@ std::string sl::str(const TermTable &Terms, const Stack &S, const Heap &H) {
   // Order bindings by term id for stable output.
   std::map<uint32_t, Loc> Ordered(S.bindings().begin(), S.bindings().end());
   for (auto [TermId, L] : Ordered)
-    OS << ' ' << Terms.str(Terms.byId(TermId)) << '=' << L;
+    OS << ' ' << Terms.symbols().name(Symbol(TermId)) << '=' << L;
   OS << "; heap:";
   if (H.empty())
     OS << " emp";

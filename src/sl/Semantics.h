@@ -37,20 +37,20 @@ public:
   /// NilLoc is a contract violation.
   void bind(const Term *Var, Loc L) {
     assert((!Var->isNil() || L == NilLoc) && "nil evaluates to nil");
-    Bindings[Var->id()] = L;
+    Bindings[Var->symbol().id()] = L;
   }
 
   /// Evaluation function s^: defined for nil and all bound constants.
   Loc eval(const Term *Var) const {
     if (Var->isNil())
       return NilLoc;
-    auto It = Bindings.find(Var->id());
+    auto It = Bindings.find(Var->symbol().id());
     assert(It != Bindings.end() && "unbound program variable");
     return It->second;
   }
 
   bool bound(const Term *Var) const {
-    return Var->isNil() || Bindings.count(Var->id());
+    return Var->isNil() || Bindings.count(Var->symbol().id());
   }
 
   const std::unordered_map<uint32_t, Loc> &bindings() const {

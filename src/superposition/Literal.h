@@ -31,7 +31,7 @@ class Equation {
 public:
   Equation(const Term *A, const Term *B) {
     // Canonical orientation: ascending term id.
-    if (A->id() <= B->id()) {
+    if (A->symbol().id() <= B->symbol().id()) {
       Lhs = A;
       Rhs = B;
     } else {
@@ -56,7 +56,7 @@ public:
   }
 
   uint64_t hash() const {
-    return hashCombine(hashValue(Lhs->id()), hashValue(Rhs->id()));
+    return hashCombine(hashValue(Lhs->symbol().id()), hashValue(Rhs->symbol().id()));
   }
 
   friend bool operator==(const Equation &A, const Equation &B) {
@@ -69,8 +69,8 @@ public:
   /// Canonical structural order used for sorted clause storage (not
   /// the proof-theoretic literal ordering).
   friend bool operator<(const Equation &A, const Equation &B) {
-    return std::tuple(A.Lhs->id(), A.Rhs->id()) <
-           std::tuple(B.Lhs->id(), B.Rhs->id());
+    return std::tuple(A.Lhs->symbol().id(), A.Rhs->symbol().id()) <
+           std::tuple(B.Lhs->symbol().id(), B.Rhs->symbol().id());
   }
 
 private:

@@ -679,12 +679,12 @@ void Saturation::generateInferences(uint32_t GivenId) {
 
   // Register the given clause in the partner indexes.
   if (!MG.Negative && MG.Max != MG.Min)
-    FromByMax[MG.Max->id()].push_back(GivenId);
-  IntoByMax[MG.Max->id()].push_back(GivenId);
+    FromByMax[MG.Max->symbol().id()].push_back(GivenId);
+  IntoByMax[MG.Max->symbol().id()].push_back(GivenId);
 
   // Given as 'from': partners whose maximal side is MG.Max.
   if (!MG.Negative && MG.Max != MG.Min) {
-    auto It = IntoByMax.find(MG.Max->id());
+    auto It = IntoByMax.find(MG.Max->symbol().id());
     if (It != IntoByMax.end()) {
       // Copy: superpose() may grow the index maps.
       std::vector<uint32_t> Partners = It->second;
@@ -698,7 +698,7 @@ void Saturation::generateInferences(uint32_t GivenId) {
   }
 
   // Given as 'into': partners whose from-term is MG.Max.
-  auto It = FromByMax.find(MG.Max->id());
+  auto It = FromByMax.find(MG.Max->symbol().id());
   if (It == FromByMax.end())
     return;
   std::vector<uint32_t> Partners = It->second;

@@ -72,12 +72,12 @@ private:
     UnionFind UF;
     for (const sl::PureAtom &A : S.Pure)
       if (!A.Negated)
-        UF.unite(A.Lhs->id(), A.Rhs->id());
-    uint32_t Rep = UF.find(Addr->id());
+        UF.unite(A.Lhs->symbol().id(), A.Rhs->symbol().id());
+    uint32_t Rep = UF.find(Addr->symbol().id());
 
     for (size_t I = 0; I != S.Spatial.size(); ++I) {
       const sl::HeapAtom &A = S.Spatial[I];
-      if (UF.find(A.Addr->id()) != Rep)
+      if (UF.find(A.Addr->symbol().id()) != Rep)
         continue;
       if (A.isNext())
         return I;

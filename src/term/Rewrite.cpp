@@ -14,9 +14,9 @@ const Term *GroundRewriteSystem::normalize(const Term *T) const {
   // T itself skip this — re-storing them would grow the journal on
   // every warm lookup.
   auto Finish = [&](const Term *NF) {
-    NormalFormCache[T->id()] = {NF, N};
+    NormalFormCache[T->symbol().id()] = {NF, N};
     if (N > 0)
-      CacheJournal.emplace_back(T->id(), N);
+      CacheJournal.emplace_back(T->symbol().id(), N);
     return NF;
   };
 
@@ -26,7 +26,7 @@ const Term *GroundRewriteSystem::normalize(const Term *T) const {
     // fewer rules is still a reduct of Cur (it only ever used kept
     // rules), so normalization resumes from it — by convergence the
     // final normal form is unchanged.
-    auto Cached = NormalFormCache.find(Cur->id());
+    auto Cached = NormalFormCache.find(Cur->symbol().id());
     if (Cached != NormalFormCache.end()) {
       const Term *NF = Cached->second.NF;
       if (Cached->second.RuleCount == N)

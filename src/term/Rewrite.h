@@ -61,8 +61,8 @@ public:
   /// on lookup (see the file comment).
   void addRule(const Term *Lhs, const Term *Rhs,
                uint32_t GeneratingClause = ~0u) {
-    assert(!RuleByLhs.count(Lhs->id()) && "duplicate left-hand side");
-    RuleByLhs.emplace(Lhs->id(), Rules.size());
+    assert(!RuleByLhs.count(Lhs->symbol().id()) && "duplicate left-hand side");
+    RuleByLhs.emplace(Lhs->symbol().id(), Rules.size());
     Rules.push_back({Lhs, Rhs, GeneratingClause});
   }
 
@@ -72,14 +72,14 @@ public:
   /// facts from the clause set. Removing a mid-sequence rule breaks
   /// the watermark discipline, so the whole memo is dropped.
   void removeRuleFor(const Term *Lhs) {
-    auto It = RuleByLhs.find(Lhs->id());
+    auto It = RuleByLhs.find(Lhs->symbol().id());
     if (It == RuleByLhs.end())
       return;
     size_t Idx = It->second;
     RuleByLhs.erase(It);
     if (Idx + 1 != Rules.size()) {
       Rules[Idx] = Rules.back();
-      RuleByLhs[Rules[Idx].Lhs->id()] = Idx;
+      RuleByLhs[Rules[Idx].Lhs->symbol().id()] = Idx;
     }
     Rules.pop_back();
     NormalFormCache.clear();
@@ -99,7 +99,7 @@ public:
     if (Mark == Rules.size())
       return;
     for (size_t I = Mark; I != Rules.size(); ++I)
-      RuleByLhs.erase(Rules[I].Lhs->id());
+      RuleByLhs.erase(Rules[I].Lhs->symbol().id());
     Rules.resize(Mark);
     const uint32_t Count = static_cast<uint32_t>(Mark);
     // Stores are journaled in nondecreasing rule-count order between
@@ -114,12 +114,12 @@ public:
 
   /// True if some rule rewrites \p T at the root.
   bool reducibleAtRoot(const Term *T) const {
-    return RuleByLhs.count(T->id()) != 0;
+    return RuleByLhs.count(T->symbol().id()) != 0;
   }
 
   /// The rule with left-hand side \p T, or null.
   const RewriteRule *ruleFor(const Term *T) const {
-    auto It = RuleByLhs.find(T->id());
+    auto It = RuleByLhs.find(T->symbol().id());
     return It == RuleByLhs.end() ? nullptr : &Rules[It->second];
   }
 

@@ -27,6 +27,7 @@ namespace slp {
 class Symbol {
 public:
   Symbol() = default;
+  explicit Symbol(uint32_t Id) : Id(Id) {}
 
   uint32_t id() const { return Id; }
   bool valid() const { return Id != ~0u; }
@@ -35,8 +36,6 @@ public:
   friend bool operator!=(Symbol A, Symbol B) { return A.Id != B.Id; }
 
 private:
-  friend class SymbolTable;
-  explicit Symbol(uint32_t Id) : Id(Id) {}
   uint32_t Id = ~0u;
 };
 
