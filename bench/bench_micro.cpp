@@ -68,8 +68,8 @@ static void BM_ModelGeneration(benchmark::State &State) {
   sup::Saturation Sat(Terms);
   SplitMix64 Rng(7);
   for (int I = 0; I != 30; ++I) {
-    const Term *A = Terms.constant("v" + std::to_string(Rng.below(20)));
-    const Term *B = Terms.constant("v" + std::to_string(Rng.below(20)));
+    Symbol A = Terms.constant("v" + std::to_string(Rng.below(20)));
+    Symbol B = Terms.constant("v" + std::to_string(Rng.below(20)));
     if (A != B)
       Sat.addInput({}, {sup::Equation(A, B)});
   }
@@ -96,11 +96,11 @@ void modelGuidedAttemptCycle(benchmark::State &State, bool Incremental) {
   TermTable Terms(Symbols);
   SplitMix64 Rng(11);
   const unsigned NumConsts = 400, BaseClauses = 300, Rounds = 64;
-  std::vector<const Term *> Consts;
+  std::vector<Symbol> Consts;
   for (unsigned I = 0; I != NumConsts; ++I)
     Consts.push_back(Terms.constant("v" + std::to_string(I)));
   auto Pick = [&]() { return Consts[Rng.below(NumConsts)]; };
-  std::vector<std::pair<const Term *, const Term *>> Base, Extra;
+  std::vector<std::pair<Symbol, Symbol>> Base, Extra;
   for (unsigned I = 0; I != BaseClauses; ++I)
     Base.emplace_back(Pick(), Pick());
   for (unsigned I = 0; I != Rounds; ++I)

@@ -11,8 +11,8 @@
 using namespace slp;
 using namespace slp::analysis;
 
-bool PureClosure::unite(const Term *A, const Term *B) {
-  uint32_t RA = UF.find(A->symbol().id()), RB = UF.find(B->symbol().id());
+bool PureClosure::unite(Symbol A, Symbol B) {
+  uint32_t RA = UF.find(A.id()), RB = UF.find(B.id());
   if (RA == RB)
     return false;
   // Grow before taking references: a resize would invalidate them.
@@ -35,7 +35,7 @@ bool PureClosure::unite(const Term *A, const Term *B) {
   return true;
 }
 
-bool PureClosure::addDisequality(const Term *A, const Term *B) {
+bool PureClosure::addDisequality(Symbol A, Symbol B) {
   if (same(A, B))
     Contradiction = true;
   else if (distinct(A, B))
@@ -43,12 +43,12 @@ bool PureClosure::addDisequality(const Term *A, const Term *B) {
   uint32_t RA = find(A), RB = find(B);
   if (Diseqs.size() <= std::max(RA, RB))
     Diseqs.resize(std::max(RA, RB) + 1);
-  Diseqs[RA].push_back(B->symbol().id());
-  Diseqs[RB].push_back(A->symbol().id());
+  Diseqs[RA].push_back(B.id());
+  Diseqs[RB].push_back(A.id());
   return true;
 }
 
-bool PureClosure::distinct(const Term *A, const Term *B) {
+bool PureClosure::distinct(Symbol A, Symbol B) {
   uint32_t RA = find(A), RB = find(B);
   if (RA == RB)
     return false; // Equal classes are never distinct (that would be a

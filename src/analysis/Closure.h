@@ -7,8 +7,8 @@
 /// \file
 /// A union-find congruence closure over the pure part Π of an
 /// assertion, with disequality tracking. The fragment's program
-/// expressions are interned constants, so congruence degenerates to
-/// equivalence closure over term ids. Each class root keeps a list
+/// expressions are constants, so congruence degenerates to
+/// equivalence closure over symbol ids. Each class root keeps a list
 /// holding one member id of every class recorded distinct from it
 /// (one entry per recorded disequality, in both endpoints' lists), so
 /// `x != y` together with `y = z` answers distinct(x, z). A
@@ -41,11 +41,11 @@ class PureClosure {
 public:
   /// Merges the classes of \p A and \p B. Returns true iff the
   /// closure changed (the two were in different classes).
-  bool unite(const Term *A, const Term *B);
+  bool unite(Symbol A, Symbol B);
 
   /// Records A != B. Returns true iff the fact is new, i.e. was not
   /// already derivable from the store under the current closure.
-  bool addDisequality(const Term *A, const Term *B);
+  bool addDisequality(Symbol A, Symbol B);
 
   /// Adds one pure atom (equality or disequality).
   void add(const sl::PureAtom &A) {
@@ -56,20 +56,20 @@ public:
   }
 
   /// True iff the closure forces A = B.
-  bool same(const Term *A, const Term *B) {
+  bool same(Symbol A, Symbol B) {
     return find(A) == find(B);
   }
 
   /// True iff some recorded disequality separates the classes of
   /// \p A and \p B.
-  bool distinct(const Term *A, const Term *B);
+  bool distinct(Symbol A, Symbol B);
 
   /// True iff some recorded disequality has both endpoints in one
   /// class (i.e. the asserted pure facts are unsatisfiable).
   bool contradictory() const { return Contradiction; }
 
   /// Class representative id for \p T (stable between unites).
-  uint32_t find(const Term *T) { return UF.find(T->symbol().id()); }
+  uint32_t find(Symbol T) { return UF.find(T.id()); }
 
 private:
   UnionFind UF;

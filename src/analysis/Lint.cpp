@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <map>
+#include <vector>
 #include <sstream>
 
 using namespace slp;
@@ -136,7 +136,7 @@ void checkIllFormedSigma(const std::string &File, unsigned Line,
                          const sl::SpatialFormula &Sigma, const char *Side,
                          const LintOptions &Opts, LintReport &Out) {
   for (size_t I = 0; I != Sigma.size(); ++I) {
-    if (Sigma[I].Addr->isNil()) {
+    if (Sigma[I].Addr.isNil()) {
       emit(Out, File, Line, tokenColumn(LineText, "nil"), wSeverity(Opts),
            LintCode::IllFormedSigma,
            "ill-formed spatial part: nil-addressed atom " +
@@ -159,24 +159,30 @@ void checkUnusedVariables(const std::string &File, unsigned Line,
                           std::string_view LineText, const TermTable &Terms,
                           const sl::Entailment &E, const LintOptions &Opts,
                           LintReport &Out) {
-  // Keyed by term id, so the warnings follow interning order.
-  std::map<uint32_t, unsigned> Occurrences;
+  // Indexed by symbol id, so the warnings follow interning order.
+  std::vector<unsigned> Occurrences;
+  auto Occur = [&](Symbol S) {
+    if (S.id() >= Occurrences.size())
+      Occurrences.resize(S.id() + 1, 0);
+    ++Occurrences[S.id()];
+  };
   auto Count = [&](const sl::Assertion &A) {
     for (const sl::PureAtom &P : A.Pure) {
-      ++Occurrences[P.Lhs->symbol().id()];
-      ++Occurrences[P.Rhs->symbol().id()];
+      Occur(P.Lhs);
+      Occur(P.Rhs);
     }
     for (const sl::HeapAtom &H : A.Spatial) {
-      ++Occurrences[H.Addr->symbol().id()];
-      ++Occurrences[H.Val->symbol().id()];
+      Occur(H.Addr);
+      Occur(H.Val);
     }
   };
   Count(E.Lhs);
   Count(E.Rhs);
-  for (const auto &[Id, N] : Occurrences) {
-    if (N != 1 || Id == SymbolTable::nil().id())
+  // Symbol 0 is nil, which is never unused.
+  for (uint32_t Id = 1; Id < Occurrences.size(); ++Id) {
+    if (Occurrences[Id] != 1)
       continue;
-    std::string Name(Terms.symbols().name(Symbol(Id)));
+    std::string Name = Terms.str(Symbol(Id));
     emit(Out, File, Line, tokenColumn(LineText, Name), wSeverity(Opts),
          LintCode::UnusedVariable,
          "variable '" + Name + "' occurs only once (constrains nothing)");

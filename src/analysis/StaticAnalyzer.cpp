@@ -69,7 +69,7 @@ struct FixpointOutcome {
 /// either merges two classes or records a new disequality, so the
 /// loop is polynomial.
 FixpointOutcome wellFormednessFixpoint(const TermTable &Terms,
-                                       PureClosure &C, const Term *Nil,
+                                       PureClosure &C, Symbol Nil,
                                        const sl::SpatialFormula &Sigma) {
   FixpointOutcome Out;
   auto Contradict = [&](const char *Rule, const sl::HeapAtom &A,
@@ -194,7 +194,7 @@ bool matches(PureClosure &C, const sl::Entailment &E) {
 
 AnalysisResult analysis::analyze(TermTable &Terms, const sl::Entailment &E) {
   AnalysisResult Out;
-  const Term *Nil = Terms.nil();
+  Symbol Nil = Terms.nil();
 
   // Stage 1: closure of Π, then the W1-W5 fixpoint over Σ.
   PureClosure C;

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 
 using namespace slp;
 using namespace slp::baselines;
@@ -35,7 +34,7 @@ struct BerdineProver::State {
   sl::SpatialFormula Sigma;        ///< Σ.
   std::vector<sl::PureAtom> PureP; ///< Π'.
   sl::SpatialFormula SigmaP;       ///< Σ'.
-  std::vector<const Term *> Constants;
+  std::vector<Symbol> Constants;
 };
 
 
@@ -60,29 +59,32 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
   UnionFind UF;
   for (const sl::PureAtom &A : S.Pure)
     if (!A.Negated)
-      UF.unite(A.Lhs->symbol().id(), A.Rhs->symbol().id());
+      UF.unite(A.Lhs.id(), A.Rhs.id());
   std::set<std::pair<uint32_t, uint32_t>> Diseqs;
   for (const sl::PureAtom &A : S.Pure) {
     if (!A.Negated)
       continue;
-    uint32_t RA = UF.find(A.Lhs->symbol().id()), RB = UF.find(A.Rhs->symbol().id());
+    uint32_t RA = UF.find(A.Lhs.id()), RB = UF.find(A.Rhs.id());
     if (RA == RB)
       return BaselineVerdict::Valid; // Π inconsistent.
     Diseqs.emplace(std::min(RA, RB), std::max(RA, RB));
   }
 
-  // Pick a representative constant per class; a class containing nil
-  // is represented by nil.
-  std::unordered_map<uint32_t, const Term *> Rep;
-  uint32_t NilClass = UF.find(Terms.nil()->symbol().id());
-  for (const Term *C : S.Constants) {
-    uint32_t R = UF.find(C->symbol().id());
-    auto It = Rep.find(R);
-    if (It == Rep.end() || C->symbol().id() < It->second->symbol().id())
+  // Pick a representative constant per class, by the symbol id of its
+  // root: the smallest symbol id, so nil (symbol 0) represents the class
+  // containing it.
+  std::vector<Symbol> Rep;
+  for (Symbol C : S.Constants) {
+    uint32_t R = UF.find(C.id());
+    if (R >= Rep.size())
+      Rep.resize(R + 1);
+    if (!Rep[R].valid() || C < Rep[R])
       Rep[R] = C;
   }
-  Rep[NilClass] = Terms.nil();
-  auto RepOf = [&](const Term *T) { return Rep.at(UF.find(T->symbol().id())); };
+  auto RepOf = [&](Symbol T) {
+    assert(UF.find(T.id()) < Rep.size() && "constant outside the query");
+    return Rep[UF.find(T.id())];
+  };
 
   // Step 2: substitute representatives; drop trivial lsegs.
   auto Subst = [&](const sl::SpatialFormula &In) {
@@ -125,7 +127,7 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
   // loser a poll point inside the quadratic scan.
   for (size_t I = 0; I != Sigma.size(); ++I) {
     const sl::HeapAtom &A = Sigma[I];
-    if (A.Addr->isNil()) {
+    if (A.Addr.isNil()) {
       if (A.isNext())
         return BaselineVerdict::Valid; // nil is never allocated.
       return Branch(sl::PureAtom::eq(A.Val, A.Addr)); // lseg must be empty.
@@ -152,9 +154,9 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
   // This is the source of the baseline's exponential behaviour: with
   // no equality model to consult, every aliasing question must be
   // answered by enumeration.
-  std::vector<const Term *> Reps;
-  for (const Term *C : S.Constants) {
-    const Term *R = RepOf(C);
+  std::vector<Symbol> Reps;
+  for (Symbol C : S.Constants) {
+    Symbol R = RepOf(C);
     if (std::find(Reps.begin(), Reps.end(), R) == Reps.end())
       Reps.push_back(R);
   }
@@ -162,7 +164,7 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
     for (size_t J = I + 1; J != Reps.size(); ++J) {
       if (!F.consume())
         return BaselineVerdict::Unknown;
-      uint32_t RA = UF.find(Reps[I]->symbol().id()), RB = UF.find(Reps[J]->symbol().id());
+      uint32_t RA = UF.find(Reps[I].id()), RB = UF.find(Reps[J].id());
       if (Diseqs.count({std::min(RA, RB), std::max(RA, RB)}))
         continue;
       ++Stats.CaseSplits;
@@ -186,15 +188,10 @@ BaselineVerdict BerdineProver::decide(const State &S, Fuel &F) {
 
   sl::Stack Stack;
   sl::Loc NextLoc = 1;
-  std::unordered_map<uint32_t, sl::Loc> LocOf;
-  for (const Term *C : S.Constants) {
-    const Term *R = RepOf(C);
-    if (R->isNil())
-      continue;
-    auto [It, Inserted] = LocOf.try_emplace(R->symbol().id(), NextLoc);
-    if (Inserted)
-      ++NextLoc;
-    Stack.bind(R, It->second);
+  for (Symbol C : S.Constants) {
+    Symbol R = RepOf(C);
+    if (!Stack.bound(R))
+      Stack.bind(R, NextLoc++);
   }
 
   core::PosSpatialClause C;

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 using namespace slp;
@@ -19,16 +18,20 @@ using namespace slp::baselines;
 GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
   // Working copies; the propagation loop may extend the pure part.
   std::vector<sl::PureAtom> Pure = E.Lhs.Pure;
-  std::vector<const Term *> Constants;
+  std::vector<Symbol> Constants;
   Constants.push_back(Terms.nil());
   E.collectTerms(Constants);
 
   sl::SpatialFormula Sigma, SigmaP;
   UnionFind UF;
   std::set<std::pair<uint32_t, uint32_t>> Diseqs;
-  std::unordered_map<uint32_t, const Term *> Rep;
+  /// The representative of each class, by the symbol id of its root.
+  std::vector<Symbol> Rep;
 
-  auto RepOf = [&](const Term *T) { return Rep.at(UF.find(T->symbol().id())); };
+  auto RepOf = [&](Symbol T) {
+    assert(UF.find(T.id()) < Rep.size() && "constant outside the query");
+    return Rep[UF.find(T.id())];
+  };
 
   // One propagation round: rebuild the congruence and the substituted
   // spatial formulas. Returns false when Π is inconsistent (which
@@ -39,22 +42,24 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
     Rep.clear();
     for (const sl::PureAtom &A : Pure)
       if (!A.Negated)
-        UF.unite(A.Lhs->symbol().id(), A.Rhs->symbol().id());
+        UF.unite(A.Lhs.id(), A.Rhs.id());
     for (const sl::PureAtom &A : Pure) {
       if (!A.Negated)
         continue;
-      uint32_t RA = UF.find(A.Lhs->symbol().id()), RB = UF.find(A.Rhs->symbol().id());
+      uint32_t RA = UF.find(A.Lhs.id()), RB = UF.find(A.Rhs.id());
       if (RA == RB)
         return false;
       Diseqs.emplace(std::min(RA, RB), std::max(RA, RB));
     }
-    for (const Term *C : Constants) {
-      uint32_t R = UF.find(C->symbol().id());
-      auto It = Rep.find(R);
-      if (It == Rep.end() || C->symbol().id() < It->second->symbol().id())
+    // The smallest symbol id represents its class, so nil (symbol 0)
+    // represents the class containing it.
+    for (Symbol C : Constants) {
+      uint32_t R = UF.find(C.id());
+      if (R >= Rep.size())
+        Rep.resize(R + 1);
+      if (!Rep[R].valid() || C < Rep[R])
         Rep[R] = C;
     }
-    Rep[UF.find(Terms.nil()->symbol().id())] = Terms.nil();
 
     auto Subst = [&](const sl::SpatialFormula &In) {
       sl::SpatialFormula Out;
@@ -81,7 +86,7 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
     bool Again = false;
     for (size_t I = 0; I != Sigma.size() && !Again; ++I) {
       const sl::HeapAtom &A = Sigma[I];
-      if (A.Addr->isNil()) {
+      if (A.Addr.isNil()) {
         if (A.isNext())
           return GreedyVerdict::Valid; // Unsatisfiable Σ.
         Pure.push_back(sl::PureAtom::eq(A.Val, A.Addr));
@@ -120,17 +125,17 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
   std::set<uint32_t> NextAddrs;
   for (const sl::HeapAtom &A : Sigma)
     if (A.isNext())
-      NextAddrs.insert(A.Addr->symbol().id());
-  auto Distinct = [&](const Term *X, const Term *Y) {
+      NextAddrs.insert(A.Addr.id());
+  auto Distinct = [&](Symbol X, Symbol Y) {
     if (X == Y)
       return false;
-    uint32_t RX = UF.find(X->symbol().id()), RY = UF.find(Y->symbol().id());
+    uint32_t RX = UF.find(X.id()), RY = UF.find(Y.id());
     if (Diseqs.count({std::min(RX, RY), std::max(RX, RY)}))
       return true;
-    bool XNext = NextAddrs.count(X->symbol().id()), YNext = NextAddrs.count(Y->symbol().id());
+    bool XNext = NextAddrs.count(X.id()), YNext = NextAddrs.count(Y.id());
     if (XNext && YNext)
       return true;
-    if ((XNext && Y->isNil()) || (YNext && X->isNil()))
+    if ((XNext && Y.isNil()) || (YNext && X.isNil()))
       return true;
     return false;
   };
@@ -149,34 +154,32 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
 
   // Greedy spatial matching: walk each Σ' atom over Σ once, applying
   // the unfolding axioms only when their side conditions are evident.
-  std::unordered_map<uint32_t, size_t> AtomAt;
-  for (size_t I = 0; I != Sigma.size(); ++I)
-    AtomAt.emplace(Sigma[I].Addr->symbol().id(), I);
+  const sl::AddressIndex AtomAt(Sigma);
   std::vector<bool> Consumed(Sigma.size(), false);
 
   for (const sl::HeapAtom &AP : SigmaP) {
     if (!F.consume())
       return GreedyVerdict::NotProved;
-    auto It = AtomAt.find(AP.Addr->symbol().id());
+    const size_t It = AtomAt.at(AP.Addr);
     if (AP.isNext()) {
-      if (It == AtomAt.end() || Consumed[It->second])
+      if (It == sl::AddressIndex::None || Consumed[It])
         return GreedyVerdict::NotProved;
-      const sl::HeapAtom &T = Sigma[It->second];
+      const sl::HeapAtom &T = Sigma[It];
       if (!T.isNext() || T.Val != AP.Val)
         return GreedyVerdict::NotProved;
-      Consumed[It->second] = true;
+      Consumed[It] = true;
       continue;
     }
-    const Term *Cur = AP.Addr;
-    const Term *End = AP.Val;
+    Symbol Cur = AP.Addr;
+    Symbol End = AP.Val;
     while (Cur != End) {
       if (!F.consume())
         return GreedyVerdict::NotProved;
-      auto Step = AtomAt.find(Cur->symbol().id());
-      if (Step == AtomAt.end() || Consumed[Step->second])
+      const size_t Step = AtomAt.at(Cur);
+      if (Step == sl::AddressIndex::None || Consumed[Step])
         return GreedyVerdict::NotProved;
-      Consumed[Step->second] = true;
-      const sl::HeapAtom &T = Sigma[Step->second];
+      Consumed[Step] = true;
+      const sl::HeapAtom &T = Sigma[Step];
       if (T.isNext()) {
         // U1/U2 require the remaining segment to be provably nonempty.
         if (!Distinct(Cur, End))
@@ -188,14 +191,14 @@ GreedyVerdict UnfoldingProver::prove(const sl::Entailment &E, Fuel &F) {
         Cur = T.Val;
         continue;
       }
-      if (End->isNil()) {
+      if (End.isNil()) {
         Cur = T.Val; // U3.
         continue;
       }
-      auto Guard = AtomAt.find(End->symbol().id());
-      if (Guard == AtomAt.end())
+      const size_t Guard = AtomAt.at(End);
+      if (Guard == sl::AddressIndex::None)
         return GreedyVerdict::NotProved;
-      const sl::HeapAtom &Z = Sigma[Guard->second];
+      const sl::HeapAtom &Z = Sigma[Guard];
       if (Z.isLseg() && !Distinct(Z.Addr, Z.Val))
         return GreedyVerdict::NotProved; // U5's side case is undecided.
       Cur = T.Val;

@@ -34,7 +34,7 @@ namespace slp {
 namespace core {
 
 /// Outcome of one EntailmentBackend::prove() call. Everything is
-/// self-contained plain data (no Term pointers), so results survive
+/// self-contained plain data (no symbol ids), so results survive
 /// the backend's table teardown and can cross threads.
 struct BackendResult {
   /// False iff the task text did not parse; Error holds the

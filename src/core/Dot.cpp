@@ -71,13 +71,11 @@ std::string core::counterModelToDot(const TermTable &Terms, const sl::Stack &S,
 
   // Group variables by location for node labels.
   std::map<sl::Loc, std::string> VarsAt;
-  std::map<uint32_t, sl::Loc> Ordered(S.bindings().begin(),
-                                      S.bindings().end());
-  for (auto [TermId, L] : Ordered) {
-    std::string Name(Terms.symbols().name(Symbol(TermId)));
+  S.forEachBinding([&](Symbol Var, sl::Loc L) {
+    std::string Name = Terms.str(Var);
     auto &Slot = VarsAt[L];
     Slot += Slot.empty() ? Name : ("," + Name);
-  }
+  });
 
   std::set<sl::Loc> Nodes;
   Nodes.insert(sl::NilLoc);

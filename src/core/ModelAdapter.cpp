@@ -6,31 +6,22 @@
 
 #include "core/ModelAdapter.h"
 
-#include <unordered_map>
-
 using namespace slp;
 using namespace slp::core;
 
 sl::Stack core::inducedStack(const GroundRewriteSystem &R,
-                             std::span<const Term *const> Constants) {
+                             std::span<const Symbol> Constants) {
   sl::Stack S;
-  std::unordered_map<uint32_t, sl::Loc> LocOfNormalForm;
   sl::Loc NextLoc = 1;
 
-  for (const Term *C : Constants) {
-    const Term *NF = R.normalize(C);
-    sl::Loc L;
-    if (NF->isNil()) {
-      L = sl::NilLoc;
-    } else {
-      auto [It, Inserted] = LocOfNormalForm.try_emplace(NF->symbol().id(), NextLoc);
-      if (Inserted)
-        ++NextLoc;
-      L = It->second;
-    }
-    if (!C->isNil())
+  for (Symbol C : Constants) {
+    // A bound normal form already has its location: only a normal form
+    // or a constant of its class is bound, and both to that location.
+    Symbol NF = R.normalize(C);
+    sl::Loc L = S.bound(NF) ? S.eval(NF) : NextLoc++;
+    if (!C.isNil())
       S.bind(C, L);
-    if (!NF->isNil())
+    if (!NF.isNil())
       S.bind(NF, L);
   }
   return S;

@@ -30,7 +30,7 @@ namespace core {
 /// Normal forms themselves are bound too, so normalized atoms can be
 /// evaluated directly.
 sl::Stack inducedStack(const GroundRewriteSystem &R,
-                       std::span<const Term *const> Constants);
+                       std::span<const Symbol> Constants);
 
 /// gr_R Σ for a normalized spatial formula: one edge per non-trivial
 /// basic atom. Precondition: Σ_R is well-formed (distinct non-nil

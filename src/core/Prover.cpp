@@ -50,7 +50,7 @@ void SlpProver::clearProvenance() {
 }
 
 bool SlpProver::addPure(PureInput In, uint32_t PosSnap, uint32_t NegSnap) {
-  Provenance P{In.Rule, !In.Neg.empty(), PosSnap, NegSnap, nullptr, nullptr};
+  Provenance P{In.Rule, !In.Neg.empty(), PosSnap, NegSnap, {}, {}};
   if (In.Rule == InputRule::Cnf) {
     const sup::Equation &Eq = P.Negative ? In.Neg[0] : In.Pos[0];
     P.Lhs = Eq.lhs();
@@ -107,7 +107,7 @@ ProveResult SlpProver::prove(const sl::Entailment &E, Fuel &F) {
     addPure(std::move(In));
 
   // All constants of the query (nil included) for the induced stack.
-  std::vector<const Term *> Constants;
+  std::vector<Symbol> Constants;
   Constants.push_back(Terms.nil());
   E.collectTerms(Constants);
 

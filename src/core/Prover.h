@@ -103,9 +103,9 @@ public:
   TermTable &terms() { return Terms; }
 
   /// Must be called after the underlying TermTable was reset() to a
-  /// mark: rewinding reuses dense term ids for different terms, so the
-  /// clause database (which stores Term pointers) and its term-id-keyed
-  /// caches are cleared.
+  /// mark: rewinding reuses dense symbol ids for different constants,
+  /// so the clause database (which stores symbol ids) and its
+  /// symbol-id-keyed caches are cleared.
   /// ProverSession calls this from its reset().
   void onTermTableReset();
 
@@ -118,7 +118,7 @@ private:
     InputRule Rule;
     bool Negative;
     uint32_t PosSnap, NegSnap;
-    const Term *Lhs, *Rhs;
+    Symbol Lhs, Rhs;
   };
 
   /// Adds a pure clause whose label names the given snapshots; returns

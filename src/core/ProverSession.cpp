@@ -12,18 +12,13 @@ using namespace slp;
 using namespace slp::core;
 
 ProverSession::ProverSession(ProverOptions Opts)
-    : Terms(Syms), P(Terms, Opts) {
-  // Pin the shared prefix: nil is term 0 / symbol 0 in every rebuilt
-  // state, exactly as in a fresh table.
-  Terms.nil();
-  Baseline = Terms.mark();
-}
+    : Terms(Syms), P(Terms, Opts), Baseline(Terms.mark()) {}
 
 void ProverSession::reset() {
   ++Stats.Resets;
-  Stats.TermsReclaimed += Terms.size() - Baseline.NumTerms;
+  Stats.TermsReclaimed += Syms.size() - Baseline.NumSymbols;
   Terms.reset(Baseline);
-  SLP_INVARIANT(Terms.size() == Baseline.NumTerms,
-                "session rewind did not restore the term baseline");
+  SLP_INVARIANT(Syms.size() == Baseline.NumSymbols,
+                "session rewind did not restore the symbol baseline");
   P.onTermTableReset();
 }

@@ -9,8 +9,8 @@
 /// TermTable, and an SlpProver (with its Saturation engine), and is
 /// rewound between queries instead of being rebuilt. The table is
 /// checkpointed right after construction — the baseline holds exactly
-/// the shared prefix (nil) — and reset() truncates the terms, the
-/// per-symbol index, and the symbols back to it.
+/// the shared prefix (nil, symbol 0) — and reset() truncates the
+/// symbols back to it.
 ///
 /// Lifecycle:
 ///
@@ -25,7 +25,7 @@
 /// Verdicts, countermodels, and statistics are bit-identical to
 /// constructing a fresh SymbolTable + TermTable + SlpProver per query:
 /// reset() restores exactly the freshly constructed state (dense ids
-/// are reassigned deterministically, every term-id-keyed cache is
+/// are reassigned deterministically, every symbol-id-keyed cache is
 /// invalidated), only the allocations survive. That reuse is the point
 /// — on small entailments, table construction and teardown dominate
 /// the non-inference cost (see the engine's per-worker sessions and
@@ -44,7 +44,7 @@ namespace core {
 /// Counters describing the reuse behavior of one session.
 struct SessionStats {
   uint64_t Resets = 0;         ///< Rewinds back to the baseline.
-  uint64_t TermsReclaimed = 0; ///< Query-local terms dropped by resets.
+  uint64_t TermsReclaimed = 0; ///< Query-local symbols dropped by resets.
 };
 
 /// Owns the full per-query proving state and rewinds it between
@@ -74,7 +74,7 @@ public:
   }
 
   /// Rewinds the term table to the baseline and clears the prover's
-  /// clause database and term-id-keyed caches. Terms interned since
+  /// clause database and symbol-id-keyed caches. Constants interned since
   /// construction or the last reset() — and any ProveResult
   /// countermodel or proof referencing them — become invalid.
   void reset();

@@ -10,7 +10,6 @@
 #include "core/WellFormedness.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace slp;
 using namespace slp::core;
@@ -20,8 +19,7 @@ namespace {
 /// Highest location mentioned by the stack or heap, for fresh picks.
 sl::Loc maxLocation(const sl::Stack &S, const sl::Heap &H) {
   sl::Loc Max = sl::NilLoc;
-  for (auto [TermId, L] : S.bindings())
-    Max = std::max(Max, L);
+  S.forEachBinding([&](Symbol, sl::Loc L) { Max = std::max(Max, L); });
   for (auto [From, To] : H.cells()) {
     Max = std::max(Max, From);
     Max = std::max(Max, To);
@@ -52,9 +50,7 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
   // Index the atoms of Σ_R by their (normal form) address; distinct
   // normal forms evaluate to distinct locations under s_R, so term
   // identity coincides with address identity.
-  std::unordered_map<uint32_t, size_t> AtomAt;
-  for (size_t I = 0; I != C.Sigma.size(); ++I)
-    AtomAt.emplace(C.Sigma[I].Addr->symbol().id(), I);
+  const sl::AddressIndex AtomAt(C.Sigma);
 
   std::vector<bool> Consumed(C.Sigma.size(), false);
   std::vector<sup::Equation> SideEqs;
@@ -68,14 +64,14 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
   };
 
   for (const sl::HeapAtom &AP : CPrime.Sigma) {
-    auto It = AtomAt.find(AP.Addr->symbol().id());
+    const size_t It = AtomAt.at(AP.Addr);
 
     if (AP.isNext()) {
       // Σ' wants the single cell AP.Addr -> AP.Val.
-      if (It == AtomAt.end())
+      if (It == sl::AddressIndex::None)
         return GraphCex("Σ' allocates an address Σ does not");
-      const sl::HeapAtom &T = C.Sigma[It->second];
-      if (Consumed[It->second])
+      const sl::HeapAtom &T = C.Sigma[It];
+      if (Consumed[It])
         return GraphCex("Σ' uses a cell twice");
       if (T.Val != AP.Val)
         return GraphCex("points-to targets disagree");
@@ -95,22 +91,22 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
         R.Note = "stretched lseg refutes next (U-walk case b)";
         return R;
       }
-      Consumed[It->second] = true; // Exact next/next match (SR-ready).
+      Consumed[It] = true; // Exact next/next match (SR-ready).
       continue;
     }
 
     // AP is lseg(x, z) with x != z (trivial atoms were normalized
     // away). Walk Σ_R's graph from x towards z, consuming atoms.
-    const Term *Cur = AP.Addr;
-    const Term *End = AP.Val;
+    Symbol Cur = AP.Addr;
+    Symbol End = AP.Val;
     while (Cur != End) {
-      auto Step = AtomAt.find(Cur->symbol().id());
-      if (Step == AtomAt.end())
+      const size_t Step = AtomAt.at(Cur);
+      if (Step == sl::AddressIndex::None)
         return GraphCex("lseg in Σ' dangles in Σ's heap");
-      if (Consumed[Step->second])
+      if (Consumed[Step])
         return GraphCex("lseg in Σ' overlaps another atom");
-      Consumed[Step->second] = true;
-      const sl::HeapAtom &T = C.Sigma[Step->second];
+      Consumed[Step] = true;
+      const sl::HeapAtom &T = C.Sigma[Step];
 
       if (T.isNext()) {
         // U1 (final step) / U2 (inner step): either way the unfolding
@@ -126,16 +122,16 @@ UnfoldResult core::unfold(const sl::Stack &SR, const PosSpatialClause &C,
         Cur = T.Val;
         continue;
       }
-      if (End->isNil()) {
+      if (End.isNil()) {
         // U3: appending to a nil-terminated segment is always sound.
         Cur = T.Val;
         continue;
       }
-      auto Guard = AtomAt.find(End->symbol().id());
-      if (Guard != AtomAt.end()) {
+      const size_t Guard = AtomAt.at(End);
+      if (Guard != sl::AddressIndex::None) {
         // U4 (end allocated as next) / U5 (end allocated as lseg,
         // which additionally may be empty: record z ' w).
-        const sl::HeapAtom &Z = C.Sigma[Guard->second];
+        const sl::HeapAtom &Z = C.Sigma[Guard];
         if (Z.isLseg())
           SideEqs.emplace_back(Z.Addr, Z.Val);
         Cur = T.Val;

@@ -11,7 +11,7 @@ using namespace slp::core;
 
 bool core::isWellFormed(const sl::SpatialFormula &Sigma) {
   for (size_t I = 0; I != Sigma.size(); ++I) {
-    if (Sigma[I].Addr->isNil())
+    if (Sigma[I].Addr.isNil())
       return false;
     for (size_t J = I + 1; J != Sigma.size(); ++J)
       if (Sigma[I].Addr == Sigma[J].Addr)
@@ -39,7 +39,7 @@ core::wellFormednessConsequences(const PosSpatialClause &C) {
     const sl::HeapAtom &A = Sigma[I];
 
     // W1/W2: nil may not address a heap cell.
-    if (A.Addr->isNil()) {
+    if (A.Addr.isNil()) {
       if (A.isNext())
         Emit({}, InputRule::W1);
       else

@@ -8,7 +8,7 @@
 
 #include "support/Hashing.h"
 
-#include <unordered_map>
+#include <vector>
 
 using namespace slp;
 using namespace slp::engine;
@@ -20,27 +20,28 @@ namespace {
 /// is only invariant under renamings that fix nil.
 class Renaming {
 public:
-  uint32_t index(const Term *T) {
-    if (T->isNil())
+  uint32_t index(Symbol T) {
+    if (T.isNil())
       return 0;
-    auto [It, New] = Map.emplace(T, NextIndex);
-    if (New)
-      ++NextIndex;
-    return It->second;
+    if (T.id() >= Index.size())
+      Index.resize(T.id() + 1, ~0u);
+    if (Index[T.id()] == ~0u)
+      Index[T.id()] = NextIndex++;
+    return Index[T.id()];
   }
 
   /// Looks the index up without assigning one; ~0u if unseen.
-  uint32_t peek(const Term *T) const {
-    if (T->isNil())
+  uint32_t peek(Symbol T) const {
+    if (T.isNil())
       return 0;
-    auto It = Map.find(T);
-    return It == Map.end() ? ~0u : It->second;
+    return T.id() < Index.size() ? Index[T.id()] : ~0u;
   }
 
   uint32_t numAssigned() const { return NextIndex; }
 
 private:
-  std::unordered_map<const Term *, uint32_t> Map;
+  /// Canonical index by symbol id; ~0u where none is assigned yet.
+  std::vector<uint32_t> Index;
   uint32_t NextIndex = 1;
 };
 
@@ -63,7 +64,7 @@ CanonicalQuery CanonicalQuery::of(const sl::Entailment &E) {
       if (!A.Negated && A.Lhs == A.Rhs)
         continue;
       uint32_t L = R.peek(A.Lhs), Rr = R.peek(A.Rhs);
-      const Term *First = A.Lhs, *Second = A.Rhs;
+      Symbol First = A.Lhs, Second = A.Rhs;
       bool Swap = (L == ~0u && Rr != ~0u) || (L != ~0u && Rr != ~0u && Rr < L);
       if (Swap)
         std::swap(First, Second);
@@ -131,11 +132,11 @@ CanonicalQuery CanonicalQuery::of(const sl::Entailment &E) {
 }
 
 sl::Entailment CanonicalQuery::rebuild(TermTable &Terms) const {
-  std::vector<const Term *> Consts;
-  auto constant = [&](uint32_t I) -> const Term * {
+  std::vector<Symbol> Consts;
+  auto constant = [&](uint32_t I) -> Symbol {
     if (I >= Consts.size())
-      Consts.resize(I + 1, nullptr);
-    if (!Consts[I])
+      Consts.resize(I + 1);
+    if (!Consts[I].valid())
       Consts[I] = I == 0 ? Terms.nil()
                          : Terms.constant("v" + std::to_string(I));
     return Consts[I];
@@ -149,16 +150,16 @@ sl::Entailment CanonicalQuery::rebuild(TermTable &Terms) const {
   auto decodePure = [&](const std::vector<PureEnc> &In,
                         std::vector<sl::PureAtom> &Out) {
     for (const PureEnc &A : In) {
-      const Term *L = constant(A.Lhs);
-      const Term *R = constant(A.Rhs);
+      Symbol L = constant(A.Lhs);
+      Symbol R = constant(A.Rhs);
       Out.push_back(A.Neg ? sl::PureAtom::ne(L, R) : sl::PureAtom::eq(L, R));
     }
   };
   auto decodeSpatial = [&](const std::vector<HeapEnc> &In,
                            sl::SpatialFormula &Out) {
     for (const HeapEnc &A : In) {
-      const Term *Addr = constant(A.Addr);
-      const Term *Val = constant(A.Val);
+      Symbol Addr = constant(A.Addr);
+      Symbol Val = constant(A.Val);
       Out.push_back(A.Lseg ? sl::HeapAtom::lseg(Addr, Val)
                            : sl::HeapAtom::next(Addr, Val));
     }

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace slp;
@@ -82,8 +81,8 @@ namespace {
 
 /// The distinct terms of \p E in first-occurrence order, nil included
 /// when it occurs.
-std::vector<const Term *> distinctTerms(const sl::Entailment &E) {
-  std::vector<const Term *> Out;
+std::vector<Symbol> distinctTerms(const sl::Entailment &E) {
+  std::vector<Symbol> Out;
   E.collectTerms(Out);
   return Out;
 }
@@ -95,16 +94,15 @@ std::unordered_set<std::string> takenNames(const TermTable &Terms,
                                            const sl::Entailment &E) {
   std::unordered_set<std::string> Taken = {"true", "false", "emp",
                                            "next",  "lseg", "nil"};
-  for (const Term *T : distinctTerms(E))
+  for (Symbol T : distinctTerms(E))
     Taken.insert(Terms.str(T));
   return Taken;
 }
 
 /// Interns a constant named fz<k> that does not occur in \p Taken,
 /// advancing \p Counter past the chosen k and recording the new name.
-const Term *freshConstant(TermTable &Terms,
-                          std::unordered_set<std::string> &Taken,
-                          unsigned &Counter) {
+Symbol freshConstant(TermTable &Terms, std::unordered_set<std::string> &Taken,
+                     unsigned &Counter) {
   for (;;) {
     std::string Name = "fz" + std::to_string(++Counter);
     if (Taken.insert(Name).second)
@@ -120,26 +118,30 @@ template <typename T> void shuffle(std::vector<T> &V, SplitMix64 &Rng) {
 std::optional<sl::Entailment> alphaRename(TermTable &Terms,
                                           const sl::Entailment &E,
                                           SplitMix64 &Rng) {
-  std::vector<const Term *> Old;
-  for (const Term *T : distinctTerms(E))
-    if (!T->isNil())
+  std::vector<Symbol> Old;
+  for (Symbol T : distinctTerms(E))
+    if (!T.isNil())
       Old.push_back(T);
   if (Old.empty())
     return std::nullopt;
 
   std::unordered_set<std::string> Taken = takenNames(Terms, E);
   unsigned Counter = 0;
-  std::vector<const Term *> Fresh;
+  std::vector<Symbol> Fresh;
   Fresh.reserve(Old.size());
   for (size_t I = 0; I != Old.size(); ++I)
     Fresh.push_back(freshConstant(Terms, Taken, Counter));
   // A random injective assignment: the fresh names, shuffled.
   shuffle(Fresh, Rng);
 
-  std::unordered_map<const Term *, const Term *> Map;
-  for (size_t I = 0; I != Old.size(); ++I)
-    Map[Old[I]] = Fresh[I];
-  auto Rename = [&](const Term *T) { return T->isNil() ? T : Map.at(T); };
+  // The new name of each old constant, by symbol id.
+  std::vector<Symbol> Map;
+  for (size_t I = 0; I != Old.size(); ++I) {
+    if (Old[I].id() >= Map.size())
+      Map.resize(Old[I].id() + 1);
+    Map[Old[I].id()] = Fresh[I];
+  }
+  auto Rename = [&](Symbol T) { return T.isNil() ? T : Map[T.id()]; };
 
   sl::Entailment Out = E;
   for (sl::Assertion *A : {&Out.Lhs, &Out.Rhs}) {
@@ -180,8 +182,8 @@ std::optional<sl::Entailment> frameWrap(TermTable &Terms,
                                         SplitMix64 &Rng) {
   std::unordered_set<std::string> Taken = takenNames(Terms, E);
   unsigned Counter = 0;
-  const Term *A = freshConstant(Terms, Taken, Counter);
-  const Term *B = freshConstant(Terms, Taken, Counter);
+  Symbol A = freshConstant(Terms, Taken, Counter);
+  Symbol B = freshConstant(Terms, Taken, Counter);
   sl::HeapAtom Frame = Rng.chance(0.5) ? sl::HeapAtom::next(A, B)
                                        : sl::HeapAtom::lseg(A, B);
   bool Front = Rng.chance(0.5);
@@ -199,7 +201,7 @@ std::optional<sl::Entailment> frameWrap(TermTable &Terms,
 /// polarity; nullopt when fewer than two distinct terms occur.
 std::optional<sl::PureAtom> randomPureAtom(const sl::Entailment &E,
                                            SplitMix64 &Rng) {
-  std::vector<const Term *> Pool = distinctTerms(E);
+  std::vector<Symbol> Pool = distinctTerms(E);
   if (Pool.size() < 2)
     return std::nullopt;
   size_t I = Rng.below(Pool.size());

@@ -16,10 +16,10 @@ sl::Entailment gen::cloneEntailment(TermTable &Terms, const sl::Entailment &E,
   assert(Copies >= 1 && "at least one copy required");
   sl::Entailment Out;
   for (unsigned K = 0; K != Copies; ++K) {
-    auto Rename = [&](const Term *T) -> const Term * {
-      if (T->isNil())
+    auto Rename = [&](Symbol T) -> Symbol {
+      if (T.isNil())
         return T;
-      std::string Name(Terms.symbols().name(T->symbol()));
+      std::string Name = Terms.str(T);
       return Terms.constant(Name + "__" + std::to_string(K));
     };
     auto CloneAssertion = [&](const sl::Assertion &In, sl::Assertion &To) {

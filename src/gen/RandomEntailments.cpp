@@ -13,9 +13,8 @@
 using namespace slp;
 using namespace slp::gen;
 
-static std::vector<const Term *> makeVars(TermTable &Terms,
-                                          unsigned NumVars) {
-  std::vector<const Term *> Vars;
+static std::vector<Symbol> makeVars(TermTable &Terms, unsigned NumVars) {
+  std::vector<Symbol> Vars;
   Vars.reserve(NumVars);
   for (unsigned I = 1; I <= NumVars; ++I)
     Vars.push_back(Terms.constant("x" + std::to_string(I)));
@@ -25,7 +24,7 @@ static std::vector<const Term *> makeVars(TermTable &Terms,
 sl::Entailment gen::distribution1(TermTable &Terms, SplitMix64 &Rng,
                                   unsigned NumVars, double PLseg,
                                   double PNe) {
-  std::vector<const Term *> Vars = makeVars(Terms, NumVars);
+  std::vector<Symbol> Vars = makeVars(Terms, NumVars);
   sl::Entailment E;
   for (unsigned I = 0; I != NumVars; ++I)
     for (unsigned J = 0; J != NumVars; ++J)
@@ -43,7 +42,7 @@ sl::Entailment gen::distribution1(TermTable &Terms, SplitMix64 &Rng,
 sl::Entailment gen::distribution2(TermTable &Terms, SplitMix64 &Rng,
                                   unsigned NumVars, double PNext) {
   assert(NumVars >= 2 && "a fixed-point-free permutation needs >= 2 points");
-  std::vector<const Term *> Vars = makeVars(Terms, NumVars);
+  std::vector<Symbol> Vars = makeVars(Terms, NumVars);
 
   // Random fixed-point-free permutation π by rejection sampling
   // (expected ~e attempts).

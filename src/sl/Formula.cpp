@@ -12,12 +12,12 @@
 using namespace slp;
 using namespace slp::sl;
 
-static void addUnique(std::vector<const Term *> &Out, const Term *T) {
+static void addUnique(std::vector<Symbol> &Out, Symbol T) {
   if (std::find(Out.begin(), Out.end(), T) == Out.end())
     Out.push_back(T);
 }
 
-void Assertion::collectTerms(std::vector<const Term *> &Out) const {
+void Assertion::collectTerms(std::vector<Symbol> &Out) const {
   for (const PureAtom &A : Pure) {
     addUnique(Out, A.Lhs);
     addUnique(Out, A.Rhs);
@@ -28,7 +28,7 @@ void Assertion::collectTerms(std::vector<const Term *> &Out) const {
   }
 }
 
-void Entailment::collectTerms(std::vector<const Term *> &Out) const {
+void Entailment::collectTerms(std::vector<Symbol> &Out) const {
   Lhs.collectTerms(Out);
   Rhs.collectTerms(Out);
 }

@@ -26,12 +26,12 @@ namespace sl {
 
 /// A pure literal: an equality x ' y or disequality x !' y.
 struct PureAtom {
-  const Term *Lhs = nullptr;
-  const Term *Rhs = nullptr;
+  Symbol Lhs;
+  Symbol Rhs;
   bool Negated = false;
 
-  static PureAtom eq(const Term *L, const Term *R) { return {L, R, false}; }
-  static PureAtom ne(const Term *L, const Term *R) { return {L, R, true}; }
+  static PureAtom eq(Symbol L, Symbol R) { return {L, R, false}; }
+  static PureAtom ne(Symbol L, Symbol R) { return {L, R, true}; }
 
   friend bool operator==(const PureAtom &A, const PureAtom &B) {
     bool SameEq = (A.Lhs == B.Lhs && A.Rhs == B.Rhs) ||
@@ -49,13 +49,13 @@ enum class HeapAtomKind : uint8_t {
 /// A basic spatial atom f(Addr, Val) with f in {next, lseg}.
 struct HeapAtom {
   HeapAtomKind Kind = HeapAtomKind::Next;
-  const Term *Addr = nullptr;
-  const Term *Val = nullptr;
+  Symbol Addr;
+  Symbol Val;
 
-  static HeapAtom next(const Term *A, const Term *V) {
+  static HeapAtom next(Symbol A, Symbol V) {
     return {HeapAtomKind::Next, A, V};
   }
-  static HeapAtom lseg(const Term *A, const Term *V) {
+  static HeapAtom lseg(Symbol A, Symbol V) {
     return {HeapAtomKind::Lseg, A, V};
   }
 
@@ -73,13 +73,38 @@ struct HeapAtom {
 /// A spatial formula S1 * ... * Sn; the empty vector denotes emp.
 using SpatialFormula = std::vector<HeapAtom>;
 
+/// The position of the first atom at each address of a spatial
+/// formula, indexed by the address's symbol id.
+class AddressIndex {
+public:
+  static constexpr size_t None = ~size_t(0);
+
+  explicit AddressIndex(const SpatialFormula &S) {
+    for (size_t I = 0; I != S.size(); ++I) {
+      const uint32_t A = S[I].Addr.id();
+      if (A >= First.size())
+        First.resize(A + 1, None);
+      if (First[A] == None)
+        First[A] = I;
+    }
+  }
+
+  /// Position of the first atom at \p Addr, or None.
+  size_t at(Symbol Addr) const {
+    return Addr.id() < First.size() ? First[Addr.id()] : None;
+  }
+
+private:
+  std::vector<size_t> First;
+};
+
 /// A symbolic heap Π ∧ Σ.
 struct Assertion {
   std::vector<PureAtom> Pure;
   SpatialFormula Spatial;
 
   /// Collects every constant mentioned (including nil if it occurs).
-  void collectTerms(std::vector<const Term *> &Out) const;
+  void collectTerms(std::vector<Symbol> &Out) const;
 };
 
 /// An entailment Π ∧ Σ → Π' ∧ Σ'.
@@ -87,7 +112,7 @@ struct Entailment {
   Assertion Lhs;
   Assertion Rhs;
 
-  void collectTerms(std::vector<const Term *> &Out) const;
+  void collectTerms(std::vector<Symbol> &Out) const;
 };
 
 /// Rendering helpers (concrete syntax of the bundled parser).

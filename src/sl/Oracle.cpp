@@ -57,10 +57,10 @@ sl::searchCounterexample(const TermTable &Terms, const Entailment &E,
                          unsigned ExtraLocations) {
   (void)Terms; // Part of the API for symmetry with the other oracles.
   // Gather the non-nil program variables of the entailment.
-  std::vector<const Term *> Vars;
+  std::vector<Symbol> Vars;
   E.collectTerms(Vars);
   Vars.erase(std::remove_if(Vars.begin(), Vars.end(),
-                            [](const Term *T) { return T->isNil(); }),
+                            [](Symbol T) { return T.isNil(); }),
              Vars.end());
   unsigned N = static_cast<unsigned>(Vars.size());
 

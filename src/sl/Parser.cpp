@@ -192,12 +192,12 @@ private:
     return true;
   }
 
-  const Term *parseVar() {
+  Symbol parseVar() {
     if (Tok.Kind != TokKind::Ident) {
       fail("expected a program variable or nil");
-      return nullptr;
+      return {};
     }
-    const Term *T = Terms.constant(Tok.Text);
+    Symbol T = Terms.constant(Tok.Text);
     advance();
     return T;
   }
@@ -248,13 +248,13 @@ private:
       advance();
       if (!expect(TokKind::LParen, "'('"))
         return false;
-      const Term *A = parseVar();
-      if (!A)
+      Symbol A = parseVar();
+      if (!A.valid())
         return false;
       if (!expect(TokKind::Comma, "','"))
         return false;
-      const Term *V = parseVar();
-      if (!V)
+      Symbol V = parseVar();
+      if (!V.valid())
         return false;
       if (!expect(TokKind::RParen, "')'"))
         return false;
@@ -264,8 +264,8 @@ private:
     }
 
     // ident (= | != | ->) ident
-    const Term *L = parseVar();
-    if (!L)
+    Symbol L = parseVar();
+    if (!L.valid())
       return false;
     switch (Tok.Kind) {
     case TokKind::Eq:
@@ -273,16 +273,16 @@ private:
       break;
     case TokKind::Ne: {
       advance();
-      const Term *R = parseVar();
-      if (!R)
+      Symbol R = parseVar();
+      if (!R.valid())
         return false;
       Out.Pure.push_back(PureAtom::ne(L, R));
       return true;
     }
     case TokKind::Arrow: {
       advance();
-      const Term *R = parseVar();
-      if (!R)
+      Symbol R = parseVar();
+      if (!R.valid())
         return false;
       Out.Spatial.push_back(HeapAtom::next(L, R));
       return true;
@@ -290,8 +290,8 @@ private:
     default:
       return fail("expected '=', '!=' or '->' after variable");
     }
-    const Term *R = parseVar();
-    if (!R)
+    Symbol R = parseVar();
+    if (!R.valid())
       return false;
     Out.Pure.push_back(PureAtom::eq(L, R));
     return true;

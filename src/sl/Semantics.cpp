@@ -67,10 +67,9 @@ bool sl::isCounterexample(const Stack &S, const Heap &H,
 std::string sl::str(const TermTable &Terms, const Stack &S, const Heap &H) {
   std::ostringstream OS;
   OS << "stack:";
-  // Order bindings by term id for stable output.
-  std::map<uint32_t, Loc> Ordered(S.bindings().begin(), S.bindings().end());
-  for (auto [TermId, L] : Ordered)
-    OS << ' ' << Terms.symbols().name(Symbol(TermId)) << '=' << L;
+  // Bindings come in symbol-id order, which keeps the output stable.
+  S.forEachBinding(
+      [&](Symbol Var, Loc L) { OS << ' ' << Terms.str(Var) << '=' << L; });
   OS << "; heap:";
   if (H.empty())
     OS << " emp";

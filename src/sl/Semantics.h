@@ -21,7 +21,7 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 namespace slp {
 namespace sl {
@@ -35,30 +35,37 @@ class Stack {
 public:
   /// Binds constant \p Var to \p L. Binding nil to anything but
   /// NilLoc is a contract violation.
-  void bind(const Term *Var, Loc L) {
-    assert((!Var->isNil() || L == NilLoc) && "nil evaluates to nil");
-    Bindings[Var->symbol().id()] = L;
+  void bind(Symbol Var, Loc L) {
+    assert((!Var.isNil() || L == NilLoc) && "nil evaluates to nil");
+    if (Var.id() >= Bindings.size())
+      Bindings.resize(Var.id() + 1, Unbound);
+    Bindings[Var.id()] = L;
   }
 
   /// Evaluation function s^: defined for nil and all bound constants.
-  Loc eval(const Term *Var) const {
-    if (Var->isNil())
+  Loc eval(Symbol Var) const {
+    if (Var.isNil())
       return NilLoc;
-    auto It = Bindings.find(Var->symbol().id());
-    assert(It != Bindings.end() && "unbound program variable");
-    return It->second;
+    assert(bound(Var) && "unbound program variable");
+    return Bindings[Var.id()];
   }
 
-  bool bound(const Term *Var) const {
-    return Var->isNil() || Bindings.count(Var->symbol().id());
+  bool bound(Symbol Var) const {
+    return Var.isNil() ||
+           (Var.id() < Bindings.size() && Bindings[Var.id()] != Unbound);
   }
 
-  const std::unordered_map<uint32_t, Loc> &bindings() const {
-    return Bindings;
+  /// Calls \p F(Var, L) for every bound constant, in symbol-id order.
+  template <typename Fn> void forEachBinding(Fn F) const {
+    for (uint32_t Id = 0; Id != Bindings.size(); ++Id)
+      if (Bindings[Id] != Unbound)
+        F(Symbol(Id), Bindings[Id]);
   }
 
 private:
-  std::unordered_map<uint32_t, Loc> Bindings;
+  static constexpr Loc Unbound = ~Loc(0);
+  /// The location of each constant, by symbol id.
+  std::vector<Loc> Bindings;
 };
 
 /// A heap h : Loc ⇀ Loc+, i.e. a finite function whose domain

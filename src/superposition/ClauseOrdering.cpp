@@ -7,18 +7,19 @@
 #include "superposition/ClauseOrdering.h"
 
 #include <algorithm>
+#include <functional>
 
 using namespace slp;
 using namespace slp::sup;
 
+/// Maps a three-way comparison onto Order.
+static Order toOrder(std::strong_ordering C) {
+  return C < 0 ? Order::Less : C > 0 ? Order::Greater : Order::Equal;
+}
+
 Order ClauseOrdering::compareLiterals(const OrientedLiteral &A,
                                       const OrientedLiteral &B) const {
-  Order O = compareTerms(A.Max, B.Max);
-  if (O != Order::Equal)
-    return O;
-  if (A.Negative != B.Negative)
-    return A.Negative ? Order::Greater : Order::Less;
-  return compareTerms(A.Min, B.Min);
+  return toOrder(A <=> B);
 }
 
 std::vector<OrientedLiteral>
@@ -29,27 +30,16 @@ ClauseOrdering::sortedLiterals(ClauseView C) const {
     Lits.push_back(orient(E, /*Negative=*/true));
   for (const Equation &E : C.pos())
     Lits.push_back(orient(E, /*Negative=*/false));
-  std::sort(Lits.begin(), Lits.end(),
-            [this](const OrientedLiteral &A, const OrientedLiteral &B) {
-              return compareLiterals(A, B) == Order::Greater;
-            });
+  std::sort(Lits.begin(), Lits.end(), std::greater<>());
   return Lits;
 }
 
 Order ClauseOrdering::compareSortedLiterals(
     std::span<const OrientedLiteral> LA,
     std::span<const OrientedLiteral> LB) const {
-  size_t N = std::min(LA.size(), LB.size());
-  for (size_t I = 0; I != N; ++I) {
-    Order O = compareLiterals(LA[I], LB[I]);
-    if (O != Order::Equal)
-      return O;
-  }
-  if (LA.size() < LB.size())
-    return Order::Less;
-  if (LA.size() > LB.size())
-    return Order::Greater;
-  return Order::Equal;
+  // A proper prefix is smaller.
+  return toOrder(std::lexicographical_compare_three_way(
+      LA.begin(), LA.end(), LB.begin(), LB.end()));
 }
 
 Order ClauseOrdering::compareClauses(ClauseView A, ClauseView B) const {

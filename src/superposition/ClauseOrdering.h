@@ -22,23 +22,42 @@
 #include "superposition/Clause.h"
 #include "term/Ordering.h"
 
+#include <compare>
+
 namespace slp {
 namespace sup {
 
-/// A literal = equation + polarity, as needed by the orderings.
-struct OrientedLiteral {
-  const Term *Max; ///< Side that is larger in the term order.
-  const Term *Min; ///< The other side (equal to Max for s ' s).
-  bool Negative;
+/// A literal = equation + polarity, as needed by the orderings: one
+/// integer whose order is the literal order (see \file). From the top
+/// bit down it holds the larger side's symbol id, the polarity
+/// (negative above positive), then the smaller side's symbol id.
+class OrientedLiteral {
+public:
+  OrientedLiteral(Symbol Max, Symbol Min, bool Negative)
+      : Key(uint64_t(Max.id()) << 32 | uint64_t(Negative) << 31 | Min.id()) {
+    assert(Min.id() < (1u << 31) && "symbol id overflows the literal key");
+  }
+
+  /// Side that is larger in the term order.
+  Symbol max() const { return Symbol(static_cast<uint32_t>(Key >> 32)); }
+  /// The other side (equal to max() for s ' s).
+  Symbol min() const {
+    return Symbol(static_cast<uint32_t>(Key) & ~(1u << 31));
+  }
+  bool negative() const { return (Key >> 31) & 1; }
+
+  friend auto operator<=>(const OrientedLiteral &,
+                          const OrientedLiteral &) = default;
+
+private:
+  uint64_t Key;
 };
 
 /// Computes literal/clause comparisons induced by the term order.
 class ClauseOrdering {
 public:
   OrientedLiteral orient(const Equation &E, bool Negative) const {
-    const Term *Max = maxTerm(E.lhs(), E.rhs());
-    const Term *Min = E.other(Max);
-    return {Max, Min, Negative};
+    return {E.rhs(), E.lhs(), Negative};
   }
 
   /// Total order on ground literals (multiset encoding; see \file).

@@ -25,11 +25,11 @@ ClauseSig ClauseSig::of(ClauseView C) {
   ClauseSig S;
   for (const Equation &E : C.neg()) {
     S.Neg |= equationBit(E);
-    S.Syms |= symbolBit(E.lhs()->symbol()) | symbolBit(E.rhs()->symbol());
+    S.Syms |= symbolBit(E.lhs()) | symbolBit(E.rhs());
   }
   for (const Equation &E : C.pos()) {
     S.Pos |= equationBit(E);
-    S.Syms |= symbolBit(E.lhs()->symbol()) | symbolBit(E.rhs()->symbol());
+    S.Syms |= symbolBit(E.lhs()) | symbolBit(E.rhs());
   }
   return S;
 }

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pure literals are (dis)equations between ground terms. A literal is
-/// stored in a canonical orientation (smaller term id first) so that
-/// syntactically equal literals compare equal regardless of how they
-/// were written; the ordering-relevant orientation (the side larger in
-/// the term order) is computed on demand.
+/// Pure literals are (dis)equations between ground terms. An equation
+/// is two symbol ids, stored smaller first. Symbol ids are the term
+/// order, so syntactically equal literals compare equal regardless of
+/// how they were written, and the side that is larger in the term
+/// order is always rhs().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 #include "support/Hashing.h"
 #include "term/Term.h"
 
+#include <algorithm>
 #include <tuple>
 
 namespace slp {
@@ -29,34 +30,28 @@ namespace sup {
 /// used negatively, ∆ positively), so Equation itself is unsigned.
 class Equation {
 public:
-  Equation(const Term *A, const Term *B) {
-    // Canonical orientation: ascending term id.
-    if (A->symbol().id() <= B->symbol().id()) {
-      Lhs = A;
-      Rhs = B;
-    } else {
-      Lhs = B;
-      Rhs = A;
-    }
-  }
+  Equation(Symbol A, Symbol B)
+      : Lhs(std::min(A.id(), B.id())), Rhs(std::max(A.id(), B.id())) {}
 
-  const Term *lhs() const { return Lhs; }
-  const Term *rhs() const { return Rhs; }
+  /// The smaller side in the term order.
+  Symbol lhs() const { return Symbol(Lhs); }
+  /// The larger side in the term order.
+  Symbol rhs() const { return Symbol(Rhs); }
 
   /// True for the trivial equation s ' s.
   bool trivial() const { return Lhs == Rhs; }
 
   /// True if \p T occurs as one of the two sides.
-  bool mentions(const Term *T) const { return Lhs == T || Rhs == T; }
+  bool mentions(Symbol T) const { return Lhs == T.id() || Rhs == T.id(); }
 
   /// Given one side, returns the other. \p T must be a side.
-  const Term *other(const Term *T) const {
+  Symbol other(Symbol T) const {
     assert(mentions(T) && "term is not a side of this equation");
-    return T == Lhs ? Rhs : Lhs;
+    return Symbol(T.id() == Lhs ? Rhs : Lhs);
   }
 
   uint64_t hash() const {
-    return hashCombine(hashValue(Lhs->symbol().id()), hashValue(Rhs->symbol().id()));
+    return hashCombine(hashValue(Lhs), hashValue(Rhs));
   }
 
   friend bool operator==(const Equation &A, const Equation &B) {
@@ -69,14 +64,15 @@ public:
   /// Canonical structural order used for sorted clause storage (not
   /// the proof-theoretic literal ordering).
   friend bool operator<(const Equation &A, const Equation &B) {
-    return std::tuple(A.Lhs->symbol().id(), A.Rhs->symbol().id()) <
-           std::tuple(B.Lhs->symbol().id(), B.Rhs->symbol().id());
+    return std::tuple(A.Lhs, A.Rhs) < std::tuple(B.Lhs, B.Rhs);
   }
 
 private:
-  const Term *Lhs;
-  const Term *Rhs;
+  uint32_t Lhs; ///< Symbol id of the smaller side.
+  uint32_t Rhs; ///< Symbol id of the larger side.
 };
+
+static_assert(sizeof(Equation) == 8, "an equation is two symbol ids");
 
 } // namespace sup
 } // namespace slp

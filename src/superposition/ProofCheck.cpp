@@ -15,8 +15,8 @@ using namespace slp::sup;
 
 namespace {
 
-void collectConstants(ClauseView C, std::vector<const Term *> &Out) {
-  auto Add = [&Out](const Term *T) {
+void collectConstants(ClauseView C, std::vector<Symbol> &Out) {
+  auto Add = [&Out](Symbol T) {
     if (std::find(Out.begin(), Out.end(), T) == Out.end())
       Out.push_back(T);
   };
@@ -32,9 +32,9 @@ void collectConstants(ClauseView C, std::vector<const Term *> &Out) {
 
 /// Evaluates a clause under a partition given as class index per
 /// constant (parallel to the constant list).
-bool clauseHolds(ClauseView C, const std::vector<const Term *> &Consts,
+bool clauseHolds(ClauseView C, const std::vector<Symbol> &Consts,
                  const std::vector<unsigned> &ClassOf) {
-  auto Cls = [&](const Term *T) {
+  auto Cls = [&](Symbol T) {
     size_t I =
         std::find(Consts.begin(), Consts.end(), T) - Consts.begin();
     return ClassOf[I];
@@ -50,11 +50,9 @@ bool clauseHolds(ClauseView C, const std::vector<const Term *> &Consts,
 
 } // namespace
 
-bool sup::entailsGround(const TermTable &Terms,
-                        const std::vector<ClauseView> &Premises,
+bool sup::entailsGround(const std::vector<ClauseView> &Premises,
                         ClauseView Conclusion) {
-  (void)Terms; // Kept for API symmetry with the other checkers.
-  std::vector<const Term *> Consts;
+  std::vector<Symbol> Consts;
   for (ClauseView P : Premises)
     collectConstants(P, Consts);
   collectConstants(Conclusion, Consts);
@@ -108,7 +106,7 @@ ProofCheckResult sup::checkDerivation(const Saturation &Sat, uint32_t RootId,
       continue;
 
     std::vector<ClauseView> Premises;
-    std::vector<const Term *> Consts;
+    std::vector<Symbol> Consts;
     for (uint32_t P : J.Parents) {
       Premises.push_back(Sat.clause(P));
       collectConstants(Sat.clause(P), Consts);
@@ -120,7 +118,7 @@ ProofCheckResult sup::checkDerivation(const Saturation &Sat, uint32_t RootId,
       continue;
     }
 
-    if (!entailsGround(Sat.terms(), Premises, C)) {
+    if (!entailsGround(Premises, C)) {
       Result.Ok = false;
       std::ostringstream OS;
       OS << "step [" << Id << "] " << C.str(Sat.terms()) << " by "

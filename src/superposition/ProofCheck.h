@@ -50,8 +50,7 @@ inline ProofCheckResult checkRefutation(const Saturation &Sat,
 /// every partition of the occurring constants) satisfying all
 /// \p Premises satisfies \p Conclusion. Only defined for clauses over
 /// constants.
-bool entailsGround(const TermTable &Terms,
-                   const std::vector<ClauseView> &Premises,
+bool entailsGround(const std::vector<ClauseView> &Premises,
                    ClauseView Conclusion);
 
 } // namespace sup

@@ -222,19 +222,19 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
                                       // the equation pool.
   if (E.trivial())
     return;
-  const Term *L = maxTerm(E.lhs(), E.rhs());
-  const Term *R = E.other(L);
+  // The larger side is the left-hand side of the rule.
+  const Symbol L = E.rhs(), R = E.lhs();
   if (Demod.reducibleAtRoot(L))
     return; // Keep the system left-reduced; superposition joins them.
   Demod.addRule(L, R, Id);
-  DemodIdx.addLhs(L->symbol());
+  DemodIdx.addLhs(L);
   DemodOwned.emplace(Id, L);
 
   // Backward demodulation: rewrite active clauses reducible by the new
   // unit and send the results back through the queue. A clause whose
   // symbol fingerprint misses L's symbol cannot contain L and is
   // skipped without walking its terms.
-  const uint64_t LhsBit = ClauseSig::symbolBit(L->symbol());
+  const uint64_t LhsBit = ClauseSig::symbolBit(L);
   for (uint32_t ActId : Active) {
     if (ActId == Id || DB.deleted(ActId))
       continue;
@@ -254,13 +254,13 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
   }
 }
 
-const Term *Saturation::demodTerm(const Term *T, uint32_t SelfId,
-                                  std::vector<uint32_t> &Used) {
-  const Term *Current = T;
+Symbol Saturation::demodTerm(Symbol T, uint32_t SelfId,
+                             std::vector<uint32_t> &Used) {
+  Symbol Current = T;
   for (;;) {
     // Fingerprint test first: most constants share no symbol with any
     // demodulator, so the rule-table lookup is usually skipped.
-    if (!DemodIdx.mayMatchRoot(Current->symbol()))
+    if (!DemodIdx.mayMatchRoot(Current))
       return Current;
     const RewriteRule *Rule = Demod.ruleFor(Current);
     if (!Rule || Rule->GeneratingClause == SelfId)
@@ -283,14 +283,14 @@ Saturation::demodClause(ClauseView C, uint32_t SelfId) {
   Neg.reserve(C.neg().size());
   Pos.reserve(C.pos().size());
   for (const Equation &E : C.neg()) {
-    const Term *L = demodTerm(E.lhs(), SelfId, Used);
-    const Term *R = demodTerm(E.rhs(), SelfId, Used);
+    Symbol L = demodTerm(E.lhs(), SelfId, Used);
+    Symbol R = demodTerm(E.rhs(), SelfId, Used);
     Changed |= (L != E.lhs() || R != E.rhs());
     Neg.emplace_back(L, R);
   }
   for (const Equation &E : C.pos()) {
-    const Term *L = demodTerm(E.lhs(), SelfId, Used);
-    const Term *R = demodTerm(E.rhs(), SelfId, Used);
+    Symbol L = demodTerm(E.lhs(), SelfId, Used);
+    Symbol R = demodTerm(E.rhs(), SelfId, Used);
     Changed |= (L != E.lhs() || R != E.rhs());
     Pos.emplace_back(L, R);
   }
@@ -321,7 +321,7 @@ void Saturation::deleteClause(uint32_t Id) {
   if (It == DemodOwned.end())
     return;
   Demod.removeRuleFor(It->second);
-  DemodIdx.removeLhs(It->second->symbol());
+  DemodIdx.removeLhs(It->second);
   DemodOwned.erase(It);
 }
 
@@ -350,19 +350,16 @@ void Saturation::compactIndexes() {
     }
   }
 
-  auto SweepPartnerIndex =
-      [&](std::unordered_map<uint32_t, std::vector<uint32_t>> &Index) {
-        for (auto It = Index.begin(); It != Index.end();) {
-          std::vector<uint32_t> &Ids = It->second;
-          size_t Kept = 0;
-          for (uint32_t Id : Ids)
-            if (!DB.deleted(Id))
-              Ids[Kept++] = Id;
-          Purged += Ids.size() - Kept;
-          Ids.resize(Kept);
-          It = Ids.empty() ? Index.erase(It) : std::next(It);
-        }
-      };
+  auto SweepPartnerIndex = [&](std::vector<std::vector<uint32_t>> &Index) {
+    for (std::vector<uint32_t> &Ids : Index) {
+      size_t Kept = 0;
+      for (uint32_t Id : Ids)
+        if (!DB.deleted(Id))
+          Ids[Kept++] = Id;
+      Purged += Ids.size() - Kept;
+      Ids.resize(Kept);
+    }
+  };
   SweepPartnerIndex(FromByMax);
   SweepPartnerIndex(IntoByMax);
 
@@ -461,16 +458,20 @@ bool Saturation::clauseOrderLess(uint32_t A, uint32_t B) const {
   OrderMemoEntry &E = OrderMemo[Slot];
   if (E.Key == Key && E.Epoch == OrderMemoEpoch) {
     ++Stats.OrderCacheHits;
-    Order O = static_cast<Order>(E.Val);
-    return O == Order::Equal ? A < B : O == Order::Less;
+    return E.Less;
   }
   ++Stats.OrderCacheMisses;
+  const bool Less = clauseOrderLessUncounted(A, B);
+  E = {Key, OrderMemoEpoch, Less};
+  return Less;
+}
+
+bool Saturation::clauseOrderLessUncounted(uint32_t A, uint32_t B) const {
   // Materialize both lists before taking spans: interning one can
   // relocate the pool backing the other.
   (void)sortedLits(A);
   (void)sortedLits(B);
   Order O = Ordering.compareSortedLiterals(sortedLits(A), sortedLits(B));
-  E = {Key, OrderMemoEpoch, static_cast<uint8_t>(O)};
   return O == Order::Equal ? A < B : O == Order::Less;
 }
 
@@ -485,10 +486,11 @@ void Saturation::orderedLiveInsert(uint32_t Id) {
   size_t Idx = static_cast<size_t>(It - OrderedLive.begin());
   LiveWatermark = std::min(LiveWatermark, Idx);
   OrderedLive.insert(It, Id);
-  SLP_INVARIANT(Idx == 0 || clauseOrderLess(OrderedLive[Idx - 1], Id),
+  SLP_INVARIANT(Idx == 0 ||
+                    clauseOrderLessUncounted(OrderedLive[Idx - 1], Id),
                 "clause DB ordering broken left of insertion point");
   SLP_INVARIANT(Idx + 1 == OrderedLive.size() ||
-                    clauseOrderLess(Id, OrderedLive[Idx + 1]),
+                    clauseOrderLessUncounted(Id, OrderedLive[Idx + 1]),
                 "clause DB ordering broken right of insertion point");
 }
 
@@ -508,7 +510,7 @@ bool Saturation::attemptModelIncremental(
   SLP_INVARIANT(
       std::is_sorted(OrderedLive.begin(), OrderedLive.end(),
                      [this](uint32_t A, uint32_t B) {
-                       return clauseOrderLess(A, B);
+                       return clauseOrderLessUncounted(A, B);
                      }),
       "ordered live set out of order at model generation");
   // The prefix of the ordered live sequence below the watermark is
@@ -678,30 +680,30 @@ void Saturation::generateInferences(uint32_t GivenId) {
   const OrientedLiteral MG = maxLiteral(GivenId);
 
   // Register the given clause in the partner indexes.
-  if (!MG.Negative && MG.Max != MG.Min)
-    FromByMax[MG.Max->symbol().id()].push_back(GivenId);
-  IntoByMax[MG.Max->symbol().id()].push_back(GivenId);
+  const uint32_t Max = MG.max().id();
+  if (Max >= IntoByMax.size()) {
+    FromByMax.resize(Max + 1);
+    IntoByMax.resize(Max + 1);
+  }
+  const bool From = !MG.negative() && MG.max() != MG.min();
+  if (From)
+    FromByMax[Max].push_back(GivenId);
+  IntoByMax[Max].push_back(GivenId);
 
-  // Given as 'from': partners whose maximal side is MG.Max.
-  if (!MG.Negative && MG.Max != MG.Min) {
-    auto It = IntoByMax.find(MG.Max->symbol().id());
-    if (It != IntoByMax.end()) {
-      // Copy: superpose() may grow the index maps.
-      std::vector<uint32_t> Partners = It->second;
-      for (uint32_t Partner : Partners) {
-        if (DB.deleted(GivenId))
-          return;
-        if (Partner != GivenId && !DB.deleted(Partner))
-          superpose(GivenId, Partner);
-      }
+  // Given as 'from': partners whose maximal side is MG.max().
+  if (From) {
+    // Copy: superpose() may grow the indexes.
+    std::vector<uint32_t> Partners = IntoByMax[Max];
+    for (uint32_t Partner : Partners) {
+      if (DB.deleted(GivenId))
+        return;
+      if (Partner != GivenId && !DB.deleted(Partner))
+        superpose(GivenId, Partner);
     }
   }
 
-  // Given as 'into': partners whose from-term is MG.Max.
-  auto It = FromByMax.find(MG.Max->symbol().id());
-  if (It == FromByMax.end())
-    return;
-  std::vector<uint32_t> Partners = It->second;
+  // Given as 'into': partners whose from-term is MG.max().
+  std::vector<uint32_t> Partners = FromByMax[Max];
   for (uint32_t Partner : Partners) {
     if (DB.deleted(GivenId))
       return;
@@ -725,20 +727,20 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
   if (FromId == IntoId)
     return;
   const OrientedLiteral MF = maxLiteral(FromId);
-  if (MF.Negative || MF.Max == MF.Min)
+  if (MF.negative() || MF.max() == MF.min())
     return;
   // The 'into' literal must be (strictly) maximal in its clause: again
   // only the unique maximal literal qualifies. Terms are constants, so
-  // MF.Max occurs in it only as its larger side, which becomes MF.Min.
+  // MF.max() occurs in it only as its larger side, which becomes MF.min().
   const OrientedLiteral MG = maxLiteral(IntoId);
-  if (MG.Max != MF.Max)
+  if (MG.max() != MF.max())
     return;
 
   // The views stay valid while the conclusion is assembled: only
   // keepDerived grows the equation pool.
   ClauseView FView = DB.view(FromId), GView = DB.view(IntoId);
-  const Equation FromEq(MF.Max, MF.Min);
-  const Equation IntoEq(MG.Max, MG.Min);
+  const Equation FromEq(MF.max(), MF.min());
+  const Equation IntoEq(MG.max(), MG.min());
 
   std::vector<Equation> Neg(FView.neg().begin(), FView.neg().end());
   std::vector<Equation> Pos;
@@ -746,12 +748,12 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
     if (PE != FromEq)
       Pos.push_back(PE);
   Justification J;
-  if (MG.Negative) {
+  if (MG.negative()) {
     // Superposition left: Γ1,Γ2, r't -> ∆1,∆2.
     for (const Equation &NE : GView.neg())
       if (NE != IntoEq)
         Neg.push_back(NE);
-    Neg.emplace_back(MF.Min, MG.Min);
+    Neg.emplace_back(MF.min(), MG.min());
     Pos.insert(Pos.end(), GView.pos().begin(), GView.pos().end());
     J.Kind = RuleKind::SupLeft;
   } else {
@@ -760,7 +762,7 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
     for (const Equation &PE : GView.pos())
       if (PE != IntoEq)
         Pos.push_back(PE);
-    Pos.emplace_back(MF.Min, MG.Min);
+    Pos.emplace_back(MF.min(), MG.min());
     J.Kind = RuleKind::SupRight;
   }
   J.Parents = {FromId, IntoId};
@@ -771,12 +773,12 @@ void Saturation::equalityResolution(uint32_t Id) {
   // Only a maximal trivial negative equation s ' s resolves; with a
   // unique maximal literal, check just that one.
   const OrientedLiteral M = maxLiteral(Id);
-  if (!M.Negative || M.Max != M.Min)
+  if (!M.negative() || M.max() != M.min())
     return;
   // Copies: keepDerived grows the equation pool under the view.
   ClauseView C = DB.view(Id);
   std::vector<Equation> Pos(C.pos().begin(), C.pos().end());
-  const Equation MEq(M.Max, M.Min);
+  const Equation MEq(M.max(), M.min());
   std::vector<Equation> Neg;
   for (const Equation &NE : C.neg())
     if (NE != MEq)
@@ -791,21 +793,21 @@ void Saturation::equalityFactoring(uint32_t Id) {
   // Γ -> ∆, s't, s't'  ⊢  Γ, t't' -> ∆, s't' with s't maximal: only
   // the unique maximal literal can play s't.
   const OrientedLiteral M = maxLiteral(Id);
-  if (M.Negative || M.Max == M.Min)
+  if (M.negative() || M.max() == M.min())
     return;
   // Copies: keepDerived grows the equation pool under the view.
   ClauseView C = DB.view(Id);
   const std::vector<Equation> CNeg(C.neg().begin(), C.neg().end());
   const std::vector<Equation> CPos(C.pos().begin(), C.pos().end());
-  const Equation MEq(M.Max, M.Min);
+  const Equation MEq(M.max(), M.min());
   for (const Equation &E2 : CPos) {
     if (E2 == MEq)
       continue;
     OrientedLiteral L2 = Ordering.orient(E2, /*Negative=*/false);
-    if (L2.Max != M.Max)
+    if (L2.max() != M.max())
       continue;
     std::vector<Equation> Neg(CNeg);
-    Neg.emplace_back(M.Min, L2.Min);
+    Neg.emplace_back(M.min(), L2.min());
     std::vector<Equation> Pos;
     for (const Equation &PE : CPos)
       if (PE != MEq)
@@ -882,17 +884,17 @@ void Saturation::genStep(GroundRewriteSystem &R, uint32_t Id) const {
   if (Lits.empty())
     return;
   const OrientedLiteral &L = Lits.front();
-  if (L.Negative || L.Max == L.Min)
+  if (L.negative() || L.max() == L.min())
     return;
   if (Lits.size() > 1 && Ordering.compareLiterals(Lits[1], L) != Order::Less)
     return;
   // Productive only if the clause is false so far and the left-hand
   // side is irreducible.
-  if (R.normalize(L.Max) != L.Max)
+  if (R.normalize(L.max()) != L.max())
     return;
   if (modelSatisfies(R, DB.view(Id)))
     return;
-  R.addRule(L.Max, L.Min, Id);
+  R.addRule(L.max(), L.min(), Id);
 }
 
 bool Saturation::modelCertified(const GroundRewriteSystem &R,

@@ -294,8 +294,7 @@ private:
   /// Rewrites \p T to Demod-normal form, recording used unit ids.
   /// Rules generated by clause \p SelfId are skipped so a unit
   /// equation never rewrites (and thereby deletes) itself.
-  const Term *demodTerm(const Term *T, uint32_t SelfId,
-                        std::vector<uint32_t> &Used);
+  Symbol demodTerm(Symbol T, uint32_t SelfId, std::vector<uint32_t> &Used);
 
   /// Applies demodulation to clause \p SelfId; returns the rewritten
   /// clause and the used unit ids, or nullopt if already normal.
@@ -363,6 +362,11 @@ private:
   /// never diverge.
   bool clauseOrderLess(uint32_t A, uint32_t B) const;
 
+  /// clauseOrderLess without the memo: it neither reads, writes nor
+  /// counts it. The memo's miss path and the invariant checks use it,
+  /// so a build with the checks on counts what a build without does.
+  bool clauseOrderLessUncounted(uint32_t A, uint32_t B) const;
+
   /// Inserts a newly live clause into / removes a deleted clause from
   /// OrderedLive, advancing the change watermark.
   void orderedLiveInsert(uint32_t Id);
@@ -397,7 +401,7 @@ private:
 
   GroundRewriteSystem Demod;
   /// Left-hand side of the demodulation rule owned by a clause id.
-  std::unordered_map<uint32_t, const Term *> DemodOwned;
+  std::unordered_map<uint32_t, Symbol> DemodOwned;
   /// Symbol fingerprint of the demodulator left-hand sides; filters
   /// rule lookups per constant and whole clauses per ClauseSig::Syms.
   DemodIndex DemodIdx;
@@ -436,21 +440,22 @@ private:
     uint64_t Key = 0; ///< (A << 32) | B; the A == B diagonal never
                       ///< reaches the memo, so 0 is never probed.
     uint32_t Epoch = 0;
-    uint8_t Val = 0; ///< Order enumerator index.
+    bool Less = false; ///< clauseOrderLess(A, B).
   };
   static constexpr size_t OrderMemoSize = 1 << 12;
   mutable std::vector<OrderMemoEntry> OrderMemo; ///< Lazily allocated.
   mutable uint32_t OrderMemoEpoch = 1;
   /// Inference partner indexes over *active* clauses: a superposition
   /// between F (from) and G (into) exists only when F's maximal term
-  /// is G's maximal term, so partners are found by term id instead of
-  /// scanning the whole active set. FromByMax keys clauses by the
+  /// is G's maximal term, so partners are found by symbol id instead of
+  /// scanning the whole active set. FromByMax lists clauses under the
   /// larger side of their maximal literal when it is positive and
-  /// nontrivial; IntoByMax keys every clause by the larger side of its
-  /// maximal literal. Entries are invalidated lazily via the Deleted
+  /// nontrivial; IntoByMax lists every clause under the larger side of
+  /// its maximal literal. Both are indexed by symbol id and always have
+  /// the same length. Entries are invalidated lazily via the Deleted
   /// flag.
-  std::unordered_map<uint32_t, std::vector<uint32_t>> FromByMax;
-  std::unordered_map<uint32_t, std::vector<uint32_t>> IntoByMax;
+  std::vector<std::vector<uint32_t>> FromByMax;
+  std::vector<std::vector<uint32_t>> IntoByMax;
   /// Deleted clauses whose lazily-invalidated index entries have not
   /// been compacted away yet; drives maybeCompactIndexes().
   size_t StaleDeleted = 0;

@@ -16,19 +16,19 @@ namespace {
 struct Ctx {
   TermTable &T;
 
-  const Term *operator()(const char *Name) { return T.constant(Name); }
-  const Term *nil() { return T.nil(); }
+  Symbol operator()(const char *Name) { return T.constant(Name); }
+  Symbol nil() { return T.nil(); }
 
-  static sl::PureAtom eq(const Term *A, const Term *B) {
+  static sl::PureAtom eq(Symbol A, Symbol B) {
     return sl::PureAtom::eq(A, B);
   }
-  static sl::PureAtom ne(const Term *A, const Term *B) {
+  static sl::PureAtom ne(Symbol A, Symbol B) {
     return sl::PureAtom::ne(A, B);
   }
-  static sl::HeapAtom next(const Term *A, const Term *B) {
+  static sl::HeapAtom next(Symbol A, Symbol B) {
     return sl::HeapAtom::next(A, B);
   }
-  static sl::HeapAtom lseg(const Term *A, const Term *B) {
+  static sl::HeapAtom lseg(Symbol A, Symbol B) {
     return sl::HeapAtom::lseg(A, B);
   }
   static sl::Assertion assertion(std::vector<sl::PureAtom> Pure,
@@ -41,10 +41,10 @@ struct Ctx {
 
 std::vector<Program> symexec::corpus(TermTable &Terms) {
   Ctx C{Terms};
-  const Term *Nil = C.nil();
-  const Term *X = C("x"), *Y = C("y"), *Z = C("z"), *A = C("a"), *B = C("b");
-  const Term *Cur = C("c"), *Tmp = C("t"), *Tmp2 = C("s"), *N = C("n"),
-             *M = C("m"), *R = C("r");
+  Symbol Nil = C.nil();
+  Symbol X = C("x"), Y = C("y"), Z = C("z"), A = C("a"), B = C("b");
+  Symbol Cur = C("c"), Tmp = C("t"), Tmp2 = C("s"), N = C("n"), M = C("m"),
+         R = C("r");
 
   std::vector<Program> Out;
 

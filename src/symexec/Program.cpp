@@ -9,7 +9,7 @@
 using namespace slp;
 using namespace slp::symexec;
 
-Stmt symexec::assign(const Term *Dst, const Term *Src) {
+Stmt symexec::assign(Symbol Dst, Symbol Src) {
   Stmt S;
   S.K = Stmt::Kind::Assign;
   S.Dst = Dst;
@@ -17,7 +17,7 @@ Stmt symexec::assign(const Term *Dst, const Term *Src) {
   return S;
 }
 
-Stmt symexec::lookup(const Term *Dst, const Term *Addr) {
+Stmt symexec::lookup(Symbol Dst, Symbol Addr) {
   Stmt S;
   S.K = Stmt::Kind::Lookup;
   S.Dst = Dst;
@@ -25,7 +25,7 @@ Stmt symexec::lookup(const Term *Dst, const Term *Addr) {
   return S;
 }
 
-Stmt symexec::store(const Term *Addr, const Term *Val) {
+Stmt symexec::store(Symbol Addr, Symbol Val) {
   Stmt S;
   S.K = Stmt::Kind::Store;
   S.Dst = Addr;
@@ -33,14 +33,14 @@ Stmt symexec::store(const Term *Addr, const Term *Val) {
   return S;
 }
 
-Stmt symexec::makeCell(const Term *Dst) {
+Stmt symexec::makeCell(Symbol Dst) {
   Stmt S;
   S.K = Stmt::Kind::New;
   S.Dst = Dst;
   return S;
 }
 
-Stmt symexec::dispose(const Term *Var) {
+Stmt symexec::dispose(Symbol Var) {
   Stmt S;
   S.K = Stmt::Kind::Dispose;
   S.Dst = Var;

@@ -51,8 +51,8 @@ struct Stmt {
   };
 
   Kind K = Kind::Assign;
-  const Term *Dst = nullptr;
-  const Term *Src = nullptr;
+  Symbol Dst;
+  Symbol Src;
   sl::PureAtom Cond;
   sl::Assertion Invariant;
   Block Then;
@@ -60,11 +60,11 @@ struct Stmt {
 };
 
 /// Statement builders (a tiny embedded DSL used by the corpus).
-Stmt assign(const Term *Dst, const Term *Src);
-Stmt lookup(const Term *Dst, const Term *Addr);
-Stmt store(const Term *Addr, const Term *Val);
-Stmt makeCell(const Term *Dst);
-Stmt dispose(const Term *Var);
+Stmt assign(Symbol Dst, Symbol Src);
+Stmt lookup(Symbol Dst, Symbol Addr);
+Stmt store(Symbol Addr, Symbol Val);
+Stmt makeCell(Symbol Dst);
+Stmt dispose(Symbol Var);
 Stmt ifElse(sl::PureAtom Cond, Block Then, Block Else = {});
 Stmt whileLoop(sl::PureAtom Cond, sl::Assertion Invariant, Block Body);
 

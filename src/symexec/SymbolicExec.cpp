@@ -31,16 +31,15 @@ public:
 private:
   using State = sl::Assertion;
 
-  const Term *fresh() {
+  Symbol fresh() {
     return Terms.constant("_" + P.Name + "_" + std::to_string(++FreshCount));
   }
 
-  static const Term *replace(const Term *T, const Term *From,
-                             const Term *To) {
+  static Symbol replace(Symbol T, Symbol From, Symbol To) {
     return T == From ? To : T;
   }
 
-  static State subst(const State &S, const Term *From, const Term *To) {
+  static State subst(const State &S, Symbol From, Symbol To) {
     State Out;
     for (const sl::PureAtom &A : S.Pure)
       Out.Pure.push_back({replace(A.Lhs, From, To), replace(A.Rhs, From, To),
@@ -68,16 +67,16 @@ private:
   /// Materializes a next-cell at \p Addr (modulo the equalities of
   /// S.Pure), unfolding an lseg head if needed. Emits the memory
   /// safety VC for the unfold. Returns the index of the next-atom.
-  std::optional<size_t> rearrange(State &S, const Term *Addr) {
+  std::optional<size_t> rearrange(State &S, Symbol Addr) {
     UnionFind UF;
     for (const sl::PureAtom &A : S.Pure)
       if (!A.Negated)
-        UF.unite(A.Lhs->symbol().id(), A.Rhs->symbol().id());
-    uint32_t Rep = UF.find(Addr->symbol().id());
+        UF.unite(A.Lhs.id(), A.Rhs.id());
+    uint32_t Rep = UF.find(Addr.id());
 
     for (size_t I = 0; I != S.Spatial.size(); ++I) {
       const sl::HeapAtom &A = S.Spatial[I];
-      if (UF.find(A.Addr->symbol().id()) != Rep)
+      if (UF.find(A.Addr.id()) != Rep)
         continue;
       if (A.isNext())
         return I;
@@ -88,15 +87,14 @@ private:
       Safety.Spatial = S.Spatial;
       emitVC("memory safety (lseg nonempty)", S, Safety);
 
-      const Term *Mid = fresh();
-      const Term *End = A.Val;
-      const Term *Head = A.Addr;
+      Symbol Mid = fresh();
+      Symbol End = A.Val;
+      Symbol Head = A.Addr;
       S.Spatial[I] = sl::HeapAtom::next(Head, Mid);
       S.Spatial.push_back(sl::HeapAtom::lseg(Mid, End));
       return I;
     }
-    fail("heap access at unallocated address " +
-         std::string(Terms.symbols().name(Addr->symbol())));
+    fail("heap access at unallocated address " + Terms.str(Addr));
     return std::nullopt;
   }
 
@@ -114,8 +112,8 @@ private:
     switch (St.K) {
     case Stmt::Kind::Assign:
       for (State &S : States) {
-        const Term *Old = fresh();
-        const Term *Src = replace(St.Src, St.Dst, Old);
+        Symbol Old = fresh();
+        Symbol Src = replace(St.Src, St.Dst, Old);
         State S2 = subst(S, St.Dst, Old);
         S2.Pure.push_back(sl::PureAtom::eq(St.Dst, Src));
         Out.push_back(std::move(S2));
@@ -127,9 +125,9 @@ private:
         auto Idx = rearrange(S, St.Src);
         if (!Idx)
           return {};
-        const Term *Val = S.Spatial[*Idx].Val;
-        const Term *Old = fresh();
-        const Term *NewVal = replace(Val, St.Dst, Old);
+        Symbol Val = S.Spatial[*Idx].Val;
+        Symbol Old = fresh();
+        Symbol NewVal = replace(Val, St.Dst, Old);
         State S2 = subst(S, St.Dst, Old);
         S2.Pure.push_back(sl::PureAtom::eq(St.Dst, NewVal));
         Out.push_back(std::move(S2));
@@ -148,7 +146,7 @@ private:
 
     case Stmt::Kind::New:
       for (State &S : States) {
-        const Term *Old = fresh();
+        Symbol Old = fresh();
         State S2 = subst(S, St.Dst, Old);
         S2.Spatial.push_back(sl::HeapAtom::next(St.Dst, fresh()));
         Out.push_back(std::move(S2));

@@ -31,8 +31,8 @@ inline Order flip(Order O) {
 }
 
 /// Compares two ground terms by symbol id (nil minimal).
-inline Order compareTerms(const Term *A, const Term *B) {
-  const uint32_t SA = A->symbol().id(), SB = B->symbol().id();
+inline Order compareTerms(Symbol A, Symbol B) {
+  const uint32_t SA = A.id(), SB = B.id();
   if (SA < SB)
     return Order::Less;
   if (SA > SB)
@@ -41,7 +41,7 @@ inline Order compareTerms(const Term *A, const Term *B) {
 }
 
 /// Of two terms, returns the larger one.
-inline const Term *maxTerm(const Term *A, const Term *B) {
+inline Symbol maxTerm(Symbol A, Symbol B) {
   return compareTerms(B, A) == Order::Greater ? B : A;
 }
 

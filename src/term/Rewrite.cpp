@@ -8,31 +8,34 @@
 
 using namespace slp;
 
-const Term *GroundRewriteSystem::normalize(const Term *T) const {
+Symbol GroundRewriteSystem::normalize(Symbol T) const {
   const uint32_t N = static_cast<uint32_t>(Rules.size());
   // Memoizes (and journals) the normal form under T; pure memo hits on
   // T itself skip this — re-storing them would grow the journal on
   // every warm lookup.
-  auto Finish = [&](const Term *NF) {
-    NormalFormCache[T->symbol().id()] = {NF, N};
+  auto Finish = [&](Symbol NF) {
+    if (T.id() >= NormalFormCache.size())
+      NormalFormCache.resize(T.id() + 1);
+    NormalFormCache[T.id()] = {NF, N};
     if (N > 0)
-      CacheJournal.emplace_back(T->symbol().id(), N);
+      CacheJournal.emplace_back(T.id(), N);
     return NF;
   };
 
-  const Term *Cur = T;
+  Symbol Cur = T;
   for (;;) {
     // (Re)entering a reduct: consult the memo. An entry computed under
     // fewer rules is still a reduct of Cur (it only ever used kept
     // rules), so normalization resumes from it — by convergence the
     // final normal form is unchanged.
-    auto Cached = NormalFormCache.find(Cur->symbol().id());
-    if (Cached != NormalFormCache.end()) {
-      const Term *NF = Cached->second.NF;
-      if (Cached->second.RuleCount == N)
-        return Cur == T ? NF : Finish(NF);
+    const CacheEntry Cached = Cur.id() < NormalFormCache.size()
+                                  ? NormalFormCache[Cur.id()]
+                                  : CacheEntry();
+    if (Cached.NF.valid()) {
+      if (Cached.RuleCount == N)
+        return Cur == T ? Cached.NF : Finish(Cached.NF);
       ++CacheRepairs;
-      Cur = NF;
+      Cur = Cached.NF;
     }
     // Rules strictly decrease the term ordering, so this terminates.
     const RewriteRule *Rule = ruleFor(Cur);
@@ -42,8 +45,8 @@ const Term *GroundRewriteSystem::normalize(const Term *T) const {
   }
 }
 
-const Term *
-GroundRewriteSystem::normalizeTracked(const Term *T,
+Symbol
+GroundRewriteSystem::normalizeTracked(Symbol T,
                                       std::vector<const RewriteRule *> &Used)
     const {
   // Every step is recorded in application order, so the memo (which

@@ -33,15 +33,14 @@
 
 #include "term/Term.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace slp {
 
 /// One ground rule Lhs ⇒ Rhs with the generating clause id.
 struct RewriteRule {
-  const Term *Lhs;
-  const Term *Rhs;
+  Symbol Lhs;
+  Symbol Rhs;
   /// Id of the clause in the saturated set that produced this edge
   /// (meaningful only for systems built by Gen).
   uint32_t GeneratingClause;
@@ -52,17 +51,19 @@ struct RewriteRule {
   }
 };
 
-/// A convergent ground rewrite system over interned terms.
+/// A convergent ground rewrite system over constants. The rule lookup
+/// and the normal-form memo are vectors indexed by symbol id.
 class GroundRewriteSystem {
 public:
   /// Adds Lhs ⇒ Rhs. At most one rule per left-hand side is allowed
   /// (left-reducedness), which Gen guarantees by construction. The
   /// normal-form memo survives: existing entries are repaired lazily
   /// on lookup (see the file comment).
-  void addRule(const Term *Lhs, const Term *Rhs,
-               uint32_t GeneratingClause = ~0u) {
-    assert(!RuleByLhs.count(Lhs->symbol().id()) && "duplicate left-hand side");
-    RuleByLhs.emplace(Lhs->symbol().id(), Rules.size());
+  void addRule(Symbol Lhs, Symbol Rhs, uint32_t GeneratingClause = ~0u) {
+    assert(!reducibleAtRoot(Lhs) && "duplicate left-hand side");
+    if (Lhs.id() >= RuleByLhs.size())
+      RuleByLhs.resize(Lhs.id() + 1, NoRule);
+    RuleByLhs[Lhs.id()] = static_cast<uint32_t>(Rules.size());
     Rules.push_back({Lhs, Rhs, GeneratingClause});
   }
 
@@ -71,15 +72,14 @@ public:
   /// rule must stop firing or circular simplification could erase
   /// facts from the clause set. Removing a mid-sequence rule breaks
   /// the watermark discipline, so the whole memo is dropped.
-  void removeRuleFor(const Term *Lhs) {
-    auto It = RuleByLhs.find(Lhs->symbol().id());
-    if (It == RuleByLhs.end())
+  void removeRuleFor(Symbol Lhs) {
+    if (!reducibleAtRoot(Lhs))
       return;
-    size_t Idx = It->second;
-    RuleByLhs.erase(It);
+    uint32_t Idx = RuleByLhs[Lhs.id()];
+    RuleByLhs[Lhs.id()] = NoRule;
     if (Idx + 1 != Rules.size()) {
       Rules[Idx] = Rules.back();
-      RuleByLhs[Rules[Idx].Lhs->symbol().id()] = Idx;
+      RuleByLhs[Rules[Idx].Lhs.id()] = Idx;
     }
     Rules.pop_back();
     NormalFormCache.clear();
@@ -99,7 +99,7 @@ public:
     if (Mark == Rules.size())
       return;
     for (size_t I = Mark; I != Rules.size(); ++I)
-      RuleByLhs.erase(Rules[I].Lhs->symbol().id());
+      RuleByLhs[Rules[I].Lhs.id()] = NoRule;
     Rules.resize(Mark);
     const uint32_t Count = static_cast<uint32_t>(Mark);
     // Stores are journaled in nondecreasing rule-count order between
@@ -107,35 +107,37 @@ public:
     // re-stored at several counts is erased wholesale when its newest
     // record pops — over-dropping a still-valid older memo is safe.
     while (!CacheJournal.empty() && CacheJournal.back().second > Count) {
-      NormalFormCache.erase(CacheJournal.back().first);
+      NormalFormCache[CacheJournal.back().first] = {};
       CacheJournal.pop_back();
     }
   }
 
   /// True if some rule rewrites \p T at the root.
-  bool reducibleAtRoot(const Term *T) const {
-    return RuleByLhs.count(T->symbol().id()) != 0;
+  bool reducibleAtRoot(Symbol T) const {
+    return T.id() < RuleByLhs.size() && RuleByLhs[T.id()] != NoRule;
   }
 
   /// The rule with left-hand side \p T, or null.
-  const RewriteRule *ruleFor(const Term *T) const {
-    auto It = RuleByLhs.find(T->symbol().id());
-    return It == RuleByLhs.end() ? nullptr : &Rules[It->second];
+  const RewriteRule *ruleFor(Symbol T) const {
+    return reducibleAtRoot(T) ? &Rules[RuleByLhs[T.id()]] : nullptr;
   }
 
   /// Unique normal form of \p T.
-  const Term *normalize(const Term *T) const;
+  Symbol normalize(Symbol T) const;
 
   /// Normal form of \p T, appending every rule applied along the way
   /// to \p Used (with repetitions, in application order). Needed by
   /// the normalization inferences N1/N3, which must merge the pure
   /// side conditions of each generating clause (Lemma 4.2).
-  const Term *normalizeTracked(const Term *T,
-                               std::vector<const RewriteRule *> &Used) const;
+  Symbol normalizeTracked(Symbol T,
+                          std::vector<const RewriteRule *> &Used) const;
 
   /// True iff \p A and \p B have the same normal form, i.e. R* |= A ' B.
-  bool equivalent(const Term *A, const Term *B) const {
-    return normalize(A) == normalize(B);
+  bool equivalent(Symbol A, Symbol B) const {
+    // A first: normalize() fills the memo, so the order shows in
+    // cacheReuse().
+    const Symbol NA = normalize(A);
+    return NA == normalize(B);
   }
 
   /// Removes every rule (and the normal-form memo), returning the
@@ -159,16 +161,21 @@ public:
 
 private:
   /// A memoized normal form, valid relative to the first RuleCount
-  /// rules of the current sequence.
+  /// rules of the current sequence. An invalid NF marks an empty slot.
   struct CacheEntry {
-    const Term *NF;
-    uint32_t RuleCount;
+    Symbol NF;
+    uint32_t RuleCount = 0;
   };
 
+  static constexpr uint32_t NoRule = ~0u;
+
   std::vector<RewriteRule> Rules;
-  std::unordered_map<uint32_t, size_t> RuleByLhs;
-  mutable std::unordered_map<uint32_t, CacheEntry> NormalFormCache;
-  /// (term id, rule count) of every memo store made under at least one
+  /// Index into Rules of the rule for each left-hand side, by symbol
+  /// id (NoRule where there is none, and past the end).
+  std::vector<uint32_t> RuleByLhs;
+  /// Memoized normal forms by symbol id (empty past the end).
+  mutable std::vector<CacheEntry> NormalFormCache;
+  /// (symbol id, rule count) of every memo store made under at least one
   /// rule, in store order; counts are nondecreasing between
   /// truncations, so truncateTo drops exactly a suffix. Count-0 stores
   /// are never dropped and are not journaled.

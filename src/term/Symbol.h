@@ -23,7 +23,9 @@
 
 namespace slp {
 
-/// A lightweight handle to an entry of a SymbolTable.
+/// A lightweight handle to an entry of a SymbolTable: its dense id.
+/// Ids are assigned in interning order from 0 (nil), so they index
+/// vectors directly, and their order is the term order.
 class Symbol {
 public:
   Symbol() = default;
@@ -31,9 +33,11 @@ public:
 
   uint32_t id() const { return Id; }
   bool valid() const { return Id != ~0u; }
+  bool isNil() const { return Id == 0; }
 
   friend bool operator==(Symbol A, Symbol B) { return A.Id == B.Id; }
   friend bool operator!=(Symbol A, Symbol B) { return A.Id != B.Id; }
+  friend bool operator<(Symbol A, Symbol B) { return A.Id < B.Id; }
 
 private:
   uint32_t Id = ~0u;

@@ -27,10 +27,10 @@ class ClosureTest : public ::testing::Test {
 protected:
   SymbolTable Syms;
   TermTable Terms{Syms};
-  const Term *X = Terms.constant("x");
-  const Term *Y = Terms.constant("y");
-  const Term *Z = Terms.constant("z");
-  const Term *W = Terms.constant("w");
+  Symbol X = Terms.constant("x");
+  Symbol Y = Terms.constant("y");
+  Symbol Z = Terms.constant("z");
+  Symbol W = Terms.constant("w");
 };
 
 /// Reference closure: one flat list of disequality pairs, scanned
@@ -38,20 +38,20 @@ protected:
 /// correct; PureClosure must give the same answer to every call.
 class PairListClosure {
 public:
-  bool unite(const Term *A, const Term *B) {
-    uint32_t RA = UF.find(A->id()), RB = UF.find(B->id());
+  bool unite(Symbol A, Symbol B) {
+    uint32_t RA = UF.find(A.id()), RB = UF.find(B.id());
     if (RA == RB)
       return false;
     UF.unite(RA, RB);
     for (const auto &[P, Q] : Diseqs)
-      if (UF.find(P->id()) == UF.find(Q->id())) {
+      if (UF.find(P.id()) == UF.find(Q.id())) {
         Contradiction = true;
         break;
       }
     return true;
   }
 
-  bool addDisequality(const Term *A, const Term *B) {
+  bool addDisequality(Symbol A, Symbol B) {
     if (same(A, B)) {
       Contradiction = true;
       Diseqs.push_back({A, B});
@@ -63,16 +63,16 @@ public:
     return true;
   }
 
-  bool same(const Term *A, const Term *B) {
-    return UF.find(A->id()) == UF.find(B->id());
+  bool same(Symbol A, Symbol B) {
+    return UF.find(A.id()) == UF.find(B.id());
   }
 
-  bool distinct(const Term *A, const Term *B) {
-    uint32_t RA = UF.find(A->id()), RB = UF.find(B->id());
+  bool distinct(Symbol A, Symbol B) {
+    uint32_t RA = UF.find(A.id()), RB = UF.find(B.id());
     if (RA == RB)
       return false;
     for (const auto &[P, Q] : Diseqs) {
-      uint32_t RP = UF.find(P->id()), RQ = UF.find(Q->id());
+      uint32_t RP = UF.find(P.id()), RQ = UF.find(Q.id());
       if ((RP == RA && RQ == RB) || (RP == RB && RQ == RA))
         return true;
     }
@@ -83,7 +83,7 @@ public:
 
 private:
   UnionFind UF;
-  std::vector<std::pair<const Term *, const Term *>> Diseqs;
+  std::vector<std::pair<Symbol, Symbol>> Diseqs;
   bool Contradiction = false;
 };
 
@@ -92,16 +92,16 @@ private:
 /// and every same/distinct/contradictory answer agrees.
 class Lockstep {
 public:
-  explicit Lockstep(std::vector<const Term *> Ts) : Ts(std::move(Ts)) {}
+  explicit Lockstep(std::vector<Symbol> Ts) : Ts(std::move(Ts)) {}
 
-  bool unite(const Term *A, const Term *B) {
+  bool unite(Symbol A, Symbol B) {
     bool Got = C.unite(A, B);
     EXPECT_EQ(Got, Ref.unite(A, B));
     check();
     return Got;
   }
 
-  bool addDisequality(const Term *A, const Term *B) {
+  bool addDisequality(Symbol A, Symbol B) {
     bool Got = C.addDisequality(A, B);
     EXPECT_EQ(Got, Ref.addDisequality(A, B));
     check();
@@ -113,15 +113,15 @@ public:
 private:
   void check() {
     ASSERT_EQ(C.contradictory(), Ref.contradictory());
-    for (const Term *A : Ts)
-      for (const Term *B : Ts) {
+    for (Symbol A : Ts)
+      for (Symbol B : Ts) {
         ASSERT_EQ(C.same(A, B), Ref.same(A, B));
         ASSERT_EQ(C.distinct(A, B), Ref.distinct(A, B))
-            << "distinct(" << A->id() << ", " << B->id() << ")";
+            << "distinct(" << A.id() << ", " << B.id() << ")";
       }
   }
 
-  std::vector<const Term *> Ts;
+  std::vector<Symbol> Ts;
   PureClosure C;
   PairListClosure Ref;
 };
@@ -198,7 +198,7 @@ TEST_F(ClosureTest, AddDispatchesOnAtomPolarity) {
 }
 
 TEST_F(ClosureTest, MatchesPairListReference) {
-  std::vector<const Term *> Ts;
+  std::vector<Symbol> Ts;
   for (int I = 0; I != 24; ++I) {
     std::string Name = "t";
     Ts.push_back(Terms.constant(Name += std::to_string(I)));
@@ -210,8 +210,8 @@ TEST_F(ClosureTest, MatchesPairListReference) {
     double PUnite = 0.1 + 0.05 * static_cast<double>(Seed % 8);
     Lockstep L(Ts);
     for (int Step = 0; Step != 48; ++Step) {
-      const Term *A = Ts[Rng.below(Ts.size())];
-      const Term *B = Ts[Rng.below(Ts.size())];
+      Symbol A = Ts[Rng.below(Ts.size())];
+      Symbol B = Ts[Rng.below(Ts.size())];
       if (Rng.chance(PUnite))
         L.unite(A, B);
       else
@@ -227,10 +227,10 @@ TEST_F(ClosureTest, MatchesPairListReference) {
 // the longer one. These cases cover both orders of list sizes, with
 // the closing disequality recorded from either side.
 TEST_F(ClosureTest, MergeContradictsInBothSizeOrders) {
-  std::vector<const Term *> Fresh;
+  std::vector<Symbol> Fresh;
   for (const char *Name : {"f0", "f1", "f2", "f3"})
     Fresh.push_back(Terms.constant(Name));
-  std::vector<const Term *> All = {X, Y, Z, W};
+  std::vector<Symbol> All = {X, Y, Z, W};
   All.insert(All.end(), Fresh.begin(), Fresh.end());
 
   for (bool RootListLonger : {true, false})
@@ -241,8 +241,8 @@ TEST_F(ClosureTest, MergeContradictsInBothSizeOrders) {
                                         << FromRootSide);
       Lockstep L(All);
       L.unite(X, Y); // Rank 1: {x, y} keeps its root when merged with z.
-      const Term *Long = RootListLonger ? Y : Z;
-      for (const Term *F : Fresh)
+      Symbol Long = RootListLonger ? Y : Z;
+      for (Symbol F : Fresh)
         EXPECT_TRUE(L.addDisequality(Long, F));
       if (FromRootSide)
         EXPECT_TRUE(L.addDisequality(X, Z));
@@ -257,8 +257,8 @@ TEST_F(ClosureTest, MergeContradictsInBothSizeOrders) {
   for (bool RootListLonger : {true, false}) {
     Lockstep L(All);
     L.unite(X, Y);
-    const Term *Long = RootListLonger ? Y : Z;
-    for (const Term *F : Fresh)
+    Symbol Long = RootListLonger ? Y : Z;
+    for (Symbol F : Fresh)
       L.addDisequality(Long, F);
     L.addDisequality(Z, W);
     EXPECT_TRUE(L.unite(Z, Y));

@@ -29,7 +29,7 @@ protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
 
-  const Term *T(const char *N) { return Terms.constant(N); }
+  Symbol T(const char *N) { return Terms.constant(N); }
 };
 
 } // namespace
@@ -41,7 +41,7 @@ protected:
 TEST_F(ComponentsTest, InducedStackSeparatesClasses) {
   GroundRewriteSystem R;
   R.addRule(T("b"), T("a"), 0); // b ~ a.
-  std::vector<const Term *> Cs{Terms.nil(), T("a"), T("b"), T("c")};
+  std::vector<Symbol> Cs{Terms.nil(), T("a"), T("b"), T("c")};
   sl::Stack S = inducedStack(R, Cs);
   EXPECT_EQ(S.eval(T("a")), S.eval(T("b")));
   EXPECT_NE(S.eval(T("a")), S.eval(T("c")));
@@ -52,7 +52,7 @@ TEST_F(ComponentsTest, InducedStackSeparatesClasses) {
 TEST_F(ComponentsTest, InducedStackSendsNilClassToNil) {
   GroundRewriteSystem R;
   R.addRule(T("a"), Terms.nil(), 0);
-  std::vector<const Term *> Cs{Terms.nil(), T("a"), T("b")};
+  std::vector<Symbol> Cs{Terms.nil(), T("a"), T("b")};
   sl::Stack S = inducedStack(R, Cs);
   EXPECT_EQ(S.eval(T("a")), sl::NilLoc);
   EXPECT_NE(S.eval(T("b")), sl::NilLoc);
@@ -60,7 +60,7 @@ TEST_F(ComponentsTest, InducedStackSendsNilClassToNil) {
 
 TEST_F(ComponentsTest, GraphHeapOneEdgePerAtom) {
   GroundRewriteSystem R;
-  std::vector<const Term *> Cs{Terms.nil(), T("x"), T("y"), T("z")};
+  std::vector<Symbol> Cs{Terms.nil(), T("x"), T("y"), T("z")};
   sl::Stack S = inducedStack(R, Cs);
   sl::SpatialFormula Sigma{sl::HeapAtom::lseg(T("x"), T("y")),
                            sl::HeapAtom::next(T("y"), T("z"))};
@@ -81,8 +81,8 @@ TEST_F(ComponentsTest, NormalizationRewritesAndDropsTrivial) {
   // generating clause, then normalize lseg(a, b) * next(b, c).
   // Intern in a fixed order so the precedence (and thus the rewrite
   // direction b => a) is deterministic.
-  const Term *A = T("a");
-  const Term *B = T("b");
+  Symbol A = T("a");
+  Symbol B = T("b");
   (void)A;
   (void)B;
   sup::Saturation Sat(Terms);
@@ -109,9 +109,9 @@ TEST_F(ComponentsTest, NormalizationRewritesAndDropsTrivial) {
 TEST_F(ComponentsTest, NormalizationAccumulatesResidue) {
   // [] -> a'b, a'c: whichever disjunct generates the edge leaves the
   // other as residue in the normalized clause (rule N1's ∆').
-  const Term *A0 = T("a");
-  const Term *B0 = T("b");
-  const Term *C0 = T("c");
+  Symbol A0 = T("a");
+  Symbol B0 = T("b");
+  Symbol C0 = T("c");
   (void)A0;
   (void)B0;
   (void)C0;
@@ -133,8 +133,8 @@ TEST_F(ComponentsTest, NormalizationAccumulatesResidue) {
 }
 
 TEST_F(ComponentsTest, NormalizationOfNegativeClause) {
-  const Term *A = T("a");
-  const Term *B = T("b");
+  Symbol A = T("a");
+  Symbol B = T("b");
   (void)A;
   (void)B;
   sup::Saturation Sat(Terms);
@@ -175,7 +175,7 @@ TEST_F(ComponentsTest, W2LsegAtNil) {
 }
 
 TEST_F(ComponentsTest, W3W4W5SharedAddresses) {
-  const Term *X = T("x"), *Y = T("y"), *Z = T("z");
+  Symbol X = T("x"), Y = T("y"), Z = T("z");
   {
     PosSpatialClause C;
     C.Sigma = {sl::HeapAtom::next(X, Y), sl::HeapAtom::next(X, Z)};
@@ -232,10 +232,10 @@ TEST_F(ComponentsTest, WellFormedCleanSigmaNoConsequences) {
 namespace {
 
 /// Builds a stack binding each distinct constant to a distinct loc.
-sl::Stack totalStack(std::initializer_list<const Term *> Vars) {
+sl::Stack totalStack(std::initializer_list<Symbol> Vars) {
   sl::Stack S;
   sl::Loc L = 1;
-  for (const Term *V : Vars)
+  for (Symbol V : Vars)
     S.bind(V, L++);
   return S;
 }
@@ -243,7 +243,7 @@ sl::Stack totalStack(std::initializer_list<const Term *> Vars) {
 } // namespace
 
 TEST_F(ComponentsTest, UnfoldExactMatchDerivesEmptyResidue) {
-  const Term *X = T("x"), *Y = T("y");
+  Symbol X = T("x"), Y = T("y");
   sl::Stack S = totalStack({X, Y});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(X, Y)};
@@ -257,7 +257,7 @@ TEST_F(ComponentsTest, UnfoldExactMatchDerivesEmptyResidue) {
 }
 
 TEST_F(ComponentsTest, UnfoldU1EmitsSideLiteral) {
-  const Term *X = T("x"), *Y = T("y");
+  Symbol X = T("x"), Y = T("y");
   sl::Stack S = totalStack({X, Y});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(X, Y)};
@@ -270,7 +270,7 @@ TEST_F(ComponentsTest, UnfoldU1EmitsSideLiteral) {
 }
 
 TEST_F(ComponentsTest, UnfoldU3NilTailNoSideLiteral) {
-  const Term *X = T("x"), *Y = T("y");
+  Symbol X = T("x"), Y = T("y");
   sl::Stack S = totalStack({X, Y});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(X, Y), sl::HeapAtom::lseg(Y, Terms.nil())};
@@ -282,7 +282,7 @@ TEST_F(ComponentsTest, UnfoldU3NilTailNoSideLiteral) {
 }
 
 TEST_F(ComponentsTest, UnfoldU5EmitsGuardLiteral) {
-  const Term *X = T("x"), *Y = T("y"), *Z = T("z"), *W = T("w");
+  Symbol X = T("x"), Y = T("y"), Z = T("z"), W = T("w");
   sl::Stack S = totalStack({X, Y, Z, W});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(X, Y), sl::HeapAtom::lseg(Y, Z),
@@ -296,7 +296,7 @@ TEST_F(ComponentsTest, UnfoldU5EmitsGuardLiteral) {
 }
 
 TEST_F(ComponentsTest, UnfoldMismatchYieldsGraphCex) {
-  const Term *X = T("x"), *Y = T("y"), *Z = T("z");
+  Symbol X = T("x"), Y = T("y"), Z = T("z");
   sl::Stack S = totalStack({X, Y, Z});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(X, Y)};
@@ -310,7 +310,7 @@ TEST_F(ComponentsTest, UnfoldMismatchYieldsGraphCex) {
 }
 
 TEST_F(ComponentsTest, UnfoldNextVsLsegStretches) {
-  const Term *X = T("x"), *Y = T("y");
+  Symbol X = T("x"), Y = T("y");
   sl::Stack S = totalStack({X, Y});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(X, Y)};
@@ -324,7 +324,7 @@ TEST_F(ComponentsTest, UnfoldNextVsLsegStretches) {
 }
 
 TEST_F(ComponentsTest, UnfoldDanglingEndpointReroutes) {
-  const Term *X = T("x"), *Y = T("y"), *Z = T("z");
+  Symbol X = T("x"), Y = T("y"), Z = T("z");
   sl::Stack S = totalStack({X, Y, Z});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::lseg(X, Y), sl::HeapAtom::lseg(Y, Z)};
@@ -346,7 +346,7 @@ TEST_F(ComponentsTest, UnfoldEmpBothSides) {
 }
 
 TEST_F(ComponentsTest, UnfoldLeftoverAtomsYieldCex) {
-  const Term *X = T("x"), *Y = T("y"), *Z = T("z");
+  Symbol X = T("x"), Y = T("y"), Z = T("z");
   sl::Stack S = totalStack({X, Y, Z});
   PosSpatialClause C;
   C.Sigma = {sl::HeapAtom::next(X, Y), sl::HeapAtom::next(Z, Y)};

@@ -30,7 +30,7 @@ protected:
   TermTable Terms{Symbols};
   SlpProver Prover{Terms};
 
-  const Term *T(const char *N) { return Terms.constant(N); }
+  Symbol T(const char *N) { return Terms.constant(N); }
 
   /// True if the clause database contains a live or dead clause whose
   /// canonical form equals (Neg -> Pos).

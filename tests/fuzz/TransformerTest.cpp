@@ -183,7 +183,7 @@ TEST(Transformers, FreshNamesAreFresh) {
   sl::ParseResult P = sl::parseEntailment(
       Terms, "next(fz1, fz2) * lseg(fz2, fz3) |- lseg(fz1, fz3)");
   ASSERT_TRUE(P.ok());
-  std::vector<const Term *> Old;
+  std::vector<Symbol> Old;
   P.Value->collectTerms(Old);
   for (uint64_t LinkSeed : {1ull, 2ull, 3ull}) {
     std::optional<sl::Entailment> Var =
@@ -193,10 +193,10 @@ TEST(Transformers, FreshNamesAreFresh) {
     ASSERT_EQ(Var->Rhs.Spatial.size(), 2u);
     // Whatever the variant mentions beyond the original terms is the
     // frame atom's operands — and must not alias any original term.
-    std::vector<const Term *> New;
+    std::vector<Symbol> New;
     Var->collectTerms(New);
     size_t FreshCount = 0;
-    for (const Term *T : New)
+    for (Symbol T : New)
       if (std::find(Old.begin(), Old.end(), T) == Old.end()) {
         ++FreshCount;
         EXPECT_NE(Terms.str(T), "fz1");

@@ -32,7 +32,7 @@ TEST_F(GenTest, Distribution1Shape) {
   // Right-hand side is ⊥.
   ASSERT_EQ(E.Rhs.Pure.size(), 1u);
   EXPECT_TRUE(E.Rhs.Pure[0].Negated);
-  EXPECT_TRUE(E.Rhs.Pure[0].Lhs->isNil());
+  EXPECT_TRUE(E.Rhs.Pure[0].Lhs.isNil());
   EXPECT_TRUE(E.Rhs.Spatial.empty());
   // Left-hand side has only lsegs and only disequalities.
   for (const sl::HeapAtom &A : E.Lhs.Spatial) {
@@ -64,7 +64,7 @@ TEST_F(GenTest, Distribution2IsPermutationGraph) {
   for (int Round = 0; Round != 20; ++Round) {
     sl::Entailment E = distribution2(Terms, Rng, 12, 0.7);
     EXPECT_EQ(E.Lhs.Spatial.size(), 12u);
-    std::set<const Term *> Addrs, Vals;
+    std::set<Symbol> Addrs, Vals;
     for (const sl::HeapAtom &A : E.Lhs.Spatial) {
       EXPECT_NE(A.Addr, A.Val) << "π must be fixed-point-free";
       Addrs.insert(A.Addr);
@@ -88,13 +88,13 @@ TEST_F(GenTest, CloningMultipliesAndRenames) {
   EXPECT_EQ(C3.Lhs.Spatial.size(), 3 * E.Lhs.Spatial.size());
   EXPECT_EQ(C3.Rhs.Spatial.size(), 3 * E.Rhs.Spatial.size());
   // Copies use disjoint variables.
-  std::set<const Term *> Copy0, Copy1;
+  std::set<Symbol> Copy0, Copy1;
   size_t N = E.Lhs.Spatial.size();
   for (size_t I = 0; I != N; ++I) {
     Copy0.insert(C3.Lhs.Spatial[I].Addr);
     Copy1.insert(C3.Lhs.Spatial[N + I].Addr);
   }
-  for (const Term *T : Copy0)
+  for (Symbol T : Copy0)
     EXPECT_EQ(Copy1.count(T), 0u);
 }
 
@@ -103,8 +103,8 @@ TEST_F(GenTest, CloningPreservesNil) {
   E.Lhs.Spatial.push_back(
       sl::HeapAtom::lseg(Terms.constant("x"), Terms.nil()));
   sl::Entailment C2 = cloneEntailment(Terms, E, 2);
-  EXPECT_TRUE(C2.Lhs.Spatial[0].Val->isNil());
-  EXPECT_TRUE(C2.Lhs.Spatial[1].Val->isNil());
+  EXPECT_TRUE(C2.Lhs.Spatial[0].Val.isNil());
+  EXPECT_TRUE(C2.Lhs.Spatial[1].Val.isNil());
   EXPECT_NE(C2.Lhs.Spatial[0].Addr, C2.Lhs.Spatial[1].Addr);
 }
 

@@ -17,9 +17,9 @@ class FormulaTest : public ::testing::Test {
 protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
-  const Term *X = Terms.constant("x");
-  const Term *Y = Terms.constant("y");
-  const Term *Nil = Terms.nil();
+  Symbol X = Terms.constant("x");
+  Symbol Y = Terms.constant("y");
+  Symbol Nil = Terms.nil();
 };
 
 } // namespace
@@ -74,7 +74,7 @@ TEST_F(FormulaTest, CollectTermsDeduplicates) {
   E.Lhs.Pure.push_back(PureAtom::ne(X, Y));
   E.Lhs.Spatial.push_back(HeapAtom::next(X, Y));
   E.Rhs.Spatial.push_back(HeapAtom::lseg(X, Nil));
-  std::vector<const Term *> Out;
+  std::vector<Symbol> Out;
   E.collectTerms(Out);
   EXPECT_EQ(Out.size(), 3u); // x, y, nil.
 }

@@ -92,13 +92,13 @@ TEST_F(ParserTest, FalseOnRhs) {
   Entailment E = parse("next(x, y) |- false");
   ASSERT_EQ(E.Rhs.Pure.size(), 1u);
   EXPECT_TRUE(E.Rhs.Pure[0].Negated);
-  EXPECT_TRUE(E.Rhs.Pure[0].Lhs->isNil());
+  EXPECT_TRUE(E.Rhs.Pure[0].Lhs.isNil());
 }
 
 TEST_F(ParserTest, NilIsSharedConstant) {
   Entailment E = parse("x = nil |- lseg(x, nil)");
-  EXPECT_TRUE(E.Lhs.Pure[0].Rhs->isNil());
-  EXPECT_TRUE(E.Rhs.Spatial[0].Val->isNil());
+  EXPECT_TRUE(E.Lhs.Pure[0].Rhs.isNil());
+  EXPECT_TRUE(E.Rhs.Spatial[0].Val.isNil());
 }
 
 TEST_F(ParserTest, DoubleEqualsAccepted) {

@@ -17,10 +17,10 @@ class SemanticsTest : public ::testing::Test {
 protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
-  const Term *X = Terms.constant("x");
-  const Term *Y = Terms.constant("y");
-  const Term *Z = Terms.constant("z");
-  const Term *Nil = Terms.nil();
+  Symbol X = Terms.constant("x");
+  Symbol Y = Terms.constant("y");
+  Symbol Z = Terms.constant("z");
+  Symbol Nil = Terms.nil();
 };
 
 } // namespace

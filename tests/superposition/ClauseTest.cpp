@@ -18,9 +18,9 @@ class ClauseTest : public ::testing::Test {
 protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *C = Terms.constant("c");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  Symbol C = Terms.constant("c");
 };
 
 } // namespace
@@ -34,6 +34,22 @@ TEST_F(ClauseTest, EquationCanonicalOrientation) {
   EXPECT_EQ(E1.other(B), A);
   EXPECT_FALSE(E1.trivial());
   EXPECT_TRUE(Equation(A, A).trivial());
+}
+
+TEST_F(ClauseTest, NilIsTheSmallerSideWhenInternedLast) {
+  // In a fresh table x is interned before nil is ever asked for; nil is
+  // still symbol 0, so it sorts first and is the smaller side.
+  SymbolTable FreshSymbols;
+  TermTable Fresh(FreshSymbols);
+  Symbol X = Fresh.constant("x");
+  Symbol Nil = Fresh.nil();
+  Equation E(X, Nil);
+  EXPECT_EQ(E.lhs(), Nil);
+  EXPECT_EQ(E.rhs(), X);
+  OrientedLiteral L = ClauseOrdering().orient(E, /*Negative=*/true);
+  EXPECT_EQ(L.max(), X);
+  EXPECT_EQ(L.min(), Nil);
+  EXPECT_TRUE(L.negative());
 }
 
 TEST_F(ClauseTest, ClauseCanonicalization) {

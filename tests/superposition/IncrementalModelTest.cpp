@@ -53,8 +53,8 @@ void randomClause(TermTable &Terms, SplitMix64 &Rng, unsigned NumVars,
                   std::vector<Equation> &Neg, std::vector<Equation> &Pos) {
   unsigned Lits = 1 + Rng.below(3);
   for (unsigned L = 0; L != Lits; ++L) {
-    const Term *X = Terms.constant("v" + std::to_string(Rng.below(NumVars)));
-    const Term *Y = Terms.constant("v" + std::to_string(Rng.below(NumVars)));
+    Symbol X = Terms.constant("v" + std::to_string(Rng.below(NumVars)));
+    Symbol Y = Terms.constant("v" + std::to_string(Rng.below(NumVars)));
     if (Rng.chance(0.5))
       Neg.emplace_back(X, Y);
     else

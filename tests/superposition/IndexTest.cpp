@@ -37,7 +37,7 @@ protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
 
-  const Term *T(const std::string &N) { return Terms.constant(N); }
+  Symbol T(const std::string &N) { return Terms.constant(N); }
 
   /// A random clause over a small constant pool: up to three negative
   /// and three positive equations.
@@ -113,8 +113,8 @@ TEST_F(IndexTest, SignatureOverPooledClauseViewsHasNoFalseNegatives) {
 
 TEST_F(IndexTest, ClauseSigSetsOneBitPerEquation) {
   // -> a ' b: one positive equation, no negative ones.
-  const Term *A = T("a");
-  const Term *B = T("b");
+  Symbol A = T("a");
+  Symbol B = T("b");
   ClauseSig S = ClauseSig::of(Clause({}, {Equation(A, B)}));
   EXPECT_EQ(S.Neg, 0u);
   EXPECT_EQ(S.Pos, ClauseSig::equationBit(Equation(A, B)));
@@ -129,14 +129,14 @@ TEST_F(IndexTest, ClauseSigSetsOneBitPerEquation) {
 
 TEST_F(IndexTest, ClauseSigSymbolMaskCoversEveryConstant) {
   // a ' b -> c ' nil: the mask is exactly the four constants' bits.
-  const Term *A = T("a");
-  const Term *B = T("b");
-  const Term *C = T("c");
+  Symbol A = T("a");
+  Symbol B = T("b");
+  Symbol C = T("c");
   ClauseSig S =
       ClauseSig::of(Clause({Equation(A, B)}, {Equation(C, Terms.nil())}));
   uint64_t Expected = 0;
-  for (const Term *X : {A, B, C, Terms.nil()})
-    Expected |= ClauseSig::symbolBit(X->symbol());
+  for (Symbol X : {A, B, C, Terms.nil()})
+    Expected |= ClauseSig::symbolBit(X);
   EXPECT_EQ(S.Syms, Expected);
 }
 

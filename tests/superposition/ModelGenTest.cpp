@@ -29,7 +29,7 @@ protected:
   TermTable Terms{Symbols};
   Fuel Unlimited;
 
-  const Term *T(const std::string &N) { return Terms.constant(N); }
+  Symbol T(const std::string &N) { return Terms.constant(N); }
 
   /// Checks the Lemma 3.1 invariants for a generated model.
   void checkModelInvariants(const Saturation &Sat,
@@ -123,8 +123,8 @@ TEST_F(ModelGenTest, RandomClauseSoupsModelled) {
       std::vector<Equation> Neg, Pos;
       unsigned Lits = 1 + Rng.below(3);
       for (unsigned L = 0; L != Lits; ++L) {
-        const Term *X = T("v" + std::to_string(Rng.below(NumVars)));
-        const Term *Y = T("v" + std::to_string(Rng.below(NumVars)));
+        Symbol X = T("v" + std::to_string(Rng.below(NumVars)));
+        Symbol Y = T("v" + std::to_string(Rng.below(NumVars)));
         if (Rng.chance(0.5))
           Neg.emplace_back(X, Y);
         else

@@ -25,7 +25,7 @@ protected:
   Saturation Sat{Terms};
   Fuel Unlimited;
 
-  const Term *T(const char *N) { return Terms.constant(N); }
+  Symbol T(const char *N) { return Terms.constant(N); }
 };
 
 } // namespace

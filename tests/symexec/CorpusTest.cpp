@@ -53,7 +53,7 @@ TEST_P(CorpusTest, ProgramVerifies) {
         << V.Name << ": " << sl::str(Terms, V.E);
 
     // Cross-check small VCs against the complete baseline.
-    std::vector<const Term *> Vars;
+    std::vector<Symbol> Vars;
     V.E.collectTerms(Vars);
     if (Vars.size() <= 7) {
       Fuel F(2'000'000);

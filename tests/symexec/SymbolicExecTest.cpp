@@ -18,10 +18,10 @@ class SymbolicExecTest : public ::testing::Test {
 protected:
   SymbolTable Symbols;
   TermTable Terms{Symbols};
-  const Term *X = Terms.constant("x");
-  const Term *Y = Terms.constant("y");
-  const Term *T = Terms.constant("t");
-  const Term *Nil = Terms.nil();
+  Symbol X = Terms.constant("x");
+  Symbol Y = Terms.constant("y");
+  Symbol T = Terms.constant("t");
+  Symbol Nil = Terms.nil();
 
   /// All VCs of P must be valid according to SLP.
   void expectVerifies(const Program &P) {
@@ -129,7 +129,7 @@ TEST_F(SymbolicExecTest, WhileEmitsEntryPreservationAndExit) {
 TEST_F(SymbolicExecTest, WrongInvariantIsDetected) {
   // The invariant claims the list is *fully* intact while the loop
   // disposes cells: preservation must fail.
-  const Term *Y2 = Terms.constant("y2");
+  Symbol Y2 = Terms.constant("y2");
   Program P{"bad_inv",
             {{}, {sl::HeapAtom::lseg(X, Nil), sl::HeapAtom::lseg(Y2, Nil)}},
             {{}, {sl::HeapAtom::lseg(Y2, Nil)}},

@@ -34,7 +34,7 @@ TEST_F(OrderingTest, NilIsMinimalConstant) {
 TEST_F(OrderingTest, ConstantsOrderedBySymbolCreation) {
   // Symbols interned in the order z, a, y; nil's term is made last, but
   // nil is symbol 0 and stays minimal.
-  std::vector<const Term *> Cs;
+  std::vector<Symbol> Cs;
   for (const char *Name : {"z", "a", "y"})
     Cs.push_back(Terms.constant(Name));
   Cs.insert(Cs.begin(), Terms.nil());
@@ -50,8 +50,8 @@ TEST_F(OrderingTest, ConstantsOrderedBySymbolCreation) {
 }
 
 TEST_F(OrderingTest, MaxMinConsistent) {
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
   EXPECT_EQ(maxTerm(A, B), B);
   EXPECT_EQ(maxTerm(B, A), B);
   EXPECT_EQ(maxTerm(A, A), A);

@@ -22,7 +22,7 @@ protected:
 
 TEST_F(RewriteTest, EmptySystemIsIdentity) {
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
+  Symbol A = Terms.constant("a");
   EXPECT_EQ(R.normalize(A), A);
   EXPECT_TRUE(R.equivalent(A, A));
   EXPECT_FALSE(R.equivalent(A, Terms.constant("b")));
@@ -30,9 +30,9 @@ TEST_F(RewriteTest, EmptySystemIsIdentity) {
 
 TEST_F(RewriteTest, ChainsFollowToNormalForm) {
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *C = Terms.constant("c");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  Symbol C = Terms.constant("c");
   R.addRule(C, B, 1);
   R.addRule(B, A, 2);
   EXPECT_EQ(R.normalize(C), A);
@@ -44,9 +44,9 @@ TEST_F(RewriteTest, InnermostRootCascades) {
   // Terms are constants, so every step is at the root: with b -> a
   // added before c -> b, normalizing c cascades through both rules.
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *C = Terms.constant("c");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  Symbol C = Terms.constant("c");
   R.addRule(B, A, 1);
   EXPECT_EQ(R.normalize(B), A);
   R.addRule(C, B, 2);
@@ -60,9 +60,9 @@ TEST_F(RewriteTest, InnermostRootCascades) {
 
 TEST_F(RewriteTest, TrackedNormalizationReportsRules) {
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *C = Terms.constant("c");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  Symbol C = Terms.constant("c");
   R.addRule(C, B, 11);
   R.addRule(B, A, 22);
   std::vector<const RewriteRule *> Used;
@@ -74,9 +74,9 @@ TEST_F(RewriteTest, TrackedNormalizationReportsRules) {
 
 TEST_F(RewriteTest, CacheInvalidatedByNewRules) {
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *C = Terms.constant("c");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  Symbol C = Terms.constant("c");
   R.addRule(C, B, 1);
   EXPECT_EQ(R.normalize(C), B); // Caches c -> b.
   R.addRule(B, A, 2);
@@ -85,9 +85,9 @@ TEST_F(RewriteTest, CacheInvalidatedByNewRules) {
 
 TEST_F(RewriteTest, CacheRepairAcrossAddRuleIsCounted) {
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *C = Terms.constant("c");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  Symbol C = Terms.constant("c");
   R.addRule(C, B, 1);
   EXPECT_EQ(R.normalize(C), B); // Memoized under one rule.
   EXPECT_EQ(R.cacheReuse(), 0u);
@@ -100,10 +100,10 @@ TEST_F(RewriteTest, CacheRepairAcrossAddRuleIsCounted) {
 
 TEST_F(RewriteTest, TruncateToRewindsRulesAndMemo) {
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
-  const Term *C = Terms.constant("c");
-  const Term *D = Terms.constant("d");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  Symbol C = Terms.constant("c");
+  Symbol D = Terms.constant("d");
   R.addRule(D, C, 1);
   R.addRule(C, B, 2);
   R.addRule(B, A, 3);
@@ -133,8 +133,8 @@ TEST_F(RewriteTest, TruncateToRewindsRulesAndMemo) {
 
 TEST_F(RewriteTest, RuleLookup) {
   GroundRewriteSystem R;
-  const Term *A = Terms.constant("a");
-  const Term *B = Terms.constant("b");
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
   EXPECT_FALSE(R.reducibleAtRoot(B));
   R.addRule(B, A, 5);
   EXPECT_TRUE(R.reducibleAtRoot(B));

@@ -26,111 +26,99 @@ protected:
 TEST_F(TermTest, NilIsSymbolZero) {
   EXPECT_EQ(SymbolTable::nil().id(), 0u);
   EXPECT_EQ(Symbols.name(SymbolTable::nil()), "nil");
-  EXPECT_TRUE(Terms.nil()->isNil());
+  EXPECT_TRUE(Terms.nil().isNil());
 }
 
 TEST_F(TermTest, ConstantsAreInterned) {
-  const Term *A1 = Terms.constant("a");
-  const Term *A2 = Terms.constant("a");
-  const Term *B = Terms.constant("b");
+  Symbol A1 = Terms.constant("a");
+  Symbol A2 = Terms.constant("a");
+  Symbol B = Terms.constant("b");
   EXPECT_EQ(A1, A2);
   EXPECT_NE(A1, B);
-  EXPECT_EQ(Terms.constant(A1->symbol()), A1);
+  EXPECT_EQ(Terms.str(A1), "a");
 }
 
 TEST_F(TermTest, IdsAreDense) {
-  const Term *Nil = Terms.nil();
-  const Term *A = Terms.constant("a");
-  EXPECT_EQ(Terms.byId(Nil->id()), Nil);
-  EXPECT_EQ(Terms.byId(A->id()), A);
-  EXPECT_EQ(Terms.size(), 2u);
+  Symbol A = Terms.constant("a");
+  Symbol B = Terms.constant("b");
+  EXPECT_EQ(Terms.nil().id(), 0u);
+  EXPECT_EQ(A.id(), 1u);
+  EXPECT_EQ(B.id(), 2u);
+  EXPECT_EQ(Terms.str(Symbol(1)), "a");
+  EXPECT_EQ(Symbols.size(), 3u);
 }
 
 TEST_F(TermTest, ManyConstantsStayDistinct) {
-  std::vector<const Term *> Cs;
+  std::vector<Symbol> Cs;
   for (int I = 0; I != 500; ++I)
     Cs.push_back(Terms.constant("v" + std::to_string(I)));
   for (int I = 0; I != 500; ++I)
     EXPECT_EQ(Cs[I], Terms.constant("v" + std::to_string(I)));
-  // The nil *symbol* always exists but its term is created lazily.
-  EXPECT_EQ(Terms.size(), 500u);
+  // The nil symbol always exists.
+  EXPECT_EQ(Symbols.size(), 501u);
 }
 
 TEST_F(TermTest, MarkResetTruncatesTermsAndSymbols) {
-  const Term *Nil = Terms.nil();
-  const Term *A = Terms.constant("a");
-  // A symbol interned before the mark whose term is made after it.
-  Symbol C = Symbols.constant("c");
+  Symbol A = Terms.constant("a");
   TermTable::Mark M = Terms.mark();
 
-  Symbol F = Symbols.constant("f");
   (void)Terms.constant("b");
-  (void)Terms.constant(F);
-  (void)Terms.constant(C);
-  EXPECT_EQ(Terms.size(), 5u);
+  (void)Terms.constant("f");
+  EXPECT_EQ(Symbols.size(), 4u);
 
   Terms.reset(M);
-  EXPECT_EQ(Terms.size(), 2u);
-  EXPECT_EQ(Symbols.size(), 3u); // nil, a, c
-  // Pre-mark terms survive with identity intact.
-  EXPECT_EQ(Terms.nil(), Nil);
+  EXPECT_EQ(Symbols.size(), 2u); // nil, a
+  // Pre-mark constants survive with identity intact.
+  EXPECT_TRUE(Terms.nil().isNil());
   EXPECT_EQ(Terms.constant("a"), A);
-  // The surviving symbol gets a fresh term at the next dense id.
-  EXPECT_EQ(Terms.constant(C)->id(), 2u);
+  // A dropped name comes back at the next dense id.
+  EXPECT_EQ(Terms.constant("f").id(), 2u);
 }
 
 TEST_F(TermTest, ResetReassignsDenseIdsDeterministically) {
-  Terms.nil();
   TermTable::Mark M = Terms.mark();
 
-  const Term *X1 = Terms.constant("x");
-  const Term *Y1 = Terms.constant("y");
-  uint32_t XId = X1->id(), YId = Y1->id();
-  uint32_t XSym = X1->symbol().id();
+  Symbol X1 = Terms.constant("x");
+  Symbol Y1 = Terms.constant("y");
 
   Terms.reset(M);
   // Interning the same names again reproduces the same dense ids —
   // the property session reuse relies on for determinism.
-  const Term *X2 = Terms.constant("x");
-  const Term *Y2 = Terms.constant("y");
-  EXPECT_EQ(X2->id(), XId);
-  EXPECT_EQ(Y2->id(), YId);
-  EXPECT_EQ(X2->symbol().id(), XSym);
+  EXPECT_EQ(Terms.constant("x"), X1);
+  EXPECT_EQ(Terms.constant("y"), Y1);
 
   // And different names reuse the same id range without aliasing the
-  // dropped terms.
+  // dropped constants.
   Terms.reset(M);
-  const Term *Z = Terms.constant("z");
-  EXPECT_EQ(Z->id(), XId);
+  Symbol Z = Terms.constant("z");
+  EXPECT_EQ(Z, X1);
   EXPECT_EQ(Terms.str(Z), "z");
 }
 
 TEST_F(TermTest, ResetDropsHashBucketEntries) {
-  Terms.nil();
   TermTable::Mark M = Terms.mark();
   for (int I = 0; I != 100; ++I)
     (void)Terms.constant("c" + std::to_string(I));
   Terms.reset(M);
-  EXPECT_EQ(Terms.size(), 1u);
-  // A post-reset lookup of a dropped name must create a fresh term,
+  EXPECT_EQ(Symbols.size(), 1u);
+  // A post-reset lookup of a dropped name must create a fresh symbol,
   // not resurrect a stale index entry.
-  const Term *C5 = Terms.constant("c5");
-  EXPECT_EQ(C5->id(), 1u);
-  EXPECT_EQ(Terms.byId(1), C5);
+  Symbol C5 = Terms.constant("c5");
+  EXPECT_EQ(C5.id(), 1u);
+  EXPECT_EQ(Terms.str(C5), "c5");
 }
 
 TEST_F(TermTest, NestedMarksResetLifo) {
-  Terms.nil();
   TermTable::Mark Outer = Terms.mark();
   (void)Terms.constant("a");
   TermTable::Mark Inner = Terms.mark();
   (void)Terms.constant("b");
 
   Terms.reset(Inner);
-  EXPECT_EQ(Terms.size(), 2u);
-  EXPECT_EQ(Terms.str(Terms.byId(1)), "a");
+  EXPECT_EQ(Symbols.size(), 2u);
+  EXPECT_EQ(Terms.str(Symbol(1)), "a");
   Terms.reset(Outer);
-  EXPECT_EQ(Terms.size(), 1u);
+  EXPECT_EQ(Symbols.size(), 1u);
 }
 
 TEST_F(TermTest, SymbolNamesStayReadableAsTableGrows) {
@@ -171,24 +159,4 @@ TEST_F(TermTest, SymbolNamesSurviveTruncateAndReintern) {
   EXPECT_EQ(LName, "another_long_variable_name");
   EXPECT_EQ(Symbols.constant("y"), S);
   EXPECT_EQ(Symbols.constant("another_long_variable_name"), L);
-}
-
-TEST_F(TermTest, ResetKeepsEarlierTermsInPlace) {
-  std::vector<const Term *> Before;
-  for (int I = 0; I != 100; ++I)
-    Before.push_back(Terms.constant("b" + std::to_string(I)));
-  TermTable::Mark M = Terms.mark();
-  for (int I = 0; I != 1000; ++I)
-    (void)Terms.constant("c" + std::to_string(I));
-  Terms.reset(M);
-  // Regrow well past the dropped tail, through many storage chunks.
-  for (int I = 0; I != 2000; ++I)
-    (void)Terms.constant("d" + std::to_string(I));
-  for (int I = 0; I != 100; ++I) {
-    EXPECT_EQ(Terms.byId(static_cast<uint32_t>(I)), Before[I]);
-    EXPECT_EQ(Before[I]->id(), static_cast<uint32_t>(I));
-    EXPECT_EQ(Terms.str(Before[I]), "b" + std::to_string(I));
-    EXPECT_EQ(Terms.constant("b" + std::to_string(I)), Before[I]);
-  }
-  EXPECT_EQ(Terms.size(), 2100u);
 }
