@@ -6,7 +6,7 @@
 ///
 /// google-benchmark microbenchmarks for the substrates: term
 /// interning, superposition saturation, model generation, the static
-/// pre-solver, and a single end-to-end prover query.
+/// pre-solver, single end-to-end prover queries, and one refute-d1 row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -296,5 +296,44 @@ static void BM_SubsumptionHeavyQuery69(benchmark::State &State) {
   State.counters["SubScanBaseline"] = static_cast<double>(Sat.SubScanBaseline);
 }
 BENCHMARK(BM_SubsumptionHeavyQuery69)->Unit(benchmark::kMillisecond);
+
+// One refute-d1 row shape (vars 20, P_lseg 0.04, P_!= 0.11): the 400
+// queries of `slpgen --dist=1 --vars=20 --count=400 --seed=1
+// --plseg=0.04 --pne=0.11`, rendered once, then each proved through
+// one reused ProverSession at fuel 300 without the pre-solver, the way
+// `slp --no-presolve --cache=off --fuel=300` proves them. Most of the
+// time is the given-clause loop, and most conclusions it derives are
+// dropped at intake; Derived and Kept are the counts of one pass.
+static void BM_ProveRefuteRow(benchmark::State &State) {
+  std::vector<std::string> Corpus;
+  {
+    SymbolTable Symbols;
+    TermTable Terms(Symbols);
+    SplitMix64 Rng(1);
+    for (int I = 0; I != 400; ++I)
+      Corpus.push_back(
+          sl::str(Terms, gen::distribution1(Terms, Rng, 20, 0.04, 0.11)));
+  }
+  core::ProverSession Session;
+  sup::SaturationStats Pass;
+  for (auto _ : State) {
+    Pass = {};
+    for (const std::string &Q : Corpus) {
+      Session.reset();
+      sl::ParseResult P = sl::parseEntailment(Session.terms(), Q);
+      engine::CanonicalQuery K = engine::CanonicalQuery::of(*P.Value);
+      Session.reset();
+      sl::Entailment E = K.rebuild(Session.terms());
+      Fuel F(300);
+      core::ProveResult R = Session.prove(E, F);
+      Pass += R.Stats.Sat;
+      benchmark::DoNotOptimize(R);
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * Corpus.size());
+  State.counters["Derived"] = static_cast<double>(Pass.Derived);
+  State.counters["Kept"] = static_cast<double>(Pass.Kept);
+}
+BENCHMARK(BM_ProveRefuteRow)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -30,21 +30,65 @@ const char *slp::sup::ruleKindName(RuleKind K) {
   return "?";
 }
 
-static void canonicalize(std::vector<Equation> &Eqs) {
+void slp::sup::canonicalizeSide(std::vector<Equation> &Eqs) {
   std::sort(Eqs.begin(), Eqs.end());
   Eqs.erase(std::unique(Eqs.begin(), Eqs.end()), Eqs.end());
 }
 
+uint64_t slp::sup::clauseFingerprint(std::span<const Equation> Neg,
+                                     std::span<const Equation> Pos) {
+  uint64_t H = hashValue(0x5157);
+  for (const Equation &E : Neg)
+    H = hashCombine(H, E.hash() * 2 + 1);
+  for (const Equation &E : Pos)
+    H = hashCombine(H, E.hash() * 2);
+  return H;
+}
+
+void slp::sup::mergeCanonical(std::vector<Equation> &Out,
+                              std::span<const Equation> A,
+                              std::optional<Equation> SkipA,
+                              std::span<const Equation> B,
+                              std::optional<Equation> SkipB,
+                              std::optional<Equation> Extra) {
+  Out.clear();
+  // Inputs arrive in ascending order, so a duplicate is always the
+  // last equation written.
+  auto Push = [&Out](const Equation &E) {
+    if (Out.empty() || Out.back() != E)
+      Out.push_back(E);
+  };
+  const Equation *AI = A.data(), *AE = AI + A.size();
+  const Equation *BI = B.data(), *BE = BI + B.size();
+  const Equation *Ex = Extra ? &*Extra : nullptr;
+  for (;;) {
+    if (AI != AE && SkipA && *AI == *SkipA) {
+      ++AI;
+      continue;
+    }
+    if (BI != BE && SkipB && *BI == *SkipB) {
+      ++BI;
+      continue;
+    }
+    const Equation **Next = AI != AE ? &AI : nullptr;
+    if (BI != BE && (!Next || *BI < **Next))
+      Next = &BI;
+    if (Ex && (!Next || *Ex < **Next)) {
+      Push(*Ex);
+      Ex = nullptr;
+      continue;
+    }
+    if (!Next)
+      return;
+    Push(*(*Next)++);
+  }
+}
+
 Clause::Clause(std::vector<Equation> Neg, std::vector<Equation> Pos)
     : NegEqs(std::move(Neg)), PosEqs(std::move(Pos)) {
-  canonicalize(NegEqs);
-  canonicalize(PosEqs);
-  uint64_t H = hashValue(0x5157);
-  for (const Equation &E : NegEqs)
-    H = hashCombine(H, E.hash() * 2 + 1);
-  for (const Equation &E : PosEqs)
-    H = hashCombine(H, E.hash() * 2);
-  Hash = H;
+  canonicalizeSide(NegEqs);
+  canonicalizeSide(PosEqs);
+  Hash = clauseFingerprint(NegEqs, PosEqs);
 }
 
 // The set algorithms run on spans so the vector-backed Clause and the

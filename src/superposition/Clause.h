@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,10 +50,30 @@ struct Justification {
   uint32_t ExternalTag = ~0u;
 };
 
-/// An immutable pure clause in canonical form. Clauses are the
-/// *construction* vehicle: inference rules build them, canonicalize,
-/// and hand them to the ClauseDB, which stores the equations in one
-/// flat pool. Long-lived code reads clauses back as ClauseViews.
+/// Sorts and deduplicates one clause side into canonical form.
+void canonicalizeSide(std::vector<Equation> &Eqs);
+
+/// Structural hash of a canonical clause Γ → ∆ (both sides sorted and
+/// duplicate-free): the one fingerprint function, shared by Clause's
+/// constructor and the saturation engine's scratch intake.
+uint64_t clauseFingerprint(std::span<const Equation> Neg,
+                           std::span<const Equation> Pos);
+
+/// Writes (A \ {SkipA}) ∪ (B \ {SkipB}) ∪ {Extra} to \p Out, sorted and
+/// duplicate-free. \p A and \p B must be canonical clause sides; one
+/// linear merge replaces concatenating and sorting. A skip removes the
+/// equation from its own run only, so an equation skipped in A but
+/// present in B is kept. Absent skips and extras are nullopt.
+void mergeCanonical(std::vector<Equation> &Out, std::span<const Equation> A,
+                    std::optional<Equation> SkipA,
+                    std::span<const Equation> B,
+                    std::optional<Equation> SkipB,
+                    std::optional<Equation> Extra);
+
+/// An immutable pure clause in canonical form, built by sorting and
+/// deduplicating two equation lists. The saturation engine builds its
+/// conclusions in scratch instead and stores them in the ClauseDB's
+/// flat pool; long-lived code reads clauses back as ClauseViews.
 class Clause {
 public:
   /// Builds the canonical form: sorts and deduplicates both sides.
@@ -91,11 +112,10 @@ private:
 
 /// A non-owning, trivially copyable window onto a canonical clause
 /// whose equations live in someone else's storage — the ClauseDB's
-/// flat equation pool, or a Clause's own vectors (the implicit
-/// conversion). Spans are invalidated when the underlying pool grows;
-/// the inference rules therefore copy the ranges they need before any
-/// call that can append clauses, exactly as they copied whole Clause
-/// objects before the struct-of-arrays layout.
+/// flat equation pool, the saturation engine's scratch sides, or a
+/// Clause's own vectors (the implicit conversion). Spans are
+/// invalidated when the underlying storage grows: a view into the
+/// pool must not be read after a clause is appended.
 class ClauseView {
 public:
   ClauseView() = default;

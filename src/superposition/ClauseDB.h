@@ -46,7 +46,8 @@ class ClauseDB {
 public:
   /// Copies \p C's canonical equations into the arena and its
   /// provenance into the cold store; returns the new clause's id.
-  uint32_t append(const Clause &C, Justification J) {
+  /// \p C must not view the arena itself.
+  uint32_t append(ClauseView C, Justification J) {
     assert(C.neg().size() <= UINT16_MAX && C.pos().size() <= UINT16_MAX &&
            "clause wider than the record format");
     uint32_t Id = static_cast<uint32_t>(Hot.size());

@@ -20,7 +20,9 @@ using namespace slp::sup;
 
 void Saturation::clear() {
   DB.clear();
-  Fingerprints.clear();
+  FpHeads.assign(InitialFingerprintBuckets, ~0u);
+  FpNext.clear();
+  FpEntries = 0;
   Active.clear();
   Passive = {};
   EmptyClauseId.reset();
@@ -33,8 +35,11 @@ void Saturation::clear() {
   LitPool.clear();
   LitRefs.clear();
   ++OrderMemoEpoch; // O(1) memo invalidation.
-  FromByMax.clear();
-  IntoByMax.clear();
+  // Empty the partner lists but keep them, and their capacity.
+  for (std::vector<uint32_t> &Ids : FromByMax)
+    Ids.clear();
+  for (std::vector<uint32_t> &Ids : IntoByMax)
+    Ids.clear();
   StaleDeleted = 0;
   OrderedLive.clear();
   LiveWatermark = ~size_t(0);
@@ -52,15 +57,36 @@ void Saturation::clear() {
 Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
                                            std::vector<Equation> Pos,
                                            uint32_t ExternalTag) {
-  Clause C(std::move(Neg), std::move(Pos));
-  if (C.isTautology()) {
+  NegScratch.assign(Neg.begin(), Neg.end());
+  PosScratch.assign(Pos.begin(), Pos.end());
+  canonicalizeSide(NegScratch);
+  canonicalizeSide(PosScratch);
+  return intake(RuleKind::Input, {}, ExternalTag);
+}
+
+Saturation::AddResult Saturation::intake(RuleKind Kind,
+                                         std::span<const uint32_t> Parents,
+                                         uint32_t ExternalTag) {
+  const bool Conclusion = Kind != RuleKind::Input;
+  if (Conclusion)
+    ++Stats.Derived;
+  // Test before hashing: most conclusions are tautologies.
+  if (ClauseView(NegScratch, PosScratch, 0).isTautology()) {
     ++Stats.Tautologies;
     return {~0u, false};
   }
+  // A view of the scratch, not of the pool: it stays valid while the
+  // clause is appended below.
+  const ClauseView C(NegScratch, PosScratch,
+                     clauseFingerprint(NegScratch, PosScratch));
 
   DupOutcome Dup = handleDuplicate(C);
-  if (Dup.State != DupOutcome::NoDup)
-    return {Dup.Id, Dup.State == DupOutcome::Revived};
+  if (Dup.State != DupOutcome::NoDup) {
+    const bool Revived = Dup.State == DupOutcome::Revived;
+    if (Conclusion && Revived)
+      ++Stats.Kept;
+    return {Dup.Id, Revived};
+  }
 
   ClauseSig Sig = ClauseSig::of(C);
   if (isForwardSubsumed(C, Sig)) {
@@ -69,56 +95,24 @@ Saturation::AddResult Saturation::addInput(std::vector<Equation> Neg,
   }
 
   Justification J;
-  J.Kind = RuleKind::Input;
+  J.Kind = Kind;
+  J.Parents.assign(Parents.begin(), Parents.end());
   J.ExternalTag = ExternalTag;
-  bool Empty = C.empty();
-  uint32_t Size = static_cast<uint32_t>(C.size());
-  Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
-  uint32_t Id = DB.append(C, std::move(J));
+  const uint32_t Id = DB.append(C, std::move(J));
+  linkFingerprint(Id);
   Stats.PoolEquations = DB.poolEquations();
   registerClause(Id, Sig);
-  Passive.push({Size, Id});
-  if (Empty && !EmptyClauseId)
+  Passive.push({static_cast<uint32_t>(C.size()), Id});
+  if (Conclusion)
+    ++Stats.Kept;
+  if (C.empty() && !EmptyClauseId)
     EmptyClauseId = Id;
   else
     backwardSubsume(Id);
   return {Id, true};
 }
 
-std::optional<uint32_t> Saturation::keepDerived(Clause C, Justification J) {
-  ++Stats.Derived;
-  if (C.isTautology()) {
-    ++Stats.Tautologies;
-    return std::nullopt;
-  }
-  DupOutcome Dup = handleDuplicate(C);
-  if (Dup.State == DupOutcome::Revived) {
-    ++Stats.Kept;
-    return Dup.Id;
-  }
-  if (Dup.State != DupOutcome::NoDup)
-    return std::nullopt;
-  ClauseSig Sig = ClauseSig::of(C);
-  if (isForwardSubsumed(C, Sig)) {
-    ++Stats.SubsumedFwd;
-    return std::nullopt;
-  }
-  bool Empty = C.empty();
-  uint32_t Size = static_cast<uint32_t>(C.size());
-  Fingerprints.emplace(C.fingerprint(), static_cast<uint32_t>(DB.numClauses()));
-  uint32_t Id = DB.append(C, std::move(J));
-  Stats.PoolEquations = DB.poolEquations();
-  registerClause(Id, Sig);
-  Passive.push({Size, Id});
-  ++Stats.Kept;
-  if (Empty && !EmptyClauseId)
-    EmptyClauseId = Id;
-  else
-    backwardSubsume(Id);
-  return Id;
-}
-
-Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
+Saturation::DupOutcome Saturation::handleDuplicate(ClauseView C) {
   // A live duplicate is not new; a *deleted* duplicate must be
   // revived — its deletion was justified by clauses that may since
   // have been deleted themselves (simplification chains can be
@@ -126,25 +120,55 @@ Saturation::DupOutcome Saturation::handleDuplicate(const Clause &C) {
   // must re-check forward subsumption first: if a *live* clause
   // subsumes the duplicate, its deletion is still justified and
   // resurrecting it would undo redundancy elimination.
-  auto [It, End] = Fingerprints.equal_range(C.fingerprint());
-  for (; It != End; ++It)
-    if (DB.view(It->second) == ClauseView(C)) {
-      uint32_t DupId = It->second;
-      if (!DB.deleted(DupId))
-        return {DupOutcome::LiveDup, DupId};
-      if (isForwardSubsumed(C, SigById[DupId], DupId)) {
-        ++Stats.SubsumedFwd;
-        return {DupOutcome::StillSubsumed, DupId};
-      }
-      DB.setDeleted(DupId, false);
-      if (StaleDeleted)
-        --StaleDeleted;
-      registerClause(DupId, SigById[DupId]);
-      Passive.push({DB.litCount(DupId), DupId});
-      backwardSubsume(DupId);
-      return {DupOutcome::Revived, DupId};
+  const uint64_t Hash = C.fingerprint();
+  for (uint32_t DupId = FpHeads[fingerprintBucket(Hash)]; DupId != ~0u;
+       DupId = FpNext[DupId]) {
+    if (DB.fingerprint(DupId) != Hash || DB.view(DupId) != C)
+      continue;
+    if (!DB.deleted(DupId))
+      return {DupOutcome::LiveDup, DupId};
+    if (isForwardSubsumed(C, SigById[DupId], DupId)) {
+      ++Stats.SubsumedFwd;
+      return {DupOutcome::StillSubsumed, DupId};
     }
+    DB.setDeleted(DupId, false);
+    if (StaleDeleted)
+      --StaleDeleted;
+    registerClause(DupId, SigById[DupId]);
+    Passive.push({DB.litCount(DupId), DupId});
+    backwardSubsume(DupId);
+    return {DupOutcome::Revived, DupId};
+  }
   return {DupOutcome::NoDup, ~0u};
+}
+
+void Saturation::linkFingerprint(uint32_t Id) {
+  assert(FpNext.size() == Id && "clauses are linked in append order");
+  if (++FpEntries > FpHeads.size())
+    growFingerprints();
+  uint32_t &Head = FpHeads[fingerprintBucket(DB.fingerprint(Id))];
+  FpNext.push_back(Head);
+  Head = Id;
+}
+
+void Saturation::growFingerprints() {
+  // A bucket is the top bits of the scrambled hash, so doubling splits
+  // bucket B into 2B and 2B+1. Splitting from the top down, every
+  // write lands above the buckets still to be read (or on B itself,
+  // already read), so the heads are relinked in place.
+  const size_t N = FpHeads.size();
+  FpHeads.resize(2 * N, ~0u);
+  for (size_t B = N; B-- != 0;) {
+    uint32_t Id = FpHeads[B];
+    FpHeads[2 * B] = FpHeads[2 * B + 1] = ~0u;
+    while (Id != ~0u) {
+      const uint32_t Next = FpNext[Id];
+      uint32_t &Head = FpHeads[fingerprintBucket(DB.fingerprint(Id))];
+      FpNext[Id] = Head;
+      Head = Id;
+      Id = Next;
+    }
+  }
 }
 
 void Saturation::registerClause(uint32_t Id, const ClauseSig &Sig) {
@@ -218,8 +242,8 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
   ClauseView C = DB.view(Id);
   if (!C.neg().empty() || C.pos().size() != 1)
     return;
-  const Equation E = C.pos().front(); // Copy: keepDerived below grows
-                                      // the equation pool.
+  const Equation E = C.pos().front(); // Copy: intake below grows the
+                                      // equation pool.
   if (E.trivial())
     return;
   // The larger side is the left-hand side of the rule.
@@ -240,17 +264,11 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
       continue;
     if (!(SigById[ActId].Syms & LhsBit))
       continue;
-    auto Rewritten = demodClause(DB.view(ActId), ActId);
-    if (!Rewritten)
+    if (!demodClause(DB.view(ActId), ActId))
       continue;
     deleteClause(ActId);
     ++Stats.Demodulated;
-    Justification J;
-    J.Kind = RuleKind::Demod;
-    J.Parents.push_back(ActId);
-    for (uint32_t U : Rewritten->second)
-      J.Parents.push_back(U);
-    keepDerived(std::move(Rewritten->first), std::move(J));
+    intake(RuleKind::Demod, ParentScratch);
   }
 }
 
@@ -270,36 +288,36 @@ Symbol Saturation::demodTerm(Symbol T, uint32_t SelfId,
   }
 }
 
-std::optional<std::pair<Clause, std::vector<uint32_t>>>
-Saturation::demodClause(ClauseView C, uint32_t SelfId) {
+bool Saturation::demodClause(ClauseView C, uint32_t SelfId) {
   // The clause can only be rewritten if some demodulator's left-hand
   // side occurs in it, which requires the symbol fingerprints to
   // intersect.
   if (SelfId < SigById.size() && !DemodIdx.mayRewrite(SigById[SelfId].Syms))
-    return std::nullopt;
-  std::vector<uint32_t> Used;
+    return false;
+  ParentScratch.assign(1, SelfId);
   bool Changed = false;
-  std::vector<Equation> Neg, Pos;
-  Neg.reserve(C.neg().size());
-  Pos.reserve(C.pos().size());
-  for (const Equation &E : C.neg()) {
-    Symbol L = demodTerm(E.lhs(), SelfId, Used);
-    Symbol R = demodTerm(E.rhs(), SelfId, Used);
-    Changed |= (L != E.lhs() || R != E.rhs());
-    Neg.emplace_back(L, R);
-  }
-  for (const Equation &E : C.pos()) {
-    Symbol L = demodTerm(E.lhs(), SelfId, Used);
-    Symbol R = demodTerm(E.rhs(), SelfId, Used);
-    Changed |= (L != E.lhs() || R != E.rhs());
-    Pos.emplace_back(L, R);
-  }
+  auto Rewrite = [&](std::span<const Equation> Side,
+                     std::vector<Equation> &Out) {
+    Out.clear();
+    for (const Equation &E : Side) {
+      Symbol L = demodTerm(E.lhs(), SelfId, ParentScratch);
+      Symbol R = demodTerm(E.rhs(), SelfId, ParentScratch);
+      Changed |= (L != E.lhs() || R != E.rhs());
+      Out.emplace_back(L, R);
+    }
+  };
+  Rewrite(C.neg(), NegScratch);
+  Rewrite(C.pos(), PosScratch);
   if (!Changed)
-    return std::nullopt;
-  std::sort(Used.begin(), Used.end());
-  Used.erase(std::unique(Used.begin(), Used.end()), Used.end());
-  return std::make_pair(Clause(std::move(Neg), std::move(Pos)),
-                        std::move(Used));
+    return false;
+  // Rewritten equations are neither sorted nor distinct any more.
+  canonicalizeSide(NegScratch);
+  canonicalizeSide(PosScratch);
+  auto Used = ParentScratch.begin() + 1;
+  std::sort(Used, ParentScratch.end());
+  ParentScratch.erase(std::unique(Used, ParentScratch.end()),
+                      ParentScratch.end());
+  return true;
 }
 
 void Saturation::deleteClause(uint32_t Id) {
@@ -341,14 +359,16 @@ void Saturation::compactIndexes() {
   ++Stats.Compactions;
   uint64_t Purged = 0;
 
-  for (auto It = Fingerprints.begin(); It != Fingerprints.end();) {
-    if (DB.deleted(It->second)) {
-      It = Fingerprints.erase(It);
-      ++Purged;
-    } else {
-      ++It;
+  for (uint32_t &Head : FpHeads)
+    for (uint32_t *Link = &Head; *Link != ~0u;) {
+      if (DB.deleted(*Link)) {
+        *Link = FpNext[*Link];
+        --FpEntries;
+        ++Purged;
+      } else {
+        Link = &FpNext[*Link];
+      }
     }
-  }
 
   auto SweepPartnerIndex = [&](std::vector<std::vector<uint32_t>> &Index) {
     for (std::vector<uint32_t> &Ids : Index) {
@@ -611,15 +631,10 @@ void Saturation::stepGivenClause() {
 
   // Forward demodulation: replace the given clause by its normal
   // form and requeue.
-  if (auto Rewritten = demodClause(DB.view(GivenId), GivenId)) {
+  if (demodClause(DB.view(GivenId), GivenId)) {
     deleteClause(GivenId);
     ++Stats.Demodulated;
-    Justification J;
-    J.Kind = RuleKind::Demod;
-    J.Parents.push_back(GivenId);
-    for (uint32_t U : Rewritten->second)
-      J.Parents.push_back(U);
-    keepDerived(std::move(Rewritten->first), std::move(J));
+    intake(RuleKind::Demod, ParentScratch);
     return;
   }
 
@@ -693,8 +708,8 @@ void Saturation::generateInferences(uint32_t GivenId) {
   // Given as 'from': partners whose maximal side is MG.max().
   if (From) {
     // Copy: superpose() may grow the indexes.
-    std::vector<uint32_t> Partners = IntoByMax[Max];
-    for (uint32_t Partner : Partners) {
+    PartnerScratch.assign(IntoByMax[Max].begin(), IntoByMax[Max].end());
+    for (uint32_t Partner : PartnerScratch) {
       if (DB.deleted(GivenId))
         return;
       if (Partner != GivenId && !DB.deleted(Partner))
@@ -703,8 +718,8 @@ void Saturation::generateInferences(uint32_t GivenId) {
   }
 
   // Given as 'into': partners whose from-term is MG.max().
-  std::vector<uint32_t> Partners = FromByMax[Max];
-  for (uint32_t Partner : Partners) {
+  PartnerScratch.assign(FromByMax[Max].begin(), FromByMax[Max].end());
+  for (uint32_t Partner : PartnerScratch) {
     if (DB.deleted(GivenId))
       return;
     if (Partner != GivenId && !DB.deleted(Partner))
@@ -736,37 +751,28 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
   if (MG.max() != MF.max())
     return;
 
-  // The views stay valid while the conclusion is assembled: only
-  // keepDerived grows the equation pool.
+  // The conclusion is merged from the premises' canonical sides into
+  // the scratch; only intake() grows the equation pool under the views.
   ClauseView FView = DB.view(FromId), GView = DB.view(IntoId);
   const Equation FromEq(MF.max(), MF.min());
   const Equation IntoEq(MG.max(), MG.min());
-
-  std::vector<Equation> Neg(FView.neg().begin(), FView.neg().end());
-  std::vector<Equation> Pos;
-  for (const Equation &PE : FView.pos())
-    if (PE != FromEq)
-      Pos.push_back(PE);
-  Justification J;
+  const Equation NewEq(MF.min(), MG.min());
+  const uint32_t Parents[] = {FromId, IntoId};
   if (MG.negative()) {
     // Superposition left: Γ1,Γ2, r't -> ∆1,∆2.
-    for (const Equation &NE : GView.neg())
-      if (NE != IntoEq)
-        Neg.push_back(NE);
-    Neg.emplace_back(MF.min(), MG.min());
-    Pos.insert(Pos.end(), GView.pos().begin(), GView.pos().end());
-    J.Kind = RuleKind::SupLeft;
+    mergeCanonical(NegScratch, FView.neg(), std::nullopt, GView.neg(), IntoEq,
+                   NewEq);
+    mergeCanonical(PosScratch, FView.pos(), FromEq, GView.pos(), std::nullopt,
+                   std::nullopt);
+    intake(RuleKind::SupLeft, Parents);
   } else {
     // Superposition right: Γ1,Γ2 -> ∆1,∆2, r't.
-    Neg.insert(Neg.end(), GView.neg().begin(), GView.neg().end());
-    for (const Equation &PE : GView.pos())
-      if (PE != IntoEq)
-        Pos.push_back(PE);
-    Pos.emplace_back(MF.min(), MG.min());
-    J.Kind = RuleKind::SupRight;
+    mergeCanonical(NegScratch, FView.neg(), std::nullopt, GView.neg(),
+                   std::nullopt, std::nullopt);
+    mergeCanonical(PosScratch, FView.pos(), FromEq, GView.pos(), IntoEq,
+                   NewEq);
+    intake(RuleKind::SupRight, Parents);
   }
-  J.Parents = {FromId, IntoId};
-  keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
 }
 
 void Saturation::equalityResolution(uint32_t Id) {
@@ -775,18 +781,12 @@ void Saturation::equalityResolution(uint32_t Id) {
   const OrientedLiteral M = maxLiteral(Id);
   if (!M.negative() || M.max() != M.min())
     return;
-  // Copies: keepDerived grows the equation pool under the view.
   ClauseView C = DB.view(Id);
-  std::vector<Equation> Pos(C.pos().begin(), C.pos().end());
-  const Equation MEq(M.max(), M.min());
-  std::vector<Equation> Neg;
-  for (const Equation &NE : C.neg())
-    if (NE != MEq)
-      Neg.push_back(NE);
-  Justification J;
-  J.Kind = RuleKind::EqRes;
-  J.Parents = {Id};
-  keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
+  mergeCanonical(NegScratch, C.neg(), Equation(M.max(), M.min()), {},
+                 std::nullopt, std::nullopt);
+  PosScratch.assign(C.pos().begin(), C.pos().end());
+  const uint32_t Parents[] = {Id};
+  intake(RuleKind::EqRes, Parents);
 }
 
 void Saturation::equalityFactoring(uint32_t Id) {
@@ -795,27 +795,22 @@ void Saturation::equalityFactoring(uint32_t Id) {
   const OrientedLiteral M = maxLiteral(Id);
   if (M.negative() || M.max() == M.min())
     return;
-  // Copies: keepDerived grows the equation pool under the view.
-  ClauseView C = DB.view(Id);
-  const std::vector<Equation> CNeg(C.neg().begin(), C.neg().end());
-  const std::vector<Equation> CPos(C.pos().begin(), C.pos().end());
   const Equation MEq(M.max(), M.min());
-  for (const Equation &E2 : CPos) {
+  const uint32_t Parents[] = {Id};
+  const size_t NumPos = DB.view(Id).pos().size();
+  for (size_t I = 0; I != NumPos; ++I) {
+    // Re-read the view: each intake() may grow the equation pool.
+    ClauseView C = DB.view(Id);
+    const Equation E2 = C.pos()[I];
     if (E2 == MEq)
       continue;
     OrientedLiteral L2 = Ordering.orient(E2, /*Negative=*/false);
     if (L2.max() != M.max())
       continue;
-    std::vector<Equation> Neg(CNeg);
-    Neg.emplace_back(M.min(), L2.min());
-    std::vector<Equation> Pos;
-    for (const Equation &PE : CPos)
-      if (PE != MEq)
-        Pos.push_back(PE);
-    Justification J;
-    J.Kind = RuleKind::EqFact;
-    J.Parents = {Id};
-    keepDerived(Clause(std::move(Neg), std::move(Pos)), std::move(J));
+    mergeCanonical(NegScratch, C.neg(), std::nullopt, {}, std::nullopt,
+                   Equation(M.min(), L2.min()));
+    mergeCanonical(PosScratch, C.pos(), MEq, {}, std::nullopt, std::nullopt);
+    intake(RuleKind::EqFact, Parents);
   }
 }
 

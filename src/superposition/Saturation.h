@@ -28,6 +28,7 @@
 #include "support/Fuel.h"
 #include "term/Rewrite.h"
 
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -78,7 +79,7 @@ struct SaturationStats {
   uint64_t Demodulated = 0;  ///< Rewrites by unit equations.
   uint64_t SubQueries = 0;   ///< Forward + backward subsumption queries.
   uint64_t SubChecks = 0;    ///< Clause pairs tested with subsumes().
-  /// Lazily-invalidated index entries (Fingerprints, FromByMax,
+  /// Lazily-invalidated index entries (fingerprint chains, FromByMax,
   /// IntoByMax) belonging to deleted clauses that a compaction
   /// sweep purged; long-lived instances would otherwise grow without
   /// bound (see compactIndexes()).
@@ -176,6 +177,10 @@ public:
   Saturation(const Saturation &) = delete;
   Saturation &operator=(const Saturation &) = delete;
 
+  /// Buckets of the duplicate-detection fingerprint table of a fresh
+  /// or cleared engine; the table doubles as clauses are stored.
+  static constexpr size_t InitialFingerprintBuckets = 64;
+
   /// Result of adding an input clause.
   struct AddResult {
     uint32_t Id;  ///< Database id (~0u if the clause was dropped).
@@ -192,7 +197,7 @@ public:
                      uint32_t ExternalTag = ~0u);
 
   /// Sweeps the lazily-invalidated entries of deleted clauses out of
-  /// Fingerprints, FromByMax, and IntoByMax. Runs automatically
+  /// the fingerprint chains, FromByMax, and IntoByMax. Runs automatically
   /// (amortized) once stale entries rival the live clause count; a
   /// long-lived caller may also force a sweep at any quiescent point.
   /// Purging a deleted clause's fingerprint is sound: re-adding an
@@ -205,9 +210,10 @@ public:
   /// database, queues, demodulators, all indexes, caches, and stats.
   /// This is the documented lifecycle for long-lived instances — a
   /// ProverSession clears one Saturation per query instead of
-  /// rebuilding it, so allocations (index pools, hash tables) are
-  /// reused across queries. Behavior after clear() is bit-identical to
-  /// a fresh instance over the same inputs.
+  /// rebuilding it, so allocations (index pools, partner lists, the
+  /// fingerprint table, intake scratch) are reused across queries.
+  /// Behavior after clear() is bit-identical to a fresh instance over
+  /// the same inputs.
   void clear();
 
   /// Runs the given-clause loop until refutation, fixpoint, or fuel
@@ -264,9 +270,14 @@ public:
   const SaturationStats &stats() const { return Stats; }
 
 private:
-  /// Pushes a derived clause into the database/passive queue unless it
-  /// is an obvious duplicate or tautology. Returns its id if kept.
-  std::optional<uint32_t> keepDerived(Clause C, Justification J);
+  /// The one clause intake. Takes the canonical clause NegScratch →
+  /// PosScratch and runs the tautology, duplicate/revival and forward-
+  /// subsumption tests on a view of the scratch; only a clause that
+  /// passes them is stored, with the Justification (\p Kind, \p
+  /// Parents, \p ExternalTag) built then. Conclusions (every \p Kind
+  /// but Input) count as Derived, and as Kept when stored or revived.
+  AddResult intake(RuleKind Kind, std::span<const uint32_t> Parents,
+                   uint32_t ExternalTag = ~0u);
 
   /// All superposition inferences between the given clause and one
   /// active partner (both directions), plus unary rules on Given.
@@ -296,10 +307,11 @@ private:
   /// equation never rewrites (and thereby deletes) itself.
   Symbol demodTerm(Symbol T, uint32_t SelfId, std::vector<uint32_t> &Used);
 
-  /// Applies demodulation to clause \p SelfId; returns the rewritten
-  /// clause and the used unit ids, or nullopt if already normal.
-  std::optional<std::pair<Clause, std::vector<uint32_t>>>
-  demodClause(ClauseView C, uint32_t SelfId);
+  /// Applies demodulation to clause \p SelfId. If it rewrites, leaves
+  /// the canonical result in NegScratch/PosScratch and the parents
+  /// (\p SelfId, then the used unit ids) in ParentScratch and returns
+  /// true; returns false if \p C is already normal.
+  bool demodClause(ClauseView C, uint32_t SelfId);
 
   /// True iff some live clause other than \p ExcludeId subsumes \p C.
   /// \p Sig must be C's signature; it filters the scan of Live.
@@ -326,8 +338,19 @@ private:
     uint32_t Id; ///< The duplicate's id (~0u for NoDup).
   };
 
-  /// Shared duplicate/revival handling for addInput and keepDerived.
-  DupOutcome handleDuplicate(const Clause &C);
+  /// Duplicate/revival handling of intake().
+  DupOutcome handleDuplicate(ClauseView C);
+
+  /// Fingerprint-table bucket of a clause hash: the top log2(buckets)
+  /// bits of the scrambled hash.
+  size_t fingerprintBucket(uint64_t Hash) const {
+    return static_cast<size_t>((Hash * 0x9E3779B97F4A7C15ull) >>
+                               (64 - std::countr_zero(FpHeads.size())));
+  }
+  /// Links the just-appended clause \p Id into its fingerprint chain,
+  /// doubling the bucket array once the chains outnumber it.
+  void linkFingerprint(uint32_t Id);
+  void growFingerprints();
 
   /// One iteration of the given-clause loop: pops the best passive
   /// clause, simplifies, activates, and generates inferences.
@@ -389,7 +412,22 @@ private:
   /// Struct-of-arrays clause storage (flat equation pool, hot records,
   /// cold provenance); see ClauseDB.h.
   ClauseDB DB;
-  std::unordered_multimap<uint64_t, uint32_t> Fingerprints;
+  /// Duplicate detection: intrusive hash chains over clause ids. A
+  /// bucket head holds the first id of its chain and FpNext[Id] the
+  /// next (~0u ends a chain); every stored clause is linked once, and
+  /// compaction unlinks deleted ones. At most one id per clause content
+  /// is linked, since a duplicate is never stored twice.
+  std::vector<uint32_t> FpHeads =
+      std::vector<uint32_t>(InitialFingerprintBuckets, ~0u);
+  std::vector<uint32_t> FpNext;
+  size_t FpEntries = 0; ///< Ids currently linked.
+  /// Intake scratch: the conclusion under test (canonical sides) and
+  /// the parents of a demodulated clause. Reused, so a warm engine
+  /// allocates nothing for a conclusion it does not keep.
+  std::vector<Equation> NegScratch, PosScratch;
+  std::vector<uint32_t> ParentScratch;
+  /// Copy of the partner list generateInferences() walks.
+  std::vector<uint32_t> PartnerScratch;
   std::vector<uint32_t> Active;
   // Passive queue, popped smallest-first by (size, id); entries are
   // lazily invalidated (popped ids may be deleted or re-queued).

@@ -6,8 +6,11 @@
 
 #include "superposition/Clause.h"
 #include "superposition/ClauseOrdering.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace slp;
 using namespace slp::sup;
@@ -80,6 +83,110 @@ TEST_F(ClauseTest, Subsumption) {
   EXPECT_TRUE(Small.subsumes(Big));
   EXPECT_FALSE(Big.subsumes(Small));
   EXPECT_TRUE(Small.subsumes(Small));
+}
+
+// The saturation engine merges a conclusion from its premises' sorted
+// sides instead of sorting a concatenation. Over random premise pairs
+// on 12 constants, the merge must give exactly the sides and the
+// fingerprint of the canonical constructor on the unsorted
+// concatenation, the skipped equation removed from its own run only.
+TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
+  std::vector<Symbol> Consts;
+  for (int I = 0; I != 12; ++I)
+    Consts.push_back(Terms.constant("k" + std::to_string(I)));
+  SplitMix64 Rng(25);
+  auto RandomEq = [&] {
+    return Equation(Consts[Rng.below(12)], Consts[Rng.below(12)]);
+  };
+  auto RandomSide = [&] {
+    std::vector<Equation> Side;
+    for (uint64_t N = Rng.below(6); N != 0; --N)
+      Side.push_back(RandomEq());
+    canonicalizeSide(Side);
+    return Side;
+  };
+  // A skip is usually an equation of its run, sometimes one it lacks.
+  auto RandomSkip = [&](const std::vector<Equation> &Run)
+      -> std::optional<Equation> {
+    uint64_t Pick = Rng.below(4);
+    if (Pick == 0)
+      return std::nullopt;
+    if (Pick == 1 || Run.empty())
+      return RandomEq();
+    return Run[Rng.below(Run.size())];
+  };
+
+  auto In = [](const std::vector<Equation> &Run, std::optional<Equation> E) {
+    return E && std::find(Run.begin(), Run.end(), *E) != Run.end();
+  };
+
+  // How often each case the merge must get right came up.
+  unsigned SkipInBoth = 0, ExtraPresent = 0, TrivialExtra = 0, EmptySide = 0;
+  for (int Round = 0; Round != 400; ++Round) {
+    std::vector<Equation> Runs[2][2]; // [premise][0 = Γ, 1 = ∆]
+    std::optional<Equation> Skips[2][2], Extras[2];
+    for (int Side = 0; Side != 2; ++Side) {
+      for (int P = 0; P != 2; ++P) {
+        Runs[P][Side] = RandomSide();
+        Skips[P][Side] = RandomSkip(Runs[P][Side]);
+      }
+      // The first premise's skip also present in the second premise.
+      if (Skips[0][Side] && Rng.below(3) == 0) {
+        Runs[1][Side].push_back(*Skips[0][Side]);
+        canonicalizeSide(Runs[1][Side]);
+      }
+      // The inserted equation: none, one already present, a trivial
+      // one, or any.
+      const std::vector<Equation> &From = Runs[Rng.below(2)][Side];
+      switch (Rng.below(4)) {
+      case 0:
+        break;
+      case 1:
+        if (!From.empty()) {
+          Extras[Side] = From[Rng.below(From.size())];
+          break;
+        }
+        [[fallthrough]];
+      case 2: {
+        Symbol K = Consts[Rng.below(12)];
+        Extras[Side] = Equation(K, K);
+        break;
+      }
+      default:
+        Extras[Side] = RandomEq();
+      }
+    }
+
+    std::vector<Equation> Concat[2], Merged[2];
+    for (int Side = 0; Side != 2; ++Side) {
+      for (int P = 0; P != 2; ++P)
+        for (const Equation &E : Runs[P][Side])
+          if (E != Skips[P][Side])
+            Concat[Side].push_back(E);
+      if (Extras[Side]) {
+        ExtraPresent += In(Concat[Side], Extras[Side]);
+        TrivialExtra += Extras[Side]->trivial();
+        Concat[Side].push_back(*Extras[Side]);
+      }
+      SkipInBoth += In(Runs[0][Side], Skips[0][Side]) &&
+                    In(Runs[1][Side], Skips[0][Side]);
+      EmptySide += Runs[0][Side].empty() || Runs[1][Side].empty();
+      // Unsorted, as the inference rules used to assemble it.
+      std::reverse(Concat[Side].begin(), Concat[Side].end());
+      mergeCanonical(Merged[Side], Runs[0][Side], Skips[0][Side],
+                     Runs[1][Side], Skips[1][Side], Extras[Side]);
+    }
+
+    Clause Ref(Concat[0], Concat[1]);
+    ASSERT_EQ(Merged[0], Ref.neg()) << "round " << Round;
+    ASSERT_EQ(Merged[1], Ref.pos()) << "round " << Round;
+    EXPECT_EQ(clauseFingerprint(Merged[0], Merged[1]), Ref.fingerprint())
+        << "round " << Round;
+  }
+  EXPECT_GT(SkipInBoth, 20u);
+  EXPECT_GT(ExtraPresent, 20u);
+  EXPECT_GT(TrivialExtra, 20u);
+  EXPECT_GT(EmptySide, 20u);
 }
 
 TEST_F(ClauseTest, LiteralOrderingNegativeAboveSameEquation) {

@@ -311,6 +311,65 @@ TEST_F(SaturationTest, CompactionPurgesStaleIndexEntriesAndIsNeutral) {
   }
 }
 
+// Duplicate detection chains clause ids by fingerprint. Storing more
+// clauses than the initial bucket count makes the table double (more
+// than once), and every stored clause must still be found; after a
+// compaction unlinks the deleted ones, re-adding one of those takes the
+// fresh path instead of the still-subsumed one.
+TEST_F(SaturationTest, FingerprintChainsSurviveGrowthAndCompaction) {
+  const size_t N = 4 * Saturation::InitialFingerprintBuckets + 3;
+  // -> g ' c_i, c_i ' d_i: pairwise non-subsuming. The even ones share
+  // p ' q instead of g ' c_i, so the unit -> p ' q subsumes exactly
+  // those.
+  auto Nth = [&](size_t I) -> std::vector<Equation> {
+    Symbol C = T(("c" + std::to_string(I)).c_str());
+    Symbol D = T(("d" + std::to_string(I)).c_str());
+    return {I % 2 ? Equation(T("g"), C) : Equation(T("p"), T("q")),
+            Equation(C, D)};
+  };
+  std::vector<uint32_t> Ids;
+  for (size_t I = 0; I != N; ++I) {
+    auto R = Sat.addInput({}, Nth(I));
+    ASSERT_TRUE(R.New) << I;
+    Ids.push_back(R.Id);
+  }
+  for (size_t I = 0; I != N; ++I) {
+    auto R = Sat.addInput({}, Nth(I));
+    EXPECT_FALSE(R.New) << I;
+    EXPECT_EQ(R.Id, Ids[I]) << I;
+  }
+
+  const uint64_t Fwd0 = Sat.stats().SubsumedFwd;
+  auto Unit = Sat.addInput({}, {Equation(T("p"), T("q"))});
+  ASSERT_TRUE(Unit.New);
+  const size_t Subsumed = (N + 1) / 2;
+  EXPECT_EQ(Sat.stats().SubsumedBwd, Subsumed);
+
+  // Still linked: the deleted duplicate is found and stays deleted.
+  auto Still = Sat.addInput({}, Nth(0));
+  EXPECT_FALSE(Still.New);
+  EXPECT_EQ(Still.Id, Ids[0]);
+  EXPECT_EQ(Sat.stats().SubsumedFwd, Fwd0 + 1);
+
+  // Nothing was activated, so the fingerprint chains hold the only
+  // stale entries.
+  EXPECT_EQ(Sat.stats().StalePurged, 0u);
+  Sat.compactIndexes();
+  EXPECT_EQ(Sat.stats().StalePurged, Subsumed);
+  const size_t Stored = Sat.numClauses();
+  auto Fresh = Sat.addInput({}, Nth(2));
+  EXPECT_FALSE(Fresh.New);
+  EXPECT_EQ(Fresh.Id, ~0u);
+  EXPECT_EQ(Sat.stats().SubsumedFwd, Fwd0 + 2);
+  EXPECT_EQ(Sat.numClauses(), Stored);
+  // The live ones stay linked through the compaction.
+  for (size_t I = 1; I < N; I += 2) {
+    auto R = Sat.addInput({}, Nth(I));
+    EXPECT_FALSE(R.New) << I;
+    EXPECT_EQ(R.Id, Ids[I]) << I;
+  }
+}
+
 // SaturationStats is the single counter set, so its merge, comparison
 // and visitor must cover every field — including one added later. The
 // struct is viewed as the flat uint64_t array it is (the static_assert

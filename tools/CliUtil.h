@@ -183,8 +183,8 @@ inline void printEngineReuseStats(const obs::MetricsSnapshot &S) {
 }
 
 /// Prints the engine's `--stats` summary for a finished run to stderr:
-/// throughput, verdicts, cache, pre-solver, subsumption and pool
-/// counters, then the model-guided, phase/session and per-backend
+/// throughput, verdicts, cache, pre-solver, clause intake, subsumption
+/// and pool counters, then the model-guided, phase/session and per-backend
 /// lines. One implementation for every tool that runs the engine.
 inline void printBatchStats(const engine::BatchProver &Engine) {
   const engine::BatchOptions &Opts = Engine.options();
@@ -215,6 +215,15 @@ inline void printBatchStats(const engine::BatchProver &Engine) {
                  S.PresolveSeconds);
   }
   const sup::SaturationStats &Sat = S.Sat;
+  std::fprintf(stderr,
+               "clauses: %llu derived, %llu kept, %llu tautologies, "
+               "%llu demodulated; %llu compactions, %llu stale purged\n",
+               static_cast<unsigned long long>(Sat.Derived),
+               static_cast<unsigned long long>(Sat.Kept),
+               static_cast<unsigned long long>(Sat.Tautologies),
+               static_cast<unsigned long long>(Sat.Demodulated),
+               static_cast<unsigned long long>(Sat.Compactions),
+               static_cast<unsigned long long>(Sat.StalePurged));
   double Prune =
       Sat.SubChecks ? static_cast<double>(Sat.SubScanBaseline) / Sat.SubChecks
                     : 0.0;
