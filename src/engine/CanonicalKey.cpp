@@ -15,18 +15,25 @@ using namespace slp::engine;
 
 namespace {
 
-/// Assigns dense canonical indices to constants by first occurrence.
-/// Index 0 is reserved for nil, which must keep its identity: validity
-/// is only invariant under renamings that fix nil.
+/// Assigns dense canonical indices to constants by first occurrence,
+/// recording the source constant of each index in \p Sources. Index 0
+/// is reserved for nil, which must keep its identity: validity is only
+/// invariant under renamings that fix nil.
 class Renaming {
 public:
+  explicit Renaming(std::vector<Symbol> &Sources) : Sources(Sources) {
+    Sources.push_back(SymbolTable::nil());
+  }
+
   uint32_t index(Symbol T) {
     if (T.isNil())
       return 0;
     if (T.id() >= Index.size())
       Index.resize(T.id() + 1, ~0u);
-    if (Index[T.id()] == ~0u)
+    if (Index[T.id()] == ~0u) {
       Index[T.id()] = NextIndex++;
+      Sources.push_back(T);
+    }
     return Index[T.id()];
   }
 
@@ -43,13 +50,17 @@ private:
   /// Canonical index by symbol id; ~0u where none is assigned yet.
   std::vector<uint32_t> Index;
   uint32_t NextIndex = 1;
+  std::vector<Symbol> &Sources;
 };
 
 } // namespace
 
 CanonicalQuery CanonicalQuery::of(const sl::Entailment &E) {
   CanonicalQuery Q;
-  Renaming R;
+  // Every atom names at most two new constants, plus nil.
+  Q.Sources.reserve(1 + 2 * (E.Lhs.Pure.size() + E.Lhs.Spatial.size() +
+                             E.Rhs.Pure.size() + E.Rhs.Spatial.size()));
+  Renaming R(Q.Sources);
 
   // Pure atoms are symmetric, so orient each one name-independently:
   // a side that already has an index goes first (smaller index first if
@@ -131,14 +142,16 @@ CanonicalQuery CanonicalQuery::of(const sl::Entailment &E) {
   return Q;
 }
 
-sl::Entailment CanonicalQuery::rebuild(TermTable &Terms) const {
+sl::Entailment CanonicalQuery::rebuild(TermTable &Terms,
+                                       const TermTable *Names) const {
   std::vector<Symbol> Consts;
   auto constant = [&](uint32_t I) -> Symbol {
     if (I >= Consts.size())
       Consts.resize(I + 1);
     if (!Consts[I].valid())
-      Consts[I] = I == 0 ? Terms.nil()
-                         : Terms.constant("v" + std::to_string(I));
+      Consts[I] = I == 0  ? Terms.nil()
+                  : Names ? Terms.constant(Names->str(Sources[I]))
+                          : Terms.constant("v" + std::to_string(I));
     return Consts[I];
   };
 

@@ -18,7 +18,10 @@
 ///
 /// The encoding is also executable: rebuild() re-materializes the
 /// canonical entailment in any TermTable, so the engine can prove the
-/// canonical form instead of the original. Because validity is
+/// canonical form instead of the original. The canonical indices are
+/// the term order: every mode of the tools proves the rebuilt query,
+/// and a renderer that asks for the source names gets the same symbol
+/// ids, and so the same search, as the engine. Because validity is
 /// invariant under injective renaming of program variables (nil stays
 /// fixed), the verdict is then a pure function of the key, which makes
 /// batch output deterministic regardless of worker interleaving and of
@@ -54,8 +57,12 @@ public:
   uint64_t hash() const { return Hash; }
 
   /// Re-materializes the canonical entailment: constant index 0 is
-  /// nil, index i > 0 becomes the interned constant "v<i>".
-  sl::Entailment rebuild(TermTable &Terms) const;
+  /// nil, index i > 0 becomes the interned constant "v<i>", or, given
+  /// the table \p Names that the query was canonicalized from, the
+  /// source name of that constant. Either way the constants are
+  /// interned in the same order, so the symbol ids are the same.
+  sl::Entailment rebuild(TermTable &Terms,
+                         const TermTable *Names = nullptr) const;
 
 private:
   struct PureEnc {
@@ -69,6 +76,8 @@ private:
 
   std::vector<PureEnc> LhsPure, RhsPure;
   std::vector<HeapEnc> LhsSpatial, RhsSpatial;
+  /// The source constant of each canonical index (index 0 is nil).
+  std::vector<Symbol> Sources;
   std::string Key;
   uint64_t Hash = 0;
 };

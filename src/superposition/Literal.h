@@ -11,6 +11,15 @@
 /// how they were written, and the side that is larger in the term
 /// order is always rhs().
 ///
+/// The literal order that constrains the inferences of the calculus I
+/// and drives model generation is OrientedLiteral's `<=>`. A ground
+/// literal s ' t (s ⪰ t) is the multiset {s, t} when positive and
+/// {s, s, t, t} when negative; for a total term order the induced
+/// literal order is the lexicographic comparison of (max side,
+/// polarity, min side), with negative above positive. The clause order
+/// is its multiset extension: the lexicographic comparison of the
+/// descending-sorted literal lists, a proper prefix being smaller.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLP_SUPERPOSITION_LITERAL_H
@@ -20,6 +29,8 @@
 #include "term/Term.h"
 
 #include <algorithm>
+#include <cassert>
+#include <compare>
 #include <tuple>
 
 namespace slp {
@@ -73,6 +84,33 @@ private:
 };
 
 static_assert(sizeof(Equation) == 8, "an equation is two symbol ids");
+
+/// A literal: an equation and its polarity, as one integer whose order
+/// is the literal order (see \file). From the top bit down it holds the
+/// larger side's symbol id, the polarity (negative above positive),
+/// then the smaller side's symbol id.
+class OrientedLiteral {
+public:
+  OrientedLiteral(const Equation &E, bool Negative)
+      : Key(uint64_t(E.rhs().id()) << 32 | uint64_t(Negative) << 31 |
+            E.lhs().id()) {
+    assert(E.lhs().id() < (1u << 31) && "symbol id overflows the literal key");
+  }
+
+  /// Side that is larger in the term order.
+  Symbol max() const { return Symbol(static_cast<uint32_t>(Key >> 32)); }
+  /// The other side (equal to max() for s ' s).
+  Symbol min() const {
+    return Symbol(static_cast<uint32_t>(Key) & ~(1u << 31));
+  }
+  bool negative() const { return (Key >> 31) & 1; }
+
+  friend auto operator<=>(const OrientedLiteral &,
+                          const OrientedLiteral &) = default;
+
+private:
+  uint64_t Key;
+};
 
 } // namespace sup
 } // namespace slp

@@ -10,6 +10,8 @@
 #include "support/Invariants.h"
 
 #include <algorithm>
+#include <compare>
+#include <functional>
 
 using namespace slp;
 using namespace slp::sup;
@@ -491,8 +493,10 @@ bool Saturation::clauseOrderLessUncounted(uint32_t A, uint32_t B) const {
   // relocate the pool backing the other.
   (void)sortedLits(A);
   (void)sortedLits(B);
-  Order O = Ordering.compareSortedLiterals(sortedLits(A), sortedLits(B));
-  return O == Order::Equal ? A < B : O == Order::Less;
+  std::span<const OrientedLiteral> LA = sortedLits(A), LB = sortedLits(B);
+  std::strong_ordering O = std::lexicographical_compare_three_way(
+      LA.begin(), LA.end(), LB.begin(), LB.end());
+  return O == 0 ? A < B : O < 0;
 }
 
 void Saturation::orderedLiveInsert(uint32_t Id) {
@@ -705,11 +709,12 @@ void Saturation::generateInferences(uint32_t GivenId) {
     FromByMax[Max].push_back(GivenId);
   IntoByMax[Max].push_back(GivenId);
 
+  // The partner lists are walked in place: only this function appends
+  // to them, above, and only compactIndexes() removes from them, between
+  // given clauses; superpose() touches neither.
   // Given as 'from': partners whose maximal side is MG.max().
   if (From) {
-    // Copy: superpose() may grow the indexes.
-    PartnerScratch.assign(IntoByMax[Max].begin(), IntoByMax[Max].end());
-    for (uint32_t Partner : PartnerScratch) {
+    for (uint32_t Partner : IntoByMax[Max]) {
       if (DB.deleted(GivenId))
         return;
       if (Partner != GivenId && !DB.deleted(Partner))
@@ -718,8 +723,7 @@ void Saturation::generateInferences(uint32_t GivenId) {
   }
 
   // Given as 'into': partners whose from-term is MG.max().
-  PartnerScratch.assign(FromByMax[Max].begin(), FromByMax[Max].end());
-  for (uint32_t Partner : PartnerScratch) {
+  for (uint32_t Partner : FromByMax[Max]) {
     if (DB.deleted(GivenId))
       return;
     if (Partner != GivenId && !DB.deleted(Partner))
@@ -804,7 +808,7 @@ void Saturation::equalityFactoring(uint32_t Id) {
     const Equation E2 = C.pos()[I];
     if (E2 == MEq)
       continue;
-    OrientedLiteral L2 = Ordering.orient(E2, /*Negative=*/false);
+    OrientedLiteral L2(E2, /*Negative=*/false);
     if (L2.max() != M.max())
       continue;
     mergeCanonical(NegScratch, C.neg(), std::nullopt, {}, std::nullopt,
@@ -836,13 +840,10 @@ std::span<const OrientedLiteral> Saturation::sortedLits(uint32_t Id) const {
     ClauseView C = DB.view(Id);
     LitScratch.reserve(C.size());
     for (const Equation &E : C.neg())
-      LitScratch.push_back(Ordering.orient(E, /*Negative=*/true));
+      LitScratch.emplace_back(E, /*Negative=*/true);
     for (const Equation &E : C.pos())
-      LitScratch.push_back(Ordering.orient(E, /*Negative=*/false));
-    std::sort(LitScratch.begin(), LitScratch.end(),
-              [this](const OrientedLiteral &A, const OrientedLiteral &B) {
-                return Ordering.compareLiterals(A, B) == Order::Greater;
-              });
+      LitScratch.emplace_back(E, /*Negative=*/false);
+    std::sort(LitScratch.begin(), LitScratch.end(), std::greater<>());
     Ref.Off = static_cast<uint32_t>(LitPool.size());
     Ref.Len = static_cast<uint32_t>(LitScratch.size());
     LitPool.insert(LitPool.end(), LitScratch.begin(), LitScratch.end());
@@ -881,7 +882,7 @@ void Saturation::genStep(GroundRewriteSystem &R, uint32_t Id) const {
   const OrientedLiteral &L = Lits.front();
   if (L.negative() || L.max() == L.min())
     return;
-  if (Lits.size() > 1 && Ordering.compareLiterals(Lits[1], L) != Order::Less)
+  if (Lits.size() > 1 && Lits[1] >= L)
     return;
   // Productive only if the clause is false so far and the left-hand
   // side is irreducible.

@@ -23,7 +23,6 @@
 #define SLP_SUPERPOSITION_SATURATION_H
 
 #include "superposition/ClauseDB.h"
-#include "superposition/ClauseOrdering.h"
 #include "superposition/Index.h"
 #include "support/Fuel.h"
 #include "term/Rewrite.h"
@@ -266,7 +265,6 @@ public:
 
   const TermTable &terms() const { return Terms; }
   TermTable &terms() { return Terms; }
-  const ClauseOrdering &ordering() const { return Ordering; }
   const SaturationStats &stats() const { return Stats; }
 
 private:
@@ -379,8 +377,9 @@ private:
   /// out. Returns true iff the model certified.
   bool attemptModelIncremental(std::optional<GroundRewriteSystem> &Model);
 
-  /// The Bachmair-Ganzinger clause order on clause ids
-  /// (compareSortedLiterals, ties by id) — the single definition used
+  /// The Bachmair-Ganzinger clause order on clause ids (the sorted
+  /// literal lists compared lexicographically, ties by id; see
+  /// Literal.h) — the single definition used
   /// by the ordered live set and the model-generation sort, which must
   /// never diverge.
   bool clauseOrderLess(uint32_t A, uint32_t B) const;
@@ -406,7 +405,6 @@ private:
   void maybeCompactIndexes();
 
   TermTable &Terms;
-  ClauseOrdering Ordering;
   SaturationOptions Opts;
 
   /// Struct-of-arrays clause storage (flat equation pool, hot records,
@@ -426,8 +424,6 @@ private:
   /// allocates nothing for a conclusion it does not keep.
   std::vector<Equation> NegScratch, PosScratch;
   std::vector<uint32_t> ParentScratch;
-  /// Copy of the partner list generateInferences() walks.
-  std::vector<uint32_t> PartnerScratch;
   std::vector<uint32_t> Active;
   // Passive queue, popped smallest-first by (size, id); entries are
   // lazily invalidated (popped ids may be deleted or re-queued).
@@ -468,7 +464,7 @@ private:
     uint32_t Len = 0;
   };
   mutable std::vector<LitListRef> LitRefs;
-  /// Scratch for sortedLiterals() results before pool insertion.
+  /// Scratch for a sortedLits() list before pool insertion.
   mutable std::vector<OrientedLiteral> LitScratch;
   /// Direct-mapped memo of clauseOrderLess results keyed by the id
   /// pair — the "memoized tie-break" behind the small-id fast path
@@ -506,7 +502,7 @@ private:
   // attempt pays only from the first position where that order changed.
 
   /// Live clause ids, maintained in ascending clause order (the order
-  /// genModelFrom would sort into: compareSortedLiterals, ties by id).
+  /// genModelFrom would sort into: clauseOrderLess).
   std::vector<uint32_t> OrderedLive;
   /// Smallest OrderedLive index touched by an insertion or deletion
   /// since the last attempt snapshot; the prefix below it is

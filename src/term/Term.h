@@ -7,9 +7,10 @@
 /// \file
 /// Ground terms are the constants of the separation-logic fragment:
 /// program variables and nil. A term is its symbol: a 4-byte id that
-/// compares with `==`, orders the terms (term/Ordering.h) and indexes
-/// vectors directly. The TermTable is the checkpointable interning
-/// context over one SymbolTable.
+/// compares with `==`, orders the terms with `<` (creation order, nil
+/// minimal; see term/Symbol.h) and indexes vectors directly. The
+/// TermTable is the checkpointable interning context over one
+/// SymbolTable.
 ///
 //===----------------------------------------------------------------------===//
 

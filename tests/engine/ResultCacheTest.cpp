@@ -11,12 +11,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../TestUtil.h"
 #include "engine/CanonicalKey.h"
 #include "engine/ResultCache.h"
 #include "sl/Parser.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -122,6 +124,49 @@ TEST_F(ResultCacheTest, RebuildNumbersConstantsLikeTheParser) {
     ASSERT_EQ(S1.size(), S2.size()) << In;
     for (uint32_t I = 0; I != S1.size(); ++I)
       EXPECT_EQ(T1.str(Symbol(I)), T2.str(Symbol(I))) << In << ": symbol " << I;
+  }
+}
+
+TEST_F(ResultCacheTest, RebuildUnderSourceNamesKeepsSymbolIds) {
+  // slp's render modes rebuild each query under its source names and
+  // the engine under "v<i>": both must intern the constants in the same
+  // order, so that both prove the same search.
+  for (const std::string &Line : test::regressionQueryLines()) {
+    SymbolTable SourceSyms;
+    TermTable Source(SourceSyms);
+    sl::ParseResult P = sl::parseEntailment(Source, Line);
+    ASSERT_TRUE(P.ok()) << Line;
+    CanonicalQuery Q = CanonicalQuery::of(*P.Value);
+    SymbolTable PlainSyms, NamedSyms;
+    TermTable PlainT(PlainSyms), NamedT(NamedSyms);
+    sl::Entailment Plain = Q.rebuild(PlainT);
+    sl::Entailment Named = Q.rebuild(NamedT, &Source);
+
+    // The same symbol id, atom by atom.
+    ASSERT_EQ(NamedSyms.size(), PlainSyms.size()) << Line;
+    EXPECT_EQ(Named.Lhs.Pure, Plain.Lhs.Pure) << Line;
+    EXPECT_EQ(Named.Lhs.Spatial, Plain.Lhs.Spatial) << Line;
+    EXPECT_EQ(Named.Rhs.Pure, Plain.Rhs.Pure) << Line;
+    EXPECT_EQ(Named.Rhs.Spatial, Plain.Rhs.Spatial) << Line;
+
+    // Source names: read back into the source table, the named query
+    // interns nothing new, and each of its atoms is an atom of the
+    // query as written.
+    const size_t NumSource = SourceSyms.size();
+    sl::ParseResult Back = sl::parseEntailment(Source, sl::str(NamedT, Named));
+    ASSERT_TRUE(Back.ok()) << Line;
+    EXPECT_EQ(SourceSyms.size(), NumSource) << Line;
+    auto ExpectSubset = [&](const sl::Assertion &Sub, const sl::Assertion &Of) {
+      for (const sl::PureAtom &A : Sub.Pure)
+        EXPECT_NE(std::find(Of.Pure.begin(), Of.Pure.end(), A), Of.Pure.end())
+            << Line;
+      for (const sl::HeapAtom &A : Sub.Spatial)
+        EXPECT_NE(std::find(Of.Spatial.begin(), Of.Spatial.end(), A),
+                  Of.Spatial.end())
+            << Line;
+    };
+    ExpectSubset(Back.Value->Lhs, P.Value->Lhs);
+    ExpectSubset(Back.Value->Rhs, P.Value->Rhs);
   }
 }
 

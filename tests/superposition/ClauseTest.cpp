@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "superposition/Clause.h"
-#include "superposition/ClauseOrdering.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <functional>
 #include <string>
+#include <vector>
 
 using namespace slp;
 using namespace slp::sup;
@@ -25,6 +28,27 @@ protected:
   Symbol B = Terms.constant("b");
   Symbol C = Terms.constant("c");
 };
+
+/// A clause's literals, sorted descending as Saturation::sortedLits
+/// lists them.
+std::vector<OrientedLiteral> sortedLiterals(ClauseView C) {
+  std::vector<OrientedLiteral> Lits;
+  for (const Equation &E : C.neg())
+    Lits.emplace_back(E, /*Negative=*/true);
+  for (const Equation &E : C.pos())
+    Lits.emplace_back(E, /*Negative=*/false);
+  std::sort(Lits.begin(), Lits.end(), std::greater<>());
+  return Lits;
+}
+
+/// The clause order (the multiset extension of the literal order), on
+/// the sorted lists as Saturation::clauseOrderLessUncounted compares
+/// them.
+std::strong_ordering compareClauses(ClauseView A, ClauseView B) {
+  std::vector<OrientedLiteral> LA = sortedLiterals(A), LB = sortedLiterals(B);
+  return std::lexicographical_compare_three_way(LA.begin(), LA.end(),
+                                                LB.begin(), LB.end());
+}
 
 } // namespace
 
@@ -49,7 +73,7 @@ TEST_F(ClauseTest, NilIsTheSmallerSideWhenInternedLast) {
   Equation E(X, Nil);
   EXPECT_EQ(E.lhs(), Nil);
   EXPECT_EQ(E.rhs(), X);
-  OrientedLiteral L = ClauseOrdering().orient(E, /*Negative=*/true);
+  OrientedLiteral L(E, /*Negative=*/true);
   EXPECT_EQ(L.max(), X);
   EXPECT_EQ(L.min(), Nil);
   EXPECT_TRUE(L.negative());
@@ -190,40 +214,31 @@ TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
 }
 
 TEST_F(ClauseTest, LiteralOrderingNegativeAboveSameEquation) {
-  ClauseOrdering CO;
-  OrientedLiteral Pos = CO.orient(Equation(A, B), /*Negative=*/false);
-  OrientedLiteral Neg = CO.orient(Equation(A, B), /*Negative=*/true);
-  EXPECT_EQ(CO.compareLiterals(Neg, Pos), Order::Greater);
-  EXPECT_EQ(CO.compareLiterals(Pos, Neg), Order::Less);
+  OrientedLiteral Pos(Equation(A, B), /*Negative=*/false);
+  OrientedLiteral Neg(Equation(A, B), /*Negative=*/true);
+  EXPECT_GT(Neg, Pos);
+  EXPECT_LT(Pos, Neg);
 }
 
 TEST_F(ClauseTest, LiteralOrderingByMaxTerm) {
-  ClauseOrdering CO;
   // c > b > a in creation-order precedence.
-  OrientedLiteral AB = CO.orient(Equation(A, B), false);
-  OrientedLiteral AC = CO.orient(Equation(A, C), false);
-  EXPECT_EQ(CO.compareLiterals(AC, AB), Order::Greater);
+  OrientedLiteral AB(Equation(A, B), false);
+  OrientedLiteral AC(Equation(A, C), false);
+  EXPECT_GT(AC, AB);
+  // The larger side decides before the polarity, and the polarity
+  // before the smaller side.
+  EXPECT_GT(AC, OrientedLiteral(Equation(A, B), true));
+  EXPECT_GT(OrientedLiteral(Equation(A, C), true),
+            OrientedLiteral(Equation(B, C), false));
 }
 
 TEST_F(ClauseTest, ClauseOrderingMultisetExtension) {
-  ClauseOrdering CO;
   Clause C1({}, {Equation(A, B)});
   Clause C2({}, {Equation(A, C)});
-  EXPECT_EQ(CO.compareClauses(C2, C1), Order::Greater);
-  EXPECT_EQ(CO.compareClauses(C1, C1), Order::Equal);
+  EXPECT_EQ(compareClauses(C2, C1), std::strong_ordering::greater);
+  EXPECT_EQ(compareClauses(C1, C1), std::strong_ordering::equal);
   // A proper sub-multiset is smaller.
   Clause C3({}, {Equation(A, B), Equation(A, C)});
-  EXPECT_EQ(CO.compareClauses(C1, C3), Order::Less);
-  EXPECT_EQ(CO.compareClauses(C3, C2), Order::Greater);
-}
-
-TEST_F(ClauseTest, StrictMaximality) {
-  ClauseOrdering CO;
-  Clause C1({}, {Equation(A, B), Equation(A, C)});
-  OrientedLiteral AB = CO.orient(Equation(A, B), false);
-  OrientedLiteral AC = CO.orient(Equation(A, C), false);
-  EXPECT_FALSE(CO.isMaximal(AB, C1));
-  EXPECT_TRUE(CO.isMaximal(AC, C1));
-  EXPECT_TRUE(CO.isStrictlyMaximal(AC, C1));
-  EXPECT_FALSE(CO.isStrictlyMaximal(AB, C1));
+  EXPECT_EQ(compareClauses(C1, C3), std::strong_ordering::less);
+  EXPECT_EQ(compareClauses(C3, C2), std::strong_ordering::greater);
 }

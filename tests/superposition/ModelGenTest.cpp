@@ -38,7 +38,7 @@ protected:
     EXPECT_TRUE(Sat.verifyModel(R));
     for (const RewriteRule &Rule : R.rules()) {
       // Rules strictly decrease the ordering => convergence.
-      EXPECT_EQ(compareTerms(Rule.Lhs, Rule.Rhs), Order::Greater);
+      EXPECT_TRUE(Rule.Rhs < Rule.Lhs);
       // (2) The generating clause contains the edge positively and its
       // residual clause is falsified by R.
       ASSERT_NE(Rule.GeneratingClause, ~0u);

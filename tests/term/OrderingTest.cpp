@@ -9,7 +9,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "term/Ordering.h"
+#include "term/Term.h"
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,7 +29,7 @@ protected:
 
 TEST_F(OrderingTest, NilIsMinimalConstant) {
   for (const char *Name : {"a", "b", "z", "x1"})
-    EXPECT_EQ(compareTerms(Terms.constant(Name), Terms.nil()), Order::Greater)
+    EXPECT_TRUE(Terms.nil() < Terms.constant(Name))
         << Name << " must be greater than nil";
 }
 
@@ -40,19 +42,8 @@ TEST_F(OrderingTest, ConstantsOrderedBySymbolCreation) {
   Cs.insert(Cs.begin(), Terms.nil());
   for (size_t I = 0; I != Cs.size(); ++I)
     for (size_t J = 0; J != Cs.size(); ++J) {
-      Order Expected = I < J   ? Order::Less
-                       : I > J ? Order::Greater
-                               : Order::Equal;
-      EXPECT_EQ(compareTerms(Cs[I], Cs[J]), Expected)
+      EXPECT_EQ(Cs[I] < Cs[J], I < J)
           << Terms.str(Cs[I]) << " vs " << Terms.str(Cs[J]);
-      EXPECT_EQ(compareTerms(Cs[J], Cs[I]), flip(Expected));
+      EXPECT_EQ(Cs[I] == Cs[J], I == J);
     }
-}
-
-TEST_F(OrderingTest, MaxMinConsistent) {
-  Symbol A = Terms.constant("a");
-  Symbol B = Terms.constant("b");
-  EXPECT_EQ(maxTerm(A, B), B);
-  EXPECT_EQ(maxTerm(B, A), B);
-  EXPECT_EQ(maxTerm(A, A), A);
 }

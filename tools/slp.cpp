@@ -39,9 +39,13 @@
 ///                   exit
 ///
 /// Plain runs go through the batch engine. The render modes (--proof
-/// through --query-stats) read the prover's objects and run in process,
-/// so they reject the engine options --cache, --stats and any --jobs
-/// other than 1.
+/// through --query-stats) read the prover's objects, so they prove one
+/// query at a time and reject the engine options --cache, --stats and
+/// any --jobs other than 1. They prove what the engine proves: each
+/// line is parsed on its own, pre-solved, and its canonical query
+/// (engine::CanonicalQuery) is rebuilt in a rewound session under the
+/// source names. So the verdict, the fuel and every counter are the
+/// engine's, and output keeps the user's names.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +55,9 @@
 #include "core/Backend.h"
 #include "core/Dot.h"
 #include "core/ProofTree.h"
-#include "core/Prover.h"
+#include "core/ProverSession.h"
 #include "engine/BatchProver.h"
+#include "engine/CanonicalKey.h"
 #include "engine/Portfolio.h"
 #include "sl/Parser.h"
 #include "superposition/ProofCheck.h"
@@ -98,6 +103,47 @@ int usage() {
 
 using cli::MaxJobs;
 using cli::parseUnsigned;
+
+/// Proves \p E, built over the session's table, with the slp prover
+/// and renders the verdict with what the options ask for.
+std::string renderSlp(const CliOptions &Opts, core::ProverSession &Session,
+                      const sl::Entailment &E, Fuel &F) {
+  core::ProveResult R = Session.prove(E, F);
+  const core::SlpProver &Slp = Session.prover();
+  std::string Text = core::verdictName(R.V);
+  if (Opts.Model && R.Cex)
+    Text += "\n  countermodel: " + sl::str(Session.terms(), R.Cex->S, R.Cex->H);
+  if (Opts.Proof && R.V == core::Verdict::Valid)
+    Text += "\n" + core::renderRefutation(Slp.saturation(), Slp.inputLabels());
+  if (Opts.CheckProof && R.V == core::Verdict::Valid) {
+    sup::ProofCheckResult PC = sup::checkRefutation(Slp.saturation());
+    Text += "\n  proof audit: ";
+    Text += PC.Ok ? "ok" : ("FAILED: " + PC.Error);
+    Text += " (" + std::to_string(PC.StepsChecked) + " checked, " +
+            std::to_string(PC.StepsSkipped) + " skipped)";
+  }
+  if (Opts.DotProof && R.V == core::Verdict::Valid)
+    Text += "\n" + core::proofToDot(Slp.saturation(), Slp.inputLabels(),
+                                    Slp.saturation().emptyClauseId());
+  if (Opts.DotModel && R.Cex)
+    Text += "\n" +
+            core::counterModelToDot(Session.terms(), R.Cex->S, R.Cex->H);
+  if (Opts.QueryStats)
+    Text += "\n  stats: outer=" + std::to_string(R.Stats.OuterIterations) +
+            " inner=" + std::to_string(R.Stats.InnerIterations) +
+            " clauses=" + std::to_string(R.Stats.PureClauses) +
+            " fuel=" + std::to_string(R.Stats.FuelUsed) +
+            "\n  subsumption: fwd=" + std::to_string(R.Stats.Sat.SubsumedFwd) +
+            " bwd=" + std::to_string(R.Stats.Sat.SubsumedBwd) +
+            " checks=" + std::to_string(R.Stats.Sat.SubChecks) +
+            " scan-equivalent=" + std::to_string(R.Stats.Sat.SubScanBaseline) +
+            "\n  model-guided: attempts=" +
+            std::to_string(R.Stats.Sat.ModelAttempts) +
+            " replay-skipped=" + std::to_string(R.Stats.Sat.GenReplayedFrom) +
+            " cert-skipped=" + std::to_string(R.Stats.Sat.CertSkipped) +
+            " nf-cache-reuse=" + std::to_string(R.Stats.Sat.NfCacheReuse);
+  return Text;
+}
 
 } // namespace
 
@@ -196,29 +242,28 @@ int main(int argc, char **argv) {
 
   cli::startTelemetry(Opts.Telemetry);
 
-  // Every query line is parsed up front into the tool's table, in
-  // corpus order: the echo renders from it, and the render modes
-  // prove from it. A line that does not parse is reported in place.
+  // Each line is parsed on its own into a rewound table, as the
+  // engine's workers parse it, so nothing about a query depends on the
+  // lines around it. The echo renders from this parse.
   SymbolTable Symbols;
-  TermTable Terms(Symbols);
+  TermTable Source(Symbols);
+  const TermTable::Mark Baseline = Source.mark();
   std::vector<unsigned> LineNos;
   std::vector<std::string> Queries =
       engine::BatchProver::splitCorpus(Input, &LineNos);
-  std::vector<sl::ParseResult> Parsed;
-  {
+  auto Parse = [&](size_t I) {
     obs::TraceSpan Span("parse");
-    Parsed.reserve(Queries.size());
-    for (const std::string &Q : Queries)
-      Parsed.push_back(sl::parseEntailment(Terms, Q));
-  }
+    Source.reset(Baseline);
+    return sl::parseEntailment(Source, Queries[I]);
+  };
 
   int Exit = 0;
   // Echoes query I with its verdict text; an unparsable line echoes
   // raw, with its diagnostic anchored to the corpus line.
-  auto Print = [&](size_t I, const std::string &VerdictText) {
-    sl::ParseResult &P = Parsed[I];
+  auto Print = [&](size_t I, sl::ParseResult &P,
+                   const std::string &VerdictText) {
     std::cout << "[" << (I + 1) << "] "
-              << (P.ok() ? sl::str(Terms, *P.Value) : Queries[I])
+              << (P.ok() ? sl::str(Source, *P.Value) : Queries[I])
               << "\n    " << VerdictText;
     if (!P.ok()) {
       P.Error->Line = LineNos[I];
@@ -237,9 +282,10 @@ int main(int argc, char **argv) {
     engine::BatchProver Engine(EngineOpts);
     std::vector<engine::QueryResult> Results = Engine.run(Queries);
     // The workers parse the same lines with the same parser, so a
-    // parse error is exactly a line that Parsed already rejected.
+    // parse error is exactly a line that Parse rejects.
     for (size_t I = 0; I != Results.size(); ++I) {
-      Print(I, Results[I].verdictText());
+      sl::ParseResult P = Parse(I);
+      Print(I, P, Results[I].verdictText());
       std::cout << "\n";
     }
     if (Opts.Stats)
@@ -249,7 +295,8 @@ int main(int argc, char **argv) {
     return Exit;
   }
 
-  core::SlpProver Slp(Terms);
+  // The session the canonical queries are rebuilt and proved in.
+  core::ProverSession Session;
   std::unique_ptr<core::EntailmentBackend> Backend;
   if (!IsSlp)
     Backend = engine::makeBackend(Opts.Backend);
@@ -258,13 +305,13 @@ int main(int argc, char **argv) {
   bool Presolve =
       Opts.Presolve && !Opts.Proof && !Opts.CheckProof && !Opts.DotProof;
 
-  for (size_t I = 0; I != Parsed.size(); ++I) {
-    if (!Parsed[I].ok()) {
-      Print(I, "parse-error");
+  for (size_t I = 0; I != Queries.size(); ++I) {
+    sl::ParseResult P = Parse(I);
+    if (!P.ok()) {
+      Print(I, P, "parse-error");
       std::cout << "\n";
       continue;
     }
-    const sl::Entailment &E = *Parsed[I].Value;
     Fuel F = Opts.FuelSteps ? Fuel(Opts.FuelSteps) : Fuel();
     Timer T;
     std::string VerdictText;
@@ -275,7 +322,7 @@ int main(int argc, char **argv) {
     // The pre-solver runs ahead of every backend, as in the engine.
     analysis::AnalysisResult Pre;
     if (Presolve)
-      Pre = analysis::analyze(Terms, E);
+      Pre = analysis::analyze(Source, *P.Value);
     if (Pre.definitive()) {
       // Statically proved Valid: the analyzer is sound, so the verdict
       // is the one the backend would reach, and there is no
@@ -286,63 +333,31 @@ int main(int argc, char **argv) {
       if (Opts.QueryStats)
         VerdictText += std::string("\n  stats: presolved (") +
                        analysis::reasonName(Pre.R) + ")";
-    } else if (Backend) {
-      // The baselines and the portfolio (each member budgeted by
-      // --fuel via F); a portfolio reports which member won.
-      core::ProofTask Task{sl::str(Terms, E), "", 0};
-      core::BackendResult R = Backend->prove(Task, F);
-      VerdictText = core::verdictName(R.V);
-      if (IsPortfolio && !R.Backend.empty())
-        VerdictText += " [" + R.Backend + "]";
-      if (Opts.Model && !R.CexText.empty())
-        VerdictText += "\n  countermodel: " + R.CexText;
     } else {
-      core::ProveResult R = Slp.prove(E, F);
-      VerdictText = core::verdictName(R.V);
-      if (Opts.Model && R.Cex)
-        VerdictText += "\n  countermodel: " +
-                       sl::str(Terms, R.Cex->S, R.Cex->H);
-      if (Opts.Proof && R.V == core::Verdict::Valid)
-        VerdictText +=
-            "\n" + core::renderRefutation(Slp.saturation(), Slp.inputLabels());
-      if (Opts.CheckProof && R.V == core::Verdict::Valid) {
-        sup::ProofCheckResult PC = sup::checkRefutation(Slp.saturation());
-        VerdictText += "\n  proof audit: ";
-        VerdictText += PC.Ok ? "ok" : ("FAILED: " + PC.Error);
-        VerdictText += " (" + std::to_string(PC.StepsChecked) + " checked, " +
-                       std::to_string(PC.StepsSkipped) + " skipped)";
+      // The engine's canonical query, rebuilt in the rewound session
+      // under the source names: the symbol ids, and so the term order
+      // and the search, are the engine's. P lives on in Source.
+      Session.reset();
+      sl::Entailment E = engine::CanonicalQuery::of(*P.Value).rebuild(
+          Session.terms(), &Source);
+      if (Backend) {
+        // The baselines and the portfolio (each member budgeted by
+        // --fuel via F) parse the query's text, as in the engine; a
+        // portfolio reports which member won.
+        core::ProofTask Task{sl::str(Session.terms(), E), "", 0};
+        core::BackendResult R = Backend->prove(Task, F);
+        VerdictText = core::verdictName(R.V);
+        if (IsPortfolio && !R.Backend.empty())
+          VerdictText += " [" + R.Backend + "]";
+        if (Opts.Model && !R.CexText.empty())
+          VerdictText += "\n  countermodel: " + R.CexText;
+      } else {
+        VerdictText = renderSlp(Opts, Session, E, F);
       }
-      if (Opts.DotProof && R.V == core::Verdict::Valid)
-        VerdictText += "\n" + core::proofToDot(Slp.saturation(),
-                                               Slp.inputLabels(),
-                                               Slp.saturation().emptyClauseId());
-      if (Opts.DotModel && R.Cex)
-        VerdictText += "\n" + core::counterModelToDot(Terms, R.Cex->S,
-                                                      R.Cex->H);
-      if (Opts.QueryStats)
-        VerdictText += "\n  stats: outer=" +
-                       std::to_string(R.Stats.OuterIterations) +
-                       " inner=" + std::to_string(R.Stats.InnerIterations) +
-                       " clauses=" + std::to_string(R.Stats.PureClauses) +
-                       " fuel=" + std::to_string(R.Stats.FuelUsed) +
-                       "\n  subsumption: fwd=" +
-                       std::to_string(R.Stats.Sat.SubsumedFwd) +
-                       " bwd=" + std::to_string(R.Stats.Sat.SubsumedBwd) +
-                       " checks=" + std::to_string(R.Stats.Sat.SubChecks) +
-                       " scan-equivalent=" +
-                       std::to_string(R.Stats.Sat.SubScanBaseline) +
-                       "\n  model-guided: attempts=" +
-                       std::to_string(R.Stats.Sat.ModelAttempts) +
-                       " replay-skipped=" +
-                       std::to_string(R.Stats.Sat.GenReplayedFrom) +
-                       " cert-skipped=" +
-                       std::to_string(R.Stats.Sat.CertSkipped) +
-                       " nf-cache-reuse=" +
-                       std::to_string(R.Stats.Sat.NfCacheReuse);
     }
     if (Recorder.enabled())
       Recorder.complete("prove", SpanStart, Recorder.nowNs() - SpanStart);
-    Print(I, VerdictText);
+    Print(I, P, VerdictText);
     if (Opts.QueryStats)
       std::cout << "\n    time: " << T.seconds() << "s";
     std::cout << "\n";
