@@ -41,11 +41,9 @@
 /// Plain runs go through the batch engine. The render modes (--proof
 /// through --query-stats) read the prover's objects, so they prove one
 /// query at a time and reject the engine options --cache, --stats and
-/// any --jobs other than 1. They prove what the engine proves: each
-/// line is parsed on its own, pre-solved, and its canonical query
-/// (engine::CanonicalQuery) is rebuilt in a rewound session under the
-/// source names. So the verdict, the fuel and every counter are the
-/// engine's, and output keeps the user's names.
+/// any --jobs other than 1. But they prove what the engine proves, the
+/// canonical query (engine::CanonicalQuery), rebuilt under the source
+/// names: verdicts, fuel and counters are the engine's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,47 +101,6 @@ int usage() {
 
 using cli::MaxJobs;
 using cli::parseUnsigned;
-
-/// Proves \p E, built over the session's table, with the slp prover
-/// and renders the verdict with what the options ask for.
-std::string renderSlp(const CliOptions &Opts, core::ProverSession &Session,
-                      const sl::Entailment &E, Fuel &F) {
-  core::ProveResult R = Session.prove(E, F);
-  const core::SlpProver &Slp = Session.prover();
-  std::string Text = core::verdictName(R.V);
-  if (Opts.Model && R.Cex)
-    Text += "\n  countermodel: " + sl::str(Session.terms(), R.Cex->S, R.Cex->H);
-  if (Opts.Proof && R.V == core::Verdict::Valid)
-    Text += "\n" + core::renderRefutation(Slp.saturation(), Slp.inputLabels());
-  if (Opts.CheckProof && R.V == core::Verdict::Valid) {
-    sup::ProofCheckResult PC = sup::checkRefutation(Slp.saturation());
-    Text += "\n  proof audit: ";
-    Text += PC.Ok ? "ok" : ("FAILED: " + PC.Error);
-    Text += " (" + std::to_string(PC.StepsChecked) + " checked, " +
-            std::to_string(PC.StepsSkipped) + " skipped)";
-  }
-  if (Opts.DotProof && R.V == core::Verdict::Valid)
-    Text += "\n" + core::proofToDot(Slp.saturation(), Slp.inputLabels(),
-                                    Slp.saturation().emptyClauseId());
-  if (Opts.DotModel && R.Cex)
-    Text += "\n" +
-            core::counterModelToDot(Session.terms(), R.Cex->S, R.Cex->H);
-  if (Opts.QueryStats)
-    Text += "\n  stats: outer=" + std::to_string(R.Stats.OuterIterations) +
-            " inner=" + std::to_string(R.Stats.InnerIterations) +
-            " clauses=" + std::to_string(R.Stats.PureClauses) +
-            " fuel=" + std::to_string(R.Stats.FuelUsed) +
-            "\n  subsumption: fwd=" + std::to_string(R.Stats.Sat.SubsumedFwd) +
-            " bwd=" + std::to_string(R.Stats.Sat.SubsumedBwd) +
-            " checks=" + std::to_string(R.Stats.Sat.SubChecks) +
-            " scan-equivalent=" + std::to_string(R.Stats.Sat.SubScanBaseline) +
-            "\n  model-guided: attempts=" +
-            std::to_string(R.Stats.Sat.ModelAttempts) +
-            " replay-skipped=" + std::to_string(R.Stats.Sat.GenReplayedFrom) +
-            " cert-skipped=" + std::to_string(R.Stats.Sat.CertSkipped) +
-            " nf-cache-reuse=" + std::to_string(R.Stats.Sat.NfCacheReuse);
-  return Text;
-}
 
 } // namespace
 
@@ -297,6 +254,8 @@ int main(int argc, char **argv) {
 
   // The session the canonical queries are rebuilt and proved in.
   core::ProverSession Session;
+  TermTable &Terms = Session.terms();
+  core::SlpProver &Slp = Session.prover();
   std::unique_ptr<core::EntailmentBackend> Backend;
   if (!IsSlp)
     Backend = engine::makeBackend(Opts.Backend);
@@ -323,6 +282,13 @@ int main(int argc, char **argv) {
     analysis::AnalysisResult Pre;
     if (Presolve)
       Pre = analysis::analyze(Source, *P.Value);
+    // Otherwise prove the engine's canonical query, with the engine's
+    // symbol ids, and so its term order, under the source names.
+    sl::Entailment E;
+    if (!Pre.definitive()) {
+      Session.reset();
+      E = engine::CanonicalQuery::of(*P.Value).rebuild(Terms, &Source);
+    }
     if (Pre.definitive()) {
       // Statically proved Valid: the analyzer is sound, so the verdict
       // is the one the backend would reach, and there is no
@@ -333,27 +299,59 @@ int main(int argc, char **argv) {
       if (Opts.QueryStats)
         VerdictText += std::string("\n  stats: presolved (") +
                        analysis::reasonName(Pre.R) + ")";
+    } else if (Backend) {
+      // The baselines and the portfolio (each member budgeted by
+      // --fuel via F); a portfolio reports which member won.
+      core::ProofTask Task{sl::str(Terms, E), "", 0};
+      core::BackendResult R = Backend->prove(Task, F);
+      VerdictText = core::verdictName(R.V);
+      if (IsPortfolio && !R.Backend.empty())
+        VerdictText += " [" + R.Backend + "]";
+      if (Opts.Model && !R.CexText.empty())
+        VerdictText += "\n  countermodel: " + R.CexText;
     } else {
-      // The engine's canonical query, rebuilt in the rewound session
-      // under the source names: the symbol ids, and so the term order
-      // and the search, are the engine's. P lives on in Source.
-      Session.reset();
-      sl::Entailment E = engine::CanonicalQuery::of(*P.Value).rebuild(
-          Session.terms(), &Source);
-      if (Backend) {
-        // The baselines and the portfolio (each member budgeted by
-        // --fuel via F) parse the query's text, as in the engine; a
-        // portfolio reports which member won.
-        core::ProofTask Task{sl::str(Session.terms(), E), "", 0};
-        core::BackendResult R = Backend->prove(Task, F);
-        VerdictText = core::verdictName(R.V);
-        if (IsPortfolio && !R.Backend.empty())
-          VerdictText += " [" + R.Backend + "]";
-        if (Opts.Model && !R.CexText.empty())
-          VerdictText += "\n  countermodel: " + R.CexText;
-      } else {
-        VerdictText = renderSlp(Opts, Session, E, F);
+      core::ProveResult R = Slp.prove(E, F);
+      VerdictText = core::verdictName(R.V);
+      if (Opts.Model && R.Cex)
+        VerdictText += "\n  countermodel: " +
+                       sl::str(Terms, R.Cex->S, R.Cex->H);
+      if (Opts.Proof && R.V == core::Verdict::Valid)
+        VerdictText +=
+            "\n" + core::renderRefutation(Slp.saturation(), Slp.inputLabels());
+      if (Opts.CheckProof && R.V == core::Verdict::Valid) {
+        sup::ProofCheckResult PC = sup::checkRefutation(Slp.saturation());
+        VerdictText += "\n  proof audit: ";
+        VerdictText += PC.Ok ? "ok" : ("FAILED: " + PC.Error);
+        VerdictText += " (" + std::to_string(PC.StepsChecked) + " checked, " +
+                       std::to_string(PC.StepsSkipped) + " skipped)";
       }
+      if (Opts.DotProof && R.V == core::Verdict::Valid)
+        VerdictText += "\n" + core::proofToDot(Slp.saturation(),
+                                               Slp.inputLabels(),
+                                               Slp.saturation().emptyClauseId());
+      if (Opts.DotModel && R.Cex)
+        VerdictText += "\n" + core::counterModelToDot(Terms, R.Cex->S,
+                                                      R.Cex->H);
+      if (Opts.QueryStats)
+        VerdictText += "\n  stats: outer=" +
+                       std::to_string(R.Stats.OuterIterations) +
+                       " inner=" + std::to_string(R.Stats.InnerIterations) +
+                       " clauses=" + std::to_string(R.Stats.PureClauses) +
+                       " fuel=" + std::to_string(R.Stats.FuelUsed) +
+                       "\n  subsumption: fwd=" +
+                       std::to_string(R.Stats.Sat.SubsumedFwd) +
+                       " bwd=" + std::to_string(R.Stats.Sat.SubsumedBwd) +
+                       " checks=" + std::to_string(R.Stats.Sat.SubChecks) +
+                       " scan-equivalent=" +
+                       std::to_string(R.Stats.Sat.SubScanBaseline) +
+                       "\n  model-guided: attempts=" +
+                       std::to_string(R.Stats.Sat.ModelAttempts) +
+                       " replay-skipped=" +
+                       std::to_string(R.Stats.Sat.GenReplayedFrom) +
+                       " cert-skipped=" +
+                       std::to_string(R.Stats.Sat.CertSkipped) +
+                       " nf-cache-reuse=" +
+                       std::to_string(R.Stats.Sat.NfCacheReuse);
     }
     if (Recorder.enabled())
       Recorder.complete("prove", SpanStart, Recorder.nowNs() - SpanStart);
