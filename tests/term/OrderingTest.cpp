@@ -11,9 +11,9 @@
 
 #include "term/Term.h"
 
-#include <vector>
-
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace slp;
 
