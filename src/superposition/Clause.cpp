@@ -45,43 +45,70 @@ uint64_t slp::sup::clauseFingerprint(std::span<const Equation> Neg,
   return H;
 }
 
+/// The skip's position in \p Run, or the run's end when it is absent
+/// or not in the run.
+static const Equation *holeOf(std::span<const Equation> Run,
+                              std::optional<Equation> Skip) {
+  const Equation *End = Run.data() + Run.size();
+  if (!Skip)
+    return End;
+  const Equation *H = std::lower_bound(Run.data(), End, *Skip);
+  return H != End && *H == *Skip ? H : End;
+}
+
 void slp::sup::mergeCanonical(std::vector<Equation> &Out,
                               std::span<const Equation> A,
                               std::optional<Equation> SkipA,
                               std::span<const Equation> B,
                               std::optional<Equation> SkipB,
                               std::optional<Equation> Extra) {
-  Out.clear();
-  // Inputs arrive in ascending order, so a duplicate is always the
-  // last equation written.
-  auto Push = [&Out](const Equation &E) {
-    if (Out.empty() || Out.back() != E)
-      Out.push_back(E);
-  };
-  const Equation *AI = A.data(), *AE = AI + A.size();
-  const Equation *BI = B.data(), *BE = BI + B.size();
-  const Equation *Ex = Extra ? &*Extra : nullptr;
+  // The result never exceeds both runs plus Extra. The scratch only
+  // grows, so a warm one is neither filled nor reallocated here.
+  if (Out.size() < A.size() + B.size() + 1)
+    Out.resize(A.size() + B.size() + 1);
+  Equation *O = Out.data();
+  // Each run is two segments split at its skip: [I, Stop) now, then
+  // (Stop, End) once Stop is passed. Stop == End means no skip is left.
+  const Equation *AI = A.data(), *AE = AI + A.size(), *AStop = holeOf(A, SkipA);
+  const Equation *BI = B.data(), *BE = BI + B.size(), *BStop = holeOf(B, SkipB);
   for (;;) {
-    if (AI != AE && SkipA && *AI == *SkipA) {
-      ++AI;
-      continue;
+    // Both runs are sorted and duplicate-free, so an equation in both
+    // advances both and is written once: no per-step test but the
+    // loop's own.
+    while (AI != AStop && BI != BStop) {
+      const Equation X = *AI, Y = *BI;
+      *O++ = Y < X ? Y : X;
+      AI += !(Y < X);
+      BI += !(X < Y);
     }
-    if (BI != BE && SkipB && *BI == *SkipB) {
-      ++BI;
-      continue;
+    if (AI == AStop && AStop != AE) {
+      AI = AStop + 1;
+      AStop = AE;
+    } else if (BI == BStop && BStop != BE) {
+      BI = BStop + 1;
+      BStop = BE;
+    } else {
+      break;
     }
-    const Equation **Next = AI != AE ? &AI : nullptr;
-    if (BI != BE && (!Next || *BI < **Next))
-      Next = &BI;
-    if (Ex && (!Next || *Ex < **Next)) {
-      Push(*Ex);
-      Ex = nullptr;
-      continue;
-    }
-    if (!Next)
-      return;
-    Push(*(*Next)++);
   }
+  // One run is exhausted; copy what is left of the other.
+  auto CopyRest = [&O](const Equation *I, const Equation *Stop,
+                       const Equation *End) {
+    O = std::copy(I, Stop, O);
+    if (Stop != End)
+      O = std::copy(Stop + 1, End, O);
+  };
+  CopyRest(AI, AStop, AE);
+  CopyRest(BI, BStop, BE);
+  if (Extra) {
+    Equation *At = std::lower_bound(Out.data(), O, *Extra);
+    if (At == O || *At != *Extra) {
+      std::copy_backward(At, O, O + 1);
+      *At = *Extra;
+      ++O;
+    }
+  }
+  Out.resize(static_cast<size_t>(O - Out.data()));
 }
 
 Clause::Clause(std::vector<Equation> Neg, std::vector<Equation> Pos)

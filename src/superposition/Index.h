@@ -31,9 +31,13 @@
 #define SLP_SUPERPOSITION_INDEX_H
 
 #include "superposition/Clause.h"
+#include "support/Hashing.h"
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace slp {
 namespace sup {
@@ -47,7 +51,17 @@ struct ClauseSig {
   /// Computes the signature of \p C. Takes a view so pooled clauses
   /// are signed without materializing; a `const Clause &` converts
   /// implicitly.
-  static ClauseSig of(ClauseView C);
+  static ClauseSig of(ClauseView C) {
+    uint64_t Fingerprint;
+    return of(C.neg(), C.pos(), Fingerprint);
+  }
+
+  /// Signs the canonical clause \p Neg → \p Pos and sets \p Fingerprint
+  /// to its clauseFingerprint in the same pass, hashing each equation
+  /// once: the two symbol hashes feed the symbol mask and the equation
+  /// hash, which feeds the signature bit and the fingerprint.
+  static ClauseSig of(std::span<const Equation> Neg,
+                      std::span<const Equation> Pos, uint64_t &Fingerprint);
 
   /// The signature bit an equation hashes to (either polarity).
   static uint64_t equationBit(const Equation &E) {
@@ -55,7 +69,9 @@ struct ClauseSig {
   }
 
   /// The mask bit a symbol hashes to (shared with DemodIndex).
-  static uint64_t symbolBit(Symbol S);
+  static uint64_t symbolBit(Symbol S) {
+    return 1ull << (hashValue(S.id()) & 63);
+  }
 
   /// False when a clause with signature (\p DNeg, \p DPos) certainly
   /// cannot subsume a clause with signature (\p CNeg, \p CPos). Never
@@ -64,6 +80,116 @@ struct ClauseSig {
                          uint64_t CPos) {
     return ((DNeg & ~CNeg) | (DPos & ~CPos)) == 0;
   }
+};
+
+/// Decides, without building it, whether the superposition of \p From
+/// into \p Into is a tautology. \p FromEq is From's maximal literal
+/// (positive), \p IntoEq Into's (negative iff \p Left, superposition
+/// left), and \p NewEq the equation the inference adds; \p FromSig and
+/// \p IntoSig are the premises' signatures. Both premises must be
+/// non-tautological, as every stored clause is; then the conclusion is
+/// one iff a premise's Γ meets the other's ∆ (each superposed equation
+/// left out of its own side only), NewEq lands on the opposite side,
+/// or NewEq is trivial on the right. Each of those sweeps runs only
+/// when the signature words of the two sides it compares intersect.
+bool superpositionIsTautology(ClauseView From, const ClauseSig &FromSig,
+                              ClauseView Into, const ClauseSig &IntoSig,
+                              Equation FromEq, Equation IntoEq, Equation NewEq,
+                              bool Left);
+
+/// The live clauses of a saturation: each one's ClauseSig words and id
+/// by slot, as three flat arrays. Slots carry no meaning; a removal
+/// moves the last slot into the hole. Both subsumption scans filter
+/// the words in branch-free blocks of eight slots and visit the
+/// clauses that pass in slot order, so they visit exactly the pairs,
+/// in exactly the order, of a plain linear scan that tests
+/// ClauseSig::maySubsume per slot.
+class LiveSet {
+public:
+  size_t size() const { return Count; }
+  uint32_t id(size_t Slot) const { return Ids[Slot]; }
+
+  /// Appends clause \p Id with signature \p Sig; returns its slot.
+  size_t push(uint32_t Id, const ClauseSig &Sig) {
+    if (Ids.size() < Count + 1 + Block) {
+      NegWords.resize(Count + 1 + Block);
+      PosWords.resize(Count + 1 + Block);
+      Ids.resize(Count + 1 + Block);
+    }
+    NegWords[Count] = Sig.Neg;
+    PosWords[Count] = Sig.Pos;
+    Ids[Count] = Id;
+    return Count++;
+  }
+
+  /// Removes slot \p Slot by moving the last slot into it. Returns the
+  /// id now at \p Slot, which is the removed one if it was last.
+  uint32_t swapRemove(size_t Slot) {
+    --Count;
+    NegWords[Slot] = NegWords[Count];
+    PosWords[Slot] = PosWords[Count];
+    Ids[Slot] = Ids[Count];
+    return Ids[Slot];
+  }
+
+  /// Empties the set, keeping its arrays.
+  void clear() { Count = 0; }
+
+  /// Calls \p Test(Id) for each clause whose signature may subsume
+  /// (\p CNeg, \p CPos), in slot order, until one call returns true.
+  /// Returns whether one did.
+  template <typename Fn>
+  bool findSubsumer(uint64_t CNeg, uint64_t CPos, Fn &&Test) const {
+    for (size_t Base = 0; Base < Count; Base += Block)
+      for (uint32_t M = blockMask(Base, CNeg, CPos, /*Backward=*/false); M;
+           M &= M - 1)
+        if (Test(Ids[Base + std::countr_zero(M)]))
+          return true;
+    return false;
+  }
+
+  /// Calls \p Visit(Id) for each clause that a clause with signature
+  /// (\p Neg, \p Pos) may subsume, in slot order. A call that removes
+  /// the visited clause's slot (by swapRemove) must return true; the
+  /// scan then resumes at that slot, which now holds the last clause.
+  template <typename Fn> void forEachSubsumed(uint64_t Neg, uint64_t Pos,
+                                              Fn &&Visit) {
+    for (size_t Base = 0; Base < Count;) {
+      size_t Next = Base + Block;
+      for (uint32_t M = blockMask(Base, Neg, Pos, /*Backward=*/true); M;
+           M &= M - 1) {
+        const size_t Slot = Base + std::countr_zero(M);
+        if (Visit(Ids[Slot])) {
+          Next = Slot;
+          break;
+        }
+      }
+      Base = Next;
+    }
+  }
+
+private:
+  static constexpr size_t Block = 8;
+
+  /// Bit K is set iff slot Base + K is below Count and passes the
+  /// signature filter: its clause may subsume (\p Neg, \p Pos) or,
+  /// \p Backward, may be subsumed by it. No branch per slot; the arrays
+  /// hold Block slots past Count, so the block never reads out of them.
+  uint32_t blockMask(size_t Base, uint64_t Neg, uint64_t Pos,
+                     bool Backward) const {
+    uint32_t M = 0;
+    for (size_t K = 0; K != Block; ++K) {
+      const uint64_t DNeg = NegWords[Base + K], DPos = PosWords[Base + K];
+      const bool Pass = Backward ? ClauseSig::maySubsume(Neg, Pos, DNeg, DPos)
+                                 : ClauseSig::maySubsume(DNeg, DPos, Neg, Pos);
+      M |= uint32_t(Pass) << K;
+    }
+    return Count - Base >= Block ? M : M & ((1u << (Count - Base)) - 1);
+  }
+
+  size_t Count = 0;
+  std::vector<uint64_t> NegWords, PosWords;
+  std::vector<uint32_t> Ids;
 };
 
 /// Symbol fingerprint of the current demodulator set.

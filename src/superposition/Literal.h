@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Pure literals are (dis)equations between ground terms. An equation
-/// is two symbol ids, stored smaller first. Symbol ids are the term
-/// order, so syntactically equal literals compare equal regardless of
-/// how they were written, and the side that is larger in the term
-/// order is always rhs().
+/// is one 64-bit key: the smaller side's symbol id in the high half,
+/// the larger side's in the low half. Symbol ids are the term order,
+/// so syntactically equal literals have equal keys regardless of how
+/// they were written, the side that is larger in the term order is
+/// always rhs(), and the key order is the (lhs, rhs) lexicographic
+/// order sorted clause sides use: `<` and `==` are single compares.
 ///
 /// The literal order that constrains the inferences of the calculus I
 /// and drives model generation is OrientedLiteral's `<=>`. A ground
@@ -31,7 +33,7 @@
 #include <algorithm>
 #include <cassert>
 #include <compare>
-#include <tuple>
+#include <cstdint>
 
 namespace slp {
 namespace sup {
@@ -41,49 +43,46 @@ namespace sup {
 /// used negatively, ∆ positively), so Equation itself is unsigned.
 class Equation {
 public:
+  /// The trivial equation nil ' nil: a placeholder for buffers.
+  Equation() = default;
   Equation(Symbol A, Symbol B)
-      : Lhs(std::min(A.id(), B.id())), Rhs(std::max(A.id(), B.id())) {}
+      : Key(uint64_t(std::min(A.id(), B.id())) << 32 |
+            std::max(A.id(), B.id())) {}
 
   /// The smaller side in the term order.
-  Symbol lhs() const { return Symbol(Lhs); }
+  Symbol lhs() const { return Symbol(static_cast<uint32_t>(Key >> 32)); }
   /// The larger side in the term order.
-  Symbol rhs() const { return Symbol(Rhs); }
+  Symbol rhs() const { return Symbol(static_cast<uint32_t>(Key)); }
 
   /// True for the trivial equation s ' s.
-  bool trivial() const { return Lhs == Rhs; }
+  bool trivial() const { return lhs() == rhs(); }
 
   /// True if \p T occurs as one of the two sides.
-  bool mentions(Symbol T) const { return Lhs == T.id() || Rhs == T.id(); }
+  bool mentions(Symbol T) const { return lhs() == T || rhs() == T; }
 
   /// Given one side, returns the other. \p T must be a side.
   Symbol other(Symbol T) const {
     assert(mentions(T) && "term is not a side of this equation");
-    return Symbol(T.id() == Lhs ? Rhs : Lhs);
+    return T == lhs() ? rhs() : lhs();
   }
 
   uint64_t hash() const {
-    return hashCombine(hashValue(Lhs), hashValue(Rhs));
+    return hashCombine(hashValue(lhs().id()), hashValue(rhs().id()));
   }
 
-  friend bool operator==(const Equation &A, const Equation &B) {
-    return A.Lhs == B.Lhs && A.Rhs == B.Rhs;
-  }
-  friend bool operator!=(const Equation &A, const Equation &B) {
-    return !(A == B);
-  }
+  friend bool operator==(const Equation &, const Equation &) = default;
 
   /// Canonical structural order used for sorted clause storage (not
   /// the proof-theoretic literal ordering).
   friend bool operator<(const Equation &A, const Equation &B) {
-    return std::tuple(A.Lhs, A.Rhs) < std::tuple(B.Lhs, B.Rhs);
+    return A.Key < B.Key;
   }
 
 private:
-  uint32_t Lhs; ///< Symbol id of the smaller side.
-  uint32_t Rhs; ///< Symbol id of the larger side.
+  uint64_t Key = 0; ///< lhs id << 32 | rhs id.
 };
 
-static_assert(sizeof(Equation) == 8, "an equation is two symbol ids");
+static_assert(sizeof(Equation) == 8, "an equation is one 64-bit key");
 
 /// A literal: an equation and its polarity, as one integer whose order
 /// is the literal order (see \file). From the top bit down it holds the
@@ -91,6 +90,8 @@ static_assert(sizeof(Equation) == 8, "an equation is two symbol ids");
 /// then the smaller side's symbol id.
 class OrientedLiteral {
 public:
+  /// The positive literal nil ' nil: a placeholder for buffers.
+  OrientedLiteral() = default;
   OrientedLiteral(const Equation &E, bool Negative)
       : Key(uint64_t(E.rhs().id()) << 32 | uint64_t(Negative) << 31 |
             E.lhs().id()) {
@@ -109,7 +110,7 @@ public:
                           const OrientedLiteral &) = default;
 
 private:
-  uint64_t Key;
+  uint64_t Key = 0;
 };
 
 } // namespace sup

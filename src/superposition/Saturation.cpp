@@ -72,15 +72,20 @@ Saturation::AddResult Saturation::intake(RuleKind Kind,
   const bool Conclusion = Kind != RuleKind::Input;
   if (Conclusion)
     ++Stats.Derived;
-  // Test before hashing: most conclusions are tautologies.
-  if (ClauseView(NegScratch, PosScratch, 0).isTautology()) {
+  // Test before hashing: most conclusions are tautologies. superpose()
+  // has already decided this for its conclusions, unmerged.
+  if (Kind == RuleKind::SupLeft || Kind == RuleKind::SupRight) {
+    SLP_INVARIANT(!ClauseView(NegScratch, PosScratch, 0).isTautology(),
+                  "superpose() let a tautology through");
+  } else if (ClauseView(NegScratch, PosScratch, 0).isTautology()) {
     ++Stats.Tautologies;
     return {~0u, false};
   }
   // A view of the scratch, not of the pool: it stays valid while the
-  // clause is appended below.
-  const ClauseView C(NegScratch, PosScratch,
-                     clauseFingerprint(NegScratch, PosScratch));
+  // clause is appended below. One pass hashes and signs it.
+  uint64_t Fingerprint;
+  const ClauseSig Sig = ClauseSig::of(NegScratch, PosScratch, Fingerprint);
+  const ClauseView C(NegScratch, PosScratch, Fingerprint);
 
   DupOutcome Dup = handleDuplicate(C);
   if (Dup.State != DupOutcome::NoDup) {
@@ -90,7 +95,6 @@ Saturation::AddResult Saturation::intake(RuleKind Kind,
     return {Dup.Id, Revived};
   }
 
-  ClauseSig Sig = ClauseSig::of(C);
   if (isForwardSubsumed(C, Sig)) {
     ++Stats.SubsumedFwd;
     return {~0u, false};
@@ -179,8 +183,7 @@ void Saturation::registerClause(uint32_t Id, const ClauseSig &Sig) {
     LiveSlot.resize(Id + 1, ~0u);
   }
   SigById[Id] = Sig; // A self-assignment on revival.
-  LiveSlot[Id] = static_cast<uint32_t>(Live.size());
-  Live.push_back({Sig.Neg, Sig.Pos, Id});
+  LiveSlot[Id] = static_cast<uint32_t>(Live.push(Id, Sig));
   if (Opts.IncrementalModel)
     orderedLiveInsert(Id);
 }
@@ -194,15 +197,12 @@ bool Saturation::isForwardSubsumed(ClauseView C, const ClauseSig &Sig,
   // the given-clause re-check) is a candidate.
   Stats.SubScanBaseline +=
       Live.size() - (ExcludeId != ~0u && !DB.deleted(ExcludeId) ? 1 : 0);
-  for (const LiveClause &D : Live) {
-    if (!ClauseSig::maySubsume(D.Neg, D.Pos, Sig.Neg, Sig.Pos) ||
-        D.Id == ExcludeId)
-      continue;
+  return Live.findSubsumer(Sig.Neg, Sig.Pos, [&](uint32_t DId) {
+    if (DId == ExcludeId)
+      return false;
     ++Stats.SubChecks;
-    if (DB.view(D.Id).subsumes(C))
-      return true;
-  }
-  return false;
+    return DB.view(DId).subsumes(C);
+  });
 }
 
 void Saturation::backwardSubsume(uint32_t NewId) {
@@ -216,22 +216,17 @@ void Saturation::backwardSubsume(uint32_t NewId) {
   // NewId itself is live and registered by now; the scan skips it.
   Stats.SubScanBaseline += Live.size() - 1;
   // deleteClause swap-removes from Live: a deletion moves the last
-  // entry into slot I, which is then examined next.
-  for (size_t I = 0; I < Live.size();) {
-    const LiveClause D = Live[I];
-    if (!ClauseSig::maySubsume(Sig.Neg, Sig.Pos, D.Neg, D.Pos) ||
-        D.Id == NewId) {
-      ++I;
-      continue;
-    }
+  // clause into the visited slot, which the scan then visits next.
+  Live.forEachSubsumed(Sig.Neg, Sig.Pos, [&](uint32_t DId) {
+    if (DId == NewId)
+      return false;
     ++Stats.SubChecks;
-    if (C.subsumes(DB.view(D.Id))) {
-      deleteClause(D.Id);
-      ++Stats.SubsumedBwd;
-    } else {
-      ++I;
-    }
-  }
+    if (!C.subsumes(DB.view(DId)))
+      return false;
+    deleteClause(DId);
+    ++Stats.SubsumedBwd;
+    return true;
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -329,11 +324,9 @@ void Saturation::deleteClause(uint32_t Id) {
   ++StaleDeleted;
   // Swap-remove from Live.
   const uint32_t Slot = LiveSlot[Id];
-  SLP_INVARIANT(Slot < Live.size() && Live[Slot].Id == Id,
+  SLP_INVARIANT(Slot < Live.size() && Live.id(Slot) == Id,
                 "live-clause slot map out of sync");
-  Live[Slot] = Live.back();
-  LiveSlot[Live[Slot].Id] = Slot;
-  Live.pop_back();
+  LiveSlot[Live.swapRemove(Slot)] = Slot;
   LiveSlot[Id] = ~0u;
   if (Opts.IncrementalModel)
     orderedLiveErase(Id);
@@ -643,11 +636,8 @@ void Saturation::stepGivenClause() {
   }
 
   ClauseView C = DB.view(GivenId);
-  if (C.isTautology()) {
-    deleteClause(GivenId);
-    ++Stats.Tautologies;
-    return;
-  }
+  // intake() stores no tautology, and superpose() relies on that.
+  SLP_INVARIANT(!C.isTautology(), "a stored clause is a tautology");
   // Another live clause may have arrived since this one was queued.
   // (Keep-time backward subsumption deletes most such clauses already;
   // this is a cheap signature-filtered safety net.)
@@ -731,13 +721,6 @@ void Saturation::generateInferences(uint32_t GivenId) {
   }
 }
 
-OrientedLiteral Saturation::maxLiteral(uint32_t Id) const {
-  assert(!DB.view(Id).empty() && "the empty clause has no literals");
-  // The descending-sorted list is interned per clause id; its head is
-  // the unique maximal literal (one derivation serves both uses).
-  return sortedLits(Id).front();
-}
-
 void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
   // The 'from' premise needs a strictly maximal positive nontrivial
   // equation l ' r with l > r: only the unique maximal literal
@@ -755,14 +738,23 @@ void Saturation::superpose(uint32_t FromId, uint32_t IntoId) {
   if (MG.max() != MF.max())
     return;
 
-  // The conclusion is merged from the premises' canonical sides into
-  // the scratch; only intake() grows the equation pool under the views.
   ClauseView FView = DB.view(FromId), GView = DB.view(IntoId);
   const Equation FromEq(MF.max(), MF.min());
   const Equation IntoEq(MG.max(), MG.min());
   const Equation NewEq(MF.min(), MG.min());
+  const bool Left = MG.negative();
+  // Most conclusions are tautologies: decide that before merging, and
+  // count them as intake() would.
+  if (superpositionIsTautology(FView, SigById[FromId], GView, SigById[IntoId],
+                               FromEq, IntoEq, NewEq, Left)) {
+    ++Stats.Derived;
+    ++Stats.Tautologies;
+    return;
+  }
+  // The conclusion is merged from the premises' canonical sides into
+  // the scratch; only intake() grows the equation pool under the views.
   const uint32_t Parents[] = {FromId, IntoId};
-  if (MG.negative()) {
+  if (Left) {
     // Superposition left: Γ1,Γ2, r't -> ∆1,∆2.
     mergeCanonical(NegScratch, FView.neg(), std::nullopt, GView.neg(), IntoEq,
                    NewEq);
@@ -828,28 +820,27 @@ GroundRewriteSystem Saturation::genModel() const {
   return genModelFrom(liveClauses());
 }
 
-std::span<const OrientedLiteral> Saturation::sortedLits(uint32_t Id) const {
+const Saturation::LitListRef &Saturation::internLits(uint32_t Id) const {
   if (LitRefs.size() <= Id)
     LitRefs.resize(Id + 1);
+  // Orient and sort into the scratch buffer, then append to the flat
+  // pool (clauses are immutable, so the list never changes afterwards).
+  LitScratch.clear();
+  ClauseView C = DB.view(Id);
+  LitScratch.reserve(C.size());
+  for (const Equation &E : C.neg())
+    LitScratch.emplace_back(E, /*Negative=*/true);
+  for (const Equation &E : C.pos())
+    LitScratch.emplace_back(E, /*Negative=*/false);
+  std::sort(LitScratch.begin(), LitScratch.end(), std::greater<>());
   LitListRef &Ref = LitRefs[Id];
-  if (Ref.Off == ~0u) {
-    // Intern on first use: orient and sort into the scratch buffer,
-    // then append to the flat pool (clauses are immutable, so the
-    // list never changes afterwards).
-    LitScratch.clear();
-    ClauseView C = DB.view(Id);
-    LitScratch.reserve(C.size());
-    for (const Equation &E : C.neg())
-      LitScratch.emplace_back(E, /*Negative=*/true);
-    for (const Equation &E : C.pos())
-      LitScratch.emplace_back(E, /*Negative=*/false);
-    std::sort(LitScratch.begin(), LitScratch.end(), std::greater<>());
-    Ref.Off = static_cast<uint32_t>(LitPool.size());
-    Ref.Len = static_cast<uint32_t>(LitScratch.size());
-    LitPool.insert(LitPool.end(), LitScratch.begin(), LitScratch.end());
-    Stats.PoolLiterals = LitPool.size();
-  }
-  return {LitPool.data() + Ref.Off, Ref.Len};
+  Ref.Off = static_cast<uint32_t>(LitPool.size());
+  Ref.Len = static_cast<uint32_t>(LitScratch.size());
+  if (!LitScratch.empty())
+    Ref.Max = LitScratch.front();
+  LitPool.insert(LitPool.end(), LitScratch.begin(), LitScratch.end());
+  Stats.PoolLiterals = LitPool.size();
+  return Ref;
 }
 
 GroundRewriteSystem

@@ -28,6 +28,7 @@
 #include "term/Rewrite.h"
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -287,18 +288,36 @@ private:
   /// The unique maximal literal of a (canonical, nonempty) clause.
   /// With a total literal order and deduplicated literals there is
   /// exactly one, so every ordering side condition of the calculus
-  /// reduces to a comparison against it. Derived from the pooled
-  /// sorted-literal list (its front), so each clause's literals are
-  /// oriented and ordered exactly once; returned by value because
-  /// pool growth relocates the list storage.
-  OrientedLiteral maxLiteral(uint32_t Id) const;
+  /// reduces to a comparison against it. It is the front of the pooled
+  /// sorted-literal list, cached beside the list's pool reference when
+  /// the list is interned, so each clause's literals are oriented and
+  /// ordered exactly once and the pool is not read here.
+  OrientedLiteral maxLiteral(uint32_t Id) const {
+    const LitListRef &Ref = litRef(Id);
+    assert(Ref.Len != 0 && "the empty clause has no literals");
+    return Ref.Max;
+  }
 
   /// Descending-sorted literals of a clause, interned in the flat
   /// literal pool on first use (each id's list is computed exactly
   /// once; the returned span is invalidated when another id's list is
   /// materialized, so callers comparing two lists materialize both
   /// before taking spans).
-  std::span<const OrientedLiteral> sortedLits(uint32_t Id) const;
+  std::span<const OrientedLiteral> sortedLits(uint32_t Id) const {
+    const LitListRef &Ref = litRef(Id);
+    return {LitPool.data() + Ref.Off, Ref.Len};
+  }
+
+  /// The pool reference of a clause's sorted literal list, interning
+  /// the list on first use (see sortedLits). The reference is
+  /// invalidated when another id's list is interned.
+  struct LitListRef;
+  const LitListRef &litRef(uint32_t Id) const {
+    if (Id < LitRefs.size() && LitRefs[Id].Off != ~0u)
+      return LitRefs[Id];
+    return internLits(Id);
+  }
+  const LitListRef &internLits(uint32_t Id) const;
 
   /// Rewrites \p T to Demod-normal form, recording used unit ids.
   /// Rules generated by clause \p SelfId are skipped so a unit
@@ -442,13 +461,9 @@ private:
   /// Signature of every clause ever kept, indexed by clause id
   /// (persists across deletion so revival need not recompute it).
   std::vector<ClauseSig> SigById;
-  /// The live (non-deleted) clauses as one packed array, in no
+  /// The live (non-deleted) clauses' signature words and ids, in no
   /// particular order; both subsumption directions scan it.
-  struct LiveClause {
-    uint64_t Neg, Pos; ///< The clause's ClauseSig words.
-    uint32_t Id;
-  };
-  std::vector<LiveClause> Live;
+  LiveSet Live;
   /// Position of each clause id in Live (~0u when not live), so a
   /// deletion swap-removes in O(1).
   std::vector<uint32_t> LiveSlot;
@@ -456,12 +471,14 @@ private:
   /// every clause (clauses are immutable, and distinct live clauses
   /// have distinct lists, so the clause id doubles as the list id):
   /// the single source of literal orientation and order —
-  /// maxLiteral() reads a list's front, the ordered live set and the
-  /// model-generation sort compare whole lists via clauseOrderLess.
+  /// maxLiteral() reads a list's front, cached in its LitListRef, and
+  /// the ordered live set and the model-generation sort compare whole
+  /// lists via clauseOrderLess.
   mutable std::vector<OrientedLiteral> LitPool;
   struct LitListRef {
     uint32_t Off = ~0u; ///< ~0u = not yet materialized.
     uint32_t Len = 0;
+    OrientedLiteral Max; ///< The list's front (the empty clause: unset).
   };
   mutable std::vector<LitListRef> LitRefs;
   /// Scratch for a sortedLits() list before pool insertion.
