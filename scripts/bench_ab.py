@@ -145,7 +145,7 @@ def append(path, pairs, args, shas):
             f.write(f" {json.dumps(key)}: {json.dumps(doc[key])},\n")
         f.write(' "runs": [\n')
         f.write(",\n".join("  " + json.dumps(r) for r in doc["runs"]))
-        f.write("\n ]\n}\n")
+        f.write("\n]\n}\n")
 
 
 def main():

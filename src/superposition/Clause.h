@@ -60,10 +60,12 @@ uint64_t clauseFingerprint(std::span<const Equation> Neg,
                            std::span<const Equation> Pos);
 
 /// Writes (A \ {SkipA}) ∪ (B \ {SkipB}) ∪ {Extra} to \p Out, sorted and
-/// duplicate-free. \p A and \p B must be canonical clause sides; one
-/// linear merge replaces concatenating and sorting. A skip removes the
-/// equation from its own run only, so an equation skipped in A but
-/// present in B is kept. Absent skips and extras are nullopt.
+/// duplicate-free. \p A and \p B must be canonical clause sides and
+/// must not alias \p Out. A skip removes the equation from its own run
+/// only, so an equation skipped in A but present in B is kept. Absent
+/// skips and extras are nullopt. One linear merge with no test per
+/// step but the loop's replaces concatenating and sorting: each run is
+/// split at its skip, and Extra is placed by binary search afterwards.
 void mergeCanonical(std::vector<Equation> &Out, std::span<const Equation> A,
                     std::optional<Equation> SkipA,
                     std::span<const Equation> B,

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Clause signatures for the saturation engine's redundancy elimination.
+/// Clause signatures, and the redundancy tests of the saturation
+/// engine that run on them.
 ///
 /// ClauseSig is the Eén-Biere literal-abstraction signature ("Effective
 /// Preprocessing in SAT through Variable and Clause Elimination", SAT
@@ -14,16 +15,26 @@
 /// Γ_C and ∆_D ⊆ ∆_C), so D can subsume C only if D's bits are a subset
 /// of C's — one AND-NOT rejects almost every pair before the sorted-
 /// range inclusion test runs. The pure clauses of the SLP prover range
-/// over constants only, so the signature is nearly exact on them.
+/// over constants only, so the signature is nearly exact on them. The
+/// third word, Syms, is a bloom mask over the symbols of the clause's
+/// constants. One pass over a clause computes all three words and its
+/// clauseFingerprint, hashing each equation once.
 ///
-/// The third word, Syms, is a bloom mask over the symbols of the
-/// clause's constants. DemodIndex is the matching mask over the
-/// left-hand sides of the active unit demodulators (per-bit reference
-/// counted, so retiring a rule clears its bit when the last rule
-/// sharing it disappears). Demodulation then skips the rewrite-rule
-/// hash lookup for every constant whose symbol cannot match, and whole
-/// clauses are skipped when their Syms mask is disjoint from the rule
-/// mask.
+/// The same words let superpositionIsTautology decide whether a
+/// superposition's conclusion is a tautology from its premises, before
+/// anything is merged: a Γ and a ∆ can share an equation only if their
+/// words intersect.
+///
+/// LiveSet holds the words and ids of the live clauses as flat arrays.
+/// Both subsumption scans filter them in branch-free blocks of eight
+/// and test only the slots that pass, in slot order.
+///
+/// DemodIndex is the matching mask over the left-hand sides of the
+/// active unit demodulators (per-bit reference counted, so retiring a
+/// rule clears its bit when the last rule sharing it disappears).
+/// Demodulation then skips the rewrite-rule hash lookup for every
+/// constant whose symbol cannot match, and whole clauses are skipped
+/// when their Syms mask is disjoint from the rule mask.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +63,7 @@ struct ClauseSig {
   /// are signed without materializing; a `const Clause &` converts
   /// implicitly.
   static ClauseSig of(ClauseView C) {
-    uint64_t Fingerprint;
+    uint64_t Fingerprint = 0;
     return of(C.neg(), C.pos(), Fingerprint);
   }
 

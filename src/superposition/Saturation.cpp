@@ -83,7 +83,7 @@ Saturation::AddResult Saturation::intake(RuleKind Kind,
   }
   // A view of the scratch, not of the pool: it stays valid while the
   // clause is appended below. One pass hashes and signs it.
-  uint64_t Fingerprint;
+  uint64_t Fingerprint = 0;
   const ClauseSig Sig = ClauseSig::of(NegScratch, PosScratch, Fingerprint);
   const ClauseView C(NegScratch, PosScratch, Fingerprint);
 

@@ -73,7 +73,7 @@ struct SaturationStats {
   uint64_t Derived = 0;      ///< Conclusions generated.
   uint64_t Kept = 0;         ///< Clauses that survived simplification
                              ///< and (re-)entered the passive queue.
-  uint64_t Tautologies = 0;  ///< Deleted as valid.
+  uint64_t Tautologies = 0;  ///< Dropped at intake as valid.
   uint64_t SubsumedFwd = 0;  ///< New clauses killed by old ones.
   uint64_t SubsumedBwd = 0;  ///< Old clauses killed by new ones.
   uint64_t Demodulated = 0;  ///< Rewrites by unit equations.
@@ -275,12 +275,17 @@ private:
   /// passes them is stored, with the Justification (\p Kind, \p
   /// Parents, \p ExternalTag) built then. Conclusions (every \p Kind
   /// but Input) count as Derived, and as Kept when stored or revived.
+  /// A superposition conclusion arrives known not to be a tautology
+  /// (superpose() decides that before merging), so its test is skipped.
   AddResult intake(RuleKind Kind, std::span<const uint32_t> Parents,
                    uint32_t ExternalTag = ~0u);
 
   /// All superposition inferences between the given clause and one
   /// active partner (both directions), plus unary rules on Given.
   void generateInferences(uint32_t GivenId);
+  /// Superposes \p FromId into \p IntoId. A tautological conclusion is
+  /// counted (Derived, Tautologies) without being merged; any other is
+  /// merged into the scratch and taken in by intake().
   void superpose(uint32_t FromId, uint32_t IntoId);
   void equalityResolution(uint32_t Id);
   void equalityFactoring(uint32_t Id);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <compare>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,14 +130,19 @@ TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
     canonicalizeSide(Side);
     return Side;
   };
-  // A skip is usually an equation of its run, sometimes one it lacks.
+  // A skip is absent, one its run lacks, or the run's front, back or
+  // any member.
   auto RandomSkip = [&](const std::vector<Equation> &Run)
       -> std::optional<Equation> {
-    uint64_t Pick = Rng.below(4);
+    uint64_t Pick = Rng.below(6);
     if (Pick == 0)
       return std::nullopt;
     if (Pick == 1 || Run.empty())
       return RandomEq();
+    if (Pick == 2)
+      return Run.front();
+    if (Pick == 3)
+      return Run.back();
     return Run[Rng.below(Run.size())];
   };
 
@@ -146,7 +152,9 @@ TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
 
   // How often each case the merge must get right came up.
   unsigned SkipInBoth = 0, ExtraPresent = 0, TrivialExtra = 0, EmptySide = 0;
-  for (int Round = 0; Round != 400; ++Round) {
+  unsigned SkipFront = 0, SkipBack = 0, SkipAbsent = 0, EqualSkips = 0,
+           ExtraSkipped = 0;
+  for (int Round = 0; Round != 1000; ++Round) {
     std::vector<Equation> Runs[2][2]; // [premise][0 = Γ, 1 = ∆]
     std::optional<Equation> Skips[2][2], Extras[2];
     for (int Side = 0; Side != 2; ++Side) {
@@ -159,10 +167,13 @@ TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
         Runs[1][Side].push_back(*Skips[0][Side]);
         canonicalizeSide(Runs[1][Side]);
       }
+      // Both premises skipping the same equation.
+      if (Skips[0][Side] && Rng.below(5) == 0)
+        Skips[1][Side] = Skips[0][Side];
       // The inserted equation: none, one already present, a trivial
-      // one, or any.
+      // one, a skipped one, or any.
       const std::vector<Equation> &From = Runs[Rng.below(2)][Side];
-      switch (Rng.below(4)) {
+      switch (Rng.below(5)) {
       case 0:
         break;
       case 1:
@@ -176,6 +187,12 @@ TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
         Extras[Side] = Equation(K, K);
         break;
       }
+      case 3:
+        if (std::optional<Equation> S = Skips[Rng.below(2)][Side]) {
+          Extras[Side] = S;
+          break;
+        }
+        [[fallthrough]];
       default:
         Extras[Side] = RandomEq();
       }
@@ -183,17 +200,25 @@ TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
 
     std::vector<Equation> Concat[2], Merged[2];
     for (int Side = 0; Side != 2; ++Side) {
-      for (int P = 0; P != 2; ++P)
-        for (const Equation &E : Runs[P][Side])
+      for (int P = 0; P != 2; ++P) {
+        const std::vector<Equation> &Run = Runs[P][Side];
+        for (const Equation &E : Run)
           if (E != Skips[P][Side])
             Concat[Side].push_back(E);
+        SkipAbsent += !In(Run, Skips[P][Side]);
+        SkipFront += !Run.empty() && Skips[P][Side] == Run.front();
+        SkipBack += Run.size() > 1 && Skips[P][Side] == Run.back();
+      }
       if (Extras[Side]) {
         ExtraPresent += In(Concat[Side], Extras[Side]);
         TrivialExtra += Extras[Side]->trivial();
+        ExtraSkipped += Extras[Side] == Skips[0][Side] ||
+                        Extras[Side] == Skips[1][Side];
         Concat[Side].push_back(*Extras[Side]);
       }
       SkipInBoth += In(Runs[0][Side], Skips[0][Side]) &&
                     In(Runs[1][Side], Skips[0][Side]);
+      EqualSkips += Skips[0][Side] && Skips[0][Side] == Skips[1][Side];
       EmptySide += Runs[0][Side].empty() || Runs[1][Side].empty();
       // Unsorted, as the inference rules used to assemble it.
       std::reverse(Concat[Side].begin(), Concat[Side].end());
@@ -211,6 +236,11 @@ TEST_F(ClauseTest, MergeMatchesCanonicalConstructor) {
   EXPECT_GT(ExtraPresent, 20u);
   EXPECT_GT(TrivialExtra, 20u);
   EXPECT_GT(EmptySide, 20u);
+  EXPECT_GT(SkipFront, 20u);
+  EXPECT_GT(SkipBack, 20u);
+  EXPECT_GT(SkipAbsent, 20u);
+  EXPECT_GT(EqualSkips, 20u);
+  EXPECT_GT(ExtraSkipped, 20u);
 }
 
 TEST_F(ClauseTest, LiteralOrderingNegativeAboveSameEquation) {

@@ -27,6 +27,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 using namespace slp;
 using namespace slp::sup;
 
@@ -138,6 +143,200 @@ TEST_F(IndexTest, ClauseSigSymbolMaskCoversEveryConstant) {
   for (Symbol X : {A, B, C, Terms.nil()})
     Expected |= ClauseSig::symbolBit(X);
   EXPECT_EQ(S.Syms, Expected);
+}
+
+TEST_F(IndexTest, OnePassSignsAndFingerprintsAsTheReferences) {
+  SplitMix64 Rng(41);
+  for (int I = 0; I != 200; ++I) {
+    Clause C = randomClause(Rng);
+    uint64_t Fingerprint = 0;
+    ClauseSig S = ClauseSig::of(C.neg(), C.pos(), Fingerprint);
+    EXPECT_EQ(Fingerprint, clauseFingerprint(C.neg(), C.pos()));
+    EXPECT_EQ(Fingerprint, C.fingerprint());
+    uint64_t Neg = 0, Pos = 0, Syms = 0;
+    for (const Equation &E : C.neg())
+      Neg |= ClauseSig::equationBit(E);
+    for (const Equation &E : C.pos())
+      Pos |= ClauseSig::equationBit(E);
+    for (auto Side : {C.neg(), C.pos()})
+      for (const Equation &E : Side)
+        Syms |= ClauseSig::symbolBit(E.lhs()) | ClauseSig::symbolBit(E.rhs());
+    EXPECT_EQ(S.Neg, Neg) << C.str(Terms);
+    EXPECT_EQ(S.Pos, Pos) << C.str(Terms);
+    EXPECT_EQ(S.Syms, Syms) << C.str(Terms);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Superposition tautologies
+//===----------------------------------------------------------------------===//
+
+TEST_F(IndexTest, PreMergeTautologyTestMatchesMergeThenTest) {
+  // Premise pairs as superpose() sees them: From holds FromEq = s ' r
+  // positively, Into holds IntoEq = s ' t on the side the rule names,
+  // neither is a tautology, and the conclusion adds NewEq = r ' t. The
+  // test decided on the premises must equal merging the conclusion as
+  // superpose() does and testing it.
+  std::vector<Symbol> K;
+  for (int I = 0; I != 7; ++I)
+    K.push_back(T("k" + std::to_string(I)));
+  SplitMix64 Rng(27);
+  auto RandomSide = [&](std::vector<Equation> Side) {
+    for (uint64_t N = Rng.below(4); N != 0; --N)
+      Side.emplace_back(K[Rng.below(K.size())], K[Rng.below(K.size())]);
+    return Side;
+  };
+  auto In = [](std::span<const Equation> Run, const Equation &E) {
+    return std::find(Run.begin(), Run.end(), E) != Run.end();
+  };
+  unsigned Cases[2] = {0, 0}, Tautologies[2] = {0, 0}, TrivialNew = 0,
+           NewIsFrom = 0, SkipInBoth = 0;
+  std::vector<Equation> Neg, Pos;
+  for (int Round = 0; Round != 4000; ++Round) {
+    const bool Left = Rng.below(2) == 0;
+    const Symbol S = K[Rng.below(K.size())], R = K[Rng.below(K.size())],
+                 U = K[Rng.below(K.size())];
+    if (R == S || (!Left && U == S))
+      continue; // FromEq is nontrivial; Into would be a tautology.
+    const Equation FromEq(S, R), IntoEq(S, U), NewEq(R, U);
+    std::vector<Equation> IntoNeg, IntoPos;
+    (Left ? IntoNeg : IntoPos).push_back(IntoEq);
+    // Now and then each skip also sits on its side of the other premise.
+    std::vector<Equation> FromNeg, FromPos{FromEq};
+    if (Rng.below(4) == 0)
+      (Left ? FromNeg : FromPos).push_back(IntoEq);
+    if (Rng.below(4) == 0)
+      IntoPos.push_back(FromEq);
+    Clause F(RandomSide(FromNeg), RandomSide(FromPos));
+    Clause G(RandomSide(IntoNeg), RandomSide(IntoPos));
+    if (F.isTautology() || G.isTautology())
+      continue;
+    if (Left) {
+      mergeCanonical(Neg, F.neg(), std::nullopt, G.neg(), IntoEq, NewEq);
+      mergeCanonical(Pos, F.pos(), FromEq, G.pos(), std::nullopt,
+                     std::nullopt);
+    } else {
+      mergeCanonical(Neg, F.neg(), std::nullopt, G.neg(), std::nullopt,
+                     std::nullopt);
+      mergeCanonical(Pos, F.pos(), FromEq, G.pos(), IntoEq, NewEq);
+    }
+    const bool Expected = ClauseView(Neg, Pos, 0).isTautology();
+    EXPECT_EQ(superpositionIsTautology(F, ClauseSig::of(F), G,
+                                       ClauseSig::of(G), FromEq, IntoEq, NewEq,
+                                       Left),
+              Expected)
+        << (Left ? "sup-left " : "sup-right ") << F.str(Terms) << " into "
+        << G.str(Terms) << " on " << Terms.str(S);
+    ++Cases[Left];
+    Tautologies[Left] += Expected;
+    TrivialNew += !Left && NewEq.trivial();
+    NewIsFrom += Left && NewEq == FromEq;
+    SkipInBoth += Left ? In(F.neg(), IntoEq) || In(G.pos(), FromEq)
+                       : In(F.pos(), IntoEq) || In(G.pos(), FromEq);
+  }
+  for (int Left = 0; Left != 2; ++Left) {
+    EXPECT_GT(Tautologies[Left], 100u) << "Left=" << Left;
+    EXPECT_GT(Cases[Left] - Tautologies[Left], 100u) << "Left=" << Left;
+  }
+  EXPECT_GT(TrivialNew, 50u);
+  EXPECT_GT(NewIsFrom, 50u);
+  EXPECT_GT(SkipInBoth, 100u);
+}
+
+//===----------------------------------------------------------------------===//
+// LiveSet
+//===----------------------------------------------------------------------===//
+
+TEST_F(IndexTest, LiveScansMatchALinearScan) {
+  // For every set size up to two blocks and a bit, and the subsumer
+  // (forward) or the subsumed clause (backward) at every slot, the
+  // blocked scans visit the same clauses in the same order as a plain
+  // loop over the slots, so they make the same subsumes() checks
+  // (SaturationStats::SubChecks) and reach the same result.
+  SplitMix64 Rng(17);
+  const Clause Query({Equation(T("c0"), T("c1"))},
+                     {Equation(T("c2"), T("c3")), Equation(T("c4"), T("c5"))});
+  const ClauseSig QSig = ClauseSig::of(Query);
+  const Clause Subsumer({}, {Equation(T("c2"), T("c3"))});
+  const Clause Subsumed({Equation(T("c0"), T("c1")), Equation(T("c1"), T("c2"))},
+                        {Equation(T("c2"), T("c3")), Equation(T("c4"), T("c5")),
+                         Equation(T("c0"), T("c5"))});
+  unsigned Checks = 0;
+  for (size_t N = 0; N != 18; ++N) {
+    for (size_t At = 0; At <= N; ++At) { // At == N: no planted clause.
+      for (bool Forward : {true, false}) {
+        std::vector<Clause> Cs;
+        for (size_t I = 0; I != N; ++I)
+          Cs.push_back(I == At ? (Forward ? Subsumer : Subsumed)
+                               : randomClause(Rng));
+        std::vector<ClauseSig> Sigs;
+        LiveSet Live;
+        for (uint32_t Id = 0; Id != N; ++Id) {
+          Sigs.push_back(ClauseSig::of(Cs[Id]));
+          EXPECT_EQ(Live.push(Id, Sigs.back()), Id);
+        }
+        std::vector<uint32_t> Visits, RefVisits;
+        if (Forward) {
+          const bool Found =
+              Live.findSubsumer(QSig.Neg, QSig.Pos, [&](uint32_t Id) {
+                Visits.push_back(Id);
+                return Cs[Id].subsumes(Query);
+              });
+          bool RefFound = false;
+          for (uint32_t Id = 0; Id != N && !RefFound; ++Id)
+            if (ClauseSig::maySubsume(Sigs[Id].Neg, Sigs[Id].Pos, QSig.Neg,
+                                      QSig.Pos)) {
+              RefVisits.push_back(Id);
+              RefFound = Cs[Id].subsumes(Query);
+            }
+          EXPECT_EQ(Found, RefFound) << "N=" << N << " At=" << At;
+          EXPECT_EQ(Found, At < N || RefFound);
+        } else {
+          // Delete what the query subsumes, swap-removing as
+          // Saturation::deleteClause does.
+          Live.forEachSubsumed(QSig.Neg, QSig.Pos, [&](uint32_t Id) {
+            Visits.push_back(Id);
+            if (!Query.subsumes(Cs[Id]))
+              return false;
+            size_t Slot = 0;
+            while (Live.id(Slot) != Id)
+              ++Slot;
+            Live.swapRemove(Slot);
+            return true;
+          });
+          std::vector<uint32_t> Ref(N);
+          for (uint32_t Id = 0; Id != N; ++Id)
+            Ref[Id] = Id;
+          for (size_t I = 0; I < Ref.size();) {
+            const uint32_t Id = Ref[I];
+            if (!ClauseSig::maySubsume(QSig.Neg, QSig.Pos, Sigs[Id].Neg,
+                                       Sigs[Id].Pos)) {
+              ++I;
+              continue;
+            }
+            RefVisits.push_back(Id);
+            if (Query.subsumes(Cs[Id])) {
+              Ref[I] = Ref.back();
+              Ref.pop_back();
+            } else {
+              ++I;
+            }
+          }
+          ASSERT_EQ(Live.size(), Ref.size()) << "N=" << N << " At=" << At;
+          for (size_t Slot = 0; Slot != Ref.size(); ++Slot)
+            EXPECT_EQ(Live.id(Slot), Ref[Slot]) << "N=" << N << " At=" << At;
+          if (At < N) {
+            EXPECT_LT(Live.size(), N) << "the planted clause survived";
+          }
+        }
+        EXPECT_EQ(Visits, RefVisits)
+            << (Forward ? "forward" : "backward") << " N=" << N
+            << " At=" << At;
+        Checks += Visits.size();
+      }
+    }
+  }
+  EXPECT_GT(Checks, 300u) << "too few signature-filter passes drawn";
 }
 
 //===----------------------------------------------------------------------===//

@@ -61,11 +61,13 @@
 #include "superposition/ProofCheck.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace slp;
 
@@ -101,6 +103,44 @@ int usage() {
 
 using cli::MaxJobs;
 using cli::parseUnsigned;
+
+/// Binds every constant of \p Query (interned in \p Source) that the
+/// countermodel \p Cex, rendered as sl::str renders one, leaves
+/// unbound: each gets a fresh location of its own, appended to the
+/// stack in order of first mention. The canonical form drops atoms such
+/// as x = x and lseg(x, x), which hold whatever x is, so a constant
+/// that occurs only in them is missing from the prover's model, and
+/// any location makes the model a countermodel of the whole query.
+std::string bindDroppedConstants(std::string Cex, const TermTable &Source,
+                                 const sl::Entailment &Query) {
+  const std::string Prefix = "stack:";
+  const size_t StackEnd = Cex.find(';');
+  if (Cex.rfind(Prefix, 0) != 0 || StackEnd == std::string::npos)
+    return Cex;
+  std::vector<std::string> Bound;
+  unsigned long MaxLoc = 0;
+  std::istringstream Stack(Cex.substr(Prefix.size(), StackEnd - Prefix.size()));
+  for (std::string Tok; Stack >> Tok;) {
+    const size_t Eq = Tok.rfind('=');
+    Bound.push_back(Tok.substr(0, Eq));
+    MaxLoc = std::max(MaxLoc, std::stoul(Tok.substr(Eq + 1)));
+  }
+  std::istringstream Heap(Cex.substr(Cex.find(':', StackEnd) + 1));
+  for (std::string Tok; Heap >> Tok;)
+    if (const size_t Arrow = Tok.find("->"); Arrow != std::string::npos)
+      MaxLoc = std::max({MaxLoc, std::stoul(Tok.substr(0, Arrow)),
+                         std::stoul(Tok.substr(Arrow + 2))});
+  std::vector<Symbol> Constants;
+  Query.collectTerms(Constants);
+  std::string Fresh;
+  for (Symbol C : Constants) {
+    const std::string Name = Source.str(C);
+    if (C.isNil() || std::find(Bound.begin(), Bound.end(), Name) != Bound.end())
+      continue;
+    Fresh += " " + Name + "=" + std::to_string(++MaxLoc);
+  }
+  return Cex.insert(StackEnd, Fresh);
+}
 
 } // namespace
 
@@ -308,13 +348,15 @@ int main(int argc, char **argv) {
       if (IsPortfolio && !R.Backend.empty())
         VerdictText += " [" + R.Backend + "]";
       if (Opts.Model && !R.CexText.empty())
-        VerdictText += "\n  countermodel: " + R.CexText;
+        VerdictText += "\n  countermodel: " +
+                       bindDroppedConstants(R.CexText, Source, *P.Value);
     } else {
       core::ProveResult R = Slp.prove(E, F);
       VerdictText = core::verdictName(R.V);
       if (Opts.Model && R.Cex)
         VerdictText += "\n  countermodel: " +
-                       sl::str(Terms, R.Cex->S, R.Cex->H);
+                       bindDroppedConstants(sl::str(Terms, R.Cex->S, R.Cex->H),
+                                            Source, *P.Value);
       if (Opts.Proof && R.V == core::Verdict::Valid)
         VerdictText +=
             "\n" + core::renderRefutation(Slp.saturation(), Slp.inputLabels());
