@@ -48,6 +48,7 @@ std::string runSlp(const std::string &Args, const std::string &Input) {
       Out.append(Buf, N);
     pclose(P);
   }
+  std::remove(Path.c_str());
   return Out;
 }
 
