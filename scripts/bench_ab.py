@@ -4,26 +4,27 @@
 Usage, from the repository root:
 
   scripts/bench_ab.py BASE CHANGE --workload W --seed S --pairs N
-                      [--seconds 36] [--scratch DIR] [--out FILE]
+                      [--seconds 36]
                       [--append BENCH_W.json --machine TEXT
                        --base-note TEXT --change-note TEXT]
 
 BASE and CHANGE are git revisions. Each is exported with `git archive`
-into DIR/<role>-<sha> (default DIR: .bench_ab), and its perfbench is
-built there once, with CARGO_TARGET_DIR set to DIR/<role>-<sha>-target.
-One short warm-up run per revision computes its reference verdicts.
-Then the runs alternate: odd pairs run BASE first, even pairs CHANGE
-first, each `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0` in its own export. A revision compared with itself (an A/A
-run) is exported and built twice, so the two sides share nothing.
+into .bench_ab/<role>-<sha> at the repository root, with
+CARGO_TARGET_DIR set to .bench_ab/<role>-<sha>-target. One short
+warm-up run per revision builds its perfbench there, so the timed runs
+find the build up to date. Then the runs alternate: odd pairs run BASE
+first, even pairs CHANGE first, each `python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0` in its own export. A
+revision compared with itself (an A/A run) is exported and built
+twice, so the two sides share nothing.
 
 For every end-to-end metric of BENCHMARK.json the script prints the
 median and quartiles of each side, the change of the medians, the pairs
 CHANGE won, and whether the median gap in the better direction exceeds
-BASE's interquartile range. --out writes the raw pairs as JSON;
---append adds them to a trajectory file (BASE's runs, then CHANGE's),
-in the format scripts/bench_compare.py reads. The exit status is 1 when
-a build or run fails or a run reports "correct": false.
+BASE's interquartile range. --append adds the pairs to a trajectory
+file (BASE's runs, then CHANGE's), in the format
+scripts/bench_compare.py reads. The exit status is 1 when a build or
+run fails or a run reports "correct": false.
 """
 
 import argparse
@@ -35,6 +36,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRATCH = os.path.join(ROOT, ".bench_ab")
 
 
 def log(msg):
@@ -46,10 +48,10 @@ def git(*args):
                           stdout=subprocess.PIPE).stdout.strip()
 
 
-def export(rev, role, scratch):
-    """Exports rev into scratch once; returns (sha, checkout, target dir)."""
+def export(rev, role):
+    """Exports rev under SCRATCH once; returns (sha, checkout, target dir)."""
     sha = git("rev-parse", "--verify", rev + "^{commit}")
-    checkout = os.path.join(scratch, f"{role}-{sha[:12]}")
+    checkout = os.path.join(SCRATCH, f"{role}-{sha[:12]}")
     if not os.path.isdir(checkout):
         tmp = checkout + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
@@ -64,34 +66,22 @@ def export(rev, role, scratch):
     return sha, checkout, checkout + "-target"
 
 
-def build(checkout, target):
-    """Builds perfbench the way perfbench/run.py does, so its runs only
-    find the build up to date."""
-    build_dir = os.path.join(target, "perfbench")
-    generator = ["-G", "Ninja"] if shutil.which("ninja") else []
-    jobs = str(min(4, os.cpu_count() or 1))
-    for step in (["cmake", "-S", os.path.join(checkout, "perfbench"), "-B",
-                  build_dir, "-DCMAKE_BUILD_TYPE=Release"] + generator,
-                 ["cmake", "--build", build_dir, "-j", jobs]):
-        if subprocess.run(step, cwd=checkout, stdout=subprocess.DEVNULL,
-                          stderr=sys.stderr).returncode != 0:
-            raise RuntimeError(f"building {checkout} failed")
-
-
 def run_once(checkout, target, args, seconds):
-    """One perfbench run; returns its result object."""
+    """One perfbench run; returns its result object. Its log is shown
+    only when it gives no result."""
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     p = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, env=env, text=True, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL)
+        stderr=subprocess.PIPE)
     lines = [l for l in p.stdout.splitlines() if l.strip()]
     try:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
+        tail = "\n".join(p.stderr.splitlines()[-20:])
         raise RuntimeError(f"run in {checkout} gave no result "
-                           f"(exit {p.returncode})")
+                           f"(exit {p.returncode}):\n{tail}")
 
 
 def quartiles(values):
@@ -156,8 +146,6 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=36)
-    ap.add_argument("--scratch", default=os.path.join(ROOT, ".bench_ab"))
-    ap.add_argument("--out", help="write the raw pairs as JSON")
     ap.add_argument("--append", help="trajectory file to add the runs to")
     ap.add_argument("--machine", default="")
     ap.add_argument("--base-note", default="parent")
@@ -166,14 +154,12 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         metrics = json.load(f)["end_to_end"]
-    os.makedirs(args.scratch, exist_ok=True)
+    os.makedirs(SCRATCH, exist_ok=True)
     try:
-        sides = [export(args.base, "base", args.scratch),
-                 export(args.change, "change", args.scratch)]
+        sides = [export(args.base, "base"), export(args.change, "change")]
         for _, checkout, target in sides:
             log(f"building {checkout}")
-            build(checkout, target)
-            run_once(checkout, target, args, 1)  # Reference verdicts.
+            run_once(checkout, target, args, 1)  # Warm-up: builds perfbench.
         pairs = []
         for n in range(1, args.pairs + 1):
             order = (0, 1) if n % 2 else (1, 0)
@@ -188,11 +174,6 @@ def main():
         return 1
 
     summarize(pairs, metrics)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump({"workload": args.workload, "seed": args.seed,
-                       "base": sides[0][0], "change": sides[1][0],
-                       "seconds": args.seconds, "pairs": pairs}, f, indent=1)
     if args.append:
         append(args.append, pairs, args, (sides[0][0], sides[1][0]))
     bad = [p for p in pairs for r in (p["base"], p["change"])

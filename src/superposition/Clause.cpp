@@ -62,8 +62,9 @@ void slp::sup::mergeCanonical(std::vector<Equation> &Out,
                               std::span<const Equation> B,
                               std::optional<Equation> SkipB,
                               std::optional<Equation> Extra) {
-  // The result never exceeds both runs plus Extra. The scratch only
-  // grows, so a warm one is neither filled nor reallocated here.
+  // The result never exceeds both runs plus Extra. Out keeps its
+  // capacity, so a warm scratch is not reallocated; but it is cut to
+  // the result's length at the end, so this resize refills that gap.
   if (Out.size() < A.size() + B.size() + 1)
     Out.resize(A.size() + B.size() + 1);
   Equation *O = Out.data();
