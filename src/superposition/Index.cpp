@@ -9,7 +9,6 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 
 using namespace slp;
@@ -22,16 +21,14 @@ using namespace slp::sup;
 ClauseSig ClauseSig::of(std::span<const Equation> Neg,
                         std::span<const Equation> Pos,
                         uint64_t &Fingerprint) {
-  // clauseFingerprint's recurrence, with Equation::hash() and
-  // symbolBit() unfolded so their symbol hashes are shared.
+  // clauseFingerprint's recurrence, sharing each Equation::hash() with
+  // the signature bit.
   ClauseSig S;
   uint64_t H = hashValue(0x5157);
-  auto Add = [&S, &H](const Equation &E, uint64_t &Bits, uint64_t Polarity) {
-    const uint64_t L = hashValue(E.lhs().id()), R = hashValue(E.rhs().id());
-    const uint64_t EH = hashCombine(L, R);
+  auto Add = [&H](const Equation &E, uint64_t &Bits, uint64_t Polarity) {
+    const uint64_t EH = E.hash();
     H = hashCombine(H, EH * 2 + Polarity);
     Bits |= 1ull << (EH & 63);
-    S.Syms |= 1ull << (L & 63) | 1ull << (R & 63);
   };
   for (const Equation &E : Neg)
     Add(E, S.Neg, 1);
@@ -95,23 +92,4 @@ bool slp::sup::superpositionIsTautology(ClauseView From,
           meet(Into.neg(), std::nullopt, From.pos(), FromEq)) ||
          ((NewBit & FromSig.Neg) && contains(From.neg(), NewEq)) ||
          ((NewBit & IntoSig.Neg) && contains(Into.neg(), NewEq));
-}
-
-//===----------------------------------------------------------------------===//
-// DemodIndex
-//===----------------------------------------------------------------------===//
-
-void DemodIndex::addLhs(Symbol S) {
-  uint64_t Bit = ClauseSig::symbolBit(S);
-  unsigned Pos = static_cast<unsigned>(__builtin_ctzll(Bit));
-  if (BitCount[Pos]++ == 0)
-    Mask |= Bit;
-}
-
-void DemodIndex::removeLhs(Symbol S) {
-  uint64_t Bit = ClauseSig::symbolBit(S);
-  unsigned Pos = static_cast<unsigned>(__builtin_ctzll(Bit));
-  assert(BitCount[Pos] != 0 && "removing a rule that was never added");
-  if (--BitCount[Pos] == 0)
-    Mask &= ~Bit;
 }

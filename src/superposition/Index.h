@@ -15,10 +15,9 @@
 /// Γ_C and ∆_D ⊆ ∆_C), so D can subsume C only if D's bits are a subset
 /// of C's — one AND-NOT rejects almost every pair before the sorted-
 /// range inclusion test runs. The pure clauses of the SLP prover range
-/// over constants only, so the signature is nearly exact on them. The
-/// third word, Syms, is a bloom mask over the symbols of the clause's
-/// constants. One pass over a clause computes all three words and its
-/// clauseFingerprint, hashing each equation once.
+/// over constants only, so the signature is nearly exact on them. One
+/// pass over a clause computes both words and its clauseFingerprint,
+/// hashing each equation once.
 ///
 /// The same words let superpositionIsTautology decide whether a
 /// superposition's conclusion is a tautology from its premises, before
@@ -29,12 +28,9 @@
 /// Both subsumption scans filter them in branch-free blocks of eight
 /// and test only the slots that pass, in slot order.
 ///
-/// DemodIndex is the matching mask over the left-hand sides of the
-/// active unit demodulators (per-bit reference counted, so retiring a
-/// rule clears its bit when the last rule sharing it disappears).
-/// Demodulation then skips the rewrite-rule hash lookup for every
-/// constant whose symbol cannot match, and whole clauses are skipped
-/// when their Syms mask is disjoint from the rule mask.
+/// Demodulation needs no index: the rule table of the saturation's
+/// GroundRewriteSystem is a vector indexed by symbol id, so a constant's
+/// rule is one load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +40,6 @@
 #include "superposition/Clause.h"
 #include "support/Hashing.h"
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -53,11 +48,10 @@
 namespace slp {
 namespace sup {
 
-/// Subsumption signature and symbol mask of one clause.
+/// Subsumption signature of one clause.
 struct ClauseSig {
-  uint64_t Neg = 0;  ///< One bit per hashed negative equation.
-  uint64_t Pos = 0;  ///< One bit per hashed positive equation.
-  uint64_t Syms = 0; ///< Bloom mask over the symbols of its constants.
+  uint64_t Neg = 0; ///< One bit per hashed negative equation.
+  uint64_t Pos = 0; ///< One bit per hashed positive equation.
 
   /// Computes the signature of \p C. Takes a view so pooled clauses
   /// are signed without materializing; a `const Clause &` converts
@@ -69,19 +63,14 @@ struct ClauseSig {
 
   /// Signs the canonical clause \p Neg → \p Pos and sets \p Fingerprint
   /// to its clauseFingerprint in the same pass, hashing each equation
-  /// once: the two symbol hashes feed the symbol mask and the equation
-  /// hash, which feeds the signature bit and the fingerprint.
+  /// once: the equation hash feeds both the signature bit and the
+  /// fingerprint.
   static ClauseSig of(std::span<const Equation> Neg,
                       std::span<const Equation> Pos, uint64_t &Fingerprint);
 
   /// The signature bit an equation hashes to (either polarity).
   static uint64_t equationBit(const Equation &E) {
     return 1ull << (E.hash() & 63);
-  }
-
-  /// The mask bit a symbol hashes to (shared with DemodIndex).
-  static uint64_t symbolBit(Symbol S) {
-    return 1ull << (hashValue(S.id()) & 63);
   }
 
   /// False when a clause with signature (\p DNeg, \p DPos) certainly
@@ -201,42 +190,6 @@ private:
   size_t Count = 0;
   std::vector<uint64_t> NegWords, PosWords;
   std::vector<uint32_t> Ids;
-};
-
-/// Symbol fingerprint of the current demodulator set.
-class DemodIndex {
-public:
-  /// Records a rule whose left-hand side has symbol \p S.
-  void addLhs(Symbol S);
-
-  /// Retires a rule previously added with symbol \p S.
-  void removeLhs(Symbol S);
-
-  /// True iff some rule's left-hand side has a symbol hashing to the
-  /// same fingerprint bit as \p S (no false negatives).
-  bool mayMatchRoot(Symbol S) const {
-    return (Mask & ClauseSig::symbolBit(S)) != 0;
-  }
-
-  /// True iff a clause with symbol mask \p ClauseMask can contain any
-  /// rule's left-hand side.
-  bool mayRewrite(uint64_t ClauseMask) const {
-    return (Mask & ClauseMask) != 0;
-  }
-
-  uint64_t mask() const { return Mask; }
-  bool empty() const { return Mask == 0; }
-
-  /// Retires every rule at once.
-  void clear() {
-    Mask = 0;
-    BitCount.fill(0);
-  }
-
-private:
-  uint64_t Mask = 0;
-  /// Rules per fingerprint bit; a bit clears when its count drops to 0.
-  std::array<uint32_t, 64> BitCount{};
 };
 
 } // namespace sup

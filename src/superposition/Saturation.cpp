@@ -29,8 +29,6 @@ void Saturation::clear() {
   Passive = {};
   EmptyClauseId.reset();
   Demod.clear();
-  DemodOwned.clear();
-  DemodIdx.clear();
   SigById.clear();
   Live.clear();
   LiveSlot.clear();
@@ -248,20 +246,24 @@ void Saturation::maybeAddDemodulator(uint32_t Id) {
   if (Demod.reducibleAtRoot(L))
     return; // Keep the system left-reduced; superposition joins them.
   Demod.addRule(L, R, Id);
-  DemodIdx.addLhs(L);
-  DemodOwned.emplace(Id, L);
 
   // Backward demodulation: rewrite active clauses reducible by the new
-  // unit and send the results back through the queue. A clause whose
-  // symbol fingerprint misses L's symbol cannot contain L and is
-  // skipped without walking its terms.
-  const uint64_t LhsBit = ClauseSig::symbolBit(L);
+  // unit and send the results back through the queue. Every active
+  // clause was normal when it was given, and every later rule has
+  // rewritten the active clauses it reaches, so only L can fire: a
+  // clause that does not mention L is skipped unwalked.
+  auto MentionsL = [L](const Equation &E) { return E.mentions(L); };
   for (uint32_t ActId : Active) {
     if (ActId == Id || DB.deleted(ActId))
       continue;
-    if (!(SigById[ActId].Syms & LhsBit))
+    const ClauseView A = DB.view(ActId);
+    if (std::none_of(A.neg().begin(), A.neg().end(), MentionsL) &&
+        std::none_of(A.pos().begin(), A.pos().end(), MentionsL)) {
+      SLP_INVARIANT(!demodClause(A, ActId),
+                    "an active clause is reducible by an older rule");
       continue;
-    if (!demodClause(DB.view(ActId), ActId))
+    }
+    if (!demodClause(A, ActId))
       continue;
     deleteClause(ActId);
     ++Stats.Demodulated;
@@ -273,10 +275,6 @@ Symbol Saturation::demodTerm(Symbol T, uint32_t SelfId,
                              std::vector<uint32_t> &Used) {
   Symbol Current = T;
   for (;;) {
-    // Fingerprint test first: most constants share no symbol with any
-    // demodulator, so the rule-table lookup is usually skipped.
-    if (!DemodIdx.mayMatchRoot(Current))
-      return Current;
     const RewriteRule *Rule = Demod.ruleFor(Current);
     if (!Rule || Rule->GeneratingClause == SelfId)
       return Current;
@@ -286,10 +284,7 @@ Symbol Saturation::demodTerm(Symbol T, uint32_t SelfId,
 }
 
 bool Saturation::demodClause(ClauseView C, uint32_t SelfId) {
-  // The clause can only be rewritten if some demodulator's left-hand
-  // side occurs in it, which requires the symbol fingerprints to
-  // intersect.
-  if (SelfId < SigById.size() && !DemodIdx.mayRewrite(SigById[SelfId].Syms))
+  if (Demod.empty())
     return false;
   ParentScratch.assign(1, SelfId);
   bool Changed = false;
@@ -330,12 +325,15 @@ void Saturation::deleteClause(uint32_t Id) {
   LiveSlot[Id] = ~0u;
   if (Opts.IncrementalModel)
     orderedLiveErase(Id);
-  auto It = DemodOwned.find(Id);
-  if (It == DemodOwned.end())
+  // Retire the rule this clause owns: only a positive unit can, and
+  // its rule's left-hand side is the equation's larger side.
+  const ClauseView C = DB.view(Id);
+  if (!C.neg().empty() || C.pos().size() != 1)
     return;
-  Demod.removeRuleFor(It->second);
-  DemodIdx.removeLhs(It->second);
-  DemodOwned.erase(It);
+  const Symbol L = C.pos().front().rhs();
+  if (const RewriteRule *Rule = Demod.ruleFor(L);
+      Rule && Rule->GeneratingClause == Id)
+    Demod.removeRuleFor(L);
 }
 
 //===----------------------------------------------------------------------===//

@@ -34,7 +34,6 @@
 #include <optional>
 #include <queue>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace slp {
@@ -418,10 +417,13 @@ private:
   void orderedLiveInsert(uint32_t Id);
   void orderedLiveErase(uint32_t Id);
 
-  /// Registers an active unit equation as a demodulator.
+  /// Registers an active unit equation as a demodulator, then rewrites
+  /// the active clauses that mention its left-hand side (backward
+  /// demodulation).
   void maybeAddDemodulator(uint32_t Id);
 
-  /// Marks a clause deleted and retires any demodulation rule it owns.
+  /// Marks a clause deleted. A positive unit whose equation's rule in
+  /// Demod it generated retires that rule.
   void deleteClause(uint32_t Id);
 
   /// Calls compactIndexes() once enough deletions have accumulated
@@ -457,12 +459,10 @@ private:
       Passive;
   std::optional<uint32_t> EmptyClauseId;
 
+  /// The unit demodulators, one rule per left-hand side, each tagged
+  /// with the active unit clause that owns it; a rule is retired when
+  /// that clause is deleted.
   GroundRewriteSystem Demod;
-  /// Left-hand side of the demodulation rule owned by a clause id.
-  std::unordered_map<uint32_t, Symbol> DemodOwned;
-  /// Symbol fingerprint of the demodulator left-hand sides; filters
-  /// rule lookups per constant and whole clauses per ClauseSig::Syms.
-  DemodIndex DemodIdx;
   /// Signature of every clause ever kept, indexed by clause id
   /// (persists across deletion so revival need not recompute it).
   std::vector<ClauseSig> SigById;

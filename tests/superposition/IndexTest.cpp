@@ -99,8 +99,7 @@ TEST_F(IndexTest, SignatureOverPooledClauseViewsHasNoFalseNegatives) {
     ClauseView V = Sat.clause(Id);
     ClauseSig FromView = ClauseSig::of(V);
     ClauseSig FromCopy = ClauseSig::of(V.materialize());
-    ASSERT_TRUE(FromView.Neg == FromCopy.Neg && FromView.Pos == FromCopy.Pos &&
-                FromView.Syms == FromCopy.Syms)
+    ASSERT_TRUE(FromView.Neg == FromCopy.Neg && FromView.Pos == FromCopy.Pos)
         << "view and materialized signatures diverge for clause " << Id;
     Sigs.push_back(FromView);
   }
@@ -132,19 +131,6 @@ TEST_F(IndexTest, ClauseSigSetsOneBitPerEquation) {
   EXPECT_EQ(N.Pos, 0u);
 }
 
-TEST_F(IndexTest, ClauseSigSymbolMaskCoversEveryConstant) {
-  // a ' b -> c ' nil: the mask is exactly the four constants' bits.
-  Symbol A = T("a");
-  Symbol B = T("b");
-  Symbol C = T("c");
-  ClauseSig S =
-      ClauseSig::of(Clause({Equation(A, B)}, {Equation(C, Terms.nil())}));
-  uint64_t Expected = 0;
-  for (Symbol X : {A, B, C, Terms.nil()})
-    Expected |= ClauseSig::symbolBit(X);
-  EXPECT_EQ(S.Syms, Expected);
-}
-
 TEST_F(IndexTest, OnePassSignsAndFingerprintsAsTheReferences) {
   SplitMix64 Rng(41);
   for (int I = 0; I != 200; ++I) {
@@ -153,17 +139,13 @@ TEST_F(IndexTest, OnePassSignsAndFingerprintsAsTheReferences) {
     ClauseSig S = ClauseSig::of(C.neg(), C.pos(), Fingerprint);
     EXPECT_EQ(Fingerprint, clauseFingerprint(C.neg(), C.pos()));
     EXPECT_EQ(Fingerprint, C.fingerprint());
-    uint64_t Neg = 0, Pos = 0, Syms = 0;
+    uint64_t Neg = 0, Pos = 0;
     for (const Equation &E : C.neg())
       Neg |= ClauseSig::equationBit(E);
     for (const Equation &E : C.pos())
       Pos |= ClauseSig::equationBit(E);
-    for (auto Side : {C.neg(), C.pos()})
-      for (const Equation &E : Side)
-        Syms |= ClauseSig::symbolBit(E.lhs()) | ClauseSig::symbolBit(E.rhs());
     EXPECT_EQ(S.Neg, Neg) << C.str(Terms);
     EXPECT_EQ(S.Pos, Pos) << C.str(Terms);
-    EXPECT_EQ(S.Syms, Syms) << C.str(Terms);
   }
 }
 
@@ -337,31 +319,6 @@ TEST_F(IndexTest, LiveScansMatchALinearScan) {
     }
   }
   EXPECT_GT(Checks, 300u) << "too few signature-filter passes drawn";
-}
-
-//===----------------------------------------------------------------------===//
-// DemodIndex
-//===----------------------------------------------------------------------===//
-
-TEST_F(IndexTest, DemodIndexTracksRootSymbols) {
-  DemodIndex Idx;
-  Symbol A = Symbols.constant("a");
-  Symbol B = Symbols.constant("b");
-  EXPECT_TRUE(Idx.empty());
-  EXPECT_FALSE(Idx.mayMatchRoot(A));
-
-  Idx.addLhs(A);
-  Idx.addLhs(A);
-  EXPECT_TRUE(Idx.mayMatchRoot(A));
-  EXPECT_TRUE(Idx.mayRewrite(ClauseSig::symbolBit(A)));
-
-  // Reference counting: the bit survives one of two removals.
-  Idx.removeLhs(A);
-  EXPECT_TRUE(Idx.mayMatchRoot(A));
-  Idx.removeLhs(A);
-  EXPECT_FALSE(Idx.mayMatchRoot(A));
-  EXPECT_TRUE(Idx.empty());
-  EXPECT_FALSE(Idx.mayRewrite(ClauseSig::symbolBit(B)));
 }
 
 //===----------------------------------------------------------------------===//

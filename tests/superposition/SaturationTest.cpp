@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <set>
 #include <string>
+#include <vector>
 
 using namespace slp;
 using namespace slp::sup;
@@ -410,4 +412,52 @@ TEST(SaturationStatsTest, MergeAndVisitorCoverEveryField) {
         << "operator== ignores word " << I;
   }
   EXPECT_EQ(Make(7), Make(7));
+}
+
+TEST_F(SaturationTest, DemodulatorRetiresWithItsClause) {
+  // Constants are ordered by creation, so a < b < c < d < e and the
+  // larger side of a unit is its rule's left-hand side.
+  Symbol A = T("a"), B = T("b"), C = T("c"), D = T("d"), E = T("e");
+  // The Demod conclusion whose first parent is \p Id; ~0u if none.
+  auto DemodOf = [&](uint32_t Id) {
+    for (uint32_t K = 0; K != Sat.numClauses(); ++K) {
+      const Justification &J = Sat.justification(K);
+      if (J.Kind == RuleKind::Demod && J.Parents.front() == Id)
+        return K;
+    }
+    return ~0u;
+  };
+  using Parents = std::vector<uint32_t>;
+
+  // U1 = (-> c = b) becomes the rule c => b.
+  const uint32_t U1 = Sat.addInput({}, {Equation(C, B)}).Id;
+  ASSERT_EQ(Sat.saturate(Unlimited), SatResult::Saturated);
+
+  // Forward: the given clause c != d is rewritten to b != d by U1.
+  const uint32_t G = Sat.addInput({Equation(C, D)}, {}).Id;
+  ASSERT_EQ(Sat.saturate(Unlimited), SatResult::Saturated);
+  const uint32_t G1 = DemodOf(G);
+  ASSERT_NE(G1, ~0u);
+  EXPECT_EQ(Sat.justification(G1).Parents, (Parents{G, U1}));
+  EXPECT_TRUE(Sat.deleted(G));
+
+  // Backward: U2 = (-> b = a) rewrites the active demodulator U1 to
+  // (-> c = a), which deletes U1 and so retires c => b.
+  const uint32_t U2 = Sat.addInput({}, {Equation(B, A)}).Id;
+  ASSERT_EQ(Sat.saturate(Unlimited), SatResult::Saturated);
+  const uint32_t U1New = DemodOf(U1);
+  ASSERT_NE(U1New, ~0u);
+  EXPECT_EQ(Sat.justification(U1New).Parents, (Parents{U1, U2}));
+  EXPECT_TRUE(Sat.deleted(U1));
+  EXPECT_EQ(Sat.justification(DemodOf(G1)).Parents, (Parents{G1, U2}));
+
+  // c now rewrites by U1New's rule alone: c != e becomes a != e in one
+  // step, and the deleted U1 is no parent.
+  const uint32_t H = Sat.addInput({Equation(C, E)}, {}).Id;
+  ASSERT_EQ(Sat.saturate(Unlimited), SatResult::Saturated);
+  const uint32_t H1 = DemodOf(H);
+  ASSERT_NE(H1, ~0u);
+  EXPECT_EQ(Sat.justification(H1).Parents, (Parents{H, U1New}));
+  const Equation Expected[] = {Equation(A, E)};
+  EXPECT_TRUE(std::ranges::equal(Sat.clause(H1).neg(), Expected));
 }
