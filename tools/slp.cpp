@@ -40,8 +40,9 @@
 ///
 /// Plain runs go through the batch engine. The render modes (--proof
 /// through --query-stats) read the prover's objects, so they prove one
-/// query at a time and reject the engine options --cache, --stats and
-/// any --jobs other than 1. But they prove what the engine proves, the
+/// query at a time and reject the engine options --cache, --stats,
+/// --metrics-json and any --jobs other than 1 (--trace still records
+/// their spans). But they prove what the engine proves, the
 /// canonical query (engine::CanonicalQuery), rebuilt under the source
 /// names: verdicts, fuel and counters are the engine's.
 ///
@@ -210,6 +211,13 @@ int main(int argc, char **argv) {
     std::cerr << "slp: --jobs/--cache/--stats support plain verdict output "
                  "only (no --proof/--model/--check-proof/--dot-*/"
                  "--query-stats)\n";
+    return usage();
+  }
+  // Only the engine publishes metrics, so a render run's snapshot would
+  // be empty.
+  if (Render && !Opts.Telemetry.MetricsJsonPath.empty()) {
+    std::cerr << "slp: --metrics-json supports plain verdict output only "
+                 "(--trace works in every mode)\n";
     return usage();
   }
   bool IsSlp = Opts.Backend == engine::BackendKind::Slp;
