@@ -6,6 +6,7 @@
 
 #include "analysis/Lint.h"
 
+#include "obs/Metrics.h"
 #include "sl/Parser.h"
 
 #include <algorithm>
@@ -297,38 +298,12 @@ LintReport analysis::lintCorpus(const std::string &FileName,
   return Out;
 }
 
-namespace {
-
-void jsonEscape(std::ostringstream &OS, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-}
-
-} // namespace
-
 std::string analysis::reportJson(const LintReport &R) {
+  auto Escaped = [](std::string_view Text) {
+    std::string Out;
+    obs::appendJsonEscaped(Out, Text);
+    return Out;
+  };
   std::ostringstream OS;
   OS << "{\n  \"tool\": \"slp-lint\",\n  \"version\": 1,\n"
      << "  \"queries\": " << R.Queries << ",\n"
@@ -340,13 +315,11 @@ std::string analysis::reportJson(const LintReport &R) {
      << "  \"diagnostics\": [";
   for (size_t I = 0; I != R.Diags.size(); ++I) {
     const LintDiagnostic &D = R.Diags[I];
-    OS << (I ? ",\n    {" : "\n    {") << "\"file\": \"";
-    jsonEscape(OS, D.File);
-    OS << "\", \"line\": " << D.Line << ", \"col\": " << D.Col
+    OS << (I ? ",\n    {" : "\n    {") << "\"file\": \"" << Escaped(D.File)
+       << "\", \"line\": " << D.Line << ", \"col\": " << D.Col
        << ", \"severity\": \"" << lintSeverityName(D.Severity)
-       << "\", \"code\": \"" << lintCodeName(D.Code) << "\", \"message\": \"";
-    jsonEscape(OS, D.Message);
-    OS << "\"}";
+       << "\", \"code\": \"" << lintCodeName(D.Code) << "\", \"message\": \""
+       << Escaped(D.Message) << "\"}";
   }
   OS << (R.Diags.empty() ? "]\n}\n" : "\n  ]\n}\n");
   return OS.str();

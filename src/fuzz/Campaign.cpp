@@ -8,6 +8,7 @@
 
 #include "analysis/StaticAnalyzer.h"
 #include "baselines/Backends.h"
+#include "engine/BatchProver.h"
 #include "engine/CanonicalKey.h"
 #include "gen/Cloning.h"
 #include "gen/RandomEntailments.h"
@@ -568,35 +569,6 @@ std::vector<std::unique_ptr<core::EntailmentBackend>> defaultBackends() {
   return B;
 }
 
-void jsonEscape(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
-
 } // namespace
 
 Campaign::Campaign(CampaignOptions O) : Opts(std::move(O)) {}
@@ -650,11 +622,8 @@ CampaignReport Campaign::run() {
     }
   };
 
-  unsigned Jobs = Opts.Jobs ? Opts.Jobs : std::thread::hardware_concurrency();
-  if (Jobs == 0)
-    Jobs = 1;
-  Jobs = static_cast<unsigned>(
-      std::min<size_t>(Jobs, std::max<size_t>(Seeds.size(), 1)));
+  const unsigned Jobs = static_cast<unsigned>(std::min<size_t>(
+      engine::resolveJobs(Opts.Jobs), std::max<size_t>(Seeds.size(), 1)));
   if (Jobs <= 1) {
     WorkerFn();
   } else {
@@ -705,6 +674,11 @@ CampaignReport Campaign::run() {
 }
 
 std::string CampaignReport::json() const {
+  auto Quoted = [](std::string_view Text) {
+    std::string Out = "\"";
+    obs::appendJsonEscaped(Out, Text);
+    return Out += '"';
+  };
   std::ostringstream OS;
   OS << "{\n";
   OS << "  \"tool\": \"slp-fuzz\",\n";
@@ -738,15 +712,11 @@ std::string CampaignReport::json() const {
       OS << (L ? ", " : "") << "\"" << transformer(F.Chain[L].Kind).Name
          << "\"";
     OS << "],\n";
-    OS << "     \"seed_text\": ";
-    jsonEscape(OS, F.SeedText);
-    OS << ",\n     \"variant_text\": ";
-    jsonEscape(OS, F.VariantText);
-    OS << ",\n     \"shrunk_text\": ";
-    jsonEscape(OS, F.ShrunkText);
-    OS << ",\n     \"detail\": ";
-    jsonEscape(OS, F.Detail);
-    OS << ",\n     \"shrink_steps\": " << F.ShrinkSteps << "}"
+    OS << "     \"seed_text\": " << Quoted(F.SeedText)
+       << ",\n     \"variant_text\": " << Quoted(F.VariantText)
+       << ",\n     \"shrunk_text\": " << Quoted(F.ShrunkText)
+       << ",\n     \"detail\": " << Quoted(F.Detail)
+       << ",\n     \"shrink_steps\": " << F.ShrinkSteps << "}"
        << (I + 1 == Findings.size() ? "\n" : ",\n");
   }
   OS << "  ]\n";

@@ -187,6 +187,10 @@ TEST(LintTest, RenderFormatIsStable) {
 TEST(LintTest, JsonReportParsesAndCounts) {
   LintReport R = lint("next(x, y) * next(x, y) |- true\n"
                       "bad \"syntax\n");
+  // A file name and message with every character JSON must escape.
+  const std::string Odd = "a\"b\\c\td\re";
+  R.Diags.push_back({Odd + ".slp", 1, 1, LintSeverity::Note,
+                     LintCode::TriviallyValid, Odd});
   std::string Payload = reportJson(R);
   std::unique_ptr<test::Json> J = test::parseJson(Payload);
   ASSERT_NE(J, nullptr) << Payload;
@@ -197,6 +201,9 @@ TEST(LintTest, JsonReportParsesAndCounts) {
   const test::Json &D0 = J->get("diagnostics")->Arr[0];
   EXPECT_NE(D0.get("file"), nullptr);
   EXPECT_NE(D0.get("code"), nullptr);
+  const test::Json &Last = J->get("diagnostics")->Arr.back();
+  EXPECT_EQ(Last.get("file")->Str, Odd + ".slp");
+  EXPECT_EQ(Last.get("message")->Str, Odd);
 }
 
 TEST(LintTest, ShippedRegressionCorpusIsClean) {
