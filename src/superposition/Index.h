@@ -38,7 +38,6 @@
 #define SLP_SUPERPOSITION_INDEX_H
 
 #include "superposition/Clause.h"
-#include "support/Hashing.h"
 
 #include <bit>
 #include <cstdint>
