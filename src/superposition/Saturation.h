@@ -422,8 +422,8 @@ private:
   /// demodulation).
   void maybeAddDemodulator(uint32_t Id);
 
-  /// Marks a clause deleted. A positive unit whose equation's rule in
-  /// Demod it generated retires that rule.
+  /// Marks a clause deleted. If it is the positive unit that generated
+  /// a rule in Demod, retires that rule.
   void deleteClause(uint32_t Id);
 
   /// Calls compactIndexes() once enough deletions have accumulated
