@@ -15,8 +15,6 @@
 #ifndef SLP_BENCH_BENCHUTIL_H
 #define SLP_BENCH_BENCHUTIL_H
 
-#include "baselines/BerdineProver.h"
-#include "baselines/UnfoldingProver.h"
 #include "core/Prover.h"
 #include "engine/BatchProver.h"
 #include "engine/Portfolio.h"
@@ -132,9 +130,10 @@ inline BatchResult runBackend(engine::BackendKind Backend, TermTable &Terms,
   R.ProveP99Ns = Prove.quantile(0.99);
   if (Engine.stats().ParseErrors)
     std::fprintf(stderr,
-                 "warning: %zu of %zu rendered entailments failed to "
+                 "warning: %llu of %zu rendered entailments failed to "
                  "re-parse; %s row undercounts Solved\n",
-                 Engine.stats().ParseErrors, Queries.size(),
+                 static_cast<unsigned long long>(Engine.stats().ParseErrors),
+                 Queries.size(),
                  engine::backendKindName(Backend));
   return R;
 }
@@ -245,8 +244,8 @@ inline BatchResult runBerdine(TermTable &Terms,
 /// Runs the greedy jStar-style prover over a batch. "Solved" counts
 /// proofs found; the prover is incomplete, so valid instances it
 /// cannot prove show up as unsolved. The pre-solver is off: ahead of
-/// the unfolder it would decide instances (Invalid ones included) that
-/// the unfolder cannot.
+/// the unfolder it would prove Valid instances that the unfolder
+/// cannot.
 inline BatchResult runGreedy(TermTable &Terms,
                              const std::vector<sl::Entailment> &Batch,
                              uint64_t FuelPerInstance) {

@@ -14,6 +14,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace slp;
 using namespace slp::engine;
@@ -76,9 +77,48 @@ private:
 BatchProver::BatchProver(BatchOptions Opts)
     : Opts(Opts), Cache(Opts.Cache) {}
 
+void BatchStats::record(const QueryResult &R) {
+  ++Queries;
+  if (R.Status == QueryStatus::ParseError) {
+    ++ParseErrors;
+    return;
+  }
+  PresolvedValid += R.Presolved;
+  Sat += R.Sat;
+  switch (R.V) {
+  case core::Verdict::Valid:
+    ++Valid;
+    break;
+  case core::Verdict::Invalid:
+    ++Invalid;
+    break;
+  case core::Verdict::Unknown:
+    ++Unknown;
+    break;
+  }
+}
+
+BatchStats &BatchStats::operator+=(const BatchStats &O) {
+  for (const BatchCounter &C : BatchCounters)
+    this->*C.Field += O.*C.Field;
+  for (double BatchStats::*Field : BatchSeconds)
+    this->*Field += O.*Field;
+  Sat += O.Sat;
+  if (Backends.empty()) {
+    Backends = O.Backends;
+    return *this;
+  }
+  assert(O.Backends.size() == Backends.size() &&
+         "merged runs must tally the same backends");
+  for (size_t I = 0; I != Backends.size(); ++I)
+    Backends[I] += O.Backends[I];
+  return *this;
+}
+
 BatchProver::Worker::Worker(const BatchOptions &Opts)
     : Session(Opts.Prover) {
-  Tally.Name = backendKindName(Opts.Backend);
+  if (Opts.Backend != BackendKind::Portfolio)
+    Stats.Backends.push_back({backendKindName(Opts.Backend)});
   // Fast path: the session itself proves; no backend object, no
   // canonical-text round trip.
   if (Opts.Backend == BackendKind::Slp)
@@ -88,12 +128,6 @@ BatchProver::Worker::Worker(const BatchOptions &Opts)
   Backend = makeBackend(Opts.Backend, Opts.Prover);
   if (Opts.Backend == BackendKind::Portfolio)
     Portfolio = static_cast<PortfolioProver *>(Backend.get());
-}
-
-std::vector<BackendTally> BatchProver::Worker::tallies() const {
-  if (Portfolio)
-    return Portfolio->tallies();
-  return {Tally};
 }
 
 QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
@@ -111,7 +145,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   W.Session.reset();
   sl::ParseResult P = [&] {
     obs::TraceSpan Span("parse");
-    ScopedTimer ST(EM.Parse, &W.ParseSeconds);
+    ScopedTimer ST(EM.Parse, &W.Stats.ParseSeconds);
     return sl::parseEntailment(W.Session.terms(), Task.Text);
   }();
   if (!P.ok()) {
@@ -126,7 +160,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   // through at the cost of one cheap closure pass.
   if (Opts.Presolve) {
     obs::TraceSpan Span("presolve");
-    ScopedTimer ST(EM.Presolve, &W.PresolveSeconds);
+    ScopedTimer ST(EM.Presolve, &W.Stats.PresolveSeconds);
     analysis::AnalysisResult A =
         analysis::analyze(W.Session.terms(), *P.Value);
     if (A.definitive()) {
@@ -137,7 +171,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       Span.arg("reason", std::string(analysis::reasonName(A.R)));
       return Out;
     }
-    ++W.PresolveMisses;
+    ++W.Stats.PresolveMisses;
   }
 
   CanonicalQuery Q = [&] {
@@ -159,11 +193,11 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       // from turning the difference negative.
       double Work = std::max(0.0, LookupTimer.seconds() - Waited);
       EM.CacheNs.record(static_cast<uint64_t>(Work * 1e9));
-      W.CacheSeconds += Work;
-      W.CacheWaitSeconds += Waited;
+      W.Stats.CacheSeconds += Work;
+      W.Stats.CacheWaitSeconds += Waited;
       Span.arg("hit", static_cast<uint64_t>(Hit.has_value()));
     }
-    ++(Hit ? W.CacheHits : W.CacheMisses);
+    ++(Hit ? W.Stats.CacheHits : W.Stats.CacheMisses);
     if (Hit) {
       Out.V = *Hit;
       Out.FromCache = true;
@@ -181,7 +215,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
   double ProveTime = 0;
   {
     obs::TraceSpan Span("prove");
-    ScopedTimer ST(EM.Prove, &W.ProveSeconds);
+    ScopedTimer ST(EM.Prove, &W.Stats.ProveSeconds);
     Timer ProveTimer;
     sl::Entailment E = Q.rebuild(W.Session.terms());
 
@@ -194,7 +228,7 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
       Out.FuelUsed = R.Stats.FuelUsed;
       Out.Sat = R.Stats.Sat;
       if (R.V != core::Verdict::Unknown)
-        Out.Backend = W.Tally.Name;
+        Out.Backend = W.Stats.Backends[0].Name;
     } else {
       // Backend path: hand the canonical form to the backend as text
       // (its own tables, its own parse), so racing members never touch
@@ -234,17 +268,14 @@ QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
 
   // Single-backend accounting (the portfolio keeps its own tallies).
   if (!W.Portfolio) {
-    ++W.Tally.Races;
     bool Definitive = Out.V != core::Verdict::Unknown;
-    W.Tally.Wins += Definitive;
-    W.Tally.Definitive += Definitive;
-    W.Tally.Seconds += ProveTime;
-    W.Tally.FuelUsed += Out.FuelUsed;
+    W.Stats.Backends[0].record(Definitive, Definitive, /*GaveUp=*/false,
+                               ProveTime, Out.FuelUsed);
   }
 
   if (Claim.held()) {
     obs::TraceSpan Span("cache-insert");
-    ScopedTimer ST(EM.CacheNs, &W.CacheSeconds);
+    ScopedTimer ST(EM.CacheNs, &W.Stats.CacheSeconds);
     Claim.publish(Out.V);
   }
   return Out;
@@ -260,13 +291,16 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   // 0 and N - 1 scoped threads run the rest, so a one-task batch (or
   // Jobs == 1) proves on the caller with no thread spawned.
   const unsigned N = Tasks.size() <= 1 ? 1 : resolveJobs(Opts.Jobs);
-  StealPool Queue(Tasks.size(), N, &engineMetrics().QueueDepth, Opts.Cancel);
+  StealPool Queue(Tasks.size(), N, &engineMetrics().QueueDepth);
   std::vector<std::unique_ptr<Worker>> Workers(N);
   auto Drain = [this, &Queue, &Tasks, &Results, &Workers](unsigned J) {
     Workers[J] = std::make_unique<Worker>(Opts);
+    Worker &W = *Workers[J];
     size_t I;
-    while (Queue.pop(J, I))
-      Results[I] = proveOne(Tasks[I], *Workers[J]);
+    while (Queue.pop(J, I)) {
+      Results[I] = proveOne(Tasks[I], W);
+      W.Stats.record(Results[I]);
+    }
   };
   {
     // The scope joins the helpers before their workers are retired.
@@ -277,92 +311,41 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
     Drain(0);
   }
 
-  std::vector<std::vector<BackendTally>> WorkerTallies;
-  uint64_t PresolveMisses = 0;
   for (const std::unique_ptr<Worker> &W : Workers) {
-    const core::SessionStats &SS = W->Session.stats();
-    ++Stats.Sessions;
-    Stats.SessionResets += SS.Resets;
-    Stats.TermsReclaimed += SS.TermsReclaimed;
-    WorkerTallies.push_back(W->tallies());
-    Stats.ParseSeconds += W->ParseSeconds;
-    Stats.PresolveSeconds += W->PresolveSeconds;
-    Stats.ProveSeconds += W->ProveSeconds;
-    Stats.CacheSeconds += W->CacheSeconds;
-    Stats.CacheWaitSeconds += W->CacheWaitSeconds;
-    Stats.CacheHits += W->CacheHits;
-    Stats.CacheMisses += W->CacheMisses;
-    PresolveMisses += W->PresolveMisses;
+    W->Stats.Sessions = 1;
+    W->Stats.SessionResets = W->Session.stats().Resets;
+    W->Stats.TermsReclaimed = W->Session.stats().TermsReclaimed;
+    if (W->Portfolio)
+      W->Stats.Backends = W->Portfolio->tallies();
+    Stats += W->Stats;
   }
   StealStats Stealing = Queue.totals();
-
   Stats.Seconds = T.seconds();
-  Stats.Queries = Tasks.size();
   Stats.WorkersUsed = N;
   Stats.Steals = Stealing.Steals;
   Stats.StealAttempts = Stealing.StealAttempts;
-  // Merge per-backend tallies across workers, preserving member order.
-  for (const std::vector<BackendTally> &WT : WorkerTallies)
-    for (const BackendTally &BT : WT) {
-      BackendTally *Into = nullptr;
-      for (BackendTally &Existing : Stats.Backends)
-        if (Existing.Name == BT.Name)
-          Into = &Existing;
-      if (!Into) {
-        Stats.Backends.push_back(BackendTally{BT.Name, 0, 0, 0, 0, 0, 0});
-        Into = &Stats.Backends.back();
-      }
-      Into->Races += BT.Races;
-      Into->Wins += BT.Wins;
-      Into->Definitive += BT.Definitive;
-      Into->Cancelled += BT.Cancelled;
-      Into->Seconds += BT.Seconds;
-      Into->FuelUsed += BT.FuelUsed;
-    }
-  for (const QueryResult &R : Results) {
-    if (R.Status == QueryStatus::ParseError) {
-      ++Stats.ParseErrors;
-      continue;
-    }
-    Stats.PresolvedValid += R.Presolved;
-    Stats.Sat += R.Sat;
-    switch (R.V) {
-    case core::Verdict::Valid:
-      ++Stats.Valid;
-      break;
-    case core::Verdict::Invalid:
-      ++Stats.Invalid;
-      break;
-    case core::Verdict::Unknown:
-      ++Stats.Unknown;
-      break;
-    }
-  }
 
-  // Mirror the run's aggregates into the global metrics registry —
-  // monotone counters accumulated over every run() of the process, the
-  // payload behind --metrics-json and the snapshot-based --stats
-  // printers. BatchStats above stays the per-run source of truth.
+  // Mirror the run into the global metrics registry: monotone counters
+  // accumulated over every run() of the process, the payload behind
+  // --metrics-json. BatchStats stays the per-run account that --stats
+  // prints.
   obs::MetricsRegistry &Reg = obs::metrics();
-  Reg.counter("engine.queries").inc(Stats.Queries);
-  Reg.counter("engine.parse_errors").inc(Stats.ParseErrors);
-  Reg.counter("engine.valid").inc(Stats.Valid);
-  Reg.counter("engine.invalid").inc(Stats.Invalid);
-  Reg.counter("engine.unknown").inc(Stats.Unknown);
-  if (Opts.Presolve) {
-    Reg.counter("analysis.presolved.valid").inc(Stats.PresolvedValid);
-    Reg.counter("analysis.presolved.miss").inc(PresolveMisses);
-  }
-  Reg.gauge("engine.sessions").set(static_cast<int64_t>(Stats.Sessions));
-  Reg.counter("session.resets").inc(Stats.SessionResets);
-  Reg.counter("session.terms_reclaimed").inc(Stats.TermsReclaimed);
-  Stats.Sat.forEach(
-      [&Reg](const char *Name, uint64_t V) { Reg.counter(Name).inc(V); });
-  Reg.gauge("engine.workers").set(static_cast<int64_t>(Stats.WorkersUsed));
-  Reg.counter("engine.steal.steals").inc(Stats.Steals);
-  Reg.counter("engine.steal.attempts").inc(Stats.StealAttempts);
-  publishBackendTallies(Stats.Backends);
-
+  Stats.forEachMirrored([&](std::string_view Name, uint64_t V, Mirror How) {
+    switch (How) {
+    case Mirror::Presolve:
+      if (!Opts.Presolve)
+        break;
+      [[fallthrough]];
+    case Mirror::Counter:
+      Reg.counter(Name).inc(V);
+      break;
+    case Mirror::Gauge:
+      Reg.gauge(Name).set(static_cast<int64_t>(V));
+      break;
+    case Mirror::Cache:
+      break; // ResultCache::acquire counted the lookup.
+    }
+  });
   return Results;
 }
 

@@ -48,10 +48,12 @@
 #include "core/ProverSession.h"
 #include "engine/Portfolio.h"
 #include "engine/ResultCache.h"
-#include "support/Fuel.h"
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -85,11 +87,6 @@ struct BatchOptions {
   /// go through the core::EntailmentBackend interface, one backend
   /// instance per worker.
   BackendKind Backend = BackendKind::Slp;
-  /// Optional batch-level preemption: when the token fires, workers
-  /// stop claiming tasks at their next item boundary (the in-flight
-  /// query finishes; unclaimed tasks report Verdict::Unknown). The
-  /// token must outlive run().
-  const CancelToken *Cancel = nullptr;
 };
 
 /// Resolves a requested job count: 0 means hardware concurrency (with
@@ -132,16 +129,32 @@ struct QueryResult {
   }
 };
 
-/// Aggregate counters for one run().
+/// How BatchProver::run mirrors a BatchStats count into the metrics
+/// registry.
+enum class Mirror : uint8_t {
+  Counter,  ///< Added to the counter of that name.
+  Gauge,    ///< Set as the gauge of that name (the latest run's value).
+  Presolve, ///< A counter, registered only by runs with the pre-solver.
+  Cache,    ///< Counted by the ResultCache at the lookup itself.
+};
+
+/// The account of one run(): the only per-run record of the engine.
+/// Each worker keeps one for its share of the batch, run() sums them,
+/// and the `--stats` printer and the registry mirror both read the
+/// sum. Merging and the registry names go through the BatchCounters
+/// and BatchSeconds tables below, so a new count is one field plus
+/// one table row.
 struct BatchStats {
   double Seconds = 0;
-  size_t Queries = 0;
-  size_t Valid = 0, Invalid = 0, Unknown = 0, ParseErrors = 0;
+  uint64_t Queries = 0;
+  uint64_t Valid = 0, Invalid = 0, Unknown = 0, ParseErrors = 0;
+  /// Lookups answered by the cache and lookups that claimed the key
+  /// to prove it (a lookup that waited for another worker's verdict
+  /// is a hit, so misses = distinct keys at any job count).
   uint64_t CacheHits = 0, CacheMisses = 0;
-  /// Queries the static pre-solver proved Valid (mirrored to the
-  /// analysis.presolved.* counters; PresolveSeconds includes the
-  /// misses that fell through to the prover).
-  size_t PresolvedValid = 0;
+  /// Queries the static pre-solver proved Valid, and those it handed
+  /// on to the backend (PresolveSeconds includes the latter).
+  uint64_t PresolvedValid = 0, PresolveMisses = 0;
   double PresolveSeconds = 0;
   /// Saturation counters summed over every proved (non-cached) query:
   /// the sum of the per-query QueryResult::Sat.
@@ -149,7 +162,7 @@ struct BatchStats {
   /// Work distribution over the run: workers actually used (1 for a
   /// batch of at most one task, else the resolved Jobs), and the steal
   /// pool's counters (all zero with one worker: nobody to steal from).
-  unsigned WorkersUsed = 0;
+  uint64_t WorkersUsed = 0;
   uint64_t Steals = 0, StealAttempts = 0;
   /// Per-phase wall clock, summed across workers (CPU-seconds; the
   /// sum can exceed Seconds when Jobs > 1): text parsing, proving
@@ -162,12 +175,12 @@ struct BatchStats {
   /// Worker-session reuse counters, aggregated over all sessions of
   /// the run: sessions constructed (== workers), rewinds back to the
   /// baseline table, and query-local terms dropped by those rewinds.
-  size_t Sessions = 0;
+  uint64_t Sessions = 0;
   uint64_t SessionResets = 0;
   uint64_t TermsReclaimed = 0;
-  /// Per-backend win/loss/time breakdown, merged across workers, in
-  /// member order (single entry for non-portfolio runs). Cache hits
-  /// and parse errors are not races and appear in no tally.
+  /// Per-backend win/loss/time breakdown in member order (one entry
+  /// for non-portfolio runs). Cache hits, pre-solved queries and parse
+  /// errors are not races and appear in no tally.
   std::vector<BackendTally> Backends;
 
   double throughput() const { return Seconds > 0 ? Queries / Seconds : 0; }
@@ -175,7 +188,83 @@ struct BatchStats {
     uint64_t Lookups = CacheHits + CacheMisses;
     return Lookups ? static_cast<double>(CacheHits) / Lookups : 0.0;
   }
+
+  /// Accounts one query's outcome: its verdict, whether the pre-solver
+  /// decided it, and its saturation counters.
+  void record(const QueryResult &R);
+  /// Field-wise sum. The tallies add by index: every worker of a run
+  /// lists the same backends in the same order.
+  BatchStats &operator+=(const BatchStats &O);
+  /// Calls \p F(Name, Value, How) for every count the registry
+  /// mirrors: the BatchCounters rows, the `sat.*` counters of Sat and
+  /// the `backend.<name>.*` counters of each tally.
+  template <typename Fn> void forEachMirrored(Fn &&F) const;
 };
+
+/// One count of BatchStats, its metrics-registry name and how the
+/// registry receives it.
+struct BatchCounter {
+  const char *Name;
+  uint64_t BatchStats::*Field;
+  Mirror How;
+};
+
+/// Every count of BatchStats outside Sat and Backends, in mirror order.
+/// The names are the `engine.*`, `cache.*`, `analysis.presolved.*` and
+/// `session.*` catalogue of docs/observability.md.
+inline constexpr BatchCounter BatchCounters[] = {
+    {"engine.queries", &BatchStats::Queries, Mirror::Counter},
+    {"engine.parse_errors", &BatchStats::ParseErrors, Mirror::Counter},
+    {"engine.valid", &BatchStats::Valid, Mirror::Counter},
+    {"engine.invalid", &BatchStats::Invalid, Mirror::Counter},
+    {"engine.unknown", &BatchStats::Unknown, Mirror::Counter},
+    {"cache.hits", &BatchStats::CacheHits, Mirror::Cache},
+    {"cache.misses", &BatchStats::CacheMisses, Mirror::Cache},
+    {"analysis.presolved.valid", &BatchStats::PresolvedValid,
+     Mirror::Presolve},
+    {"analysis.presolved.miss", &BatchStats::PresolveMisses,
+     Mirror::Presolve},
+    {"engine.sessions", &BatchStats::Sessions, Mirror::Gauge},
+    {"session.resets", &BatchStats::SessionResets, Mirror::Counter},
+    {"session.terms_reclaimed", &BatchStats::TermsReclaimed,
+     Mirror::Counter},
+    {"engine.workers", &BatchStats::WorkersUsed, Mirror::Gauge},
+    {"engine.steal.steals", &BatchStats::Steals, Mirror::Counter},
+    {"engine.steal.attempts", &BatchStats::StealAttempts, Mirror::Counter},
+};
+
+/// Every seconds field of BatchStats. The registry's latency
+/// histograms are fed by the same clock reads (ScopedTimer), so these
+/// are summed but not mirrored.
+inline constexpr double BatchStats::*BatchSeconds[] = {
+    &BatchStats::Seconds,      &BatchStats::PresolveSeconds,
+    &BatchStats::ParseSeconds, &BatchStats::ProveSeconds,
+    &BatchStats::CacheSeconds, &BatchStats::CacheWaitSeconds,
+};
+
+static_assert((std::size(BatchCounters) + std::size(BatchSeconds)) * 8 +
+                      sizeof(sup::SaturationStats) +
+                      sizeof(std::vector<BackendTally>) ==
+                  sizeof(BatchStats),
+              "every BatchStats field needs a BatchCounters or "
+              "BatchSeconds row");
+
+template <typename Fn> void BatchStats::forEachMirrored(Fn &&F) const {
+  for (const BatchCounter &C : BatchCounters)
+    F(std::string_view(C.Name), this->*C.Field, C.How);
+  Sat.forEach([&F](const char *Name, uint64_t V) {
+    F(std::string_view(Name), V, Mirror::Counter);
+  });
+  for (const BackendTally &T : Backends) {
+    const std::string P = "backend." + T.Name + ".";
+    F(P + "races", T.Races, Mirror::Counter);
+    F(P + "wins", T.Wins, Mirror::Counter);
+    F(P + "definitive", T.Definitive, Mirror::Counter);
+    F(P + "cancelled", T.Cancelled, Mirror::Counter);
+    F(P + "fuel", T.FuelUsed, Mirror::Counter);
+    F(P + "time_ns", static_cast<uint64_t>(T.Seconds * 1e9), Mirror::Counter);
+  }
+}
 
 /// Orchestrates concurrent proving of proof-task batches. The cache
 /// persists across run() calls, so a warm engine answers repeated
@@ -209,7 +298,7 @@ private:
   /// Everything one worker owns for the duration of a batch: the
   /// parse/canonicalization session (which doubles as the proving
   /// session on the Slp fast path), the backend object for the other
-  /// backends, and the per-backend accounting.
+  /// backends, and the worker's share of the run's account.
   struct Worker {
     explicit Worker(const BatchOptions &Opts);
 
@@ -218,17 +307,10 @@ private:
     std::unique_ptr<core::EntailmentBackend> Backend;
     /// Set iff Backend is a portfolio (it keeps its own tallies).
     PortfolioProver *Portfolio = nullptr;
-    /// Single-backend tally, synthesized by proveOne; unused when
-    /// Portfolio is set.
-    BackendTally Tally;
-    double ParseSeconds = 0, PresolveSeconds = 0, ProveSeconds = 0,
-           CacheSeconds = 0, CacheWaitSeconds = 0;
-    /// Counted at the lookup itself, so a task that a cancellation left
-    /// unclaimed is neither a cache miss nor a pre-solver miss.
-    uint64_t CacheHits = 0, CacheMisses = 0, PresolveMisses = 0;
-
-    /// The tallies to merge into BatchStats at end of batch.
-    std::vector<BackendTally> tallies() const;
+    /// The worker's share of the run. Its Backends holds the single
+    /// backend's tally, kept by proveOne; run() copies a portfolio's
+    /// own tallies in once the worker has drained.
+    BatchStats Stats;
   };
 
   QueryResult proveOne(const ProofTask &Task, Worker &W);

@@ -7,7 +7,6 @@
 #include "engine/Portfolio.h"
 
 #include "baselines/Backends.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Timer.h"
 
@@ -61,25 +60,12 @@ engine::makeBackend(BackendKind K, const core::ProverOptions &Opts) {
   return nullptr;
 }
 
-void engine::publishBackendTallies(const std::vector<BackendTally> &Tallies) {
-  obs::MetricsRegistry &Reg = obs::metrics();
-  for (const BackendTally &T : Tallies) {
-    std::string P = "backend." + T.Name + ".";
-    Reg.counter(P + "races").inc(T.Races);
-    Reg.counter(P + "wins").inc(T.Wins);
-    Reg.counter(P + "definitive").inc(T.Definitive);
-    Reg.counter(P + "cancelled").inc(T.Cancelled);
-    Reg.counter(P + "fuel").inc(T.FuelUsed);
-    Reg.counter(P + "time_ns").inc(static_cast<uint64_t>(T.Seconds * 1e9));
-  }
-}
-
 PortfolioProver::PortfolioProver(PortfolioOptions O) : Opts(std::move(O)) {
   assert(!Opts.Backends.empty() && "portfolio needs at least one member");
   for (BackendKind K : Opts.Backends) {
     assert(K != BackendKind::Portfolio && "portfolios do not nest");
     Members.push_back(makeBackend(K, Opts.Prover));
-    Tallies.push_back(BackendTally{Members.back()->name(), 0, 0, 0, 0, 0, 0});
+    Tallies.push_back(BackendTally{Members.back()->name()});
     RaceSpanNames.push_back(std::string("race:") + Members.back()->name());
   }
   Slots.resize(Members.size());
@@ -197,13 +183,8 @@ core::BackendResult PortfolioProver::prove(const core::ProofTask &T,
   uint64_t TotalFuel = 0;
   for (size_t I = 0; I != N; ++I) {
     const Slot &S = Slots[I];
-    BackendTally &Tally = Tallies[I];
-    ++Tally.Races;
-    Tally.Wins += (I == Winner);
-    Tally.Definitive += S.R.definitive();
-    Tally.Cancelled += S.Cancelled;
-    Tally.Seconds += S.Seconds;
-    Tally.FuelUsed += S.FuelUsed;
+    Tallies[I].record(I == Winner, S.R.definitive(), S.Cancelled, S.Seconds,
+                      S.FuelUsed);
     TotalFuel += S.FuelUsed;
   }
   // Charge the caller's budget with the whole race for accounting;

@@ -19,11 +19,12 @@
 /// Determinism: all members are sound and the complete members agree
 /// with SLP on every decided query, so the *verdict* is independent of
 /// which member wins the race; the win attribution in the per-backend
-/// tallies is timing-dependent, and so is countermodel availability on
-/// Invalid verdicts (the Berdine member decides invalidity without
-/// materializing a heap — see docs/backends.md). With unlimited fuel a
-/// portfolio containing SLP decides exactly what --backend=slp
-/// decides.
+/// tallies is timing-dependent, and so is BackendResult::CexText on
+/// Invalid verdicts: the Berdine member decides invalidity without
+/// materializing a heap, so a race it wins carries no countermodel
+/// (`slp --model` then proves the query with SLP for one — see
+/// docs/backends.md). With unlimited fuel a portfolio containing SLP
+/// decides exactly what --backend=slp decides.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +62,8 @@ std::unique_ptr<core::EntailmentBackend>
 makeBackend(BackendKind K, const core::ProverOptions &Opts = {});
 
 /// Per-backend win/loss/time accounting, accumulated over prove()
-/// calls by the portfolio (and synthesized by the engine for
-/// single-backend runs, so --stats reads the same everywhere).
+/// calls by the portfolio (and kept by the engine for single-backend
+/// runs, so --stats reads the same everywhere).
 struct BackendTally {
   std::string Name;
   uint64_t Races = 0;      ///< Tasks this backend ran on.
@@ -77,16 +78,29 @@ struct BackendTally {
                            ///< members run concurrently, so the sum
                            ///< exceeds the portfolio's elapsed time).
   uint64_t FuelUsed = 0;   ///< Inference steps summed over races.
-};
 
-/// Adds \p Tallies into the global metrics registry as
-/// `backend.<name>.{races,wins,definitive,cancelled,fuel,time_ns}`
-/// counters, registered in member order so snapshots report backends
-/// in the same order the tallies do. Everything that runs backends
-/// (the batch engine after a run, the sequential portfolio path in the
-/// `slp` tool) publishes through this one function, and the `--stats`
-/// backend breakdown renders from the resulting snapshot.
-void publishBackendTallies(const std::vector<BackendTally> &Tallies);
+  /// Accounts one race of this backend.
+  void record(bool Won, bool Decided, bool GaveUp, double RaceSeconds,
+              uint64_t RaceFuel) {
+    ++Races;
+    Wins += Won;
+    Definitive += Decided;
+    Cancelled += GaveUp;
+    Seconds += RaceSeconds;
+    FuelUsed += RaceFuel;
+  }
+
+  /// Adds \p O's races; both must tally the same backend.
+  BackendTally &operator+=(const BackendTally &O) {
+    Races += O.Races;
+    Wins += O.Wins;
+    Definitive += O.Definitive;
+    Cancelled += O.Cancelled;
+    Seconds += O.Seconds;
+    FuelUsed += O.FuelUsed;
+    return *this;
+  }
+};
 
 /// Portfolio configuration.
 struct PortfolioOptions {

@@ -11,9 +11,8 @@
 using namespace slp;
 using namespace slp::engine;
 
-StealPool::StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth,
-                     const CancelToken *Cancel)
-    : Remaining(Size), Size(Size), Depth(Depth), Cancel(Cancel) {
+StealPool::StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth)
+    : Remaining(Size), Size(Size), Depth(Depth) {
   assert(NumWorkers != 0 && "a pool needs at least one worker");
   Locals.reserve(NumWorkers);
   for (unsigned W = 0; W != NumWorkers; ++W) {
@@ -41,8 +40,6 @@ void StealPool::noteClaimed() {
 bool StealPool::pop(unsigned Worker, size_t &Index) {
   Local &Self = *Locals[Worker];
   for (;;) {
-    if (Cancel && Cancel->cancelled())
-      return false;
     {
       std::lock_guard<std::mutex> G(Self.M);
       if (Self.Head != Self.Items.size()) {

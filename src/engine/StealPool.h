@@ -21,9 +21,8 @@
 /// Deques are mutex-protected rather than lock-free: the unit of work
 /// (one entailment proof) costs orders of magnitude more than an
 /// uncontended lock, and the mutexes keep the pool trivially
-/// TSan-clean. An optional CancelToken preempts the whole pool — every
-/// pop observes it, so cancelling mid-batch stops all workers at their
-/// next item boundary.
+/// TSan-clean. Every index is claimed: pop() returns false only once
+/// the whole pool is drained.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +30,6 @@
 #define SLP_ENGINE_STEALPOOL_H
 
 #include "obs/Metrics.h"
-#include "support/Fuel.h"
 
 #include <atomic>
 #include <cstddef>
@@ -64,16 +62,14 @@ public:
   /// Partitions [0, \p Size) into \p NumWorkers contiguous blocks.
   /// \p Depth, when given, is kept at the racy remaining() count on
   /// every claim, so a metrics snapshot taken mid-run sees the pool
-  /// draining. \p Cancel, when given, preempts the pool: once it
-  /// fires, every pop() returns false at its next call.
-  StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth = nullptr,
-            const CancelToken *Cancel = nullptr);
+  /// draining.
+  StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth = nullptr);
 
   StealPool(const StealPool &) = delete;
   StealPool &operator=(const StealPool &) = delete;
 
   /// Claims the next index for \p Worker into \p Index; false once the
-  /// pool is drained or the cancel token has fired. \p Worker must be
+  /// pool is drained. \p Worker must be
   /// < numWorkers() and each worker id must be used by one thread.
   bool pop(unsigned Worker, size_t &Index);
 
@@ -116,8 +112,7 @@ private:
   std::vector<std::unique_ptr<Local>> Locals;
   std::atomic<size_t> Remaining;
   const size_t Size;
-  obs::Gauge *Depth;          ///< Optional `engine.queue.depth` mirror.
-  const CancelToken *Cancel;  ///< Optional preemption token.
+  obs::Gauge *Depth; ///< Optional `engine.queue.depth` mirror.
 };
 
 } // namespace engine

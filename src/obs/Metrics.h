@@ -10,10 +10,9 @@
 /// (saturation steps, batch workers, cache shards) hold a reference to
 /// their metric and pay one relaxed atomic increment on a thread-local
 /// shard; nothing is aggregated until snapshot(), which merges the
-/// shards into a MetricsSnapshot that the CLI `--stats` printers, the
-/// `--metrics-json=` dump, and the bench trajectory writers all render
-/// from. The snapshot JSON is the payload the future slpd `/stats`
-/// endpoint will serve.
+/// shards into a MetricsSnapshot that the `--metrics-json=` dump
+/// renders. The engine's per-run counts live in engine::BatchStats,
+/// which the CLI `--stats` printer reads and the registry mirrors.
 ///
 /// Layering: obs sits at the very bottom of the stack (std only), so
 /// support/, superposition/, engine/, and the tools can all record
@@ -175,8 +174,7 @@ private:
 };
 
 /// Point-in-time view of every registered metric, in registration
-/// order (the portfolio registers its members in race order, so the
-/// stats printers report them in that order too).
+/// order.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> Counters;
   std::vector<std::pair<std::string, int64_t>> Gauges;

@@ -8,9 +8,9 @@
 /// corpora must agree verdict-for-verdict with the sequential
 /// core::SlpProver, be deterministic across job counts and cache
 /// settings, keep results in input order, and answer duplicated
-/// corpora from the cache. Its counters must add up: cache lookups are
-/// counted where they happen, and the saturation counters of a run are
-/// the sum of its queries' counters for any job count.
+/// corpora from the cache. Its counters must add up: the saturation
+/// counters of a run are the sum of its queries' counters for any job
+/// count, and the registry mirrors every count of the run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -223,22 +223,6 @@ TEST(BatchProver, OneTaskRunUsesOneWorkerAndNeverSteals) {
   EXPECT_EQ(Engine.stats().Sessions, 4u);
 }
 
-TEST(BatchProver, CancelledTasksAreNotCacheMisses) {
-  std::vector<std::string> Corpus = makeCorpus(5, /*Seed=*/5);
-  CancelToken Cancel;
-  Cancel.cancel(); // Fired before run(): no task is ever claimed.
-  for (unsigned Jobs : {1u, 4u}) {
-    BatchOptions Opts;
-    Opts.Jobs = Jobs;
-    Opts.Cancel = &Cancel;
-    BatchProver Engine(Opts);
-    for (const QueryResult &R : Engine.run(Corpus))
-      EXPECT_EQ(R.V, core::Verdict::Unknown);
-    EXPECT_EQ(Engine.stats().CacheMisses, 0u) << "jobs=" << Jobs;
-    EXPECT_EQ(Engine.stats().CacheHits, 0u) << "jobs=" << Jobs;
-  }
-}
-
 // The run's saturation counters are one struct: with the cache off
 // every query is proved exactly once, so the per-run sum is
 // independent of the worker count, equals the per-query sum, and is
@@ -270,4 +254,45 @@ TEST(BatchProver, SaturationCountersSumOverQueriesForAnyJobs) {
     ByJobs[I] = Run;
   }
   EXPECT_EQ(ByJobs[0], ByJobs[1]);
+}
+
+// The registry mirror walks the BatchStats tables: after one run,
+// every mirrored count equals the registry delta of its counter (the
+// cache.* rows, counted by the cache itself, included) or the value of
+// its gauge.
+TEST(BatchProver, RegistryMirrorsEveryBatchStatsCount) {
+  std::vector<std::string> Corpus = makeCorpus(10, /*Seed=*/23);
+  Corpus.insert(Corpus.end(), Corpus.begin(), Corpus.begin() + 6);
+  Corpus.push_back("this is not an entailment");
+  for (BackendKind Backend : {BackendKind::Slp, BackendKind::Portfolio}) {
+    BatchOptions Opts;
+    Opts.Jobs = 3;
+    Opts.Backend = Backend;
+    BatchProver Engine(Opts);
+    obs::MetricsSnapshot Before = obs::metrics().snapshot();
+    Engine.run(Corpus);
+    obs::MetricsSnapshot After = obs::metrics().snapshot();
+
+    const BatchStats &S = Engine.stats();
+    EXPECT_EQ(S.Queries, Corpus.size());
+    EXPECT_EQ(S.ParseErrors, 1u);
+    EXPECT_GT(S.CacheHits, 0u);
+    EXPECT_GT(S.PresolvedValid, 0u);
+    EXPECT_GT(S.PresolveMisses, 0u);
+    size_t Mirrored = 0;
+    S.forEachMirrored([&](std::string_view Name, uint64_t V, Mirror How) {
+      ++Mirrored;
+      if (How == Mirror::Gauge) {
+        const int64_t *G = After.gauge(Name);
+        ASSERT_NE(G, nullptr) << Name;
+        EXPECT_EQ(static_cast<uint64_t>(*G), V) << Name;
+        return;
+      }
+      EXPECT_EQ(After.counterOr0(Name) - Before.counterOr0(Name), V)
+          << Name << " (" << backendKindName(Backend) << ")";
+    });
+    EXPECT_EQ(Mirrored, std::size(BatchCounters) +
+                            std::size(sup::SaturationCounters) +
+                            6 * S.Backends.size());
+  }
 }

@@ -6,9 +6,8 @@
 ///
 /// The work-stealing index distributor: every index of [0, size) must
 /// be claimed exactly once regardless of worker count and scheduling,
-/// imbalanced per-item costs must trigger stealing, cancellation must
-/// preempt all workers at an item boundary, and the counters must add
-/// up.
+/// imbalanced per-item costs must trigger stealing, and the counters
+/// must add up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,38 +103,6 @@ TEST(StealPoolTest, SequentialDrainIsInputOrder) {
   while (Pool.pop(0, I))
     EXPECT_EQ(I, Expected++);
   EXPECT_EQ(Expected, 100u);
-}
-
-TEST(StealPoolTest, CancelPreemptsAllWorkers) {
-  CancelToken Cancel;
-  StealPool Pool(100000, 4, /*Depth=*/nullptr, &Cancel);
-  std::atomic<size_t> Claimed{0};
-  std::vector<std::thread> Threads;
-  for (unsigned W = 0; W != 4; ++W)
-    Threads.emplace_back([&, W] {
-      size_t I;
-      while (Pool.pop(W, I)) {
-        if (Claimed.fetch_add(1, std::memory_order_relaxed) == 50)
-          Cancel.cancel();
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  // Every worker stopped at an item boundary well short of the pool.
-  EXPECT_LT(Claimed.load(), 100000u);
-  EXPECT_GT(Pool.remaining(), 0u);
-  size_t I;
-  EXPECT_FALSE(Pool.pop(0, I)) << "a fired token must stop future pops";
-}
-
-TEST(StealPoolTest, CancelledFromStartClaimsNothing) {
-  CancelToken Cancel;
-  Cancel.cancel();
-  StealPool Pool(64, 2, nullptr, &Cancel);
-  std::vector<unsigned> Claims = drain(Pool, 2);
-  for (unsigned C : Claims)
-    EXPECT_EQ(C, 0u);
-  EXPECT_EQ(Pool.remaining(), 64u);
 }
 
 TEST(StealPoolTest, DepthGaugeDrainsToZero) {

@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace slp {
@@ -98,155 +97,87 @@ inline bool parseBackendOpt(const char *Tool, const std::string &Value,
   return true;
 }
 
-/// Prints the per-backend win/loss/time breakdown to stderr — one
-/// line per backend, one implementation for every tool's --stats.
-/// Backends are discovered from the snapshot's `backend.<name>.races`
-/// counters, which engine::publishBackendTallies registers in member
-/// order. For single-backend runs the single line degenerates to
-/// races == definitive verdicts == wins.
-inline void printBackendStats(const obs::MetricsSnapshot &S) {
-  constexpr std::string_view Prefix = "backend.";
-  constexpr std::string_view Suffix = ".races";
-  for (const auto &KV : S.Counters) {
-    const std::string &Key = KV.first;
-    if (Key.size() <= Prefix.size() + Suffix.size() ||
-        Key.compare(0, Prefix.size(), Prefix) != 0 ||
-        Key.compare(Key.size() - Suffix.size(), Suffix.size(), Suffix) != 0)
-      continue;
-    std::string Name =
-        Key.substr(Prefix.size(), Key.size() - Prefix.size() - Suffix.size());
-    std::string P = std::string(Prefix) + Name + ".";
-    std::fprintf(
-        stderr,
-        "backend %-9s %llu wins / %llu races "
-        "(%llu definitive, %llu cancelled, %.3f worker-s, "
-        "%llu fuel)\n",
-        Name.c_str(),
-        static_cast<unsigned long long>(S.counterOr0(P + "wins")),
-        static_cast<unsigned long long>(KV.second),
-        static_cast<unsigned long long>(S.counterOr0(P + "definitive")),
-        static_cast<unsigned long long>(S.counterOr0(P + "cancelled")),
-        static_cast<double>(S.counterOr0(P + "time_ns")) * 1e-9,
-        static_cast<unsigned long long>(S.counterOr0(P + "fuel")));
-  }
-}
-
-/// Prints the model-guided saturation counters (the `sat.*` metrics)
-/// to stderr — one implementation so every tool's --stats reports
-/// them identically.
-inline void printModelGuidedStats(const obs::MetricsSnapshot &S) {
-  std::fprintf(
-      stderr,
-      "model-guided (incremental): %llu attempts, %llu gen positions "
-      "replay-skipped, %llu cert checks skipped, %llu nf-cache "
-      "reuses\n",
-      static_cast<unsigned long long>(S.counterOr0("sat.model_attempts")),
-      static_cast<unsigned long long>(S.counterOr0("sat.gen_replayed_from")),
-      static_cast<unsigned long long>(S.counterOr0("sat.cert_skipped")),
-      static_cast<unsigned long long>(S.counterOr0("sat.nf_cache_reuse")));
-}
-
-/// Prints the engine's phase latencies and session-reuse counters to
-/// stderr from a registry snapshot: per-phase totals are the
-/// `engine.phase.*_ns` histogram sums (the same clock reads that feed
-/// BatchStats' phase seconds; `wait` is time blocked on another
-/// worker's prove of the same key), with p50/p99 of the per-query
-/// prove latency alongside.
-inline void printEngineReuseStats(const obs::MetricsSnapshot &S) {
-  auto PhaseSeconds = [&S](std::string_view Name) {
-    const obs::HistogramSnapshot *H = S.histogram(Name);
-    return H ? static_cast<double>(H->Sum) * 1e-9 : 0.0;
-  };
-  std::fprintf(stderr,
-               "phases (worker-seconds): parse %.3f, prove %.3f, "
-               "cache %.3f, wait %.3f\n",
-               PhaseSeconds("engine.phase.parse_ns"),
-               PhaseSeconds("engine.phase.prove_ns"),
-               PhaseSeconds("engine.phase.cache_ns"),
-               PhaseSeconds("engine.phase.cache_wait_ns"));
-  if (const obs::HistogramSnapshot *H = S.histogram("engine.phase.prove_ns"))
-    if (H->Count)
-      std::fprintf(stderr,
-                   "prove latency: p50 %.0fus, p90 %.0fus, p99 %.0fus, "
-                   "max %.0fus over %llu proofs\n",
-                   H->quantile(0.5) * 1e-3, H->quantile(0.9) * 1e-3,
-                   H->quantile(0.99) * 1e-3,
-                   static_cast<double>(H->Max) * 1e-3,
-                   static_cast<unsigned long long>(H->Count));
-  const int64_t *Sessions = S.gauge("engine.sessions");
-  std::fprintf(
-      stderr,
-      "sessions: %lld workers, %llu resets, %llu terms reclaimed\n",
-      static_cast<long long>(Sessions ? *Sessions : 0),
-      static_cast<unsigned long long>(S.counterOr0("session.resets")),
-      static_cast<unsigned long long>(S.counterOr0("session.terms_reclaimed")));
-}
-
 /// Prints the engine's `--stats` summary for a finished run to stderr:
-/// throughput, verdicts, cache, pre-solver, clause intake, subsumption
-/// and pool counters, then the model-guided, phase/session and per-backend
-/// lines. One implementation for every tool that runs the engine.
+/// throughput, verdicts, cache, pre-solver, clause intake,
+/// subsumption, pools, model-guided saturation, phases, sessions and
+/// one line per backend. Every line renders from the run's BatchStats
+/// (and the cache's size), except the prove-latency percentiles, which
+/// only the `engine.phase.prove_ns` histogram holds. One
+/// implementation for every tool that runs the engine.
 inline void printBatchStats(const engine::BatchProver &Engine) {
   const engine::BatchOptions &Opts = Engine.options();
   const engine::BatchStats &S = Engine.stats();
   engine::CacheStats C = Engine.cache().stats();
+  auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
   std::fprintf(stderr,
-               "batch: %zu queries in %.3fs (%.1f q/s, %u workers; "
+               "batch: %llu queries in %.3fs (%.1f q/s, %llu workers; "
                "%llu steals, %llu attempts)\n"
-               "verdicts: %zu valid, %zu invalid, %zu unknown, "
-               "%zu parse errors\n"
+               "verdicts: %llu valid, %llu invalid, %llu unknown, "
+               "%llu parse errors\n"
                "cache: %s, hit rate %.1f%% (%llu hits, %llu misses, "
                "%zu entries, %llu evictions)\n",
-               S.Queries, S.Seconds, S.throughput(), S.WorkersUsed,
-               static_cast<unsigned long long>(S.Steals),
-               static_cast<unsigned long long>(S.StealAttempts), S.Valid,
-               S.Invalid, S.Unknown, S.ParseErrors,
+               U(S.Queries), S.Seconds, S.throughput(), U(S.WorkersUsed),
+               U(S.Steals), U(S.StealAttempts), U(S.Valid), U(S.Invalid),
+               U(S.Unknown), U(S.ParseErrors),
                Opts.CacheEnabled ? "on" : "off", 100.0 * S.hitRate(),
-               static_cast<unsigned long long>(S.CacheHits),
-               static_cast<unsigned long long>(S.CacheMisses), C.Entries,
-               static_cast<unsigned long long>(C.Evictions));
+               U(S.CacheHits), U(S.CacheMisses), C.Entries, U(C.Evictions));
   if (Opts.Presolve) {
-    size_t Parsed = S.Queries - S.ParseErrors;
+    uint64_t Parsed = S.Queries - S.ParseErrors;
     std::fprintf(stderr,
-                 "presolve: %zu of %zu decided statically (%.1f%%) in "
+                 "presolve: %llu of %llu decided statically (%.1f%%) in "
                  "%.3fs\n",
-                 S.PresolvedValid, Parsed,
+                 U(S.PresolvedValid), U(Parsed),
                  Parsed ? 100.0 * S.PresolvedValid / Parsed : 0.0,
                  S.PresolveSeconds);
   }
   const sup::SaturationStats &Sat = S.Sat;
-  std::fprintf(stderr,
-               "clauses: %llu derived, %llu kept, %llu tautologies, "
-               "%llu demodulated; %llu compactions, %llu stale purged\n",
-               static_cast<unsigned long long>(Sat.Derived),
-               static_cast<unsigned long long>(Sat.Kept),
-               static_cast<unsigned long long>(Sat.Tautologies),
-               static_cast<unsigned long long>(Sat.Demodulated),
-               static_cast<unsigned long long>(Sat.Compactions),
-               static_cast<unsigned long long>(Sat.StalePurged));
-  double Prune =
-      Sat.SubChecks ? static_cast<double>(Sat.SubScanBaseline) / Sat.SubChecks
-                    : 0.0;
-  std::fprintf(stderr,
-               "subsumption: %llu fwd, %llu bwd, %llu checks of "
-               "%llu scan-equivalent (%.1fx pruned)\n",
-               static_cast<unsigned long long>(Sat.SubsumedFwd),
-               static_cast<unsigned long long>(Sat.SubsumedBwd),
-               static_cast<unsigned long long>(Sat.SubChecks),
-               static_cast<unsigned long long>(Sat.SubScanBaseline), Prune);
   uint64_t MemoTotal = Sat.OrderCacheHits + Sat.OrderCacheMisses;
+  std::fprintf(
+      stderr,
+      "clauses: %llu derived, %llu kept, %llu tautologies, %llu "
+      "demodulated; %llu compactions, %llu stale purged\n"
+      "subsumption: %llu fwd, %llu bwd, %llu checks of %llu "
+      "scan-equivalent (%.1fx pruned)\n"
+      "pools: %llu equations, %llu literals; order memo %llu hits / %llu "
+      "misses (%.1f%%)\n"
+      "model-guided (incremental): %llu attempts, %llu gen positions "
+      "replay-skipped, %llu cert checks skipped, %llu nf-cache reuses\n",
+      U(Sat.Derived), U(Sat.Kept), U(Sat.Tautologies), U(Sat.Demodulated),
+      U(Sat.Compactions), U(Sat.StalePurged), U(Sat.SubsumedFwd),
+      U(Sat.SubsumedBwd), U(Sat.SubChecks), U(Sat.SubScanBaseline),
+      Sat.SubChecks ? static_cast<double>(Sat.SubScanBaseline) / Sat.SubChecks
+                    : 0.0,
+      U(Sat.PoolEquations), U(Sat.PoolLiterals), U(Sat.OrderCacheHits),
+      U(Sat.OrderCacheMisses),
+      MemoTotal ? 100.0 * Sat.OrderCacheHits / MemoTotal : 0.0,
+      U(Sat.ModelAttempts), U(Sat.GenReplayedFrom), U(Sat.CertSkipped),
+      U(Sat.NfCacheReuse));
+  // `wait` is time blocked on another worker's prove of the same key.
   std::fprintf(stderr,
-               "pools: %llu equations, %llu literals; order memo "
-               "%llu hits / %llu misses (%.1f%%)\n",
-               static_cast<unsigned long long>(Sat.PoolEquations),
-               static_cast<unsigned long long>(Sat.PoolLiterals),
-               static_cast<unsigned long long>(Sat.OrderCacheHits),
-               static_cast<unsigned long long>(Sat.OrderCacheMisses),
-               MemoTotal ? 100.0 * Sat.OrderCacheHits / MemoTotal : 0.0);
-  obs::MetricsSnapshot Snap = obs::metrics().snapshot();
-  printModelGuidedStats(Snap);
-  printEngineReuseStats(Snap);
-  printBackendStats(Snap);
+               "phases (worker-seconds): parse %.3f, prove %.3f, "
+               "cache %.3f, wait %.3f\n",
+               S.ParseSeconds, S.ProveSeconds, S.CacheSeconds,
+               S.CacheWaitSeconds);
+  obs::HistogramSnapshot Prove =
+      obs::metrics().histogram("engine.phase.prove_ns").snapshot();
+  if (Prove.Count)
+    std::fprintf(stderr,
+                 "prove latency: p50 %.0fus, p90 %.0fus, p99 %.0fus, "
+                 "max %.0fus over %llu proofs\n",
+                 Prove.quantile(0.5) * 1e-3, Prove.quantile(0.9) * 1e-3,
+                 Prove.quantile(0.99) * 1e-3,
+                 static_cast<double>(Prove.Max) * 1e-3, U(Prove.Count));
+  std::fprintf(stderr,
+               "sessions: %llu workers, %llu resets, %llu terms reclaimed\n",
+               U(S.Sessions), U(S.SessionResets), U(S.TermsReclaimed));
+  // A single-backend line degenerates to races == definitive == wins.
+  for (const engine::BackendTally &T : S.Backends)
+    std::fprintf(stderr,
+                 "backend %-9s %llu wins / %llu races "
+                 "(%llu definitive, %llu cancelled, %.3f worker-s, "
+                 "%llu fuel)\n",
+                 T.Name.c_str(), U(T.Wins), U(T.Races), U(T.Definitive),
+                 U(T.Cancelled), T.Seconds, U(T.FuelUsed));
 }
 
 /// The shared `--trace=` / `--metrics-json=` options: every tool that

@@ -355,6 +355,15 @@ int main(int argc, char **argv) {
       VerdictText = core::verdictName(R.V);
       if (IsPortfolio && !R.Backend.empty())
         VerdictText += " [" + R.Backend + "]";
+      // A race that berdine won carries no heap: the session's SLP
+      // prover proves the rebuilt query, under the same --fuel, for
+      // the countermodel.
+      if (Opts.Model && R.V == core::Verdict::Invalid && R.CexText.empty()) {
+        Fuel SlpFuel = Opts.FuelSteps ? Fuel(Opts.FuelSteps) : Fuel();
+        core::ProveResult SR = Slp.prove(E, SlpFuel);
+        if (SR.Cex)
+          R.CexText = sl::str(Terms, SR.Cex->S, SR.Cex->H);
+      }
       if (Opts.Model && !R.CexText.empty())
         VerdictText += "\n  countermodel: " +
                        bindDroppedConstants(R.CexText, Source, *P.Value);
