@@ -242,7 +242,8 @@ inline constexpr double BatchStats::*BatchSeconds[] = {
     &BatchStats::CacheSeconds, &BatchStats::CacheWaitSeconds,
 };
 
-static_assert((std::size(BatchCounters) + std::size(BatchSeconds)) * 8 +
+static_assert(std::size(BatchCounters) * sizeof(uint64_t) +
+                      std::size(BatchSeconds) * sizeof(double) +
                       sizeof(sup::SaturationStats) +
                       sizeof(std::vector<BackendTally>) ==
                   sizeof(BatchStats),

@@ -131,27 +131,32 @@ inline void printBatchStats(const engine::BatchProver &Engine) {
                  S.PresolveSeconds);
   }
   const sup::SaturationStats &Sat = S.Sat;
-  uint64_t MemoTotal = Sat.OrderCacheHits + Sat.OrderCacheMisses;
-  std::fprintf(
-      stderr,
-      "clauses: %llu derived, %llu kept, %llu tautologies, %llu "
-      "demodulated; %llu compactions, %llu stale purged\n"
-      "subsumption: %llu fwd, %llu bwd, %llu checks of %llu "
-      "scan-equivalent (%.1fx pruned)\n"
-      "pools: %llu equations, %llu literals; order memo %llu hits / %llu "
-      "misses (%.1f%%)\n"
-      "model-guided (incremental): %llu attempts, %llu gen positions "
-      "replay-skipped, %llu cert checks skipped, %llu nf-cache reuses\n",
-      U(Sat.Derived), U(Sat.Kept), U(Sat.Tautologies), U(Sat.Demodulated),
-      U(Sat.Compactions), U(Sat.StalePurged), U(Sat.SubsumedFwd),
-      U(Sat.SubsumedBwd), U(Sat.SubChecks), U(Sat.SubScanBaseline),
+  std::fprintf(stderr,
+               "clauses: %llu derived, %llu kept, %llu tautologies, "
+               "%llu demodulated; %llu compactions, %llu stale purged\n",
+               U(Sat.Derived), U(Sat.Kept), U(Sat.Tautologies),
+               U(Sat.Demodulated), U(Sat.Compactions), U(Sat.StalePurged));
+  double Prune =
       Sat.SubChecks ? static_cast<double>(Sat.SubScanBaseline) / Sat.SubChecks
-                    : 0.0,
-      U(Sat.PoolEquations), U(Sat.PoolLiterals), U(Sat.OrderCacheHits),
-      U(Sat.OrderCacheMisses),
-      MemoTotal ? 100.0 * Sat.OrderCacheHits / MemoTotal : 0.0,
-      U(Sat.ModelAttempts), U(Sat.GenReplayedFrom), U(Sat.CertSkipped),
-      U(Sat.NfCacheReuse));
+                    : 0.0;
+  std::fprintf(stderr,
+               "subsumption: %llu fwd, %llu bwd, %llu checks of "
+               "%llu scan-equivalent (%.1fx pruned)\n",
+               U(Sat.SubsumedFwd), U(Sat.SubsumedBwd), U(Sat.SubChecks),
+               U(Sat.SubScanBaseline), Prune);
+  uint64_t MemoTotal = Sat.OrderCacheHits + Sat.OrderCacheMisses;
+  std::fprintf(stderr,
+               "pools: %llu equations, %llu literals; order memo "
+               "%llu hits / %llu misses (%.1f%%)\n",
+               U(Sat.PoolEquations), U(Sat.PoolLiterals),
+               U(Sat.OrderCacheHits), U(Sat.OrderCacheMisses),
+               MemoTotal ? 100.0 * Sat.OrderCacheHits / MemoTotal : 0.0);
+  std::fprintf(stderr,
+               "model-guided (incremental): %llu attempts, %llu gen "
+               "positions replay-skipped, %llu cert checks skipped, %llu "
+               "nf-cache reuses\n",
+               U(Sat.ModelAttempts), U(Sat.GenReplayedFrom),
+               U(Sat.CertSkipped), U(Sat.NfCacheReuse));
   // `wait` is time blocked on another worker's prove of the same key.
   std::fprintf(stderr,
                "phases (worker-seconds): parse %.3f, prove %.3f, "
