@@ -3,7 +3,7 @@
 
 Usage, from the repository root:
 
-  scripts/bench_ab.py BASE CHANGE --workload W --seed S --pairs N
+  scripts/bench_ab.py BASE CHANGE --workload W --seed S [--pairs 10]
                       [--seconds 36]
                       [--append BENCH_W.json --machine TEXT
                        --base-note TEXT --change-note TEXT]
@@ -12,8 +12,10 @@ BASE and CHANGE are git revisions. Each is exported with `git archive`
 into .bench_ab/<role>-<sha> at the repository root, with
 CARGO_TARGET_DIR set to .bench_ab/<role>-<sha>-target. One short
 warm-up run per revision builds its perfbench there, so the timed runs
-find the build up to date. Then the runs alternate: odd pairs run BASE
-first, even pairs CHANGE first, each `python3 perfbench/run.py
+find the build up to date. Then --pairs pairs of runs alternate (10 by
+default; five do not resolve refute-d1, whose medians moved by -8.5%
+and +2.6% between the same two commits in one session): odd pairs run
+BASE first, even pairs CHANGE first, each `python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0` in its own export. A
 revision compared with itself (an A/A run) is exported and built
 twice, so the two sides share nothing.
@@ -144,7 +146,7 @@ def main():
     ap.add_argument("change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=36)
     ap.add_argument("--append", help="trajectory file to add the runs to")
     ap.add_argument("--machine", default="")

@@ -16,7 +16,7 @@ ProverSession::ProverSession(ProverOptions Opts)
 
 void ProverSession::reset() {
   ++Stats.Resets;
-  Stats.TermsReclaimed += Syms.size() - Baseline.NumSymbols;
+  Stats.TermsReclaimed += localSymbols();
   Terms.reset(Baseline);
   SLP_INVARIANT(Syms.size() == Baseline.NumSymbols,
                 "session rewind did not restore the symbol baseline");

@@ -81,6 +81,10 @@ public:
 
   const SessionStats &stats() const { return Stats; }
 
+  /// Query-local symbols interned since construction or the last
+  /// reset(): what the next reset() will reclaim.
+  uint64_t localSymbols() const { return Syms.size() - Baseline.NumSymbols; }
+
 private:
   SymbolTable Syms;
   TermTable Terms;

@@ -21,16 +21,14 @@ using namespace slp::engine;
 
 namespace {
 
-/// Cached references to the per-phase latency histograms and the
-/// queue-depth gauge (registry objects never move, so one lookup
-/// serves the process).
+/// Cached references to the per-phase latency histograms (registry
+/// histograms never move, so one lookup serves the process).
 struct EngineMetrics {
   obs::Histogram &Parse;
   obs::Histogram &Presolve;
   obs::Histogram &Canon;
   obs::Histogram &CacheNs;
   obs::Histogram &Prove;
-  obs::Gauge &QueueDepth;
 };
 
 EngineMetrics &engineMetrics() {
@@ -39,8 +37,7 @@ EngineMetrics &engineMetrics() {
       obs::metrics().histogram("engine.phase.presolve_ns"),
       obs::metrics().histogram("engine.phase.canon_ns"),
       obs::metrics().histogram("engine.phase.cache_ns"),
-      obs::metrics().histogram("engine.phase.prove_ns"),
-      obs::metrics().gauge("engine.queue.depth")};
+      obs::metrics().histogram("engine.phase.prove_ns")};
   return M;
 }
 
@@ -286,12 +283,13 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   std::vector<QueryResult> Results(Tasks.size());
   Timer T;
   Stats = BatchStats();
+  const CacheStats CacheBefore = Cache.stats();
 
   // One worker loop for every job count: the calling thread is worker
   // 0 and N - 1 scoped threads run the rest, so a one-task batch (or
   // Jobs == 1) proves on the caller with no thread spawned.
   const unsigned N = Tasks.size() <= 1 ? 1 : resolveJobs(Opts.Jobs);
-  StealPool Queue(Tasks.size(), N, &engineMetrics().QueueDepth);
+  StealPool Queue(Tasks.size(), N);
   std::vector<std::unique_ptr<Worker>> Workers(N);
   auto Drain = [this, &Queue, &Tasks, &Results, &Workers](unsigned J) {
     Workers[J] = std::make_unique<Worker>(Opts);
@@ -314,7 +312,10 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   for (const std::unique_ptr<Worker> &W : Workers) {
     W->Stats.Sessions = 1;
     W->Stats.SessionResets = W->Session.stats().Resets;
-    W->Stats.TermsReclaimed = W->Session.stats().TermsReclaimed;
+    // The last query's terms are never rewound; counting them keeps the
+    // total independent of which worker proved which query last.
+    W->Stats.TermsReclaimed =
+        W->Session.stats().TermsReclaimed + W->Session.localSymbols();
     if (W->Portfolio)
       W->Stats.Backends = W->Portfolio->tallies();
     Stats += W->Stats;
@@ -324,6 +325,10 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   Stats.WorkersUsed = N;
   Stats.Steals = Stealing.Steals;
   Stats.StealAttempts = Stealing.StealAttempts;
+  const CacheStats CacheAfter = Cache.stats();
+  Stats.CacheInsertions = CacheAfter.Insertions - CacheBefore.Insertions;
+  Stats.CacheEvictions = CacheAfter.Evictions - CacheBefore.Evictions;
+  Stats.CacheEntries = CacheAfter.Entries;
 
   // Mirror the run into the global metrics registry: monotone counters
   // accumulated over every run() of the process, the payload behind
@@ -337,13 +342,11 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
         break;
       [[fallthrough]];
     case Mirror::Counter:
-      Reg.counter(Name).inc(V);
+      Reg.add(Name, V);
       break;
     case Mirror::Gauge:
-      Reg.gauge(Name).set(static_cast<int64_t>(V));
+      Reg.set(Name, static_cast<int64_t>(V));
       break;
-    case Mirror::Cache:
-      break; // ResultCache::acquire counted the lookup.
     }
   });
   return Results;

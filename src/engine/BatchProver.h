@@ -135,7 +135,6 @@ enum class Mirror : uint8_t {
   Counter,  ///< Added to the counter of that name.
   Gauge,    ///< Set as the gauge of that name (the latest run's value).
   Presolve, ///< A counter, registered only by runs with the pre-solver.
-  Cache,    ///< Counted by the ResultCache at the lookup itself.
 };
 
 /// The account of one run(): the only per-run record of the engine.
@@ -152,6 +151,10 @@ struct BatchStats {
   /// to prove it (a lookup that waited for another worker's verdict
   /// is a hit, so misses = distinct keys at any job count).
   uint64_t CacheHits = 0, CacheMisses = 0;
+  /// What only the cache sees, read from its CacheStats around the run:
+  /// verdicts it stored and entries it evicted during the run, and its
+  /// size at the end.
+  uint64_t CacheInsertions = 0, CacheEvictions = 0, CacheEntries = 0;
   /// Queries the static pre-solver proved Valid, and those it handed
   /// on to the backend (PresolveSeconds includes the latter).
   uint64_t PresolvedValid = 0, PresolveMisses = 0;
@@ -174,7 +177,9 @@ struct BatchStats {
   double CacheWaitSeconds = 0;
   /// Worker-session reuse counters, aggregated over all sessions of
   /// the run: sessions constructed (== workers), rewinds back to the
-  /// baseline table, and query-local terms dropped by those rewinds.
+  /// baseline table, and query-local terms dropped by those rewinds or
+  /// left by each worker's last query (so the count is the per-query
+  /// sum, whichever worker proves which query).
   uint64_t Sessions = 0;
   uint64_t SessionResets = 0;
   uint64_t TermsReclaimed = 0;
@@ -218,8 +223,11 @@ inline constexpr BatchCounter BatchCounters[] = {
     {"engine.valid", &BatchStats::Valid, Mirror::Counter},
     {"engine.invalid", &BatchStats::Invalid, Mirror::Counter},
     {"engine.unknown", &BatchStats::Unknown, Mirror::Counter},
-    {"cache.hits", &BatchStats::CacheHits, Mirror::Cache},
-    {"cache.misses", &BatchStats::CacheMisses, Mirror::Cache},
+    {"cache.hits", &BatchStats::CacheHits, Mirror::Counter},
+    {"cache.misses", &BatchStats::CacheMisses, Mirror::Counter},
+    {"cache.insertions", &BatchStats::CacheInsertions, Mirror::Counter},
+    {"cache.evictions", &BatchStats::CacheEvictions, Mirror::Counter},
+    {"cache.entries", &BatchStats::CacheEntries, Mirror::Gauge},
     {"analysis.presolved.valid", &BatchStats::PresolvedValid,
      Mirror::Presolve},
     {"analysis.presolved.miss", &BatchStats::PresolveMisses,

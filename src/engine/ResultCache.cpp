@@ -16,12 +16,7 @@ using namespace slp;
 using namespace slp::engine;
 
 ResultCache::ResultCache(Options Opts)
-    : HitsMetric(obs::metrics().counter("cache.hits")),
-      MissesMetric(obs::metrics().counter("cache.misses")),
-      InsertionsMetric(obs::metrics().counter("cache.insertions")),
-      EvictionsMetric(obs::metrics().counter("cache.evictions")),
-      EntriesMetric(obs::metrics().gauge("cache.entries")),
-      WaitMetric(obs::metrics().histogram("engine.phase.cache_wait_ns")) {
+    : WaitMetric(obs::metrics().histogram("engine.phase.cache_wait_ns")) {
   size_t NumShards = std::max<size_t>(1, Opts.NumShards);
   // Distribute the requested bound across shards, spreading the
   // remainder over the first MaxEntries % NumShards shards so the
@@ -46,11 +41,6 @@ std::optional<core::Verdict> ResultCache::findLocked(Shard &S,
   return It->second->second;
 }
 
-void ResultCache::countLocked(Shard &S, bool Hit) {
-  ++(Hit ? S.Hits : S.Misses);
-  (Hit ? HitsMetric : MissesMetric).inc();
-}
-
 void ResultCache::insertLocked(Shard &S, std::string_view Key,
                                core::Verdict V) {
   if (S.Map.count(Key))
@@ -59,8 +49,6 @@ void ResultCache::insertLocked(Shard &S, std::string_view Key,
     S.Map.erase(S.Lru.back().first);
     S.Lru.pop_back();
     ++S.Evictions;
-    EvictionsMetric.inc();
-    EntriesMetric.add(-1);
   }
   S.Lru.emplace_front(Key, V);
   S.Map.emplace(S.Lru.front().first, S.Lru.begin());
@@ -69,8 +57,6 @@ void ResultCache::insertLocked(Shard &S, std::string_view Key,
   SLP_INVARIANT(S.Map.size() == S.Lru.size(),
                 "cache shard map and LRU list disagree");
   ++S.Insertions;
-  InsertionsMetric.inc();
-  EntriesMetric.add(1);
 }
 
 bool ResultCache::claimedLocked(const Shard &S, std::string_view Key) {
@@ -95,13 +81,10 @@ std::optional<core::Verdict> ResultCache::acquire(const CanonicalQuery &Q,
   std::optional<ScopedTimer> WaitTimer;
   std::unique_lock<std::mutex> Lock(S.M);
   for (;;) {
-    if (std::optional<core::Verdict> V = findLocked(S, Q.key())) {
-      countLocked(S, /*Hit=*/true);
+    if (std::optional<core::Verdict> V = findLocked(S, Q.key()))
       return V;
-    }
     if (!claimedLocked(S, Q.key())) {
       S.Pending.push_back(Q.key());
-      countLocked(S, /*Hit=*/false);
       return std::nullopt;
     }
     if (!WaitTimer) {
@@ -136,9 +119,7 @@ void ResultCache::abandon(const CanonicalQuery &Q) {
 std::optional<core::Verdict> ResultCache::lookup(const CanonicalQuery &Q) {
   Shard &S = shardFor(Q.hash());
   std::lock_guard<std::mutex> Lock(S.M);
-  std::optional<core::Verdict> V = findLocked(S, Q.key());
-  countLocked(S, V.has_value());
-  return V;
+  return findLocked(S, Q.key());
 }
 
 void ResultCache::insert(const CanonicalQuery &Q, core::Verdict V) {
@@ -151,8 +132,6 @@ CacheStats ResultCache::stats() const {
   CacheStats Out;
   for (const std::unique_ptr<Shard> &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->M);
-    Out.Hits += S->Hits;
-    Out.Misses += S->Misses;
     Out.Insertions += S->Insertions;
     Out.Evictions += S->Evictions;
     Out.Entries += S->Lru.size();
@@ -179,7 +158,6 @@ size_t ResultCache::capacity() const {
 void ResultCache::clear() {
   for (const std::unique_ptr<Shard> &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->M);
-    EntriesMetric.add(-static_cast<int64_t>(S->Lru.size()));
     S->Map.clear();
     S->Lru.clear();
   }

@@ -25,9 +25,12 @@
 /// the first waiter to recheck becomes the new owner. A waiter that
 /// wakes to find the published entry already evicted reclaims the key
 /// the same way (a miss), so no wait outlives the claims that caused
-/// it. Each acquire() counts as exactly one hit or one miss, so over
-/// one batch that never evicts, misses == distinct keys and hits ==
-/// calls - distinct keys, whatever the interleaving.
+/// it. Each acquire() returns exactly one hit (a verdict) or one claim
+/// (nullopt), so over one batch that never evicts, claims == distinct
+/// keys and hits == calls - distinct keys, whatever the interleaving.
+/// The cache counts neither: its caller does (engine::BatchStats
+/// counts each lookup once, at the worker). The cache counts only what
+/// it alone sees: insertions, evictions and its size.
 ///
 /// No cycle of waits: a caller holds at most one claim, and never
 /// calls acquire() while holding one. A waiter therefore waits on an
@@ -56,18 +59,11 @@
 namespace slp {
 namespace engine {
 
-/// Aggregated counters across all shards.
+/// What only the cache sees, summed across all shards.
 struct CacheStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
   uint64_t Insertions = 0;
   uint64_t Evictions = 0;
   size_t Entries = 0;
-
-  double hitRate() const {
-    uint64_t Lookups = Hits + Misses;
-    return Lookups ? static_cast<double>(Hits) / Lookups : 0.0;
-  }
 };
 
 /// Memoizes entailment verdicts keyed by CanonicalQuery::key().
@@ -80,14 +76,12 @@ public:
 
   ResultCache() : ResultCache(Options()) {}
   explicit ResultCache(Options Opts);
-  /// Releases this cache's contribution to the `cache.entries` gauge.
-  ~ResultCache() { clear(); }
 
   /// Single-flight lookup (see the file comment). Returns the memoized
   /// verdict for \p Q, refreshing its LRU slot, or — when another
   /// caller owns \p Q — blocks until that claim ends and returns its
-  /// verdict; either is a hit. Returns nullopt on a miss: the caller
-  /// now owns \p Q and must end the claim with publish() or abandon()
+  /// verdict; either is a hit. Returns nullopt when it hands the caller
+  /// the claim (a miss): the caller now owns \p Q and must end the claim with publish() or abandon()
   /// while \p Q is alive (the claim refers to its key). Time spent
   /// blocked is recorded as a `cache-wait` trace span, into the
   /// `engine.phase.cache_wait_ns` histogram and, when given, added to
@@ -113,7 +107,8 @@ public:
   /// Thread safe.
   void insert(const CanonicalQuery &Q, core::Verdict V);
 
-  /// Snapshot of the aggregated counters. Thread safe.
+  /// Insertions and evictions so far, and the current size. Thread
+  /// safe.
   CacheStats stats() const;
 
   size_t size() const;
@@ -140,7 +135,7 @@ private:
     std::unordered_map<std::string_view,
                        std::list<std::pair<std::string, core::Verdict>>::iterator>
         Map;
-    uint64_t Hits = 0, Misses = 0, Insertions = 0, Evictions = 0;
+    uint64_t Insertions = 0, Evictions = 0;
     /// This shard's entry bound (immutable after construction).
     size_t Cap = 1;
   };
@@ -150,29 +145,18 @@ private:
   }
 
   /// The memoized verdict for \p Key (refreshing its LRU slot), with
-  /// \p S.M held; counts nothing.
+  /// \p S.M held.
   static std::optional<core::Verdict> findLocked(Shard &S,
                                                  std::string_view Key);
-  /// Counts one hit or miss with \p S.M held.
-  void countLocked(Shard &S, bool Hit);
   /// insert() with \p S.M held.
-  void insertLocked(Shard &S, std::string_view Key, core::Verdict V);
+  static void insertLocked(Shard &S, std::string_view Key, core::Verdict V);
   /// Whether \p Key has a claim in flight, with \p S.M held.
   static bool claimedLocked(const Shard &S, std::string_view Key);
   /// Drops \p Key's claim from \p S with \p S.M held.
   static void releaseLocked(Shard &S, std::string_view Key);
 
   std::vector<std::unique_ptr<Shard>> Shards;
-
-  /// Registry mirrors of the shard counters (`cache.*`), accumulated
-  /// across every cache instance of the process; the per-instance
-  /// stats() above stays the source for per-run accounting.
-  obs::Counter &HitsMetric;
-  obs::Counter &MissesMetric;
-  obs::Counter &InsertionsMetric;
-  obs::Counter &EvictionsMetric;
-  obs::Gauge &EntriesMetric;
-  obs::Histogram &WaitMetric;
+  obs::Histogram &WaitMetric; ///< `engine.phase.cache_wait_ns`.
 };
 
 } // namespace engine

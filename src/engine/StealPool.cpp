@@ -11,8 +11,8 @@
 using namespace slp;
 using namespace slp::engine;
 
-StealPool::StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth)
-    : Remaining(Size), Size(Size), Depth(Depth) {
+StealPool::StealPool(size_t Size, unsigned NumWorkers)
+    : Remaining(Size), Size(Size) {
   assert(NumWorkers != 0 && "a pool needs at least one worker");
   Locals.reserve(NumWorkers);
   for (unsigned W = 0; W != NumWorkers; ++W) {
@@ -27,14 +27,6 @@ StealPool::StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth)
       L->Items.push_back(I);
     Locals.push_back(std::move(L));
   }
-  if (Depth)
-    Depth->set(static_cast<int64_t>(Size));
-}
-
-void StealPool::noteClaimed() {
-  size_t Left = Remaining.fetch_sub(1, std::memory_order_relaxed) - 1;
-  if (Depth)
-    Depth->set(static_cast<int64_t>(Left));
 }
 
 bool StealPool::pop(unsigned Worker, size_t &Index) {
@@ -45,7 +37,7 @@ bool StealPool::pop(unsigned Worker, size_t &Index) {
       if (Self.Head != Self.Items.size()) {
         Index = Self.Items[Self.Head++];
         ++Self.Stats.Executed;
-        noteClaimed();
+        Remaining.fetch_sub(1, std::memory_order_relaxed);
         return true;
       }
       // Drained: reset so stolen loot lands in a compact vector.

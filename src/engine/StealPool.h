@@ -29,8 +29,6 @@
 #ifndef SLP_ENGINE_STEALPOOL_H
 #define SLP_ENGINE_STEALPOOL_H
 
-#include "obs/Metrics.h"
-
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -60,10 +58,7 @@ struct StealStats {
 class StealPool {
 public:
   /// Partitions [0, \p Size) into \p NumWorkers contiguous blocks.
-  /// \p Depth, when given, is kept at the racy remaining() count on
-  /// every claim, so a metrics snapshot taken mid-run sees the pool
-  /// draining.
-  StealPool(size_t Size, unsigned NumWorkers, obs::Gauge *Depth = nullptr);
+  StealPool(size_t Size, unsigned NumWorkers);
 
   StealPool(const StealPool &) = delete;
   StealPool &operator=(const StealPool &) = delete;
@@ -106,13 +101,9 @@ private:
   /// Returns false if every victim probed empty.
   bool stealInto(unsigned Worker);
 
-  /// Records one claim against the remaining counter and depth gauge.
-  void noteClaimed();
-
   std::vector<std::unique_ptr<Local>> Locals;
   std::atomic<size_t> Remaining;
   const size_t Size;
-  obs::Gauge *Depth; ///< Optional `engine.queue.depth` mirror.
 };
 
 } // namespace engine

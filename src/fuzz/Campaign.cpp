@@ -657,18 +657,18 @@ CampaignReport Campaign::run() {
       std::chrono::duration<double>(Clock::now() - Start).count();
 
   obs::MetricsRegistry &M = obs::metrics();
-  M.counter("fuzz.units").inc(R.UnitsRun);
-  M.counter("fuzz.variants").inc(R.Variants);
-  M.counter("fuzz.checks").inc(R.Checks);
-  M.counter("fuzz.findings").inc(R.Findings.size());
-  M.counter("fuzz.shrink_steps").inc(R.ShrinkSteps);
-  M.counter("fuzz.skipped_unknown").inc(R.SkippedUnknown);
+  M.add("fuzz.units", R.UnitsRun);
+  M.add("fuzz.variants", R.Variants);
+  M.add("fuzz.checks", R.Checks);
+  M.add("fuzz.findings", R.Findings.size());
+  M.add("fuzz.shrink_steps", R.ShrinkSteps);
+  M.add("fuzz.skipped_unknown", R.SkippedUnknown);
   for (size_t K = 0; K != NumTransformers; ++K) {
     const std::string Base =
         std::string("fuzz.transformer.") + catalogue()[K].Name;
-    M.counter(Base + ".applied").inc(R.Transformers[K].Applied);
-    M.counter(Base + ".inapplicable").inc(R.Transformers[K].Inapplicable);
-    M.counter(Base + ".findings").inc(R.Transformers[K].Findings);
+    M.add(Base + ".applied", R.Transformers[K].Applied);
+    M.add(Base + ".inapplicable", R.Transformers[K].Inapplicable);
+    M.add(Base + ".findings", R.Transformers[K].Findings);
   }
   return R;
 }

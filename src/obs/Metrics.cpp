@@ -210,39 +210,43 @@ MetricsRegistry &MetricsRegistry::global() {
   return R;
 }
 
+namespace {
+
+/// The value named \p Name in \p Vec, appended as 0 on first use;
+/// the caller holds the registry mutex.
 template <typename T>
-T &MetricsRegistry::lookup(
-    std::string_view Name,
-    std::vector<std::pair<std::string, std::unique_ptr<T>>> &Vec) {
-  std::lock_guard<std::mutex> Lock(M);
-  for (auto &[N, Ptr] : Vec)
+T &slot(std::vector<std::pair<std::string, T>> &Vec, std::string_view Name) {
+  for (auto &[N, V] : Vec)
     if (N == Name)
-      return *Ptr;
-  Vec.emplace_back(std::string(Name), std::make_unique<T>());
-  return *Vec.back().second;
+      return V;
+  return Vec.emplace_back(std::string(Name), T()).second;
 }
 
-Counter &MetricsRegistry::counter(std::string_view Name) {
-  return lookup(Name, Counters);
+} // namespace
+
+void MetricsRegistry::add(std::string_view Name, uint64_t Delta) {
+  std::lock_guard<std::mutex> Lock(M);
+  slot(Counters, Name) += Delta;
 }
 
-Gauge &MetricsRegistry::gauge(std::string_view Name) {
-  return lookup(Name, Gauges);
+void MetricsRegistry::set(std::string_view Name, int64_t Value) {
+  std::lock_guard<std::mutex> Lock(M);
+  slot(Gauges, Name) = Value;
 }
 
 Histogram &MetricsRegistry::histogram(std::string_view Name) {
-  return lookup(Name, Histograms);
+  std::lock_guard<std::mutex> Lock(M);
+  std::unique_ptr<Histogram> &H = slot(Histograms, Name);
+  if (!H)
+    H = std::make_unique<Histogram>();
+  return *H;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> Lock(M);
   MetricsSnapshot Out;
-  Out.Counters.reserve(Counters.size());
-  for (const auto &[Name, C] : Counters)
-    Out.Counters.emplace_back(Name, C->value());
-  Out.Gauges.reserve(Gauges.size());
-  for (const auto &[Name, G] : Gauges)
-    Out.Gauges.emplace_back(Name, G->value());
+  Out.Counters = Counters;
+  Out.Gauges = Gauges;
   Out.Histograms.reserve(Histograms.size());
   for (const auto &[Name, H] : Histograms)
     Out.Histograms.emplace_back(Name, H->snapshot());
@@ -251,10 +255,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::resetForTest() {
   std::lock_guard<std::mutex> Lock(M);
-  for (auto &[Name, C] : Counters)
-    C->resetForTest();
-  for (auto &[Name, G] : Gauges)
-    G->set(0);
+  for (auto &[Name, V] : Counters)
+    V = 0;
+  for (auto &[Name, V] : Gauges)
+    V = 0;
   for (auto &[Name, H] : Histograms)
     H->resetForTest();
 }

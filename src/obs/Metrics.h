@@ -6,13 +6,15 @@
 ///
 /// \file
 /// The telemetry substrate: a process-wide MetricsRegistry of named
-/// counters, gauges, and log-bucketed latency histograms. Hot paths
-/// (saturation steps, batch workers, cache shards) hold a reference to
-/// their metric and pay one relaxed atomic increment on a thread-local
-/// shard; nothing is aggregated until snapshot(), which merges the
-/// shards into a MetricsSnapshot that the `--metrics-json=` dump
-/// renders. The engine's per-run counts live in engine::BatchStats,
-/// which the CLI `--stats` printer reads and the registry mirrors.
+/// counters, gauges, and log-bucketed latency histograms, rendered by
+/// snapshot() into the MetricsSnapshot behind `--metrics-json=`.
+/// Counters and gauges are plain values that the owner of a per-run
+/// account (engine::BatchStats, the fuzz campaign's report, slpgen's
+/// instance count) hands over once, at the end of its run: add() and
+/// set() take the registry mutex, so nothing per query calls them.
+/// Latency histograms are the one metric recorded per query from every
+/// worker; a histogram keeps one cache-line shard per thread slot and
+/// costs two relaxed atomic adds per sample.
 ///
 /// Layering: obs sits at the very bottom of the stack (std only), so
 /// support/, superposition/, engine/, and the tools can all record
@@ -37,8 +39,8 @@ namespace obs {
 
 namespace detail {
 
-/// Number of independent per-metric shards. Each thread hashes to one
-/// slot, so concurrent increments rarely share a cache line; snapshot
+/// Number of independent histogram shards. Each thread hashes to one
+/// slot, so concurrent records rarely share a cache line; snapshot
 /// sums all of them.
 constexpr unsigned NumShards = 8;
 
@@ -46,50 +48,7 @@ constexpr unsigned NumShards = 8;
 /// use, stable for the thread's lifetime).
 unsigned threadShard();
 
-struct alignas(64) PaddedCounter {
-  std::atomic<uint64_t> V{0};
-};
-
 } // namespace detail
-
-/// Monotonic counter. inc() is one relaxed fetch-add on the calling
-/// thread's shard; value() merges the shards.
-class Counter {
-public:
-  void inc(uint64_t Delta = 1) {
-    Shards[detail::threadShard()].V.fetch_add(Delta,
-                                              std::memory_order_relaxed);
-  }
-
-  uint64_t value() const {
-    uint64_t Sum = 0;
-    for (const detail::PaddedCounter &S : Shards)
-      Sum += S.V.load(std::memory_order_relaxed);
-    return Sum;
-  }
-
-  void resetForTest() {
-    for (detail::PaddedCounter &S : Shards)
-      S.V.store(0, std::memory_order_relaxed);
-  }
-
-private:
-  detail::PaddedCounter Shards[detail::NumShards];
-};
-
-/// Instantaneous signed value (queue depths, pool sizes). Last writer
-/// wins; set/add are relaxed.
-class Gauge {
-public:
-  void set(int64_t V) { Value.store(V, std::memory_order_relaxed); }
-  void add(int64_t Delta) {
-    Value.fetch_add(Delta, std::memory_order_relaxed);
-  }
-  int64_t value() const { return Value.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<int64_t> Value{0};
-};
 
 /// Merged, immutable view of one histogram: dense bucket counts plus
 /// count/sum/max, from which quantiles are interpolated. Also the
@@ -197,11 +156,12 @@ struct MetricsSnapshot {
   std::string json() const;
 };
 
-/// Registry of named metrics. Metric objects are created on first
-/// lookup and never move or die, so callers cache references and
-/// record lock-free; only the create-on-miss path and snapshot() take
-/// the registry mutex. Names are dot-separated lowercase identifiers
-/// (see docs/observability.md for the catalogue).
+/// Registry of named metrics. A counter or gauge is registered by its
+/// first add() or set(); a histogram is created on first lookup and
+/// never moves or dies, so callers cache the reference and record
+/// lock-free. Every registry call takes the registry mutex. Names are
+/// dot-separated lowercase identifiers (see docs/observability.md for
+/// the catalogue).
 class MetricsRegistry {
 public:
   MetricsRegistry() = default;
@@ -211,24 +171,23 @@ public:
   /// The process-wide registry the tools and engine record into.
   static MetricsRegistry &global();
 
-  Counter &counter(std::string_view Name);
-  Gauge &gauge(std::string_view Name);
+  /// Adds \p Delta to the counter \p Name.
+  void add(std::string_view Name, uint64_t Delta);
+  /// Sets the gauge \p Name to \p Value (last writer wins).
+  void set(std::string_view Name, int64_t Value);
   Histogram &histogram(std::string_view Name);
 
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes every registered value (handles stay valid). Tests only —
-  /// live readers may observe torn partial sums across shards.
+  /// Zeroes every registered value (names and histogram handles stay).
+  /// Tests only: live readers may observe torn partial sums across
+  /// histogram shards.
   void resetForTest();
 
 private:
-  template <typename T>
-  T &lookup(std::string_view Name,
-            std::vector<std::pair<std::string, std::unique_ptr<T>>> &Vec);
-
   mutable std::mutex M;
-  std::vector<std::pair<std::string, std::unique_ptr<Counter>>> Counters;
-  std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> Gauges;
+  std::vector<std::pair<std::string, uint64_t>> Counters;
+  std::vector<std::pair<std::string, int64_t>> Gauges;
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> Histograms;
 };
 

@@ -8,8 +8,10 @@
 # model-guided and single-backend lines and the proof count are
 # properties of the corpus alone. With the single-flight cache on each
 # distinct key is proved once at any --jobs, so the same holds on a
-# doubled corpus. Times (the presolve seconds, a backend's worker-s)
-# are stripped. Writes its files into the working directory.
+# doubled corpus. So do the session resets and reclaimed terms, which
+# sum per-query counts. Times (the presolve seconds, a backend's
+# worker-s) and the worker count are stripped. Writes its files into
+# the working directory.
 set -eu
 slp=$1
 verify=$2
@@ -17,8 +19,8 @@ slpgen=$3
 
 # The deterministic lines of the --stats block in file $1.
 counters() {
-  grep -E '^(verdicts|cache|presolve|clauses|subsumption|pools|model-guided|backend)' "$1" |
-    sed -E 's/ in [0-9.]+s$//; s/, [0-9.]+ worker-s//'
+  grep -E '^(verdicts|cache|presolve|clauses|subsumption|pools|model-guided|sessions|backend)' "$1" |
+    sed -E 's/ in [0-9.]+s$//; s/, [0-9.]+ worker-s//; s/^sessions: [0-9]+ workers, /sessions: /'
   grep -oE 'over [0-9]+ proofs' "$1" || true
 }
 

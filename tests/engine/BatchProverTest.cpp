@@ -257,42 +257,54 @@ TEST(BatchProver, SaturationCountersSumOverQueriesForAnyJobs) {
 }
 
 // The registry mirror walks the BatchStats tables: after one run,
-// every mirrored count equals the registry delta of its counter (the
-// cache.* rows, counted by the cache itself, included) or the value of
-// its gauge.
+// every mirrored count equals the registry delta of its counter or the
+// value of its gauge. A one-entry cache makes the run evict, so the
+// cache.evictions row is exercised too.
 TEST(BatchProver, RegistryMirrorsEveryBatchStatsCount) {
   std::vector<std::string> Corpus = makeCorpus(10, /*Seed=*/23);
   Corpus.insert(Corpus.end(), Corpus.begin(), Corpus.begin() + 6);
   Corpus.push_back("this is not an entailment");
-  for (BackendKind Backend : {BackendKind::Slp, BackendKind::Portfolio}) {
-    BatchOptions Opts;
-    Opts.Jobs = 3;
-    Opts.Backend = Backend;
-    BatchProver Engine(Opts);
-    obs::MetricsSnapshot Before = obs::metrics().snapshot();
-    Engine.run(Corpus);
-    obs::MetricsSnapshot After = obs::metrics().snapshot();
+  for (BackendKind Backend : {BackendKind::Slp, BackendKind::Portfolio})
+    for (size_t Capacity : {size_t(1) << 20, size_t(1)}) {
+      BatchOptions Opts;
+      Opts.Jobs = 3;
+      Opts.Backend = Backend;
+      Opts.Cache.NumShards = 1;
+      Opts.Cache.MaxEntries = Capacity;
+      BatchProver Engine(Opts);
+      obs::MetricsSnapshot Before = obs::metrics().snapshot();
+      Engine.run(Corpus);
+      obs::MetricsSnapshot After = obs::metrics().snapshot();
 
-    const BatchStats &S = Engine.stats();
-    EXPECT_EQ(S.Queries, Corpus.size());
-    EXPECT_EQ(S.ParseErrors, 1u);
-    EXPECT_GT(S.CacheHits, 0u);
-    EXPECT_GT(S.PresolvedValid, 0u);
-    EXPECT_GT(S.PresolveMisses, 0u);
-    size_t Mirrored = 0;
-    S.forEachMirrored([&](std::string_view Name, uint64_t V, Mirror How) {
-      ++Mirrored;
-      if (How == Mirror::Gauge) {
-        const int64_t *G = After.gauge(Name);
-        ASSERT_NE(G, nullptr) << Name;
-        EXPECT_EQ(static_cast<uint64_t>(*G), V) << Name;
-        return;
+      const BatchStats &S = Engine.stats();
+      EXPECT_EQ(S.Queries, Corpus.size());
+      EXPECT_EQ(S.ParseErrors, 1u);
+      EXPECT_GT(S.PresolvedValid, 0u);
+      EXPECT_GT(S.PresolveMisses, 0u);
+      EXPECT_EQ(S.CacheInsertions, S.CacheMisses);
+      if (Capacity == 1) {
+        EXPECT_GT(S.CacheEvictions, 0u);
+        EXPECT_EQ(S.CacheEntries, 1u);
+      } else {
+        EXPECT_GT(S.CacheHits, 0u);
+        EXPECT_EQ(S.CacheEvictions, 0u);
+        EXPECT_EQ(S.CacheEntries, S.CacheMisses);
       }
-      EXPECT_EQ(After.counterOr0(Name) - Before.counterOr0(Name), V)
-          << Name << " (" << backendKindName(Backend) << ")";
-    });
-    EXPECT_EQ(Mirrored, std::size(BatchCounters) +
-                            std::size(sup::SaturationCounters) +
-                            6 * S.Backends.size());
-  }
+      size_t Mirrored = 0;
+      S.forEachMirrored([&](std::string_view Name, uint64_t V, Mirror How) {
+        ++Mirrored;
+        if (How == Mirror::Gauge) {
+          const int64_t *G = After.gauge(Name);
+          ASSERT_NE(G, nullptr) << Name;
+          EXPECT_EQ(static_cast<uint64_t>(*G), V) << Name;
+          return;
+        }
+        EXPECT_EQ(After.counterOr0(Name) - Before.counterOr0(Name), V)
+            << Name << " (" << backendKindName(Backend) << ", capacity "
+            << Capacity << ")";
+      });
+      EXPECT_EQ(Mirrored, std::size(BatchCounters) +
+                              std::size(sup::SaturationCounters) +
+                              6 * S.Backends.size());
+    }
 }

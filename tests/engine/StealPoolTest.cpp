@@ -105,16 +105,6 @@ TEST(StealPoolTest, SequentialDrainIsInputOrder) {
   EXPECT_EQ(Expected, 100u);
 }
 
-TEST(StealPoolTest, DepthGaugeDrainsToZero) {
-  obs::Gauge Depth;
-  StealPool Pool(10, 2, &Depth);
-  EXPECT_EQ(Depth.value(), 10);
-  std::vector<unsigned> Claims = drain(Pool, 2);
-  for (unsigned C : Claims)
-    EXPECT_EQ(C, 1u);
-  EXPECT_EQ(Depth.value(), 0);
-}
-
 TEST(StealPoolTest, PerWorkerStatsSumToTotals) {
   StealPool Pool(500, 3);
   drain(Pool, 3, /*SlowBelow=*/100);

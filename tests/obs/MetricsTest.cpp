@@ -138,22 +138,8 @@ TEST(HistogramQuantile, SnapshotMinusIsolatesNewSamples) {
 }
 
 //===----------------------------------------------------------------------===//
-// Counters, gauges, concurrency
+// Histogram concurrency
 //===----------------------------------------------------------------------===//
-
-TEST(Counter, SumsAcrossThreads) {
-  Counter C;
-  constexpr int Threads = 8, PerThread = 10000;
-  std::vector<std::thread> Ts;
-  for (int T = 0; T != Threads; ++T)
-    Ts.emplace_back([&C] {
-      for (int I = 0; I != PerThread; ++I)
-        C.inc();
-    });
-  for (std::thread &T : Ts)
-    T.join();
-  EXPECT_EQ(C.value(), static_cast<uint64_t>(Threads) * PerThread);
-}
 
 TEST(Histogram, CountsAcrossThreads) {
   Histogram H;
@@ -175,33 +161,31 @@ TEST(Histogram, CountsAcrossThreads) {
   EXPECT_EQ(S.Max, 7001u);
 }
 
-TEST(Gauge, SetAndAdd) {
-  Gauge G;
-  G.set(10);
-  G.add(-3);
-  EXPECT_EQ(G.value(), 7);
-  G.add(-10);
-  EXPECT_EQ(G.value(), -3);
-}
-
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
 
 TEST(MetricsRegistry, SameNameSameInstance) {
   MetricsRegistry R;
-  Counter &A = R.counter("x.a");
-  Counter &B = R.counter("x.a");
-  EXPECT_EQ(&A, &B);
-  A.inc(3);
-  EXPECT_EQ(R.snapshot().counterOr0("x.a"), 3u);
+  R.add("x.a", 3);
+  R.add("x.a", 4);
+  R.set("g.a", 5);
+  R.set("g.a", -2);
+  MetricsSnapshot S = R.snapshot();
+  ASSERT_EQ(S.Counters.size(), 1u);
+  EXPECT_EQ(S.counterOr0("x.a"), 7u);
+  ASSERT_EQ(S.Gauges.size(), 1u);
+  ASSERT_NE(S.gauge("g.a"), nullptr);
+  EXPECT_EQ(*S.gauge("g.a"), -2);
+  EXPECT_EQ(&R.histogram("h.a"), &R.histogram("h.a"));
 }
 
 TEST(MetricsRegistry, SnapshotPreservesRegistrationOrder) {
   MetricsRegistry R;
-  R.counter("z.first");
-  R.counter("a.second");
-  R.counter("m.third");
+  R.add("z.first", 0);
+  R.add("a.second", 1);
+  R.add("m.third", 0);
+  R.add("z.first", 2);
   MetricsSnapshot S = R.snapshot();
   ASSERT_EQ(S.Counters.size(), 3u);
   EXPECT_EQ(S.Counters[0].first, "z.first");
@@ -216,7 +200,7 @@ TEST(MetricsRegistry, ConcurrentLookupAndIncrement) {
   for (int T = 0; T != Threads; ++T)
     Ts.emplace_back([&R] {
       for (int I = 0; I != PerThread; ++I)
-        R.counter("contended").inc();
+        R.add("contended", 1);
     });
   for (std::thread &T : Ts)
     T.join();
@@ -226,8 +210,8 @@ TEST(MetricsRegistry, ConcurrentLookupAndIncrement) {
 
 TEST(MetricsRegistry, JsonRoundTripsThroughParser) {
   MetricsRegistry R;
-  R.counter("c.one").inc(42);
-  R.gauge("g.depth").set(-7);
+  R.add("c.one", 42);
+  R.set("g.depth", -7);
   Histogram &H = R.histogram("h.lat");
   for (uint64_t V = 1; V <= 100; ++V)
     H.record(V);
@@ -257,12 +241,21 @@ TEST(MetricsRegistry, JsonRoundTripsThroughParser) {
 
 TEST(MetricsRegistry, ResetForTestZeroesKeepsHandles) {
   MetricsRegistry R;
-  Counter &C = R.counter("r.c");
-  C.inc(5);
+  R.add("r.c", 5);
+  R.set("r.g", 9);
+  Histogram &H = R.histogram("r.h");
+  H.record(3);
   R.resetForTest();
-  EXPECT_EQ(C.value(), 0u);
-  C.inc();
+  MetricsSnapshot S = R.snapshot();
+  ASSERT_NE(S.counter("r.c"), nullptr) << "names stay registered";
+  EXPECT_EQ(*S.counter("r.c"), 0u);
+  ASSERT_NE(S.gauge("r.g"), nullptr);
+  EXPECT_EQ(*S.gauge("r.g"), 0);
+  EXPECT_EQ(H.snapshot().Count, 0u);
+  R.add("r.c", 1);
+  H.record(3);
   EXPECT_EQ(R.snapshot().counterOr0("r.c"), 1u);
+  EXPECT_EQ(R.snapshot().histogram("r.h")->Count, 1u);
 }
 
 } // namespace

@@ -100,14 +100,13 @@ inline bool parseBackendOpt(const char *Tool, const std::string &Value,
 /// Prints the engine's `--stats` summary for a finished run to stderr:
 /// throughput, verdicts, cache, pre-solver, clause intake,
 /// subsumption, pools, model-guided saturation, phases, sessions and
-/// one line per backend. Every line renders from the run's BatchStats
-/// (and the cache's size), except the prove-latency percentiles, which
+/// one line per backend. Every line renders from the run's BatchStats,
+/// except the prove-latency percentiles, which
 /// only the `engine.phase.prove_ns` histogram holds. One
 /// implementation for every tool that runs the engine.
 inline void printBatchStats(const engine::BatchProver &Engine) {
   const engine::BatchOptions &Opts = Engine.options();
   const engine::BatchStats &S = Engine.stats();
-  engine::CacheStats C = Engine.cache().stats();
   auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
   std::fprintf(stderr,
                "batch: %llu queries in %.3fs (%.1f q/s, %llu workers; "
@@ -115,12 +114,13 @@ inline void printBatchStats(const engine::BatchProver &Engine) {
                "verdicts: %llu valid, %llu invalid, %llu unknown, "
                "%llu parse errors\n"
                "cache: %s, hit rate %.1f%% (%llu hits, %llu misses, "
-               "%zu entries, %llu evictions)\n",
+               "%llu entries, %llu evictions)\n",
                U(S.Queries), S.Seconds, S.throughput(), U(S.WorkersUsed),
                U(S.Steals), U(S.StealAttempts), U(S.Valid), U(S.Invalid),
                U(S.Unknown), U(S.ParseErrors),
                Opts.CacheEnabled ? "on" : "off", 100.0 * S.hitRate(),
-               U(S.CacheHits), U(S.CacheMisses), C.Entries, U(C.Evictions));
+               U(S.CacheHits), U(S.CacheMisses), U(S.CacheEntries),
+               U(S.CacheEvictions));
   if (Opts.Presolve) {
     uint64_t Parsed = S.Queries - S.ParseErrors;
     std::fprintf(stderr,

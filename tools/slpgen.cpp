@@ -135,7 +135,6 @@ int main(int argc, char **argv) {
     return usage();
   }
 
-  obs::Counter &Instances = obs::metrics().counter("gen.instances");
   obs::Histogram &GenNs = obs::metrics().histogram("gen.entailment_ns");
 
   SymbolTable Symbols;
@@ -149,16 +148,16 @@ int main(int argc, char **argv) {
                        : gen::distribution2(Terms, Rng, Vars, PNext);
     }();
     std::cout << sl::str(Terms, E) << "\n";
-    Instances.inc();
   }
+  obs::metrics().add("gen.instances", Count);
 
   if (Stats) {
     obs::HistogramSnapshot H = GenNs.snapshot();
     std::fprintf(stderr,
                  "gen: %llu instances (dist %u, %u vars); per-instance "
                  "p50 %.0fns, p99 %.0fns, max %.0fns\n",
-                 static_cast<unsigned long long>(Instances.value()), Dist,
-                 Vars, H.quantile(0.5), H.quantile(0.99),
+                 static_cast<unsigned long long>(Count), Dist, Vars,
+                 H.quantile(0.5), H.quantile(0.99),
                  static_cast<double>(H.Max));
   }
   if (!MetricsJsonPath.empty() && !obs::writeMetricsJson(MetricsJsonPath)) {
