@@ -283,7 +283,6 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   std::vector<QueryResult> Results(Tasks.size());
   Timer T;
   Stats = BatchStats();
-  const CacheStats CacheBefore = Cache.stats();
 
   // One worker loop for every job count: the calling thread is worker
   // 0 and N - 1 scoped threads run the rest, so a one-task batch (or
@@ -325,10 +324,16 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   Stats.WorkersUsed = N;
   Stats.Steals = Stealing.Steals;
   Stats.StealAttempts = Stealing.StealAttempts;
-  const CacheStats CacheAfter = Cache.stats();
-  Stats.CacheInsertions = CacheAfter.Insertions - CacheBefore.Insertions;
-  Stats.CacheEvictions = CacheAfter.Evictions - CacheBefore.Evictions;
-  Stats.CacheEntries = CacheAfter.Entries;
+  // Only a claimed key is published, so a run without a miss left the
+  // cache as the last run did; skipping the read keeps the shard locks
+  // off presolved and all-hit runs.
+  if (Stats.CacheMisses) {
+    const CacheStats Now = Cache.stats();
+    Stats.CacheInsertions = Now.Insertions - CacheSeen.Insertions;
+    Stats.CacheEvictions = Now.Evictions - CacheSeen.Evictions;
+    CacheSeen = Now;
+  }
+  Stats.CacheEntries = CacheSeen.Entries;
 
   // Mirror the run into the global metrics registry: monotone counters
   // accumulated over every run() of the process, the payload behind

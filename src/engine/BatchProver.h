@@ -151,9 +151,9 @@ struct BatchStats {
   /// to prove it (a lookup that waited for another worker's verdict
   /// is a hit, so misses = distinct keys at any job count).
   uint64_t CacheHits = 0, CacheMisses = 0;
-  /// What only the cache sees, read from its CacheStats around the run:
-  /// verdicts it stored and entries it evicted during the run, and its
-  /// size at the end.
+  /// What only the cache sees, read from its CacheStats at the end of
+  /// the run: verdicts it stored and entries it evicted during the run,
+  /// and its size at the end.
   uint64_t CacheInsertions = 0, CacheEvictions = 0, CacheEntries = 0;
   /// Queries the static pre-solver proved Valid, and those it handed
   /// on to the backend (PresolveSeconds includes the latter).
@@ -326,6 +326,8 @@ private:
 
   BatchOptions Opts;
   ResultCache Cache;
+  /// Cache.stats() as of the end of the last run() that changed it.
+  CacheStats CacheSeen;
   BatchStats Stats;
 };
 
