@@ -13,6 +13,7 @@
 #include "analysis/StaticAnalyzer.h"
 #include "core/Prover.h"
 #include "core/ProverSession.h"
+#include "engine/BatchProver.h"
 #include "engine/CanonicalKey.h"
 #include "gen/RandomEntailments.h"
 #include "sl/Parser.h"
@@ -259,6 +260,25 @@ static void BM_BatchSessionReuse(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 64);
 }
 BENCHMARK(BM_BatchSessionReuse);
+
+// One-task run()s on a long-lived engine, the way perfbench's latency
+// sweep issues its queries: the engine's fixed cost per run around one
+// query, with the workers' sessions kept warm across runs. prove:0 is
+// a query the pre-solver decides, prove:1 one the prover saturates
+// with the pre-solver off. The cache is off, so every run proves.
+static void BM_EngineOneTaskRun(benchmark::State &State) {
+  const bool Prove = State.range(0);
+  engine::BatchOptions Opts;
+  Opts.CacheEnabled = false;
+  Opts.Presolve = !Prove;
+  engine::BatchProver Engine(Opts);
+  const std::vector<std::string> Task = {
+      Prove ? "x != y & next(x, y) |- lseg(x, y)" : "emp |- emp"};
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Engine.run(Task));
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_EngineOneTaskRun)->ArgName("prove")->Arg(0)->Arg(1);
 
 // The subsumption-heavy Table 1 query, checked in as data/query69.slp:
 // the 69th draw of

@@ -69,6 +69,13 @@ private:
   const CanonicalQuery &Q;
 };
 
+/// Query-local terms \p S has dropped by rewinds or still holds: each
+/// query's terms are counted once, whether a rewind of this run or of
+/// the next drops them.
+uint64_t termsInterned(const core::ProverSession &S) {
+  return S.stats().TermsReclaimed + S.localSymbols();
+}
+
 } // namespace
 
 BatchProver::BatchProver(BatchOptions Opts)
@@ -125,6 +132,27 @@ BatchProver::Worker::Worker(const BatchOptions &Opts)
   Backend = makeBackend(Opts.Backend, Opts.Prover);
   if (Opts.Backend == BackendKind::Portfolio)
     Portfolio = static_cast<PortfolioProver *>(Backend.get());
+}
+
+void BatchProver::Worker::startRun() {
+  std::vector<BackendTally> Rows = std::move(Stats.Backends);
+  for (BackendTally &T : Rows)
+    T = BackendTally{std::move(T.Name)};
+  Stats = BatchStats();
+  Stats.Backends = std::move(Rows);
+  ResetsBefore = Session.stats().Resets;
+  TermsBefore = termsInterned(Session);
+}
+
+void BatchProver::Worker::finishRun() {
+  Stats.Sessions = 1;
+  Stats.SessionResets = Session.stats().Resets - ResetsBefore;
+  // The last query's terms are never rewound in this run; counting them
+  // keeps the total independent of which worker proved which query
+  // last.
+  Stats.TermsReclaimed = termsInterned(Session) - TermsBefore;
+  if (Portfolio)
+    Stats.Backends = Portfolio->takeTallies();
 }
 
 QueryResult BatchProver::proveOne(const ProofTask &Task, Worker &W) {
@@ -289,18 +317,22 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
   // Jobs == 1) proves on the caller with no thread spawned.
   const unsigned N = Tasks.size() <= 1 ? 1 : resolveJobs(Opts.Jobs);
   StealPool Queue(Tasks.size(), N);
-  std::vector<std::unique_ptr<Worker>> Workers(N);
-  auto Drain = [this, &Queue, &Tasks, &Results, &Workers](unsigned J) {
-    Workers[J] = std::make_unique<Worker>(Opts);
+  if (Workers.size() < N)
+    Workers.resize(N);
+  auto Drain = [this, &Queue, &Tasks, &Results](unsigned J) {
+    if (!Workers[J])
+      Workers[J] = std::make_unique<Worker>(Opts);
     Worker &W = *Workers[J];
+    W.startRun();
     size_t I;
     while (Queue.pop(J, I)) {
       Results[I] = proveOne(Tasks[I], W);
       W.Stats.record(Results[I]);
     }
+    W.finishRun();
   };
   {
-    // The scope joins the helpers before their workers are retired.
+    // The scope joins the helpers before their accounts are read.
     std::vector<std::jthread> Threads;
     Threads.reserve(N - 1);
     for (unsigned J = 1; J != N; ++J)
@@ -308,17 +340,8 @@ BatchProver::run(const std::vector<ProofTask> &Tasks) {
     Drain(0);
   }
 
-  for (const std::unique_ptr<Worker> &W : Workers) {
-    W->Stats.Sessions = 1;
-    W->Stats.SessionResets = W->Session.stats().Resets;
-    // The last query's terms are never rewound; counting them keeps the
-    // total independent of which worker proved which query last.
-    W->Stats.TermsReclaimed =
-        W->Session.stats().TermsReclaimed + W->Session.localSymbols();
-    if (W->Portfolio)
-      W->Stats.Backends = W->Portfolio->tallies();
-    Stats += W->Stats;
-  }
+  for (unsigned J = 0; J != N; ++J)
+    Stats += Workers[J]->Stats;
   StealStats Stealing = Queue.totals();
   Stats.Seconds = T.seconds();
   Stats.WorkersUsed = N;

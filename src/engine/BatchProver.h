@@ -17,19 +17,21 @@
 /// drains, so heavy-tailed query costs stop serializing the tail of
 /// the run.
 ///
-/// Each worker owns one core::ProverSession for the whole batch: the
-/// task is parsed once, straight into the session's term table on top
-/// of its baseline checkpoint; on a cache miss the table is rewound
-/// and the *canonical* entailment is re-materialized at the baseline
-/// and proved there. The rewind restores exactly the
+/// Each worker owns one core::ProverSession, built the first time a
+/// run needs that worker and reused by every later run() of the
+/// engine: the task is parsed once, straight into the session's term
+/// table on top of its baseline checkpoint; on a cache miss the table
+/// is rewound and the *canonical* entailment is re-materialized at the
+/// baseline and proved there. The rewind restores exactly the
 /// freshly-constructed table state (dense ids reassigned
 /// deterministically), so the verdict remains a pure function of the
 /// canonical key — independent of worker count, scheduling
-/// interleaving, and of which alpha-variant of a query populated the
-/// cache first — while table construction, the second parse of the
-/// old engine, and most allocator traffic disappear from the per-query
-/// cost. Results are reported in input order; a `--jobs=8` run is
-/// byte-identical to a sequential one.
+/// interleaving, earlier runs, and of which alpha-variant of a query
+/// populated the cache first — while table construction, the second
+/// parse of the old engine, and most allocator traffic disappear from
+/// the per-query cost, and a one-task run on a long-lived engine
+/// builds nothing. Results are reported in input order; a `--jobs=8`
+/// run is byte-identical to a sequential one.
 ///
 /// The engine can also discharge tasks through any
 /// core::EntailmentBackend (BatchOptions::Backend): the Berdine and
@@ -175,11 +177,12 @@ struct BatchStats {
   /// another worker proved the same key: idle, not cache work, so not
   /// part of CacheSeconds. Depends on scheduling, unlike the counts.
   double CacheWaitSeconds = 0;
-  /// Worker-session reuse counters, aggregated over all sessions of
-  /// the run: sessions constructed (== workers), rewinds back to the
-  /// baseline table, and query-local terms dropped by those rewinds or
-  /// left by each worker's last query (so the count is the per-query
-  /// sum, whichever worker proves which query).
+  /// Worker-session reuse counters, aggregated over the sessions the
+  /// run used (one per worker, however many runs it has served):
+  /// sessions, rewinds back to the baseline table during the run, and
+  /// query-local terms the run's queries interned (dropped by those
+  /// rewinds, or left by each worker's last query), so the count is
+  /// the per-query sum, whichever worker proves which query.
   uint64_t Sessions = 0;
   uint64_t SessionResets = 0;
   uint64_t TermsReclaimed = 0;
@@ -276,8 +279,9 @@ template <typename Fn> void BatchStats::forEachMirrored(Fn &&F) const {
 }
 
 /// Orchestrates concurrent proving of proof-task batches. The cache
-/// persists across run() calls, so a warm engine answers repeated
-/// corpora almost entirely from memory.
+/// and the workers persist across run() calls, so a warm engine
+/// answers repeated corpora almost entirely from memory and starts
+/// each run with warm sessions.
 class BatchProver {
 public:
   explicit BatchProver(BatchOptions Opts = {});
@@ -304,12 +308,20 @@ public:
   splitCorpus(std::string_view Text, std::vector<unsigned> *LineNos = nullptr);
 
 private:
-  /// Everything one worker owns for the duration of a batch: the
+  /// Everything one worker owns for the life of the engine: the
   /// parse/canonicalization session (which doubles as the proving
   /// session on the Slp fast path), the backend object for the other
-  /// backends, and the worker's share of the run's account.
+  /// backends, and the worker's share of the current run's account.
   struct Worker {
     explicit Worker(const BatchOptions &Opts);
+
+    /// Zeroes Stats for a new run, keeping the tallies' names, and
+    /// notes the session's counts so that finishRun() reports the
+    /// run's share of them.
+    void startRun();
+    /// Completes Stats once the worker has drained: the session rows
+    /// and a portfolio's tallies.
+    void finishRun();
 
     core::ProverSession Session;
     /// Null on the Slp fast path (the session itself proves).
@@ -317,9 +329,12 @@ private:
     /// Set iff Backend is a portfolio (it keeps its own tallies).
     PortfolioProver *Portfolio = nullptr;
     /// The worker's share of the run. Its Backends holds the single
-    /// backend's tally, kept by proveOne; run() copies a portfolio's
-    /// own tallies in once the worker has drained.
+    /// backend's tally, kept by proveOne; finishRun() takes a
+    /// portfolio's own tallies in.
     BatchStats Stats;
+    /// The session's resets, and the terms it had released or held, at
+    /// the start of the run.
+    uint64_t ResetsBefore = 0, TermsBefore = 0;
   };
 
   QueryResult proveOne(const ProofTask &Task, Worker &W);
@@ -329,6 +344,9 @@ private:
   /// Cache.stats() as of the end of the last run() that changed it.
   CacheStats CacheSeen;
   BatchStats Stats;
+  /// Worker J serves every run that uses at least J + 1 workers; null
+  /// until the first such run.
+  std::vector<std::unique_ptr<Worker>> Workers;
 };
 
 } // namespace engine

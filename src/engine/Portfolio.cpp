@@ -105,6 +105,13 @@ PortfolioProver::~PortfolioProver() {
     W.join();
 }
 
+std::vector<BackendTally> PortfolioProver::takeTallies() {
+  std::vector<BackendTally> Out = Tallies;
+  for (BackendTally &T : Tallies)
+    T = BackendTally{std::move(T.Name)};
+  return Out;
+}
+
 bool PortfolioProver::complete() const {
   for (const auto &Member : Members)
     if (Member->complete())

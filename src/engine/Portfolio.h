@@ -140,9 +140,11 @@ public:
   /// fuel poll.
   core::BackendResult prove(const core::ProofTask &Task, Fuel &F) override;
 
-  /// Per-member accounting, accumulated across prove() calls, in
-  /// PortfolioOptions::Backends order.
-  const std::vector<BackendTally> &tallies() const { return Tallies; }
+  /// Per-member accounting, accumulated over the prove() calls since
+  /// the last takeTallies() (or construction), in
+  /// PortfolioOptions::Backends order. Zeroes the tallies, keeping
+  /// their names, so a long-lived portfolio reports each run apart.
+  std::vector<BackendTally> takeTallies();
 
 private:
   struct Slot {

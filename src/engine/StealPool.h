@@ -73,11 +73,6 @@ public:
     return static_cast<unsigned>(Locals.size());
   }
 
-  /// Indices not yet claimed (racy snapshot; for progress display).
-  size_t remaining() const {
-    return Remaining.load(std::memory_order_relaxed);
-  }
-
   /// Counters of one worker. Only meaningful once its thread is done
   /// popping (the pool takes no lock here).
   const StealStats &stats(unsigned Worker) const {
@@ -102,6 +97,7 @@ private:
   bool stealInto(unsigned Worker);
 
   std::vector<std::unique_ptr<Local>> Locals;
+  /// Indices not yet claimed; pop() returns false once it reaches 0.
   std::atomic<size_t> Remaining;
   const size_t Size;
 };

@@ -213,12 +213,22 @@ MetricsRegistry &MetricsRegistry::global() {
 namespace {
 
 /// The value named \p Name in \p Vec, appended as 0 on first use;
-/// the caller holds the registry mutex.
+/// the caller holds the registry mutex. The search starts at \p Cursor,
+/// one past the name found last, and wraps around: a caller that walks
+/// its names in registration order, as the engine's per-run mirror
+/// does, matches on the first compare.
 template <typename T>
-T &slot(std::vector<std::pair<std::string, T>> &Vec, std::string_view Name) {
-  for (auto &[N, V] : Vec)
-    if (N == Name)
-      return V;
+T &slot(std::vector<std::pair<std::string, T>> &Vec, size_t &Cursor,
+        std::string_view Name) {
+  for (size_t K = 0, I = Cursor; K != Vec.size(); ++K, ++I) {
+    if (I >= Vec.size())
+      I = 0;
+    if (Vec[I].first == Name) {
+      Cursor = I + 1;
+      return Vec[I].second;
+    }
+  }
+  Cursor = Vec.size() + 1;
   return Vec.emplace_back(std::string(Name), T()).second;
 }
 
@@ -226,17 +236,17 @@ T &slot(std::vector<std::pair<std::string, T>> &Vec, std::string_view Name) {
 
 void MetricsRegistry::add(std::string_view Name, uint64_t Delta) {
   std::lock_guard<std::mutex> Lock(M);
-  slot(Counters, Name) += Delta;
+  slot(Counters, CounterCursor, Name) += Delta;
 }
 
 void MetricsRegistry::set(std::string_view Name, int64_t Value) {
   std::lock_guard<std::mutex> Lock(M);
-  slot(Gauges, Name) = Value;
+  slot(Gauges, GaugeCursor, Name) = Value;
 }
 
 Histogram &MetricsRegistry::histogram(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(M);
-  std::unique_ptr<Histogram> &H = slot(Histograms, Name);
+  std::unique_ptr<Histogram> &H = slot(Histograms, HistogramCursor, Name);
   if (!H)
     H = std::make_unique<Histogram>();
   return *H;

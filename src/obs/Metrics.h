@@ -189,6 +189,9 @@ private:
   std::vector<std::pair<std::string, uint64_t>> Counters;
   std::vector<std::pair<std::string, int64_t>> Gauges;
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> Histograms;
+  /// Where each list's next name search starts: one past the name
+  /// found last.
+  size_t CounterCursor = 0, GaugeCursor = 0, HistogramCursor = 0;
 };
 
 /// Shorthand for MetricsRegistry::global().

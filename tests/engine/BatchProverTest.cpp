@@ -70,6 +70,19 @@ sequentialVerdicts(const std::vector<std::string> &Corpus) {
   return Verdicts;
 }
 
+/// Every count of \p S that depends only on the run's input, by
+/// registry name: the mirrored rows without the steal counters and the
+/// backends' wall clock.
+std::vector<std::pair<std::string, uint64_t>>
+deterministicRows(const BatchStats &S) {
+  std::vector<std::pair<std::string, uint64_t>> Rows;
+  S.forEachMirrored([&Rows](std::string_view Name, uint64_t V, Mirror) {
+    if (!Name.starts_with("engine.steal.") && !Name.ends_with(".time_ns"))
+      Rows.emplace_back(std::string(Name), V);
+  });
+  return Rows;
+}
+
 } // namespace
 
 TEST(BatchProver, AgreesWithSequentialProver) {
@@ -221,6 +234,65 @@ TEST(BatchProver, OneTaskRunUsesOneWorkerAndNeverSteals) {
   Engine.run(makeCorpus(5, /*Seed=*/11));
   EXPECT_EQ(Engine.stats().WorkersUsed, 4u);
   EXPECT_EQ(Engine.stats().Sessions, 4u);
+}
+
+// The workers outlive run(): a long-lived engine must answer and
+// account for every run as a fresh engine does, whatever its earlier
+// runs left in the workers' sessions. The one-task runs use worker 0
+// alone, so the second batch starts with workers that have served
+// different numbers of queries.
+TEST(BatchProver, LongLivedEngineMatchesFreshEngines) {
+  std::vector<std::string> Batch = makeCorpus(50, /*Seed=*/29);
+  const std::vector<std::vector<std::string>> Runs = {
+      Batch, {Batch[61]}, {Batch[3]}, Batch};
+  for (BackendKind Backend : {BackendKind::Slp, BackendKind::Berdine}) {
+    BatchOptions Opts;
+    Opts.Jobs = 4;
+    Opts.CacheEnabled = false;
+    Opts.Backend = Backend;
+    BatchProver LongLived(Opts);
+    for (size_t R = 0; R != Runs.size(); ++R) {
+      SCOPED_TRACE(std::string(backendKindName(Backend)) + " run " +
+                   std::to_string(R));
+      std::vector<QueryResult> Got = LongLived.run(Runs[R]);
+      BatchProver Fresh(Opts);
+      std::vector<QueryResult> Want = Fresh.run(Runs[R]);
+      ASSERT_EQ(Got.size(), Want.size());
+      for (size_t I = 0; I != Got.size(); ++I) {
+        EXPECT_EQ(Got[I].V, Want[I].V) << Runs[R][I];
+        EXPECT_EQ(Got[I].FuelUsed, Want[I].FuelUsed) << Runs[R][I];
+        EXPECT_EQ(Got[I].Sat, Want[I].Sat) << Runs[R][I];
+      }
+      const BatchStats &S = LongLived.stats();
+      EXPECT_EQ(deterministicRows(S), deterministicRows(Fresh.stats()));
+      EXPECT_EQ(S.Sessions, Runs[R].size() == 1 ? 1u : 4u);
+      EXPECT_GT(S.SessionResets, 0u);
+      EXPECT_GT(S.TermsReclaimed, 0u);
+      ASSERT_EQ(S.Backends.size(), 1u);
+      EXPECT_EQ(S.Backends[0].Races, S.Queries - S.PresolvedValid);
+    }
+  }
+
+  // A portfolio's tallies are per run too: with the pre-solver off,
+  // every task of a run races each member once and one member wins
+  // each decided task.
+  BatchOptions Opts;
+  Opts.Jobs = 4;
+  Opts.CacheEnabled = false;
+  Opts.Presolve = false;
+  Opts.Backend = BackendKind::Portfolio;
+  BatchProver Engine(Opts);
+  for (size_t R = 0; R != Runs.size(); ++R) {
+    Engine.run(Runs[R]);
+    const BatchStats &S = Engine.stats();
+    ASSERT_EQ(S.Backends.size(), 3u);
+    uint64_t Wins = 0;
+    for (const BackendTally &T : S.Backends) {
+      EXPECT_EQ(T.Races, Runs[R].size()) << T.Name << ", run " << R;
+      Wins += T.Wins;
+    }
+    EXPECT_EQ(Wins, S.Valid + S.Invalid) << "run " << R;
+  }
 }
 
 // The run's saturation counters are one struct: with the cache off

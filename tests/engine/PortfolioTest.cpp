@@ -149,7 +149,7 @@ TEST(PortfolioTest, AgreesWithSlpOnMixedQueries) {
     EXPECT_FALSE(Got.Backend.empty()) << "definitive verdicts name a winner";
   }
 
-  const std::vector<BackendTally> &Ts = Portfolio.tallies();
+  const std::vector<BackendTally> Ts = Portfolio.takeTallies();
   ASSERT_EQ(Ts.size(), 3u);
   uint64_t Wins = 0, Races = 0;
   for (const BackendTally &T : Ts) {
@@ -160,6 +160,19 @@ TEST(PortfolioTest, AgreesWithSlpOnMixedQueries) {
   }
   EXPECT_EQ(Wins, std::size(Queries)) << "exactly one winner per task";
   EXPECT_EQ(Races, 3 * std::size(Queries));
+
+  // Taking the tallies zeroes them, names kept; the next race starts a
+  // fresh account.
+  std::vector<BackendTally> Again = Portfolio.takeTallies();
+  ASSERT_EQ(Again.size(), 3u);
+  for (size_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Again[I].Name, Ts[I].Name);
+    EXPECT_EQ(Again[I].Races, 0u);
+    EXPECT_EQ(Again[I].Seconds, 0.0);
+  }
+  proveWith(Portfolio, Queries[0]);
+  for (const BackendTally &T : Portfolio.takeTallies())
+    EXPECT_EQ(T.Races, 1u) << T.Name;
 }
 
 TEST(PortfolioTest, NotProvedNeverWins) {
@@ -173,7 +186,7 @@ TEST(PortfolioTest, NotProvedNeverWins) {
   core::BackendResult R = proveWith(P, NeedsSplit);
   EXPECT_EQ(R.V, core::Verdict::Unknown);
   EXPECT_TRUE(R.Backend.empty());
-  EXPECT_EQ(P.tallies()[0].Wins, 0u);
+  EXPECT_EQ(P.takeTallies()[0].Wins, 0u);
 }
 
 TEST(PortfolioTest, ParseErrorsSurface) {
@@ -202,7 +215,7 @@ TEST(PortfolioTest, CancellationStopsHopelessLoser) {
   core::BackendResult R = proveWith(P, (Q + " |- " + Q).c_str());
   EXPECT_EQ(R.V, core::Verdict::Valid);
   EXPECT_EQ(R.Backend, "slp");
-  const std::vector<BackendTally> &Ts = P.tallies();
+  const std::vector<BackendTally> Ts = P.takeTallies();
   EXPECT_EQ(Ts[0].Name, "berdine");
   EXPECT_EQ(Ts[0].Wins, 0u);
   EXPECT_EQ(Ts[0].Cancelled, 1u);
@@ -234,7 +247,7 @@ TEST(PortfolioTest, OuterCancelTokenStopsTheRace) {
   Killer.join();
   EXPECT_EQ(R.V, core::Verdict::Unknown);
   EXPECT_TRUE(R.Backend.empty());
-  EXPECT_EQ(P.tallies()[0].Cancelled, 1u);
+  EXPECT_EQ(P.takeTallies()[0].Cancelled, 1u);
 
   // An already-cancelled caller forfeits the race immediately.
   core::BackendResult R2 = P.prove(task(Query.c_str()), F);
@@ -257,7 +270,7 @@ TEST(PortfolioTest, ExhaustedCallerBudgetForfeitsWithoutRacing) {
   ASSERT_TRUE(F.consume()); // Drain the budget.
   core::BackendResult R = P.prove(task((Q + " |- " + Q).c_str()), F);
   EXPECT_EQ(R.V, core::Verdict::Unknown);
-  EXPECT_EQ(P.tallies()[0].Races, 0u) << "nobody raced";
+  EXPECT_EQ(P.takeTallies()[0].Races, 0u) << "nobody raced";
 }
 
 TEST(PortfolioTest, PerMemberFuelBudgetsApply) {

@@ -59,7 +59,9 @@ TEST(StealPoolTest, EveryIndexClaimedExactlyOnce) {
     for (size_t I = 0; I != Claims.size(); ++I)
       EXPECT_EQ(Claims[I], 1u) << "index " << I << " with " << Workers
                                << " workers";
-    EXPECT_EQ(Pool.remaining(), 0u);
+    size_t I;
+    for (unsigned W = 0; W != Workers; ++W)
+      EXPECT_FALSE(Pool.pop(W, I)) << "drained pool, worker " << W;
     EXPECT_EQ(Pool.totals().Executed, 1000u);
   }
 }
@@ -77,7 +79,7 @@ TEST(StealPoolTest, EmptyPoolPopsFalse) {
   size_t I;
   EXPECT_FALSE(Pool.pop(0, I));
   EXPECT_FALSE(Pool.pop(3, I));
-  EXPECT_EQ(Pool.remaining(), 0u);
+  EXPECT_EQ(Pool.totals().Executed, 0u);
 }
 
 TEST(StealPoolTest, ImbalanceTriggersStealing) {

@@ -193,6 +193,29 @@ TEST(MetricsRegistry, SnapshotPreservesRegistrationOrder) {
   EXPECT_EQ(S.Counters[2].first, "m.third");
 }
 
+// The name search starts one past the name found last and wraps, so
+// lookups in any order (forwards, backwards, repeated, after a new
+// name) still land on their own value.
+TEST(MetricsRegistry, LookupsInAnyOrderFindTheirName) {
+  MetricsRegistry R;
+  const char *Names[] = {"w.a", "w.b", "w.c", "w.d"};
+  for (const char *N : Names)
+    R.add(N, 1);
+  for (int I = 3; I >= 0; --I)
+    R.add(Names[I], 10);
+  R.add("w.c", 100);
+  R.add("w.c", 100);
+  R.add("w.e", 7);
+  R.add("w.b", 1000);
+  MetricsSnapshot S = R.snapshot();
+  ASSERT_EQ(S.Counters.size(), 5u);
+  EXPECT_EQ(S.counterOr0("w.a"), 11u);
+  EXPECT_EQ(S.counterOr0("w.b"), 1011u);
+  EXPECT_EQ(S.counterOr0("w.c"), 211u);
+  EXPECT_EQ(S.counterOr0("w.d"), 11u);
+  EXPECT_EQ(S.counterOr0("w.e"), 7u);
+}
+
 TEST(MetricsRegistry, ConcurrentLookupAndIncrement) {
   MetricsRegistry R;
   constexpr int Threads = 8, PerThread = 2000;
