@@ -28,8 +28,10 @@
 /// are reassigned deterministically, every symbol-id-keyed cache is
 /// invalidated), only the allocations survive. That reuse is the point
 /// — on small entailments, table construction and teardown dominate
-/// the non-inference cost (see the engine's per-worker sessions and
-/// the bench_micro session-reuse case).
+/// the non-inference cost. The batch engine keeps one session per
+/// worker for its whole life, across run() calls, so a one-task run
+/// builds nothing (see the bench_micro session-reuse and one-task-run
+/// cases).
 ///
 //===----------------------------------------------------------------------===//
 
